@@ -1,12 +1,17 @@
-"""Exact chromatic numbers (explicit and implicit-product solvers), the
-closed-form Kneser formulas, and lower-bound comparison reports.
+"""Exact chromatic numbers, the closed-form Kneser formulas, and lower-bound
+comparison reports.
+
+One coloring engine serves explicit hypergraphs and implicit categorical
+products alike: a hypergraph is the one-factor product. Levels below chi are
+decided with a most-constrained-first vertex order; only chi itself runs the
+static lexicographic search that makes the certificate.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 
 from .constructions import ProductSpace, kneser
 from .hypergraph import (
@@ -30,277 +35,188 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-# --- exact solver over explicit edges ----------------------------------------
+# --- exact solver over categorical products ------------------------------------
 
 
-def _k_colorable(H: Hypergraph, k: int) -> tuple[int, ...] | None:
-    """First (lexicographically least) proper k-coloring, or None.
+class _ColoringSearch:
+    """Backtracking coloring search over the boxes of a categorical product.
 
-    Backtracking in vertex order with two standard reductions: vertex v may
-    only use colors up to one above the maximum used so far (color-order
-    symmetry breaking), and an edge with a single uncolored vertex whose
-    colored part is monochromatic forbids that color on the open vertex.
-    """
-    n = H.n
-    if H.has_singleton_edge():
-        return None
-    if n == 0:
-        return ()
-    if k < 1:
-        return None
-    edges = H.edges
-    at: list[list[int]] = [[] for _ in range(n + 1)]
-    for ei, e in enumerate(edges):
-        for v in e:
-            at[v].append(ei)
-    colors = [0] * (n + 1)
-    forbid = [[0] * (k + 1) for _ in range(n + 1)]
-
-    def assign(v: int, c: int) -> list[int] | None:
-        colors[v] = c
-        trail: list[int] = []
-        for ei in at[v]:
-            open_vertex = 0
-            open_count = 0
-            mono = True
-            for u in edges[ei]:
-                cu = colors[u]
-                if cu == 0:
-                    open_count += 1
-                    if open_count > 1:
-                        break
-                    open_vertex = u
-                elif cu != c:
-                    mono = False
-                    break
-            if not mono:
-                continue
-            if open_count == 0:
-                for w in trail:
-                    forbid[w][c] -= 1
-                colors[v] = 0
-                return None
-            if open_count == 1:
-                forbid[open_vertex][c] += 1
-                trail.append(open_vertex)
-        return trail
-
-    def dfs(v: int, maxc: int) -> bool:
-        if v > n:
-            return True
-        for c in range(1, min(k, maxc + 1) + 1):
-            if forbid[v][c]:
-                continue
-            trail = assign(v, c)
-            if trail is not None:
-                if dfs(v + 1, max(maxc, c)):
-                    return True
-                for w in trail:
-                    forbid[w][c] -= 1
-                colors[v] = 0
-        return False
-
-    if dfs(1, 0):
-        return tuple(colors[1:])
-    return None
-
-
-def solve_chromatic(
-    H: Hypergraph, limit: int | None = None
-) -> tuple[ChromaticValue, Coloring | None]:
-    """Exact chromatic number by iterative deepening, with the optimal
-    coloring certificate (the lexicographically least color vector)."""
-    if H.has_singleton_edge():
-        return ChromaticValue.infinite(), None
-    k = 1
-    while True:
-        if limit is not None and k > limit:
-            return ChromaticValue.exceeds(limit), None
-        sol = _k_colorable(H, k)
-        if sol is not None:
-            return ChromaticValue.finite(k), Coloring(sol, k)
-        k += 1
-
-
-def chromatic_number(H: Hypergraph, limit: int | None = None) -> ChromaticValue:
-    return solve_chromatic(H, limit)[0]
-
-
-# --- exact solver over implicit categorical products --------------------------
-
-
-class _ProductSearch:
-    """Shared state for coloring a categorical product implicitly.
-
-    Boxes (one per combination of factor edges) are precompiled into flat
-    arrays: cell vertex indices plus, per cell, one position bit per factor.
-    A color class covering every position of every factor of a box is a
-    monochromatic product edge; a box one cell short of that forbids the
-    color on each completing cell.
+    An explicit hypergraph is the one-factor product, whose boxes are its
+    edges. Each box e_1 x ... x e_t is compiled once into its cells and, per
+    cell, one position int: factor j owns a bit field at its own offset, and
+    the cell sets the bit of its coordinate inside e_j. A color class covering
+    the box's full mask contains a monochromatic product edge. An open cell
+    completes a box when its position contains the bits ``miss`` that the
+    color still lacks, and then must not take that color.
     """
 
-    def __init__(self, factors: Sequence[Hypergraph], k: int) -> None:
+    def __init__(self, factors: Sequence[Hypergraph]) -> None:
         space = ProductSpace.for_factors(factors)
-        self.N = space.size
-        self.k = k
-        self.t = t = len(factors)
-        self.boxes: list[tuple[list[int], list[tuple[int, ...]], tuple[int, ...]]] = []
-        self.boxes_of: list[list[int]] = [[] for _ in range(self.N + 1)]
+        self.N = N = space.size
+        # per box: full mask, cell vertices, and per miss the indices of the
+        # cells completing it (masks and tables shared by all boxes of one
+        # shape); per vertex: its boxes and its position in each
+        self.full: list[int] = []
+        self.cells: list[list[int]] = []
+        self.completing: list[dict[int, list[int]]] = []
+        self.boxes_of: list[list[int]] = [[] for _ in range(N + 1)]
+        self.pos_of: list[list[int]] = [[] for _ in range(N + 1)]
+        vertex = list(range(N + 1))  # one int object per vertex, however often stored
+        shapes: dict[tuple[int, ...], tuple[int, list[int], dict[int, list[int]]]] = {}
         for box in iproduct(*(H.edges for H in factors)):
-            cells: list[int] = []
-            positions: list[tuple[int, ...]] = []
-            for cell in iproduct(*box):
-                cells.append(space.index_of(cell))
-                positions.append(
-                    tuple(1 << box[j].index(cell[j]) for j in range(t))
-                )
-            fulls = tuple((1 << len(box[j])) - 1 for j in range(t))
-            bid = len(self.boxes)
-            self.boxes.append((cells, positions, fulls))
-            for idx in cells:
-                self.boxes_of[idx].append(bid)
-        self.colors = [0] * (self.N + 1)
-        self.forbid = [[0] * (k + 1) for _ in range(self.N + 1)]
+            shape = tuple(len(e) for e in box)
+            if shape not in shapes:
+                offsets = accumulate(shape, initial=0)
+                fields = [[1 << (off + i) for i in range(n)] for off, n in zip(offsets, shape)]
+                positions = [sum(bits) for bits in iproduct(*fields)]
+                completing: dict[int, list[int]] = {}
+                for i, pos in enumerate(positions):
+                    miss = pos
+                    while miss:  # every nonempty sub-mask of pos
+                        completing.setdefault(miss, []).append(i)
+                        miss = (miss - 1) & pos
+                shapes[shape] = ((1 << sum(shape)) - 1, positions, completing)
+            full, positions, completing = shapes[shape]
+            bid = len(self.full)
+            cells = [vertex[space.index_of(cell)] for cell in iproduct(*box)]
+            for v, pos in zip(cells, positions):
+                self.boxes_of[v].append(bid)
+                self.pos_of[v].append(pos)
+            self.full.append(full)
+            self.cells.append(cells)
+            self.completing.append(completing)
 
-    def assign(self, idx: int, c: int) -> list[int] | None:
-        """Color ``idx`` with ``c``; returns the forbid trail, or None (with
-        no state change) if a monochromatic product edge would complete."""
-        colors = self.colors
-        forbid = self.forbid
-        colors[idx] = c
-        trail: list[int] = []
-        t = self.t
-        for bid in self.boxes_of[idx]:
-            cells, positions, fulls = self.boxes[bid]
-            covered = [0] * t
-            open_cells: list[int] = []
-            for i, ci in enumerate(cells):
-                col = colors[ci]
-                if col == c:
-                    pos = positions[i]
-                    for j in range(t):
-                        covered[j] |= pos[j]
-                elif col == 0:
-                    open_cells.append(i)
-            complete = True
-            one_away = True
-            for j in range(t):
-                miss = (fulls[j] ^ covered[j]).bit_count()
-                if miss:
-                    complete = False
-                    if miss > 1:
-                        one_away = False
-                        break
-            if complete:
-                for w in trail:
-                    forbid[w][c] -= 1
-                colors[idx] = 0
-                return None
-            if one_away:
-                for i in open_cells:
-                    pos = positions[i]
-                    if all(covered[j] | pos[j] == fulls[j] for j in range(t)):
-                        ci = cells[i]
-                        forbid[ci][c] += 1
-                        trail.append(ci)
-        return trail
+    def search(self, k: int, dynamic: bool) -> bool:
+        """Look for a proper k-coloring, leaving it in ``colors``.
 
-    def undo(self, idx: int, c: int, trail: list[int]) -> None:
-        for w in trail:
-            self.forbid[w][c] -= 1
-        self.colors[idx] = 0
+        Colors are tried in ascending order, and a vertex takes a color at
+        most one above those already used (color-order symmetry breaking).
+        With ``dynamic`` the next vertex is the one with the most forbidden
+        colors, ties to the least index (DSATUR-style); otherwise it is the
+        least uncolored index, so the first coloring found is the
+        lexicographically least. The backtracking keeps an explicit stack, so
+        its depth is not bounded by the interpreter's recursion limit.
+        """
+        N = self.N
+        full, cells, completing = self.full, self.cells, self.completing
+        boxes_of, pos_of = self.boxes_of, self.pos_of
+        self.colors = colors = [0] * (N + 1)
+        forbid = [[0] * (k + 1) for _ in range(N + 1)]
+        n_forbidden = [0] * (N + 1)
+        covered = [[0] * len(full) for _ in range(k + 1)]
+        uncolored = set(range(1, N + 1))
 
-    def decide(self) -> bool:
-        """Satisfiability only, choosing the most constrained vertex next so
-        forbid chains are followed promptly."""
-        N, k = self.N, self.k
-        colors, forbid = self.colors, self.forbid
-        unassigned = set(range(1, N + 1))
+        def undo(v: int, c: int, trail: tuple[list[int], list[int]]) -> None:
+            olds, forbidden = trail
+            cov = covered[c]
+            for bid, old in zip(boxes_of[v], olds):
+                cov[bid] = old
+            for u in forbidden:
+                f = forbid[u]
+                f[c] -= 1
+                if not f[c]:
+                    n_forbidden[u] -= 1
+            colors[v] = 0
 
-        def dfs(maxc: int) -> bool:
-            if not unassigned:
-                return True
-            cap = min(k, maxc + 1)
-            v = max(
-                unassigned,
-                key=lambda u: (sum(1 for c in range(1, cap + 1) if forbid[u][c]), -u),
-            )
-            unassigned.discard(v)
-            for c in range(1, cap + 1):
-                if forbid[v][c]:
+        def assign(v: int, c: int) -> tuple[list[int], list[int]] | None:
+            """Color v with c and return the undo trail, or None (with no
+            state change) if a box would become monochromatic."""
+            cov = covered[c]
+            boxes = boxes_of[v]
+            forbidden: list[int] = []
+            trail = ([cov[bid] for bid in boxes], forbidden)
+            colors[v] = c
+            for bid, pos in zip(boxes, pos_of[v]):
+                old = cov[bid]
+                new = old | pos
+                if new == old:
+                    # the forbids implied by this coverage are already in place
                     continue
-                trail = self.assign(v, c)
+                miss = full[bid] ^ new
+                if not miss:
+                    undo(v, c, trail)
+                    return None
+                cov[bid] = new
+                hits = completing[bid].get(miss)
+                if hits:
+                    box = cells[bid]
+                    for i in hits:
+                        u = box[i]
+                        if not colors[u]:
+                            f = forbid[u]
+                            if not f[c]:
+                                n_forbidden[u] += 1
+                            f[c] += 1
+                            forbidden.append(u)
+            return trail
+
+        stack: list[tuple[int, int, int, tuple[list[int], list[int]]]] = []
+        maxc = 0
+        while len(stack) < N:
+            if dynamic:
+                v = max(uncolored, key=lambda u: (n_forbidden[u], -u))
+                uncolored.remove(v)
+            else:
+                v = len(stack) + 1
+            c = 0
+            while True:
+                trail = None
+                cap = min(k, maxc + 1)
+                while trail is None and c < cap:
+                    c += 1
+                    if not forbid[v][c]:
+                        trail = assign(v, c)
                 if trail is not None:
-                    if dfs(max(maxc, c)):
-                        return True
-                    self.undo(v, c, trail)
-            unassigned.add(v)
-            return False
-
-        return dfs(0)
-
-    def lex_solve(self) -> tuple[int, ...] | None:
-        """First proper coloring in vertex order with ascending colors: the
-        lexicographically least color vector."""
-        N, k = self.N, self.k
-        forbid = self.forbid
-
-        def dfs(idx: int, maxc: int) -> bool:
-            if idx > N:
-                return True
-            for c in range(1, min(k, maxc + 1) + 1):
-                if forbid[idx][c]:
-                    continue
-                trail = self.assign(idx, c)
-                if trail is not None:
-                    if dfs(idx + 1, max(maxc, c)):
-                        return True
-                    self.undo(idx, c, trail)
-            return False
-
-        if dfs(1, 0):
-            return tuple(self.colors[1:])
-        return None
-
-
-def _k_colorable_product(
-    factors: Sequence[Hypergraph], k: int
-) -> tuple[int, ...] | None:
-    """Lexicographically least proper k-coloring of the categorical product
-    (or None), via the box-coverage violation test; product edges are never
-    materialized. Satisfiability is decided with a dynamic vertex order
-    before the canonical coloring is extracted in static order."""
-    if any(H.edge_count == 0 for H in factors):
-        # edgeless factor: the product has no edges at all
-        space = ProductSpace.for_factors(factors)
-        return tuple([1] * space.size) if k >= 1 or space.size == 0 else None
-    if k < 1:
-        return None
-    if not _ProductSearch(factors, k).decide():
-        return None
-    return _ProductSearch(factors, k).lex_solve()
+                    break
+                if dynamic:
+                    uncolored.add(v)
+                if not stack:
+                    return False
+                v, c, maxc, trail = stack.pop()
+                undo(v, c, trail)
+            stack.append((v, c, maxc, trail))
+            maxc = max(maxc, c)
+        return True
 
 
 def solve_product_chromatic(
     factors: Sequence[Hypergraph], limit: int | None = None
 ) -> tuple[ChromaticValue, Coloring | None]:
-    """Exact chromatic number of the categorical product of the factors,
-    never materializing product edges."""
+    """Exact chromatic number of the categorical product of the factors by
+    iterative deepening, never materializing product edges, with the
+    lexicographically least optimal coloring as certificate.
+
+    Levels below chi are decided with the dynamic vertex order; only the first
+    satisfiable level runs the static-order search that yields the
+    certificate.
+    """
     if not factors:
         raise ValueError("product needs at least one factor")
-    if len(factors) == 1:
-        return solve_chromatic(factors[0], limit)
     if all(H.has_singleton_edge() for H in factors):
         # a box of singleton edges is a singleton product edge
         return ChromaticValue.infinite(), None
+    engine = _ColoringSearch(factors)
     k = 1
     while True:
         if limit is not None and k > limit:
             return ChromaticValue.exceeds(limit), None
-        sol = _k_colorable_product(factors, k)
-        if sol is not None:
-            return ChromaticValue.finite(k), Coloring(sol, k)
+        # without boxes (an edgeless factor) every coloring is proper
+        if not engine.full or engine.search(k, dynamic=True):
+            engine.search(k, dynamic=False)
+            return ChromaticValue.finite(k), Coloring(tuple(engine.colors[1:]), k)
         k += 1
+
+
+def solve_chromatic(
+    H: Hypergraph, limit: int | None = None
+) -> tuple[ChromaticValue, Coloring | None]:
+    """Exact chromatic number with the lexicographically least optimal
+    coloring as certificate: the one-factor product."""
+    return solve_product_chromatic([H], limit)
+
+
+def chromatic_number(H: Hypergraph, limit: int | None = None) -> ChromaticValue:
+    return solve_chromatic(H, limit)[0]
 
 
 def product_chromatic(

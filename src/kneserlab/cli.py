@@ -232,17 +232,31 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(spec.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         stamp = time.strftime("%Y%m%d-%H%M%S")
-        base = out_dir / f"{args.command}-{stamp}"
-        base.with_suffix(".json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        path = _claim_path(out_dir, f"{args.command}-{stamp}")
+        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         text_parts = [f"# kneserlab {CODE_VERSION} | {args.command} | {started}"]
         for task_result in result.results:
             table = _table_for(task_result)
             if table:
                 text_parts.append(table)
             text_parts.append(f"[{task_result.name}] status={task_result.status}")
-        base.with_suffix(".txt").write_text("\n".join(text_parts) + "\n")
+        path.with_suffix(".txt").write_text("\n".join(text_parts) + "\n")
         _write_artifacts(out_dir, stamp, result)
     return result.exit_code()
+
+
+def _claim_path(out_dir: Path, stem: str) -> Path:
+    """Create and return the first free one of ``<stem>.json``,
+    ``<stem>-2.json``, ``<stem>-3.json``, ... The creation is exclusive, so
+    runs started within the same second never overwrite each other."""
+    path, n = out_dir / f"{stem}.json", 1
+    while True:
+        try:
+            path.touch(exist_ok=False)
+            return path
+        except FileExistsError:
+            n += 1
+            path = out_dir / f"{stem}-{n}.json"
 
 
 def _write_artifacts(out_dir: Path, stamp: str, result) -> None:
@@ -257,7 +271,7 @@ def _write_artifacts(out_dir: Path, stamp: str, result) -> None:
                 path = out_dir / f"hypergraph-{i}-{name}.json"
                 path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
         if task_result.name == "witness" and task_result.payload.get("witness"):
-            path = out_dir / f"witness-{stamp}.json"
+            path = _claim_path(out_dir, f"witness-{stamp}")
             path.write_text(
                 json.dumps(task_result.payload["witness"], indent=2, sort_keys=True) + "\n"
             )

@@ -249,19 +249,14 @@ def product_is_proper(factors: Sequence[Hypergraph], coloring: Coloring) -> bool
     space = ProductSpace.for_factors(factors)
     if coloring.n != space.size:
         raise ValueError("coloring is not total on the product vertex space")
-    t = len(factors)
-    by_color: dict[int, list[tuple[int, ...]]] = {}
-    for idx, c in enumerate(coloring.colors, start=1):
-        by_color.setdefault(c, []).append(space.tuple_of(idx))
-    for tuples in by_color.values():
-        for box in iproduct(*(H.edges for H in factors)):
-            box_sets = [set(e) for e in box]
-            covered: list[set[int]] = [set() for _ in range(t)]
-            for tup in tuples:
-                if all(tup[j] in box_sets[j] for j in range(t)):
-                    for j in range(t):
-                        covered[j].add(tup[j])
-            if all(covered[j] == box_sets[j] for j in range(t)):
+    for box in iproduct(*(H.edges for H in factors)):
+        by_color: dict[int, list[set[int]]] = {}
+        for cell in iproduct(*box):
+            c = coloring.color_of(space.index_of(cell))
+            for seen, v in zip(by_color.setdefault(c, [set() for _ in box]), cell):
+                seen.add(v)
+        for seen in by_color.values():
+            if all(len(s) == len(e) for s, e in zip(seen, box)):
                 return False
     return True
 

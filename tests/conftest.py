@@ -33,15 +33,23 @@ def chromatic_brute(H: Hypergraph, kmax: int | None = None) -> int | None:
     if kmax is None:
         kmax = max(1, H.n)
     for k in range(1, kmax + 1):
-        for assignment in itertools.product(range(1, k + 1), repeat=H.n):
-            ok = True
-            for e in H.edges:
-                first = assignment[e[0] - 1]
-                if all(assignment[v - 1] == first for v in e[1:]):
-                    ok = False
-                    break
-            if ok:
-                return k
+        if lex_least_coloring_brute(H, k) is not None:
+            return k
+    return None
+
+
+def lex_least_coloring_brute(H: Hypergraph, k: int) -> tuple[int, ...] | None:
+    """First proper k-coloring of H in lexicographic order, by enumerating
+    every color vector in order."""
+    for assignment in itertools.product(range(1, k + 1), repeat=H.n):
+        ok = True
+        for e in H.edges:
+            first = assignment[e[0] - 1]
+            if all(assignment[v - 1] == first for v in e[1:]):
+                ok = False
+                break
+        if ok:
+            return assignment
     return None
 
 
@@ -59,12 +67,14 @@ def minimal_covers_brute(r1: int, r2: int) -> set[frozenset[tuple[int, int]]]:
     }
 
 
-def random_hypergraph(rng: random.Random, max_n: int = 7, max_edges: int = 10) -> Hypergraph:
+def random_hypergraph(
+    rng: random.Random, max_n: int = 7, max_edges: int = 10, min_edge_size: int = 1
+) -> Hypergraph:
     n = rng.randint(2, max_n)
     m = rng.randint(0, max_edges)
     edges = set()
     for _ in range(m):
-        size = rng.randint(1, min(n, 4))
+        size = rng.randint(min_edge_size, min(n, 4))
         edges.add(frozenset(rng.sample(range(1, n + 1), size)))
     return Hypergraph(n, edges)
 

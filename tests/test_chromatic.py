@@ -20,11 +20,12 @@ from kneserlab import (
     is_proper,
     kneser,
     product_chromatic,
+    product_is_proper,
     product_minimal,
     solve_chromatic,
     solve_product_chromatic,
 )
-from conftest import chromatic_brute, random_hypergraph
+from conftest import chromatic_brute, lex_least_coloring_brute, random_hypergraph
 
 
 class TestSolver:
@@ -50,6 +51,22 @@ class TestSolver:
         assert is_proper(H, coloring)
         assert coloring.color_count == value.as_int()
         assert coloring.colors[0] == 1
+
+    def test_certificate_matches_brute_force_lex_least(self):
+        rng = random.Random(41)
+        for _ in range(24):
+            H = random_hypergraph(rng, max_n=6, max_edges=12, min_edge_size=2)
+            value, coloring = solve_chromatic(H)
+            assert value.as_int() == chromatic_brute(H)
+            assert coloring.colors == lex_least_coloring_brute(H, value.as_int())
+
+    @pytest.mark.parametrize("n,k,chi", [(9, 2, 7), (8, 3, 4), (9, 3, 5)])
+    def test_kneser_graphs_beyond_static_order(self, n, k, chi):
+        # refuting the levels below chi in static vertex order takes minutes
+        kg = kneser(complete_uniform(n, k), 2)
+        value, coloring = solve_chromatic(kg)
+        assert value.as_int() == formula_kneser(n, k, 2) == chi
+        assert is_proper(kg, coloring)
 
     def test_brute_force_agreement(self):
         rng = random.Random(40)
@@ -152,12 +169,29 @@ class TestProductChromatic:
         assert product_chromatic([S, S]) == ChromaticValue.infinite()
 
     def test_certificate_proper(self):
-        from kneserlab import product_is_proper
-
         A = complete_uniform(3, 2)
         value, coloring = solve_product_chromatic([A, A])
         assert value.as_int() == 3
         assert product_is_proper([A, A], coloring)
+
+    def test_certificate_matches_brute_force_lex_least(self):
+        rng = random.Random(4244)
+        pairs = [(complete_uniform(3, 2), complete_uniform(3, 2))]
+        for _ in range(12):
+            H1 = random_hypergraph(rng, max_n=3, max_edges=3, min_edge_size=2)
+            H2 = random_hypergraph(rng, max_n=3, max_edges=3, min_edge_size=2)
+            pairs.append((H1, H2))
+        for H1, H2 in pairs:
+            value, coloring = solve_product_chromatic([H1, H2])
+            explicit = product_minimal([H1, H2])
+            assert coloring.colors == lex_least_coloring_brute(explicit, value.as_int())
+
+    def test_deep_product(self):
+        # 1000 product vertices: deeper than the interpreter's recursion limit
+        P = kneser(complete_uniform(5, 2), 2)
+        value, coloring = solve_product_chromatic([P, P, P])
+        assert value.as_int() == 3
+        assert product_is_proper([P, P, P], coloring)
 
     def test_limit(self):
         A = complete_uniform(4, 2)

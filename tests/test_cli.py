@@ -270,6 +270,14 @@ class TestMainEntry:
         report = json.loads(written[0].read_text())
         assert report["results"][0]["payload"]["exact_chi"] == 4
 
+    def test_out_reports_of_one_second_kept_apart(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("kneserlab.cli.time.strftime", lambda *_: "20240501-120000")
+        for _ in range(4):
+            assert main(["invariants", "--r", "2", "complete:4,2", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert len(list(tmp_path.glob("invariants-*.json"))) == 4
+        assert len(list(tmp_path.glob("invariants-*.txt"))) == 4
+
     def test_compare_command(self, capsys):
         code = main(["compare"])
         out = capsys.readouterr().out
@@ -304,7 +312,8 @@ class TestMainEntry:
         code = main(["witness", "--p", "2", "complete:5,2", "--out", str(tmp_path)])
         capsys.readouterr()
         assert code == 0
-        files = list(tmp_path.glob("witness-*.json"))
-        assert len(files) == 1
-        data = json.loads(files[0].read_text())
-        assert sum(len(part["vertices"]) for part in data["parts"]) == 3
+        # the run report and the witness file, each under its own name
+        data = [json.loads(f.read_text()) for f in tmp_path.glob("witness-*.json")]
+        assert sorted("provenance" in d for d in data) == [False, True]
+        witness = next(d for d in data if "provenance" not in d)
+        assert sum(len(part["vertices"]) for part in witness["parts"]) == 3
