@@ -1,6 +1,7 @@
 """Append-only JSON-lines result cache keyed by (hypergraph digest,
-operation, parameters). Corrupt lines are dropped and rebuilt on demand:
-every cached value is re-derivable.
+operation, parameters, code version), so a changed algorithm never serves
+values computed by older code. Corrupt lines are dropped and rebuilt on
+demand: every cached value is re-derivable.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class ResultCache:
 
     @staticmethod
     def make_key(digest: str, op: str, params) -> dict:
-        return {"digest": digest, "op": op, "params": params}
+        return {"digest": digest, "op": op, "params": params, "version": CODE_VERSION}
 
     def get(self, key: dict):
         return self._entries.get(canonical_json(key))
@@ -58,28 +59,9 @@ class ResultCache:
         flat = canonical_json(key)
         self._entries[flat] = value
         if self.path is not None:
-            record = {
-                "key": key,
-                "value": value,
-                "ts": time.time(),
-                "version": CODE_VERSION,
-            }
+            record = {"key": key, "value": value, "ts": time.time()}
             with self.path.open("a") as fh:
                 fh.write(canonical_json(record) + "\n")
-
-    def merge_from(self, other: ResultCache) -> None:
-        for flat, value in other._entries.items():
-            if flat not in self._entries:
-                self._entries[flat] = value
-                if self.path is not None:
-                    record = {
-                        "key": json.loads(flat),
-                        "value": value,
-                        "ts": time.time(),
-                        "version": CODE_VERSION,
-                    }
-                    with self.path.open("a") as fh:
-                        fh.write(canonical_json(record) + "\n")
 
 
 def cached_value(

@@ -1,13 +1,18 @@
-"""Experiment orchestration: factor recipes, task execution, reduction and
-bound-comparison reports. The CLI is a thin wrapper around `run`.
+"""Experiment orchestration: factor recipes, the task table, reduction and
+bound-comparison reports.
+
+Each task is declared once, in `TASKS`: its help text, its command-line
+arguments, its run function and its text table. `ExperimentSpec.validate`,
+`run`, the CLI parser and the CLI tables are all driven by that table; the
+CLI is a thin wrapper around `run`.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+import traceback
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cache import CODE_VERSION, ResultCache, cached_value
@@ -45,16 +50,7 @@ from .prooflab import (
     witness_target,
 )
 
-KNOWN_TASKS = (
-    "build",
-    "invariants",
-    "chromatic",
-    "bounds",
-    "witness",
-    "prooflab",
-    "reduce",
-    "compare",
-)
+MODES = ("exact", "heuristic")
 
 
 # --- recipes -------------------------------------------------------------------
@@ -119,7 +115,6 @@ class ExperimentSpec:
     coloring_path: str | None = None
     force: bool = False
     strict: bool = False
-    parallel: bool = False
     negative_control: bool = False
     self_check: bool = False
     ground: bool = False
@@ -129,20 +124,16 @@ class ExperimentSpec:
     def validate(self) -> None:
         if not self.tasks:
             raise ValueError("task list is empty")
-        for t in self.tasks:
-            if t not in KNOWN_TASKS:
-                raise ValueError(f"unknown task {t!r}")
-        if not self.recipes and set(self.tasks) != {"compare"}:
-            raise ValueError("no factor recipes given")
-        needs_r = {"invariants", "chromatic", "bounds", "reduce"} & set(self.tasks)
-        if needs_r and self.r is None:
-            raise ValueError(f"tasks {sorted(needs_r)} need --r")
-        needs_p = {"witness", "prooflab"} & set(self.tasks)
-        if needs_p and self.p is None:
-            raise ValueError(f"tasks {sorted(needs_p)} need --p")
-        if "reduce" in self.tasks and (self.s is None or self.C is None):
-            raise ValueError("reduce needs --s and --C")
-        if self.mode not in ("exact", "heuristic"):
+        for name in self.tasks:
+            task = TASKS.get(name)
+            if task is None:
+                raise ValueError(f"unknown task {name!r}")
+            if task.needs_recipes and not self.recipes:
+                raise ValueError("no factor recipes given")
+            for flag, kwargs in task.args:
+                if kwargs.get("required") and getattr(self, flag.lstrip("-")) is None:
+                    raise ValueError(f"task {name!r} needs {flag}")
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
@@ -346,6 +337,7 @@ def compare_bounds(
     if not pool:
         raise ValueError("empty comparison pool")
     rows: list[CompareRow] = []
+    notes: list[str] = []
     for spec in pool:
         r = spec.r if spec.r is not None else 2
         for recipe in spec.recipes:
@@ -356,8 +348,9 @@ def compare_bounds(
             chi: ChromaticValue | None
             try:
                 chi = chromatic_number(kneser(H, r), limit)
-            except ValueError:
+            except ValueError as exc:
                 chi = None
+                notes.append(f"{recipe} (r={r}): chi not computed: {exc}")
             if chi is not None and cache is not None:
                 cached_value(cache, H, "kg_chi", [r, limit], lambda: chi.to_json())
             rows.append(
@@ -376,7 +369,6 @@ def compare_bounds(
             )
     ecd_side = [f"{row.recipe} (r={row.r})" for row in rows if row.ecd_bound > row.alt_bound]
     alt_side = [f"{row.recipe} (r={row.r})" for row in rows if row.alt_bound > row.ecd_bound]
-    notes = []
     if not ecd_side:
         notes.append("no pool instance has ecd_bound > alt_bound")
     if not alt_side:
@@ -384,7 +376,32 @@ def compare_bounds(
     return CompareReport(rows, ecd_side, alt_side, notes)
 
 
-# --- task execution ----------------------------------------------------------------
+# --- text tables ---------------------------------------------------------------------
+
+
+def format_table(columns: dict[str, str], rows: Sequence[dict]) -> str:
+    """Left-aligned text table; ``columns`` maps each header to the row key
+    it shows, and a None value shows as "-"."""
+    headers = list(columns)
+    cells = [["-" if row[k] is None else str(row[k]) for k in columns.values()] for row in rows]
+    widths = [
+        max(len(h), *(len(row[i]) for row in cells)) if cells else len(h)
+        for i, h in enumerate(headers)
+    ]
+    def fmt(row):
+        return "  ".join(s.ljust(w) for s, w in zip(row, widths)).rstrip()
+    lines = [fmt(headers), fmt(["-" * w for w in widths])]
+    lines.extend(fmt(row) for row in cells)
+    return "\n".join(lines)
+
+
+_DEFECT_COLUMNS = {"cd": "cd", "ecd": "ecd", "n-alt": "n_minus_alt"}
+_BOUND_COLUMNS = {"cd_bound": "cd_bound", "ecd_bound": "ecd_bound", "alt_bound": "alt_bound"}
+
+
+# --- tasks ---------------------------------------------------------------------------
+
+TaskOutcome = tuple[str, dict]  # (ok | exceeds | violation, payload)
 
 
 def _coloring_for(
@@ -396,218 +413,280 @@ def _coloring_for(
     return coloring, value
 
 
-def _run_task(spec: ExperimentSpec, task: str, cache: ResultCache | None) -> TaskResult:
-    start = time.perf_counter()
-    try:
-        result = _dispatch_task(spec, task, cache)
-    except Exception as exc:  # failure is a first-class outcome
-        result = TaskResult(task, "failed", {"error": f"{type(exc).__name__}: {exc}"})
-    result.wall_time = time.perf_counter() - start
-    return result
+def _build(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
+    return "ok", {
+        "hypergraphs": [
+            {
+                "recipe": recipe,
+                "hypergraph": H.to_json_dict(),
+                "meta": {"recipe": recipe, "version": CODE_VERSION},
+            }
+            for recipe, H in zip(spec.recipes, factors)
+        ]
+    }
 
 
-def _dispatch_task(
-    spec: ExperimentSpec, task: str, cache: ResultCache | None
-) -> TaskResult:
-    factors = [parse_recipe(recipe) for recipe in spec.recipes]
+def _invariants(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
+    rows = invariant_rows(factors, spec.recipes, spec.r, spec.mode, cache, spec.self_check)
+    return "ok", {"r": spec.r, "factors": rows}
 
-    if task == "build":
-        payload = {
-            "hypergraphs": [
-                {
-                    "recipe": recipe,
-                    "hypergraph": H.to_json_dict(),
-                    "meta": {"recipe": recipe, "version": CODE_VERSION},
-                }
-                for recipe, H in zip(spec.recipes, factors)
-            ]
-        }
-        return TaskResult(task, "ok", payload)
 
-    if task == "invariants":
-        rows = invariant_rows(
-            factors, spec.recipes, spec.r, spec.mode, cache, spec.self_check
-        )
-        return TaskResult(task, "ok", {"r": spec.r, "factors": rows})
+def _invariants_table(payload: dict) -> str:
+    columns = {"recipe": "recipe", "n": "n", "edges": "edges", **_DEFECT_COLUMNS, "alt": "alt_status"}
+    return format_table(columns, payload["factors"])
 
-    if task == "chromatic":
-        targets = factors if spec.ground else [kneser(H, spec.r) for H in factors]
-        value, coloring = solve_product_chromatic(targets, spec.limit)
-        payload = {
-            "r": spec.r,
-            "ground": spec.ground,
-            "chi": value.to_json(),
-            "coloring": list(coloring.colors) if coloring else None,
-            "color_count": coloring.color_count if coloring else None,
-        }
-        status = "exceeds" if value.kind == "exceeds" else "ok"
-        return TaskResult(task, status, payload)
 
-    if task == "bounds":
-        report = bound_report(factors, spec.r, compute_exact=True, limit=spec.limit)
-        if cache is not None:
-            # every table value must be traceable to a cache entry
-            invariant_rows(factors, spec.recipes, spec.r, "exact", cache, spec.self_check)
-            for H, row in zip(factors, report.factors):
-                if row.kg_chi is not None:
-                    cached_value(
-                        cache,
-                        H,
-                        "kg_chi",
-                        [spec.r, spec.limit],
-                        lambda value=row.kg_chi: value.to_json(),
-                        spec.self_check,
-                    )
-            if report.exact_chi is not None:
+def _chromatic(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
+    targets = factors if spec.ground else [kneser(H, spec.r) for H in factors]
+    value, coloring = solve_product_chromatic(targets, spec.limit)
+    payload = {
+        "r": spec.r,
+        "ground": spec.ground,
+        "chi": value.to_json(),
+        "coloring": list(coloring.colors) if coloring else None,
+        "color_count": coloring.color_count if coloring else None,
+    }
+    return ("exceeds" if value.kind == "exceeds" else "ok"), payload
+
+
+def _bounds(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
+    report = bound_report(factors, spec.r, compute_exact=True, limit=spec.limit)
+    if cache is not None:
+        # every table value must be traceable to a cache entry
+        invariant_rows(factors, spec.recipes, spec.r, "exact", cache, spec.self_check)
+        for H, row in zip(factors, report.factors):
+            if row.kg_chi is not None:
                 cached_value(
                     cache,
-                    factors[0],
-                    "product_kg_chi",
-                    [spec.r, spec.limit, list(spec.recipes)],
-                    lambda: report.exact_chi.to_json(),
+                    H,
+                    "kg_chi",
+                    [spec.r, spec.limit],
+                    lambda value=row.kg_chi: value.to_json(),
                     spec.self_check,
                 )
-        problems = report.check()
-        payload = report.to_json_dict()
-        payload["recipes"] = list(spec.recipes)
-        if problems:
-            payload["violations"] = problems
-            return TaskResult(task, "violation", payload)
-        status = (
-            "exceeds"
-            if report.exact_chi is not None and report.exact_chi.kind == "exceeds"
-            else "ok"
+        if report.exact_chi is not None:
+            cached_value(
+                cache,
+                factors[0],
+                "product_kg_chi",
+                [spec.r, spec.limit, list(spec.recipes)],
+                lambda: report.exact_chi.to_json(),
+                spec.self_check,
+            )
+    problems = report.check()
+    payload = report.to_json_dict()
+    payload["recipes"] = list(spec.recipes)
+    if problems:
+        payload["violations"] = problems
+        return "violation", payload
+    exact = report.exact_chi
+    return ("exceeds" if exact is not None and exact.kind == "exceeds" else "ok"), payload
+
+
+def _bounds_table(payload: dict) -> str:
+    columns = {"recipe": "recipe", "n": "n", **_DEFECT_COLUMNS, **_BOUND_COLUMNS, "chi(KG^r)": "kg_chi"}
+    rows = [dict(f, recipe=recipe) for recipe, f in zip(payload["recipes"], payload["factors"])]
+    table = format_table(columns, rows)
+    footer = (
+        f"product_ecd_bound={payload['product_ecd_bound']}  "
+        f"product_alt_bound={payload['product_alt_bound']}  "
+        f"exact_chi={payload['exact_chi']}  zhu={payload['zhu_status']}"
+    )
+    return table + "\n" + footer
+
+
+def _witness(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
+    p = spec.p
+    coloring, chi = _coloring_for(spec, [kneser(H, p) for H in factors])
+    payload = {"p": p, "chi": chi.to_json() if chi else None}
+    if coloring is None:
+        return "exceeds", dict(payload, witness=None)
+    target = spec.eta if spec.eta is not None else witness_target(factors, p)
+    scan = sigma2_scan(factors, p, coloring)
+    witness = find_witness(factors, p, coloring, target, force=spec.force, scan=scan)
+    payload.update(
+        target=target,
+        max_ell=scan.max_ell,
+        witness=witness.to_json_dict() if witness else None,
+    )
+    if witness is None:
+        # within the guarantee this is a bug, except on degenerate
+        # instances with an empty saturated side and a target below p
+        # (the guaranteed witness there is the empty-part one)
+        guaranteed = (
+            is_prime(p)
+            and target <= witness_target(factors, p)
+            and not (scan.saturated_count == 0 and target < p)
         )
-        return TaskResult(task, status, payload)
-
-    if task == "witness":
-        p = spec.p
-        kgs = [kneser(H, p) for H in factors]
-        coloring, chi = _coloring_for(spec, kgs)
-        if coloring is None:
-            return TaskResult(
-                task,
-                "exceeds",
-                {"p": p, "chi": chi.to_json() if chi else None, "witness": None},
-            )
-        target = spec.eta if spec.eta is not None else witness_target(factors, p)
-        witness = find_witness(factors, p, coloring, target, force=spec.force)
-        scan = sigma2_scan(factors, p, coloring)
-        payload = {
-            "p": p,
-            "chi": chi.to_json() if chi else None,
-            "target": target,
-            "max_ell": scan.max_ell,
-            "witness": witness.to_json_dict() if witness else None,
-        }
-        if witness is None:
-            # within the guarantee this is a bug, except on degenerate
-            # instances with an empty saturated side and a target below p
-            # (the guaranteed witness there is the empty-part one)
-            guaranteed = (
-                is_prime(p)
-                and target <= witness_target(factors, p)
-                and not (scan.saturated_count == 0 and target < p)
-            )
-            payload["status"] = "NOT_FOUND"
-            return TaskResult(task, "violation" if guaranteed else "ok", payload)
-        problems = witness.problems(factors, coloring)
-        if problems:
-            payload["violations"] = problems
-            return TaskResult(task, "violation", payload)
-        payload["status"] = "EXPERIMENTAL" if witness.experimental else "FOUND"
-        return TaskResult(task, "ok", payload)
-
-    if task == "prooflab":
-        p = spec.p
-        corrupt = ("signsets", "simplex") if spec.negative_control else ()
-        tables = SignMapTables(p, corrupt=corrupt)
-        lemma1 = check_lemma1(factors, p, tables)
-        kgs = [kneser(H, p) for H in factors]
-        coloring, _ = _coloring_for(spec, kgs)
-        lemma2 = None
-        dold = None
-        if coloring is not None:
-            lemma2 = check_lemma2(factors, p, coloring, tables)
-            dold = dold_consequence(factors, p, coloring)
-        payload = {
-            "p": p,
-            "negative_control": spec.negative_control,
-            "lemma1_violations": [v.to_json_dict() for v in lemma1],
-            "lemma2_violations": [v.to_json_dict() for v in lemma2]
-            if lemma2 is not None
-            else None,
-            "dold": dold.to_json_dict() if dold is not None else None,
-        }
-        bad = bool(lemma1) or bool(lemma2) or (dold is not None and not dold.ok)
-        return TaskResult(task, "violation" if bad else "ok", payload)
-
-    if task == "reduce":
-        reports = [reduction_check(H, spec.r, spec.s, spec.C) for H in factors]
-        payload = {
-            "reports": [
-                dict(recipe=recipe, **rep.to_json_dict())
-                for recipe, rep in zip(spec.recipes, reports)
-            ]
-        }
-        bad = any(not rep.holds for rep in reports)
-        return TaskResult(task, "violation" if bad else "ok", payload)
-
-    if task == "compare":
-        if spec.recipes:
-            pool = [replace(spec, tasks=("compare",))]
-        else:
-            pool = default_compare_pool()
-        report = compare_bounds(pool, cache, spec.limit if spec.limit else 6)
-        return TaskResult(task, "ok", report.to_json_dict())
-
-    raise ValueError(f"unknown task {task!r}")
+        payload["status"] = "NOT_FOUND"
+        return ("violation" if guaranteed else "ok"), payload
+    problems = witness.problems(factors, coloring)
+    if problems:
+        payload["violations"] = problems
+        return "violation", payload
+    payload["status"] = "EXPERIMENTAL" if witness.experimental else "FOUND"
+    return "ok", payload
 
 
-def _run_task_in_worker(spec: ExperimentSpec, task: str, shard_path: str | None):
-    cache = ResultCache(shard_path) if shard_path else None
-    return _run_task(spec, task, cache)
+def _prooflab(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
+    p = spec.p
+    corrupt = ("signsets", "simplex") if spec.negative_control else ()
+    tables = SignMapTables(p, corrupt=corrupt)
+    lemma1 = check_lemma1(factors, p, tables)
+    coloring, _ = _coloring_for(spec, [kneser(H, p) for H in factors])
+    lemma2 = None
+    dold = None
+    if coloring is not None:
+        lemma2 = check_lemma2(factors, p, coloring, tables)
+        dold = dold_consequence(factors, p, coloring)
+    payload = {
+        "p": p,
+        "negative_control": spec.negative_control,
+        "lemma1_violations": [v.to_json_dict() for v in lemma1],
+        "lemma2_violations": [v.to_json_dict() for v in lemma2]
+        if lemma2 is not None
+        else None,
+        "dold": dold.to_json_dict() if dold is not None else None,
+    }
+    bad = bool(lemma1) or bool(lemma2) or (dold is not None and not dold.ok)
+    return ("violation" if bad else "ok"), payload
+
+
+def _reduce(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
+    reports = [
+        dict(
+            recipe=recipe,
+            **cached_value(
+                cache,
+                H,
+                "reduce",
+                [spec.r, spec.s, spec.C],
+                lambda: reduction_check(H, spec.r, spec.s, spec.C).to_json_dict(),
+                spec.self_check,
+            ),
+        )
+        for recipe, H in zip(spec.recipes, factors)
+    ]
+    bad = not all(rep["holds"] for rep in reports)
+    return ("violation" if bad else "ok"), {"reports": reports}
+
+
+def _reduce_table(payload: dict) -> str:
+    columns = {"recipe": "recipe", "r": "r", "s": "s", "C": "C", "lhs": "lhs_ecd_rs", "rhs": "rhs"}
+    return format_table({**columns, "|E(T)|": "t_edge_count", "holds": "holds"}, payload["reports"])
+
+
+def _compare(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
+    pool = [spec] if spec.recipes else default_compare_pool()
+    return "ok", compare_bounds(pool, cache, spec.limit if spec.limit else 6).to_json_dict()
+
+
+def _compare_table(payload: dict) -> str:
+    columns = {"recipe": "recipe", "r": "r", "n": "n", **_DEFECT_COLUMNS, **_BOUND_COLUMNS}
+    lines = [
+        format_table({**columns, "chi": "chi", "ecd-(n-alt)": "ecd_gap"}, payload["rows"]),
+        f"ecd bound strictly wins on: {payload['ecd_side_wins'] or 'none'}",
+        f"alt bound strictly wins on: {payload['alt_side_wins'] or 'none'}",
+    ]
+    lines.extend(f"note: {note}" for note in payload["notes"])
+    return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class Task:
+    """One experiment task. ``args`` are argparse ``(flag, kwargs)`` pairs
+    whose destinations are `ExperimentSpec` fields; ``run`` maps (spec,
+    parsed factors, cache) to (status, payload); ``table`` renders a
+    payload as text."""
+
+    help: str
+    args: tuple[tuple[str, dict], ...]
+    run: Callable[[ExperimentSpec, list[Hypergraph], ResultCache | None], TaskOutcome]
+    table: Callable[[dict], str] | None = None
+    needs_recipes: bool = True
+
+
+_R = ("--r", {"type": int, "required": True})
+_P = ("--p", {"type": int, "required": True})
+_LIMIT = ("--limit", {"type": int})
+_COLORING = (
+    "--coloring",
+    {"dest": "coloring_path", "metavar": "PATH", "help": "coloring JSON (default: solve optimal)"},
+)
+
+TASKS: dict[str, Task] = {
+    "build": Task("construct hypergraphs and write their JSON", (), _build),
+    "invariants": Task(
+        "cd / ecd / alternation per factor",
+        (_R, ("--mode", {"choices": MODES, "default": "exact"})),
+        _invariants,
+        _invariants_table,
+    ),
+    "chromatic": Task(
+        "exact chi of the product of KG^r(factors)",
+        (_R, _LIMIT, ("--ground", {"action": "store_true", "help": "color the factors themselves"})),
+        _chromatic,
+    ),
+    "bounds": Task(
+        "defect lower bounds and Zhu verification", (_R, _LIMIT), _bounds, _bounds_table
+    ),
+    "witness": Task(
+        "colorful balanced complete p-partite witness",
+        (
+            _P,
+            ("--eta", {"type": int, "help": "witness size (default: guaranteed size)"}),
+            _COLORING,
+            _LIMIT,
+            ("--force", {"action": "store_true", "help": "allow non-prime p (experimental)"}),
+        ),
+        _witness,
+    ),
+    "prooflab": Task(
+        "exhaustive labeling consistency checks",
+        (
+            _P,
+            _COLORING,
+            _LIMIT,
+            (
+                "--negative-control",
+                {"action": "store_true", "help": "corrupt the sign tables; violations are then expected"},
+            ),
+        ),
+        _prooflab,
+    ),
+    "reduce": Task(
+        "composite-modulus defect reduction check",
+        (_R, ("--s", {"type": int, "required": True}), ("--C", {"type": int, "required": True})),
+        _reduce,
+        _reduce_table,
+    ),
+    "compare": Task(
+        "side-by-side defect bound table",
+        (
+            ("--r", {"type": int, "help": "r for the given recipes"}),
+            ("--limit", {"type": int, "default": 6}),
+        ),
+        _compare,
+        _compare_table,
+        needs_recipes=False,
+    ),
+}
+
+
+def _run_task(spec: ExperimentSpec, name: str, cache: ResultCache | None) -> TaskResult:
+    start = time.perf_counter()
+    try:
+        factors = [parse_recipe(recipe) for recipe in spec.recipes]
+        status, payload = TASKS[name].run(spec, factors, cache)
+    except Exception as exc:  # failure is a first-class outcome
+        status = "failed"
+        payload = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
+    return TaskResult(name, status, payload, time.perf_counter() - start)
 
 
 def run(spec: ExperimentSpec) -> RunResult:
-    """Execute every task of the spec (sequentially, or concurrently with
-    per-task cache shards merged afterwards) and collect the results."""
+    """Validate the spec, then run its tasks in order against one cache
+    (loaded from and appended to ``spec.cache_path`` when it is set)."""
     spec.validate()
     cache = ResultCache(spec.cache_path) if spec.cache_path else None
-    out = RunResult(spec)
-    if spec.parallel and len(spec.tasks) > 1:
-        shard_paths = [
-            f"{spec.cache_path}.shard{i}" if spec.cache_path else None
-            for i in range(len(spec.tasks))
-        ]
-        with ProcessPoolExecutor() as pool:
-            futures = [
-                pool.submit(_run_task_in_worker, spec, task, shard)
-                for task, shard in zip(spec.tasks, shard_paths)
-            ]
-            out.results = [f.result() for f in futures]
-        if cache is not None:
-            for shard in shard_paths:
-                if shard and Path(shard).exists():
-                    cache.merge_from(ResultCache(shard))
-                    Path(shard).unlink()
-    else:
-        for task in spec.tasks:
-            out.results.append(_run_task(spec, task, cache))
-    return out
-
-
-# --- text tables ---------------------------------------------------------------------
-
-
-def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    cells = [[str(x) for x in row] for row in rows]
-    widths = [
-        max(len(h), *(len(row[i]) for row in cells)) if cells else len(h)
-        for i, h in enumerate(headers)
-    ]
-    def fmt(row):
-        return "  ".join(s.ljust(w) for s, w in zip(row, widths)).rstrip()
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(row) for row in cells)
-    return "\n".join(lines)
+    return RunResult(spec, [_run_task(spec, name, cache) for name in spec.tasks])

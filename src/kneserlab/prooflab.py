@@ -11,7 +11,7 @@ Kneser hypergraphs.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -459,59 +459,16 @@ def check_lemma1(
     equivariant, stay within [1..cap], and never give face-comparable
     vectors the same index with different signs. Returns all violations
     (expected empty; corrupted tables are the negative control)."""
-    lengths = tuple(H.n for H in factors)
-    n = sum(lengths)
-    _guard_enum(p, n)
+    _guard_enum(p, sum(H.n for H in factors))
     if tables is None:
         tables = SignMapTables(p)
     cap = index_cap(factors, p, variant)
-    labels: dict[tuple[int, ...], tuple[int, int]] = {}
-    for entries in iproduct(range(p + 1), repeat=n):
-        if not any(entries):
-            continue
-        S = split(SignVector(p, entries), lengths, factors)
-        if S.is_deficient:
-            labels[entries] = lambda1(S, tables, variant=variant)
-    violations: list[Violation] = []
-    for entries, (sign, index) in labels.items():
-        if not 1 <= index <= cap:
-            violations.append(
-                Violation("range", entries, None, f"index {index} outside [1..{cap}]")
-            )
-        for g in range(1, p):
-            acted = tuple(act_sign(g, x, p) if x else 0 for x in entries)
-            got = labels.get(acted)
-            want = (act_sign(g, sign, p), index)
-            if got != want:
-                violations.append(
-                    Violation(
-                        "equivariance",
-                        entries,
-                        acted,
-                        f"label{got} != expected {want} under g={g}",
-                    )
-                )
-    for y_entries, (y_sign, y_index) in labels.items():
-        support = [i for i, x in enumerate(y_entries) if x]
-        support_bits = (1 << len(support)) - 1
-        for keep in submasks(support_bits):
-            if keep in (support_bits, 0):
-                continue
-            x_entries = _sub_entries(y_entries, support, keep)
-            x_label = labels.get(x_entries)
-            if x_label is None:
-                continue  # deficiency is inherited, so this cannot happen
-            x_sign, x_index = x_label
-            if x_index == y_index and x_sign != y_sign:
-                violations.append(
-                    Violation(
-                        "chain",
-                        x_entries,
-                        y_entries,
-                        f"equal index {x_index} but signs {x_sign} != {y_sign}",
-                    )
-                )
-    return violations
+    return _check_labels(
+        factors,
+        p,
+        lambda S: lambda1(S, tables, variant=variant) if S.is_deficient else None,
+        lambda index: None if 1 <= index <= cap else f"index {index} outside [1..{cap}]",
+    )
 
 
 def check_lemma2(
@@ -525,25 +482,40 @@ def check_lemma2(
     coloring of the product of the KG^p of the factors: equivariance, index
     above the cap, and no face-comparable pair with equal index and
     different signs."""
-    lengths = tuple(H.n for H in factors)
-    n = sum(lengths)
-    _guard_enum(p, n)
+    _guard_enum(p, sum(H.n for H in factors))
     if tables is None:
         tables = SignMapTables(p)
     cap = index_cap(factors, p, variant)
+    return _check_labels(
+        factors,
+        p,
+        lambda S: lambda2(S, coloring, tables, cap) if S.is_saturated else None,
+        lambda index: None if index > cap else f"index {index} not above {cap}",
+    )
+
+
+def _check_labels(
+    factors: Sequence[Hypergraph],
+    p: int,
+    label: Callable[[SplitVector], tuple[int, int] | None],
+    range_problem: Callable[[int], str | None],
+) -> list[Violation]:
+    """Label every nonzero sign vector on one side (``label`` returns None
+    off that side), then report range, equivariance and chain violations in
+    vector order."""
+    lengths = tuple(H.n for H in factors)
     labels: dict[tuple[int, ...], tuple[int, int]] = {}
-    for entries in iproduct(range(p + 1), repeat=n):
+    for entries in iproduct(range(p + 1), repeat=sum(lengths)):
         if not any(entries):
             continue
-        S = split(SignVector(p, entries), lengths, factors)
-        if S.is_saturated:
-            labels[entries] = lambda2(S, coloring, tables, cap)
+        value = label(split(SignVector(p, entries), lengths, factors))
+        if value is not None:
+            labels[entries] = value
     violations: list[Violation] = []
     for entries, (sign, index) in labels.items():
-        if index <= cap:
-            violations.append(
-                Violation("range", entries, None, f"index {index} not above {cap}")
-            )
+        problem = range_problem(index)
+        if problem is not None:
+            violations.append(Violation("range", entries, None, problem))
         for g in range(1, p):
             acted = tuple(act_sign(g, x, p) if x else 0 for x in entries)
             got = labels.get(acted)
@@ -566,7 +538,9 @@ def check_lemma2(
             x_entries = _sub_entries(y_entries, support, keep)
             x_label = labels.get(x_entries)
             if x_label is None:
-                continue  # the sub-vector dropped out of the saturated side
+                # the deficient side is closed under faces; a face of a
+                # saturated vector can drop out of the saturated side
+                continue
             x_sign, x_index = x_label
             if x_index == y_index and x_sign != y_sign:
                 violations.append(
@@ -782,6 +756,7 @@ def find_witness(
     coloring: Coloring,
     target: int | None = None,
     force: bool = False,
+    scan: ScanResult | None = None,
 ) -> PartiteWitness | None:
     """Search the saturated vectors of a proper coloring of the product of
     the KG^p of the factors and extract a witness with ``target`` vertices.
@@ -789,7 +764,8 @@ def find_witness(
     Returns None when no saturated vector reaches the target, which for a
     prime p and a target within the guarantee indicates a bug. Non-prime
     moduli are outside the guarantee and need ``force``; the witness is then
-    flagged experimental.
+    flagged experimental. ``scan`` is the `sigma2_scan` of the same
+    arguments, when the caller has it already.
     """
     experimental = not is_prime(p)
     if experimental and not force:
@@ -798,7 +774,8 @@ def find_witness(
         target = witness_target(factors, p)
     if target == 0:
         return PartiteWitness(p, ((),) * p, ((),) * p, experimental=experimental)
-    scan = sigma2_scan(factors, p, coloring)
+    if scan is None:
+        scan = sigma2_scan(factors, p, coloring)
     if scan.argmax is None or scan.max_ell < target:
         return None
     S = split(scan.argmax, tuple(H.n for H in factors), factors)

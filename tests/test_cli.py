@@ -122,15 +122,51 @@ class TestRun:
         assert result.exit_code() == 1
         assert result.results[0].payload["lemma1_violations"]
 
-    def test_parallel_matches_sequential(self, tmp_path):
-        base = dict(recipes=("complete:5,2",), tasks=("invariants", "chromatic"), r=2)
-        seq = run(ExperimentSpec(**base))
-        par = run(
+    def test_multi_task_spec_matches_single_tasks(self, tmp_path):
+        base = dict(recipes=("complete:5,2",), r=2)
+        both = run(
             ExperimentSpec(
-                **base, parallel=True, cache_path=str(tmp_path / "c.jsonl")
+                **base,
+                tasks=("invariants", "chromatic"),
+                cache_path=str(tmp_path / "c.jsonl"),
             )
         )
-        assert [r.payload for r in seq.results] == [r.payload for r in par.results]
+        alone = [run(ExperimentSpec(**base, tasks=(t,))) for t in ("invariants", "chromatic")]
+        assert [r.name for r in both.results] == ["invariants", "chromatic"]
+        assert [r.payload for r in both.results] == [a.results[0].payload for a in alone]
+
+    def test_witness_scans_once(self, monkeypatch):
+        import kneserlab.experiments
+        import kneserlab.prooflab
+
+        calls = []
+        scan = kneserlab.prooflab.sigma2_scan
+
+        def counted(*args):
+            calls.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(kneserlab.experiments, "sigma2_scan", counted)
+        monkeypatch.setattr(kneserlab.prooflab, "sigma2_scan", counted)
+        spec = ExperimentSpec(recipes=("complete:5,2",), tasks=("witness",), p=2)
+        assert run(spec).results[0].payload["status"] == "FOUND"
+        assert len(calls) == 1
+
+    def test_reduce_reads_through_cache(self, tmp_path, monkeypatch):
+        spec = ExperimentSpec(
+            recipes=("complete:5,2",),
+            tasks=("reduce",),
+            r=2,
+            s=2,
+            C=1,
+            cache_path=str(tmp_path / "c.jsonl"),
+        )
+        first = run(spec).results[0]
+        # a cache miss on the second run would now fail the task
+        monkeypatch.setattr("kneserlab.experiments.reduction_check", None)
+        second = run(spec).results[0]
+        assert second.status == first.status == "ok"
+        assert canonical_json(second.payload) == canonical_json(first.payload)
 
     def test_run_idempotent(self):
         spec = ExperimentSpec(recipes=("star:4",), tasks=("invariants",), r=2)
@@ -191,6 +227,14 @@ class TestCompare:
         assert report.ecd_side_wins, "pool should exhibit an equitable-side win"
         assert report.alt_side_wins, "pool should exhibit an alternation-side win"
 
+    def test_row_over_vertex_cap_records_why(self):
+        pool = [ExperimentSpec(recipes=("complete:17,2",), tasks=("compare",), r=2)]
+        report = compare_bounds(pool)
+        assert report.rows[0].chi is None
+        (note,) = [n for n in report.notes if "chi not computed" in n]
+        assert note.startswith("complete:17,2 (r=2): chi not computed: ")
+        assert "136" in note
+
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             compare_bounds([])
@@ -230,6 +274,16 @@ class TestCache:
         path.write_text('not json\n{"key": {"digest": "d", "op": "cd", "params": [2]}, "value": 7}\n')
         cache = ResultCache(path)
         assert cache.get({"digest": "d", "op": "cd", "params": [2]}) == 7
+
+    def test_other_code_version_is_a_miss(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        H = complete_uniform(4, 2)
+        monkeypatch.setattr("kneserlab.cache.CODE_VERSION", "0.0.0-old")
+        cached_value(ResultCache(path), H, "cd", [2], lambda: 99)
+        monkeypatch.undo()
+        cache = ResultCache(path)
+        assert cached_value(cache, H, "cd", [2], lambda: 1) == 1
+        assert (cache.hits, cache.misses) == (0, 1)
 
     def test_digest_is_structural(self):
         assert hypergraph_digest(complete_uniform(4, 2)) == hypergraph_digest(
@@ -288,6 +342,16 @@ class TestMainEntry:
         code = main(["reduce", "--r", "2", "--s", "2", "--C", "1", "complete:5,2"])
         assert code == 0
         assert "True" in capsys.readouterr().out
+
+    def test_failed_task_with_table_reports_failure(self, capsys, tmp_path):
+        code = main(["invariants", "--r", "2", f"file:{tmp_path / 'missing.json'}"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "[invariants] status=failed" in out
+        results = json.loads(out[out.index("\n[\n") + 1 :])
+        assert results[0]["status"] == "failed"
+        assert "RecipeError" in results[0]["payload"]["error"]
+        assert "parse_recipe" in results[0]["payload"]["traceback"]
 
     def test_usage_error_on_missing_param(self, capsys):
         with pytest.raises(SystemExit) as exc:
