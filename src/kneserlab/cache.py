@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections.abc import Sequence
 from pathlib import Path
 
 from .hypergraph import Hypergraph
@@ -20,8 +21,10 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def hypergraph_digest(H: Hypergraph) -> str:
-    return hashlib.sha256(canonical_json(H.to_json_dict()).encode()).hexdigest()
+def hypergraph_digest(H: Hypergraph | Sequence[Hypergraph]) -> str:
+    """Digest of a hypergraph, or of a sequence of factors (a product)."""
+    data = H.to_json_dict() if isinstance(H, Hypergraph) else [hypergraph_digest(G) for G in H]
+    return hashlib.sha256(canonical_json(data).encode()).hexdigest()
 
 
 class CacheMismatchError(RuntimeError):
@@ -66,15 +69,15 @@ class ResultCache:
 
 def cached_value(
     cache: ResultCache | None,
-    H: Hypergraph,
+    H: Hypergraph | Sequence[Hypergraph],
     op: str,
     params,
     compute,
     self_check: bool = False,
 ):
     """Return the cached JSON value for (H, op, params), computing and
-    recording it on a miss. With ``self_check`` a hit is recomputed and must
-    be byte-identical."""
+    recording it on a miss; ``H`` may be the factor list of a product. With
+    ``self_check`` a hit is recomputed and must be byte-identical."""
     if cache is None:
         return compute()
     key = ResultCache.make_key(hypergraph_digest(H), op, params)

@@ -10,9 +10,11 @@ static lexicographic search that makes the certificate.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, product as iproduct
+from math import prod
 
+from .cache import ResultCache, cached_value
 from .constructions import ProductSpace, kneser
 from .hypergraph import (
     CapExceededError,
@@ -301,17 +303,27 @@ def formula_hnka_checked(
 class FactorBounds:
     """Per-factor invariants and the single-factor lower bounds for
     chi(KG^r(H)): cd_bound = ceil(cd/(r-1)), alt_bound = ceil((n-alt)/(r-1)),
-    ecd_bound = ceil(ecd/(r-1))."""
+    ecd_bound = ceil(ecd/(r-1)); ``kg_chi`` is chi(KG^r(H)) when solved."""
 
+    r: int
     n: int
     cd: int
     ecd: int
     n_minus_alt: int
     alt_exact: bool
-    cd_bound: int
-    alt_bound: int
-    ecd_bound: int
-    kg_chi: ChromaticValue | None
+    kg_chi: ChromaticValue | None = None
+
+    @property
+    def cd_bound(self) -> int:
+        return ceil_div(self.cd, self.r - 1)
+
+    @property
+    def alt_bound(self) -> int:
+        return ceil_div(self.n_minus_alt, self.r - 1)
+
+    @property
+    def ecd_bound(self) -> int:
+        return ceil_div(self.ecd, self.r - 1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -325,6 +337,45 @@ class FactorBounds:
             "ecd_bound": self.ecd_bound,
             "kg_chi": self.kg_chi.to_json() if self.kg_chi else None,
         }
+
+
+def factor_bounds(
+    H: Hypergraph,
+    r: int,
+    mode: str = "exact",
+    cache: ResultCache | None = None,
+    self_check: bool = False,
+) -> FactorBounds:
+    """cd^r, ecd^r and n - alt_r of one factor, each read through the cache
+    (ops ``cd``, ``ecd``, ``alt_min``). Exact alternation falls back to the
+    heuristic upper bound when n > ALT_EXACT_MAX_N."""
+    if mode == "exact" and H.n > ALT_EXACT_MAX_N:
+        mode = "heuristic"
+
+    def alt_json() -> dict:
+        res = alt_min(H, r, mode)
+        return {"alt": res.value, "status": res.status, "sigma": list(res.sigma.sigma)}
+
+    cd_v = cached_value(cache, H, "cd", [r], lambda: cd(H, r), self_check)
+    ecd_v = cached_value(cache, H, "ecd", [r], lambda: ecd(H, r), self_check)
+    alt = cached_value(cache, H, "alt_min", [r, mode], alt_json, self_check)
+    return FactorBounds(r, H.n, cd_v, ecd_v, H.n - alt["alt"], alt["status"] == "EXACT")
+
+
+def kneser_chromatic(
+    H: Hypergraph,
+    r: int,
+    limit: int | None = None,
+    cache: ResultCache | None = None,
+    self_check: bool = False,
+) -> ChromaticValue:
+    """chi(KG^r(H)) under ``limit``, read through the cache (op ``kg_chi``);
+    KG^r(H) is built only on a miss."""
+
+    def solve() -> int | str:
+        return chromatic_number(kneser(H, r), limit).to_json()
+
+    return ChromaticValue.from_json(cached_value(cache, H, "kg_chi", [r, limit], solve, self_check))
 
 
 @dataclass(frozen=True)
@@ -379,48 +430,38 @@ class BoundReport:
 def bound_report(
     factors: Sequence[Hypergraph],
     r: int,
-    compute_exact: bool = True,
     limit: int | None = None,
+    cache: ResultCache | None = None,
+    self_check: bool = False,
 ) -> BoundReport:
-    """Compute every defect bound for the product of the KG^r of the factors,
-    plus exact chromatic numbers when requested and within the solve cap."""
+    """Every defect bound for the product of the KG^r of the factors, with
+    exact chromatic numbers under ``limit`` (the product only within the
+    solve cap). Every value is read through ``cache``: a factor's under its
+    own digest, the product's (op ``product_kg_chi``) under the digest of
+    all factors."""
     if r < 2:
         raise ValueError("need r >= 2")
-    rows: list[FactorBounds] = []
-    kgs: list[Hypergraph] = []
-    for H in factors:
-        cd_v = cd(H, r)
-        ecd_v = ecd(H, r)
-        if H.n <= ALT_EXACT_MAX_N:
-            alt_res = alt_min(H, r, "exact")
-        else:
-            alt_res = alt_min(H, r, "heuristic")
-        n_minus_alt = H.n - alt_res.value
-        kg = kneser(H, r)
-        kgs.append(kg)
-        kg_chi = chromatic_number(kg, limit) if compute_exact else None
-        rows.append(
-            FactorBounds(
-                n=H.n,
-                cd=cd_v,
-                ecd=ecd_v,
-                n_minus_alt=n_minus_alt,
-                alt_exact=alt_res.exact,
-                cd_bound=ceil_div(cd_v, r - 1),
-                alt_bound=ceil_div(n_minus_alt, r - 1),
-                ecd_bound=ceil_div(ecd_v, r - 1),
-                kg_chi=kg_chi,
-            )
+    rows = tuple(
+        replace(
+            factor_bounds(H, r, "exact", cache, self_check),
+            kg_chi=kneser_chromatic(H, r, limit, cache, self_check),
         )
+        for H in factors
+    )
     product_alt_bound = ceil_div(min(f.n_minus_alt for f in rows), r - 1)
     product_ecd_bound = ceil_div(min(f.ecd for f in rows), r - 1)
     exact_chi: ChromaticValue | None = None
-    if compute_exact:
-        space_size = 1
-        for kg in kgs:
-            space_size *= kg.n
-        if space_size <= PRODUCT_SOLVE_CAP:
-            exact_chi = product_chromatic(kgs, limit)
+    # KG^r(H) has one vertex per edge of H
+    if prod(H.edge_count for H in factors) <= PRODUCT_SOLVE_CAP:
+
+        def solve() -> int | str:
+            if len(factors) == 1:
+                return rows[0].kg_chi.to_json()  # type: ignore[union-attr]
+            return product_chromatic([kneser(H, r) for H in factors], limit).to_json()
+
+        exact_chi = ChromaticValue.from_json(
+            cached_value(cache, factors, "product_kg_chi", [r, limit], solve, self_check)
+        )
     zhu = "BOUND_ONLY"
     if (
         exact_chi is not None
@@ -431,7 +472,7 @@ def bound_report(
         zhu = "VERIFIED" if exact_chi.as_int() == min_factor else "FAILED"
     return BoundReport(
         r=r,
-        factors=tuple(rows),
+        factors=rows,
         product_alt_bound=product_alt_bound,
         product_ecd_bound=product_ecd_bound,
         exact_chi=exact_chi,

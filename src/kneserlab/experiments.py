@@ -18,8 +18,8 @@ from pathlib import Path
 from .cache import CODE_VERSION, ResultCache, cached_value
 from .chromatic import (
     bound_report,
-    ceil_div,
-    chromatic_number,
+    factor_bounds,
+    kneser_chromatic,
     solve_product_chromatic,
 )
 from .constructions import (
@@ -38,7 +38,7 @@ from .hypergraph import (
     load_coloring,
     load_hypergraph,
 )
-from .invariants import ALT_EXACT_MAX_N, alt_min, cd, ecd
+from .invariants import ecd
 from .prooflab import (
     SignMapTables,
     check_lemma1,
@@ -167,28 +167,7 @@ class RunResult:
         return 0
 
 
-# --- invariant helpers with caching ------------------------------------------------
-
-
-def _alt_value(
-    H: Hypergraph, r: int, mode: str, cache: ResultCache | None, self_check: bool
-) -> tuple[int, str]:
-    effective = mode
-    if mode == "exact" and H.n > ALT_EXACT_MAX_N:
-        effective = "heuristic"
-
-    def compute():
-        res = alt_min(H, r, effective)
-        return {"alt": res.value, "status": res.status, "sigma": list(res.sigma.sigma)}
-
-    value = cached_value(cache, H, "alt_min", [r, effective], compute, self_check)
-    return value["alt"], value["status"]
-
-
-def _cached_int(
-    H: Hypergraph, op: str, r: int, fn, cache: ResultCache | None, self_check: bool
-) -> int:
-    return cached_value(cache, H, op, [r], lambda: fn(H, r), self_check)
+# --- per-factor rows ----------------------------------------------------------------
 
 
 def invariant_rows(
@@ -201,19 +180,17 @@ def invariant_rows(
 ) -> list[dict]:
     rows = []
     for H, recipe in zip(factors, recipes):
-        cd_v = _cached_int(H, "cd", r, cd, cache, self_check)
-        ecd_v = _cached_int(H, "ecd", r, ecd, cache, self_check)
-        alt_v, alt_status = _alt_value(H, r, mode, cache, self_check)
+        f = factor_bounds(H, r, mode, cache, self_check)
         rows.append(
             {
                 "recipe": recipe,
-                "n": H.n,
+                "n": f.n,
                 "edges": H.edge_count,
-                "cd": cd_v,
-                "ecd": ecd_v,
-                "alt": alt_v,
-                "n_minus_alt": H.n - alt_v,
-                "alt_status": alt_status,
+                "cd": f.cd,
+                "ecd": f.ecd,
+                "alt": f.n - f.n_minus_alt,
+                "n_minus_alt": f.n_minus_alt,
+                "alt_status": "EXACT" if f.alt_exact else "UPPER_BOUND",
             }
         )
     return rows
@@ -260,45 +237,16 @@ def reduction_check(H: Hypergraph, r: int, s: int, C: int) -> ReductionReport:
     return ReductionReport(r, s, C, lhs, rhs, ecd_t, T.edge_count)
 
 
-@dataclass(frozen=True)
-class CompareRow:
-    recipe: str
-    r: int
-    n: int
-    cd: int
-    ecd: int
-    n_minus_alt: int
-    cd_bound: int
-    ecd_bound: int
-    alt_bound: int
-    chi: ChromaticValue | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "recipe": self.recipe,
-            "r": self.r,
-            "n": self.n,
-            "cd": self.cd,
-            "ecd": self.ecd,
-            "n_minus_alt": self.n_minus_alt,
-            "cd_bound": self.cd_bound,
-            "ecd_bound": self.ecd_bound,
-            "alt_bound": self.alt_bound,
-            "chi": self.chi.to_json() if self.chi else None,
-            "ecd_gap": self.ecd - self.n_minus_alt,
-        }
-
-
 @dataclass
 class CompareReport:
-    rows: list[CompareRow]
+    rows: list[dict]
     ecd_side_wins: list[str]  # recipes where ecd_bound > alt_bound
     alt_side_wins: list[str]  # recipes where alt_bound > ecd_bound
     notes: list[str]
 
     def to_json_dict(self) -> dict:
         return {
-            "rows": [row.to_json_dict() for row in self.rows],
+            "rows": self.rows,
             "ecd_side_wins": self.ecd_side_wins,
             "alt_side_wins": self.alt_side_wins,
             "notes": self.notes,
@@ -329,6 +277,7 @@ def compare_bounds(
     pool: Sequence[ExperimentSpec],
     cache: ResultCache | None = None,
     limit: int | None = 6,
+    self_check: bool = False,
 ) -> CompareReport:
     """One row per pool hypergraph with every defect quantity, both
     aggregate bounds, and exact chi of its general Kneser hypergraph when
@@ -336,39 +285,36 @@ def compare_bounds(
     bound wins strictly."""
     if not pool:
         raise ValueError("empty comparison pool")
-    rows: list[CompareRow] = []
+    rows: list[dict] = []
     notes: list[str] = []
     for spec in pool:
         r = spec.r if spec.r is not None else 2
         for recipe in spec.recipes:
             H = parse_recipe(recipe)
-            cd_v = _cached_int(H, "cd", r, cd, cache, False)
-            ecd_v = _cached_int(H, "ecd", r, ecd, cache, False)
-            alt_v, _ = _alt_value(H, r, "exact", cache, False)
-            chi: ChromaticValue | None
+            f = factor_bounds(H, r, "exact", cache, self_check)
+            row = {
+                "recipe": recipe,
+                "r": r,
+                "n": f.n,
+                "cd": f.cd,
+                "ecd": f.ecd,
+                "n_minus_alt": f.n_minus_alt,
+                "cd_bound": f.cd_bound,
+                "ecd_bound": f.ecd_bound,
+                "alt_bound": f.alt_bound,
+                "ecd_gap": f.ecd - f.n_minus_alt,
+            }
             try:
-                chi = chromatic_number(kneser(H, r), limit)
+                row["chi"] = kneser_chromatic(H, r, limit, cache, self_check).to_json()
             except ValueError as exc:
-                chi = None
+                row["chi"] = None
                 notes.append(f"{recipe} (r={r}): chi not computed: {exc}")
-            if chi is not None and cache is not None:
-                cached_value(cache, H, "kg_chi", [r, limit], lambda: chi.to_json())
-            rows.append(
-                CompareRow(
-                    recipe=recipe,
-                    r=r,
-                    n=H.n,
-                    cd=cd_v,
-                    ecd=ecd_v,
-                    n_minus_alt=H.n - alt_v,
-                    cd_bound=ceil_div(cd_v, r - 1),
-                    ecd_bound=ceil_div(ecd_v, r - 1),
-                    alt_bound=ceil_div(H.n - alt_v, r - 1),
-                    chi=chi,
-                )
-            )
-    ecd_side = [f"{row.recipe} (r={row.r})" for row in rows if row.ecd_bound > row.alt_bound]
-    alt_side = [f"{row.recipe} (r={row.r})" for row in rows if row.alt_bound > row.ecd_bound]
+            rows.append(row)
+
+    def wins(a: str, b: str) -> list[str]:
+        return [f"{row['recipe']} (r={row['r']})" for row in rows if row[a] > row[b]]
+
+    ecd_side, alt_side = wins("ecd_bound", "alt_bound"), wins("alt_bound", "ecd_bound")
     if not ecd_side:
         notes.append("no pool instance has ecd_bound > alt_bound")
     if not alt_side:
@@ -450,29 +396,7 @@ def _chromatic(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOu
 
 
 def _bounds(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
-    report = bound_report(factors, spec.r, compute_exact=True, limit=spec.limit)
-    if cache is not None:
-        # every table value must be traceable to a cache entry
-        invariant_rows(factors, spec.recipes, spec.r, "exact", cache, spec.self_check)
-        for H, row in zip(factors, report.factors):
-            if row.kg_chi is not None:
-                cached_value(
-                    cache,
-                    H,
-                    "kg_chi",
-                    [spec.r, spec.limit],
-                    lambda value=row.kg_chi: value.to_json(),
-                    spec.self_check,
-                )
-        if report.exact_chi is not None:
-            cached_value(
-                cache,
-                factors[0],
-                "product_kg_chi",
-                [spec.r, spec.limit, list(spec.recipes)],
-                lambda: report.exact_chi.to_json(),
-                spec.self_check,
-            )
+    report = bound_report(factors, spec.r, spec.limit, cache, spec.self_check)
     problems = report.check()
     payload = report.to_json_dict()
     payload["recipes"] = list(spec.recipes)
@@ -578,7 +502,8 @@ def _reduce_table(payload: dict) -> str:
 
 def _compare(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
     pool = [spec] if spec.recipes else default_compare_pool()
-    return "ok", compare_bounds(pool, cache, spec.limit if spec.limit else 6).to_json_dict()
+    limit = 6 if spec.limit is None else spec.limit
+    return "ok", compare_bounds(pool, cache, limit, spec.self_check).to_json_dict()
 
 
 def _compare_table(payload: dict) -> str:

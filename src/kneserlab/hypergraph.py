@@ -189,6 +189,15 @@ class ChromaticValue:
     def to_json(self) -> int | str:
         return self.value if self.kind == "finite" else str(self)
 
+    @classmethod
+    def from_json(cls, value: int | str) -> ChromaticValue:
+        """Inverse of `to_json`."""
+        if isinstance(value, int):
+            return cls.finite(value)
+        if value == "INFINITE":
+            return cls.infinite()
+        return cls.exceeds(int(value.removeprefix("EXCEEDS(").removesuffix(")")))
+
 
 def induced(H: Hypergraph, A: Iterable[int]) -> Hypergraph:
     """Subhypergraph induced by vertex subset ``A``, relabeled to 1..|A|.

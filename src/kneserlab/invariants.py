@@ -1,9 +1,9 @@
 """Exact colorability defects and alternation numbers.
 
 The main entry points (cd, ecd, alt_sigma, alt_min) use pruned searches on
-the "maximal disjoint edge-free classes" reformulation; the *_naive
-functions are deliberately dumb reference implementations kept as
-independent oracles.
+the "maximal disjoint edge-free classes" reformulation; their memos keep at
+most MEMO_SIZE entries each. Deliberately dumb reference implementations
+live with the tests as independent oracles.
 """
 
 from __future__ import annotations
@@ -14,11 +14,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bits import bits_of, mask_of
-from .hypergraph import Hypergraph, induced
+from .bits import bits_of
+from .hypergraph import Hypergraph
 
 # alt_min in exact mode enumerates n! orderings.
 ALT_EXACT_MAX_N = 9
+
+# Entries kept by each of the cd, ecd and alt_min memos.
+MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -126,16 +129,6 @@ def alt_of(X: SignVector) -> int:
     return runs
 
 
-def alt_naive(X: SignVector) -> int:
-    """Oracle: longest alternating subsequence by dynamic programming."""
-    vals = [x for x in X.entries if x]
-    best = [0] * len(vals)
-    for i, x in enumerate(vals):
-        prev = max((best[j] for j in range(i) if vals[j] != x), default=0)
-        best[i] = prev + 1
-    return max(best, default=0)
-
-
 # --- colorability defects ----------------------------------------------------
 
 
@@ -147,7 +140,7 @@ def _edges_at(H: Hypergraph) -> list[list[int]]:
     return at
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def cd(H: Hypergraph, r: int) -> int:
     """r-colorability defect: fewest vertex removals so the rest splits into
     r disjoint edge-free classes.
@@ -183,7 +176,7 @@ def cd(H: Hypergraph, r: int) -> int:
     return best
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def ecd(H: Hypergraph, r: int) -> int:
     """Equitable r-colorability defect: like cd, but the r class sizes
     (including empty classes) must differ by at most one on the kept
@@ -231,47 +224,6 @@ def ecd(H: Hypergraph, r: int) -> int:
         if feasible(m):
             return n - m
     return n
-
-
-def cd_naive(H: Hypergraph, r: int) -> int:
-    """Oracle: enumerate removal sets by size and check r-colorability of the
-    induced hypergraph by enumerating all colorings."""
-    n = H.n
-    for removed_size in range(n + 1):
-        for removed in itertools.combinations(range(1, n + 1), removed_size):
-            kept = [v for v in range(1, n + 1) if v not in removed]
-            sub = induced(H, kept)
-            if _has_proper_r_coloring(sub, r, equitable=False):
-                return removed_size
-    return n
-
-
-def ecd_naive(H: Hypergraph, r: int) -> int:
-    n = H.n
-    for removed_size in range(n + 1):
-        for removed in itertools.combinations(range(1, n + 1), removed_size):
-            kept = [v for v in range(1, n + 1) if v not in removed]
-            sub = induced(H, kept)
-            if _has_proper_r_coloring(sub, r, equitable=True):
-                return removed_size
-    return n
-
-
-def _has_proper_r_coloring(H: Hypergraph, r: int, equitable: bool) -> bool:
-    if H.n == 0:
-        return True
-    for assignment in itertools.product(range(r), repeat=H.n):
-        masks = [0] * r
-        for v, cls in enumerate(assignment, start=1):
-            masks[cls] |= 1 << (v - 1)
-        if any(H.contains_edge_within(m) for m in masks):
-            continue
-        if equitable:
-            sizes = [m.bit_count() for m in masks]
-            if max(sizes) - min(sizes) > 1:
-                continue
-        return True
-    return False
 
 
 # --- alternation numbers -----------------------------------------------------
@@ -322,21 +274,6 @@ def alt_sigma(H: Hypergraph, r: int, sigma: Permutation) -> int:
     return _alt_search(H, r, sigma.sigma, cutoff=None)
 
 
-def alt_sigma_naive(H: Hypergraph, r: int, sigma: Permutation) -> int:
-    best = 0
-    for entries in itertools.product(range(r + 1), repeat=H.n):
-        X = SignVector(r, entries)
-        ok = True
-        for s in range(1, r + 1):
-            vmask = mask_of(sigma.apply(i) for i in X.class_positions(s))
-            if H.contains_edge_within(vmask):
-                ok = False
-                break
-        if ok:
-            best = max(best, alt_naive(X))
-    return best
-
-
 @dataclass(frozen=True)
 class AltResult:
     """alt value with its certificate ordering; ``exact=False`` marks a
@@ -351,7 +288,7 @@ class AltResult:
         return "EXACT" if self.exact else "UPPER_BOUND"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltResult:
     """Minimum of alt_sigma over all vertex orderings.
 
@@ -418,27 +355,3 @@ def alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltRes
         if best_val is None or cur < best_val:
             best_val, best_order = cur, tuple(order)
     return AltResult(best_val if best_val is not None else 0, Permutation(best_order), False)
-
-
-def alt_min_naive(H: Hypergraph, r: int) -> int:
-    """Oracle: plain minimum over all orderings of the exhaustive per-sigma
-    maximum."""
-    vectors = [SignVector(r, e) for e in itertools.product(range(r + 1), repeat=H.n)]
-    scored = [(alt_naive(X), [X.class_positions(s) for s in range(1, r + 1)]) for X in vectors]
-    best = None
-    for perm in itertools.permutations(range(1, H.n + 1)):
-        local = 0
-        for val, classes in scored:
-            if val <= local:
-                continue
-            ok = True
-            for positions in classes:
-                vmask = mask_of(perm[i - 1] for i in positions)
-                if H.contains_edge_within(vmask):
-                    ok = False
-                    break
-            if ok:
-                local = val
-        if best is None or local < best:
-            best = local
-    return best if best is not None else 0

@@ -14,17 +14,111 @@ import pytest
 from kneserlab import (
     Coloring,
     Hypergraph,
+    Permutation,
+    SignVector,
     complete_uniform,
     hnka,
+    induced,
     kneser,
     projection_coloring,
     solve_chromatic,
 )
+from kneserlab.bits import mask_of
 
 SEED = 20240501
 
 
 # --- oracles ---------------------------------------------------------------------
+
+
+def alt_naive(X: SignVector) -> int:
+    """Oracle: longest alternating subsequence by dynamic programming."""
+    vals = [x for x in X.entries if x]
+    best = [0] * len(vals)
+    for i, x in enumerate(vals):
+        prev = max((best[j] for j in range(i) if vals[j] != x), default=0)
+        best[i] = prev + 1
+    return max(best, default=0)
+
+
+def cd_naive(H: Hypergraph, r: int) -> int:
+    """Oracle: enumerate removal sets by size and check r-colorability of the
+    induced hypergraph by enumerating all colorings."""
+    n = H.n
+    for removed_size in range(n + 1):
+        for removed in itertools.combinations(range(1, n + 1), removed_size):
+            kept = [v for v in range(1, n + 1) if v not in removed]
+            sub = induced(H, kept)
+            if _has_proper_r_coloring(sub, r, equitable=False):
+                return removed_size
+    return n
+
+
+def ecd_naive(H: Hypergraph, r: int) -> int:
+    n = H.n
+    for removed_size in range(n + 1):
+        for removed in itertools.combinations(range(1, n + 1), removed_size):
+            kept = [v for v in range(1, n + 1) if v not in removed]
+            sub = induced(H, kept)
+            if _has_proper_r_coloring(sub, r, equitable=True):
+                return removed_size
+    return n
+
+
+def _has_proper_r_coloring(H: Hypergraph, r: int, equitable: bool) -> bool:
+    if H.n == 0:
+        return True
+    for assignment in itertools.product(range(r), repeat=H.n):
+        masks = [0] * r
+        for v, cls in enumerate(assignment, start=1):
+            masks[cls] |= 1 << (v - 1)
+        if any(H.contains_edge_within(m) for m in masks):
+            continue
+        if equitable:
+            sizes = [m.bit_count() for m in masks]
+            if max(sizes) - min(sizes) > 1:
+                continue
+        return True
+    return False
+
+
+def alt_sigma_naive(H: Hypergraph, r: int, sigma: Permutation) -> int:
+    best = 0
+    for entries in itertools.product(range(r + 1), repeat=H.n):
+        X = SignVector(r, entries)
+        ok = True
+        for s in range(1, r + 1):
+            vmask = mask_of(sigma.apply(i) for i in X.class_positions(s))
+            if H.contains_edge_within(vmask):
+                ok = False
+                break
+        if ok:
+            best = max(best, alt_naive(X))
+    return best
+
+
+def alt_min_naive(H: Hypergraph, r: int) -> int:
+    """Oracle: plain minimum over all orderings of the exhaustive per-sigma
+    maximum."""
+    vectors = [SignVector(r, e) for e in itertools.product(range(r + 1), repeat=H.n)]
+    scored = [(alt_naive(X), [X.class_positions(s) for s in range(1, r + 1)]) for X in vectors]
+    best = None
+    for perm in itertools.permutations(range(1, H.n + 1)):
+        local = 0
+        for val, classes in scored:
+            if val <= local:
+                continue
+            ok = True
+            for positions in classes:
+                vmask = mask_of(perm[i - 1] for i in positions)
+                if H.contains_edge_within(vmask):
+                    ok = False
+                    break
+            if ok:
+                local = val
+        if best is None or local < best:
+            best = local
+    return best if best is not None else 0
 
 
 def chromatic_brute(H: Hypergraph, kmax: int | None = None) -> int | None:

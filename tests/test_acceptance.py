@@ -40,9 +40,12 @@ from kneserlab import (
     witness_target,
 )
 from kneserlab.chromatic import ceil_div
-from kneserlab.invariants import alt_min, alt_min_naive, cd_naive, ecd_naive
+from kneserlab.invariants import alt_min
 from conftest import (
     SEED,
+    alt_min_naive,
+    cd_naive,
+    ecd_naive,
     minimal_covers_brute,
     random_hypergraph,
     random_pool,
@@ -317,14 +320,14 @@ def test_criterion_11_product_representations():
 def test_criterion_12_bound_direction_witnesses():
     start = time.perf_counter()
     rep = compare_bounds(default_compare_pool())
-    star_row = next(r for r in rep.rows if r.recipe == "star:4")
-    assert (star_row.cd, star_row.ecd) == (0, 1)
+    star_row = next(r for r in rep.rows if r["recipe"] == "star:4")
+    assert (star_row["cd"], star_row["ecd"]) == (0, 1)
     for label in rep.ecd_side_wins:
-        row = next(r for r in rep.rows if f"{r.recipe} (r={r.r})" == label)
-        assert row.ecd_bound > row.alt_bound
+        row = next(r for r in rep.rows if f"{r['recipe']} (r={r['r']})" == label)
+        assert row["ecd_bound"] > row["alt_bound"]
     for label in rep.alt_side_wins:
-        row = next(r for r in rep.rows if f"{r.recipe} (r={r.r})" == label)
-        assert row.alt_bound > row.ecd_bound
+        row = next(r for r in rep.rows if f"{r['recipe']} (r={r['r']})" == label)
+        assert row["alt_bound"] > row["ecd_bound"]
     # the shipped pool realizes both strict directions (star:6 at r=3 and
     # cycle:5 at r=2); if a future pool change loses one, the report must
     # say so in notes instead

@@ -208,6 +208,21 @@ class TestBoundReport:
         assert rep.zhu_status == "VERIFIED"
         assert rep.check() == []
 
+    def test_single_factor_solved_once(self, monkeypatch):
+        import kneserlab.chromatic
+
+        calls = []
+        solve = kneserlab.chromatic.solve_product_chromatic
+
+        def counted(factors, limit=None):
+            calls.append(len(factors))
+            return solve(factors, limit)
+
+        monkeypatch.setattr(kneserlab.chromatic, "solve_product_chromatic", counted)
+        rep = bound_report([hnka(7, 2, 3)], 2)
+        assert rep.exact_chi == rep.factors[0].kg_chi == ChromaticValue.finite(4)
+        assert calls == [1]
+
     def test_two_factor_tiny(self):
         H = complete_uniform(3, 2)
         rep = bound_report([H, H], 2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -168,6 +169,38 @@ class TestRun:
         assert second.status == first.status == "ok"
         assert canonical_json(second.payload) == canonical_json(first.payload)
 
+    @pytest.mark.parametrize(
+        "task, recipes",
+        [("bounds", ("complete:4,2", "complete:5,2")), ("compare", ("cycle:5", "star:4"))],
+    )
+    def test_bounds_and_compare_read_through_cache(self, task, recipes, tmp_path, monkeypatch):
+        spec = ExperimentSpec(
+            recipes=recipes, tasks=(task,), r=2, cache_path=str(tmp_path / "c.jsonl")
+        )
+        first = run(spec).results[0]
+        # a cache miss on the second run would now fail the task
+        for module in ("chromatic", "experiments"):
+            for name in ("cd", "ecd", "alt_min", "chromatic_number", "product_chromatic"):
+                monkeypatch.setattr(f"kneserlab.{module}.{name}", None, raising=False)
+        second = run(spec).results[0]
+        assert second.status == first.status == "ok"
+        assert canonical_json(second.payload) == canonical_json(first.payload)
+
+    def test_product_chi_keyed_by_every_factor(self, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_text(json.dumps(complete_uniform(4, 2).to_json_dict()))
+        second.write_text(json.dumps(complete_uniform(5, 2).to_json_dict()))
+        spec = ExperimentSpec(
+            recipes=(f"file:{first}", f"file:{second}"),
+            tasks=("bounds",),
+            r=2,
+            cache_path=str(tmp_path / "c.jsonl"),
+        )
+        assert run(spec).results[0].payload["exact_chi"] == 2
+        # KG(3,2) has no edges, so the product is 1-colorable
+        second.write_text(json.dumps(complete_uniform(3, 2).to_json_dict()))
+        assert run(spec).results[0].payload["exact_chi"] == 1
+
     def test_run_idempotent(self):
         spec = ExperimentSpec(recipes=("star:4",), tasks=("invariants",), r=2)
         first = run(spec).results[0].payload
@@ -204,36 +237,52 @@ class TestCompare:
         pool = [ExperimentSpec(recipes=("star:4",), tasks=("compare",), r=2)]
         report = compare_bounds(pool)
         row = report.rows[0]
-        assert (row.cd, row.ecd, row.n_minus_alt) == (0, 1, 1)
+        assert (row["cd"], row["ecd"], row["n_minus_alt"]) == (0, 1, 1)
 
     def test_complete_row(self):
         pool = [ExperimentSpec(recipes=("complete:5,2",), tasks=("compare",), r=2)]
         row = compare_bounds(pool).rows[0]
-        assert row.cd == row.ecd == row.n_minus_alt == 3
+        assert row["cd"] == row["ecd"] == row["n_minus_alt"] == 3
 
     def test_edgeless_row_zero(self):
         pool = [ExperimentSpec(recipes=("edgeless:4",), tasks=("compare",), r=2)]
         row = compare_bounds(pool).rows[0]
-        assert row.cd == row.ecd == row.n_minus_alt == 0
+        assert row["cd"] == row["ecd"] == row["n_minus_alt"] == 0
 
     def test_default_pool_has_both_directions(self):
         report = compare_bounds(default_compare_pool())
         for label in report.ecd_side_wins:
-            row = next(r for r in report.rows if f"{r.recipe} (r={r.r})" == label)
-            assert row.ecd_bound > row.alt_bound
+            row = next(r for r in report.rows if f"{r['recipe']} (r={r['r']})" == label)
+            assert row["ecd_bound"] > row["alt_bound"]
         for label in report.alt_side_wins:
-            row = next(r for r in report.rows if f"{r.recipe} (r={r.r})" == label)
-            assert row.alt_bound > row.ecd_bound
+            row = next(r for r in report.rows if f"{r['recipe']} (r={r['r']})" == label)
+            assert row["alt_bound"] > row["ecd_bound"]
         assert report.ecd_side_wins, "pool should exhibit an equitable-side win"
         assert report.alt_side_wins, "pool should exhibit an alternation-side win"
 
     def test_row_over_vertex_cap_records_why(self):
         pool = [ExperimentSpec(recipes=("complete:17,2",), tasks=("compare",), r=2)]
         report = compare_bounds(pool)
-        assert report.rows[0].chi is None
+        assert report.rows[0]["chi"] is None
         (note,) = [n for n in report.notes if "chi not computed" in n]
         assert note.startswith("complete:17,2 (r=2): chi not computed: ")
         assert "136" in note
+
+    def test_limit_zero_is_kept(self):
+        spec = ExperimentSpec(recipes=("cycle:5",), tasks=("compare",), r=2, limit=0)
+        (row,) = run(spec).results[0].payload["rows"]
+        assert row["chi"] == "EXCEEDS(0)"
+
+    def test_self_check_catches_a_wrong_cache_entry(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        spec = ExperimentSpec(recipes=("cycle:5",), tasks=("compare",), r=2, cache_path=str(path))
+        assert run(spec).results[0].status == "ok"
+        cache = ResultCache(path)
+        cache.put(ResultCache.make_key(hypergraph_digest(parse_recipe("cycle:5")), "cd", [2]), 99)
+        assert run(spec).results[0].status == "ok"
+        checked = run(replace(spec, self_check=True)).results[0]
+        assert checked.status == "failed"
+        assert checked.payload["error"].startswith("CacheMismatchError")
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):

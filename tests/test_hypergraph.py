@@ -224,6 +224,19 @@ class TestColoringModel:
         with pytest.raises(ValueError):
             ChromaticValue.infinite().as_int()
 
+    def test_chromatic_value_json_round_trip(self):
+        from kneserlab import ChromaticValue
+
+        for value in (
+            ChromaticValue.finite(4),
+            ChromaticValue.infinite(),
+            ChromaticValue.exceeds(0),
+            ChromaticValue.exceeds(12),
+        ):
+            assert ChromaticValue.from_json(value.to_json()) == value
+        with pytest.raises(ValueError):
+            ChromaticValue.from_json("EXCEEDS")
+
 
 class TestJson:
     def test_round_trip_byte_stable(self):

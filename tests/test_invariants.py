@@ -20,14 +20,14 @@ from kneserlab import (
     hnka,
     star,
 )
-from kneserlab.invariants import (
+from conftest import (
     alt_min_naive,
     alt_naive,
     alt_sigma_naive,
     cd_naive,
     ecd_naive,
+    random_hypergraph,
 )
-from conftest import random_hypergraph
 
 
 STAR4 = star(4)  # ([4], {{1,4},{2,4},{3,4}})
@@ -92,6 +92,23 @@ class TestCd:
 
     def test_star_zero(self):
         assert cd(STAR4, 2) == 0
+
+
+class TestMemo:
+    def test_memos_are_bounded(self):
+        from kneserlab.invariants import MEMO_SIZE
+
+        H = Hypergraph(1, [])
+        for fn, key in (
+            (cd, lambda i: (H, i)),
+            (ecd, lambda i: (H, i)),
+            (alt_min, lambda i: (H, 1, "heuristic", i)),
+        ):
+            for i in range(1, MEMO_SIZE + 2):
+                fn(*key(i))
+            info = fn.cache_info()
+            assert info.maxsize == MEMO_SIZE
+            assert info.currsize == MEMO_SIZE
 
 
 class TestEcd:
