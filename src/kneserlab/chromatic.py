@@ -15,7 +15,7 @@ from itertools import accumulate, product as iproduct
 from math import prod
 
 from .cache import ResultCache, cached_value
-from .constructions import ProductSpace, kneser
+from .constructions import ProductSpace, hnka, kneser
 from .hypergraph import (
     CapExceededError,
     ChromaticValue,
@@ -283,8 +283,6 @@ def formula_hnka_checked(
     """Evaluate the closed form and cross-check it against the exact solver
     whenever the instance fits; on conflict report both values rather than
     trusting either."""
-    from .constructions import hnka
-
     value = formula_hnka(n, k, a, r)
     try:
         exact, _ = solve_chromatic(kneser(hnka(n, k, a), r), limit)
@@ -303,7 +301,8 @@ def formula_hnka_checked(
 class FactorBounds:
     """Per-factor invariants and the single-factor lower bounds for
     chi(KG^r(H)): cd_bound = ceil(cd/(r-1)), alt_bound = ceil((n-alt)/(r-1)),
-    ecd_bound = ceil(ecd/(r-1)); ``kg_chi`` is chi(KG^r(H)) when solved."""
+    ecd_bound = ceil(ecd/(r-1)); ``kg_chi`` is chi(KG^r(H)) when solved, and
+    ``kg_chi_error`` says why it could not be."""
 
     r: int
     n: int
@@ -312,6 +311,7 @@ class FactorBounds:
     n_minus_alt: int
     alt_exact: bool
     kg_chi: ChromaticValue | None = None
+    kg_chi_error: str | None = None
 
     @property
     def cd_bound(self) -> int:
@@ -378,6 +378,20 @@ def kneser_chromatic(
     return ChromaticValue.from_json(cached_value(cache, H, "kg_chi", [r, limit], solve, self_check))
 
 
+def factor_row(
+    H: Hypergraph, r: int, limit: int | None = None,
+    cache: ResultCache | None = None, self_check: bool = False,
+) -> FactorBounds:
+    """`factor_bounds` with chi(KG^r(H)) from `kneser_chromatic`. When
+    KG^r(H) cannot be built (it is over the vertex cap) the row is kept:
+    ``kg_chi`` stays None and ``kg_chi_error`` holds the reason."""
+    f = factor_bounds(H, r, "exact", cache, self_check)
+    try:
+        return replace(f, kg_chi=kneser_chromatic(H, r, limit, cache, self_check))
+    except CapExceededError as exc:
+        return replace(f, kg_chi_error=str(exc))
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Lower bounds for the chromatic number of KG^r(H_1) x ... x KG^r(H_t):
@@ -436,23 +450,17 @@ def bound_report(
 ) -> BoundReport:
     """Every defect bound for the product of the KG^r of the factors, with
     exact chromatic numbers under ``limit`` (the product only within the
-    solve cap). Every value is read through ``cache``: a factor's under its
-    own digest, the product's (op ``product_kg_chi``) under the digest of
-    all factors."""
+    solve cap, and only when every KG^r(H) could be built). Every value is
+    read through ``cache``: a factor's under its own digest, the product's
+    (op ``product_kg_chi``) under the digest of all factors."""
     if r < 2:
         raise ValueError("need r >= 2")
-    rows = tuple(
-        replace(
-            factor_bounds(H, r, "exact", cache, self_check),
-            kg_chi=kneser_chromatic(H, r, limit, cache, self_check),
-        )
-        for H in factors
-    )
+    rows = tuple(factor_row(H, r, limit, cache, self_check) for H in factors)
     product_alt_bound = ceil_div(min(f.n_minus_alt for f in rows), r - 1)
     product_ecd_bound = ceil_div(min(f.ecd for f in rows), r - 1)
     exact_chi: ChromaticValue | None = None
-    # KG^r(H) has one vertex per edge of H
-    if prod(H.edge_count for H in factors) <= PRODUCT_SOLVE_CAP:
+    # the product needs every KG^r(H), which has one vertex per edge of H
+    if not any(f.kg_chi_error for f in rows) and prod(H.edge_count for H in factors) <= PRODUCT_SOLVE_CAP:
 
         def solve() -> int | str:
             if len(factors) == 1:
@@ -470,11 +478,4 @@ def bound_report(
     ):
         min_factor = min(f.kg_chi.as_int() for f in rows)  # type: ignore[union-attr]
         zhu = "VERIFIED" if exact_chi.as_int() == min_factor else "FAILED"
-    return BoundReport(
-        r=r,
-        factors=rows,
-        product_alt_bound=product_alt_bound,
-        product_ecd_bound=product_ecd_bound,
-        exact_chi=exact_chi,
-        zhu_status=zhu,
-    )
+    return BoundReport(r, rows, product_alt_bound, product_ecd_bound, exact_chi, zhu)

@@ -69,17 +69,9 @@ def main(argv: list[str] | None = None) -> int:
         "command": args.command,
         "recipes": list(spec.recipes),
         "params": {
-            k: v
-            for k, v in (
-                ("r", spec.r),
-                ("p", spec.p),
-                ("limit", spec.limit),
-                ("mode", spec.mode),
-                ("s", spec.s),
-                ("C", spec.C),
-                ("eta", spec.eta),
-            )
-            if v is not None
+            k: getattr(spec, k)
+            for k in ("r", "p", "limit", "mode", "s", "C", "eta")
+            if getattr(spec, k) is not None
         },
         "started": started,
         "wall_time_s": round(wall, 3),

@@ -16,7 +16,9 @@ from .hypergraph import (
     CapExceededError,
     Coloring,
     Hypergraph,
+    induced_mask,
 )
+from .invariants import ecd
 
 # 2^n enumeration of induced subhypergraphs is only attempted up to here.
 T_ENUM_CAP = 16
@@ -261,7 +263,7 @@ def product_is_proper(factors: Sequence[Hypergraph], coloring: Coloring) -> bool
     return True
 
 
-def t_hypergraph(H: Hypergraph, C: int, s: int, ecd_fn=None) -> Hypergraph:
+def t_hypergraph(H: Hypergraph, C: int, s: int) -> Hypergraph:
     """Hypergraph on V(H) whose edges are the vertex subsets A with
     ecd^s(H[A]) > (s-1)*C.
 
@@ -277,13 +279,9 @@ def t_hypergraph(H: Hypergraph, C: int, s: int, ecd_fn=None) -> Hypergraph:
         raise CapExceededError(
             f"2^{H.n} subset enumeration exceeds cap 2^{T_ENUM_CAP}"
         )
-    if ecd_fn is None:
-        from .invariants import ecd as ecd_fn  # late import avoids a cycle
-    from .hypergraph import induced_mask
-
     threshold = (s - 1) * C
     edges = []
     for amask in range(1, 1 << H.n):
-        if ecd_fn(induced_mask(H, amask), s) > threshold:
+        if ecd(induced_mask(H, amask), s) > threshold:
             edges.append(tuple(bits_of(amask)))
     return Hypergraph(H.n, edges)

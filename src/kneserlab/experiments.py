@@ -17,9 +17,10 @@ from pathlib import Path
 
 from .cache import CODE_VERSION, ResultCache, cached_value
 from .chromatic import (
+    FactorBounds,
     bound_report,
     factor_bounds,
-    kneser_chromatic,
+    factor_row,
     solve_product_chromatic,
 )
 from .constructions import (
@@ -46,11 +47,26 @@ from .prooflab import (
     dold_consequence,
     find_witness,
     is_prime,
+    misses_guarantee,
     sigma2_scan,
     witness_target,
 )
 
 MODES = ("exact", "heuristic")
+
+
+@dataclass(frozen=True)
+class AtLeast:
+    """``choices`` holding the integers from ``low`` on; argparse and
+    `ExperimentSpec.validate` list them as the one entry ">=low"."""
+
+    low: int
+
+    def __contains__(self, value) -> bool:
+        return isinstance(value, int) and value >= self.low
+
+    def __iter__(self):
+        yield f">={self.low}"
 
 
 # --- recipes -------------------------------------------------------------------
@@ -131,10 +147,13 @@ class ExperimentSpec:
             if task.needs_recipes and not self.recipes:
                 raise ValueError("no factor recipes given")
             for flag, kwargs in task.args:
-                if kwargs.get("required") and getattr(self, flag.lstrip("-")) is None:
-                    raise ValueError(f"task {name!r} needs {flag}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+                value = getattr(self, kwargs.get("dest", flag.lstrip("-").replace("-", "_")))
+                if value is None:
+                    if kwargs.get("required"):
+                        raise ValueError(f"task {name!r} needs {flag}")
+                elif "choices" in kwargs and value not in kwargs["choices"]:
+                    allowed = ", ".join(map(str, kwargs["choices"]))
+                    raise ValueError(f"task {name!r}: invalid {flag} {value!r} (choose from {allowed})")
 
 
 @dataclass
@@ -273,6 +292,10 @@ def default_compare_pool() -> list[ExperimentSpec]:
     ]
 
 
+def _chi_note(recipe: str, f: FactorBounds) -> str:
+    return f"{recipe} (r={f.r}): chi not computed: {f.kg_chi_error}"
+
+
 def compare_bounds(
     pool: Sequence[ExperimentSpec],
     cache: ResultCache | None = None,
@@ -290,8 +313,7 @@ def compare_bounds(
     for spec in pool:
         r = spec.r if spec.r is not None else 2
         for recipe in spec.recipes:
-            H = parse_recipe(recipe)
-            f = factor_bounds(H, r, "exact", cache, self_check)
+            f = factor_row(parse_recipe(recipe), r, limit, cache, self_check)
             row = {
                 "recipe": recipe,
                 "r": r,
@@ -303,13 +325,11 @@ def compare_bounds(
                 "ecd_bound": f.ecd_bound,
                 "alt_bound": f.alt_bound,
                 "ecd_gap": f.ecd - f.n_minus_alt,
+                "chi": f.kg_chi.to_json() if f.kg_chi else None,
             }
-            try:
-                row["chi"] = kneser_chromatic(H, r, limit, cache, self_check).to_json()
-            except ValueError as exc:
-                row["chi"] = None
-                notes.append(f"{recipe} (r={r}): chi not computed: {exc}")
             rows.append(row)
+            if f.kg_chi_error:
+                notes.append(_chi_note(recipe, f))
 
     def wins(a: str, b: str) -> list[str]:
         return [f"{row['recipe']} (r={row['r']})" for row in rows if row[a] > row[b]]
@@ -400,6 +420,9 @@ def _bounds(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutco
     problems = report.check()
     payload = report.to_json_dict()
     payload["recipes"] = list(spec.recipes)
+    notes = [_chi_note(recipe, f) for recipe, f in zip(spec.recipes, report.factors) if f.kg_chi_error]
+    if notes:
+        payload["notes"] = notes
     if problems:
         payload["violations"] = problems
         return "violation", payload
@@ -416,7 +439,7 @@ def _bounds_table(payload: dict) -> str:
         f"product_alt_bound={payload['product_alt_bound']}  "
         f"exact_chi={payload['exact_chi']}  zhu={payload['zhu_status']}"
     )
-    return table + "\n" + footer
+    return "\n".join([table, footer, *(f"note: {note}" for note in payload.get("notes", []))])
 
 
 def _witness(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
@@ -425,7 +448,11 @@ def _witness(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutc
     payload = {"p": p, "chi": chi.to_json() if chi else None}
     if coloring is None:
         return "exceeds", dict(payload, witness=None)
-    target = spec.eta if spec.eta is not None else witness_target(factors, p)
+
+    def guarantee() -> int:
+        return witness_target(factors, p, cache, spec.self_check)
+
+    target = spec.eta if spec.eta is not None else guarantee()
     scan = sigma2_scan(factors, p, coloring)
     witness = find_witness(factors, p, coloring, target, force=spec.force, scan=scan)
     payload.update(
@@ -434,16 +461,13 @@ def _witness(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutc
         witness=witness.to_json_dict() if witness else None,
     )
     if witness is None:
-        # within the guarantee this is a bug, except on degenerate
-        # instances with an empty saturated side and a target below p
-        # (the guaranteed witness there is the empty-part one)
-        guaranteed = (
-            is_prime(p)
-            and target <= witness_target(factors, p)
-            and not (scan.saturated_count == 0 and target < p)
+        # a miss within the guarantee of a prime p is a bug; with --eta the
+        # guarantee is computed only now
+        bad = is_prime(p) and misses_guarantee(
+            p, target, target if spec.eta is None else guarantee(), scan.max_ell, scan.saturated_count
         )
         payload["status"] = "NOT_FOUND"
-        return ("violation" if guaranteed else "ok"), payload
+        return ("violation" if bad else "ok"), payload
     problems = witness.problems(factors, coloring)
     if problems:
         payload["violations"] = problems
@@ -456,20 +480,19 @@ def _prooflab(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOut
     p = spec.p
     corrupt = ("signsets", "simplex") if spec.negative_control else ()
     tables = SignMapTables(p, corrupt=corrupt)
-    lemma1 = check_lemma1(factors, p, tables)
+    reads = dict(cache=cache, self_check=spec.self_check)
+    lemma1 = check_lemma1(factors, p, tables, **reads)
     coloring, _ = _coloring_for(spec, [kneser(H, p) for H in factors])
     lemma2 = None
     dold = None
     if coloring is not None:
-        lemma2 = check_lemma2(factors, p, coloring, tables)
-        dold = dold_consequence(factors, p, coloring)
+        lemma2 = check_lemma2(factors, p, coloring, tables, **reads)
+        dold = dold_consequence(factors, p, coloring, **reads)
     payload = {
         "p": p,
         "negative_control": spec.negative_control,
         "lemma1_violations": [v.to_json_dict() for v in lemma1],
-        "lemma2_violations": [v.to_json_dict() for v in lemma2]
-        if lemma2 is not None
-        else None,
+        "lemma2_violations": None if lemma2 is None else [v.to_json_dict() for v in lemma2],
         "dold": dold.to_json_dict() if dold is not None else None,
     }
     bad = bool(lemma1) or bool(lemma2) or (dold is not None and not dold.ok)
@@ -532,6 +555,8 @@ class Task:
 
 
 _R = ("--r", {"type": int, "required": True})
+# the defect bounds divide by r - 1
+_R_BOUNDS = ("--r", {"type": int, "required": True, "choices": AtLeast(2)})
 _P = ("--p", {"type": int, "required": True})
 _LIMIT = ("--limit", {"type": int})
 _COLORING = (
@@ -553,7 +578,7 @@ TASKS: dict[str, Task] = {
         _chromatic,
     ),
     "bounds": Task(
-        "defect lower bounds and Zhu verification", (_R, _LIMIT), _bounds, _bounds_table
+        "defect lower bounds and Zhu verification", (_R_BOUNDS, _LIMIT), _bounds, _bounds_table
     ),
     "witness": Task(
         "colorful balanced complete p-partite witness",
@@ -588,7 +613,7 @@ TASKS: dict[str, Task] = {
     "compare": Task(
         "side-by-side defect bound table",
         (
-            ("--r", {"type": int, "help": "r for the given recipes"}),
+            ("--r", {"type": int, "choices": AtLeast(2), "help": "r for the given recipes"}),
             ("--limit", {"type": int, "default": 6}),
         ),
         _compare,

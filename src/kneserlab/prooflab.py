@@ -11,21 +11,16 @@ Kneser hypergraphs.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, replace
 from itertools import product as iproduct
 
 from .bits import submasks
+from .cache import ResultCache
+from .chromatic import factor_bounds
 from .constructions import ProductSpace
 from .hypergraph import CapExceededError, Coloring, Hypergraph
-from .invariants import (
-    ALT_EXACT_MAX_N,
-    SignVector,
-    act_sign,
-    alt_min,
-    alt_of,
-    ecd,
-)
+from .invariants import SignVector, act_sign, alt_min, alt_of
 
 # Exhaustive labeling sweeps enumerate (p+1)^n vectors and (2p+1)^n face
 # pairs; keep them loudly bounded.
@@ -278,6 +273,14 @@ def _alt_order(H: Hypergraph, p: int) -> tuple[int, ...]:
     return alt_min(H, p, "exact").sigma.sigma
 
 
+def _sub_entries(entries: tuple[int, ...], support: list[int], keep: int) -> tuple[int, ...]:
+    out = list(entries)
+    for bit, pos in enumerate(support):
+        if not keep >> bit & 1:
+            out[pos] = 0
+    return tuple(out)
+
+
 def nu(S: SplitVector, variant: str = "balanced") -> int:
     """Index of a vector under the deficient-side labeling: blocks whose
     every sign spans an edge count their full support; other blocks count
@@ -303,11 +306,8 @@ def nu(S: SplitVector, variant: str = "balanced") -> int:
         support_bits = (1 << len(support)) - 1
         best = 0
         for keep in submasks(support_bits):
-            entries = list(blk.entries)
-            for bit, pos in enumerate(support):
-                if not keep >> bit & 1:
-                    entries[pos] = 0
-            sub = SignVector(p, tuple(entries))
+            entries = _sub_entries(blk.entries, support, keep)
+            sub = SignVector(p, entries)
             if any(
                 H.contains_edge_within(sub.class_mask(s)) for s in range(1, p + 1)
             ):
@@ -321,19 +321,29 @@ def nu(S: SplitVector, variant: str = "balanced") -> int:
     return total
 
 
+def _defect_minima(
+    factors: Sequence[Hypergraph], p: int, cache: ResultCache | None, self_check: bool
+) -> tuple[int, int]:
+    """(min ecd^p, min n - alt_p) over the factors, read through the bounds
+    path `factor_bounds`. Past its exact-alternation range n - alt_p comes
+    from the heuristic alternation upper bound, which only lowers it: the
+    witness target then stays within the guarantee, and the checks built on
+    it only get weaker."""
+    rows = [factor_bounds(H, p, "exact", cache, self_check) for H in factors]
+    return min(f.ecd for f in rows), min(f.n_minus_alt for f in rows)
+
+
 def index_cap(
-    factors: Sequence[Hypergraph], p: int, variant: str = "balanced"
+    factors: Sequence[Hypergraph], p: int, variant: str = "balanced",
+    cache: ResultCache | None = None, self_check: bool = False,
 ) -> int:
     """Upper end of the deficient-side index range: total order minus the
     relevant defect quantity plus p - 1."""
-    n = sum(H.n for H in factors)
-    if variant == "balanced":
-        quantity = min(ecd(H, p) for H in factors)
-    elif variant == "alternation":
-        quantity = min(H.n - alt_min(H, p, "exact").value for H in factors)
-    else:
+    if variant not in ("balanced", "alternation"):
         raise ValueError(f"unknown variant {variant!r}")
-    return n - quantity + p - 1
+    min_ecd, min_alt_side = _defect_minima(factors, p, cache, self_check)
+    quantity = min_ecd if variant == "balanced" else min_alt_side
+    return sum(H.n for H in factors) - quantity + p - 1
 
 
 def lambda1(
@@ -374,6 +384,12 @@ def _contained_edges(H: Hypergraph, mask: int) -> list[int]:
     return [i + 1 for i, em in enumerate(H.edge_masks) if em & ~mask == 0]
 
 
+def _class_edges(S: SplitVector, sign: int) -> list[list[int]]:
+    """Per factor, the 1-based indices of its edges inside the block's
+    ``sign`` class: the product vertices realizing that sign."""
+    return [_contained_edges(H, blk.class_mask(sign)) for H, blk in zip(S.hypergraphs, S.blocks)]
+
+
 def tau_of(S: SplitVector, coloring: Coloring) -> Simplex:
     """The simplex of (sign, color) pairs realized by product vertices whose
     factor edges all sit inside the corresponding sign class.
@@ -390,10 +406,7 @@ def tau_of(S: SplitVector, coloring: Coloring) -> Simplex:
         raise ValueError("coloring is not total on the product vertex space")
     cells: set[tuple[int, int]] = set()
     for sign in range(1, p + 1):
-        lists = [
-            _contained_edges(H, blk.class_mask(sign))
-            for H, blk in zip(S.hypergraphs, S.blocks)
-        ]
+        lists = _class_edges(S, sign)
         assert all(lists), "saturated vector must have edges in every class"
         for combo in iproduct(*lists):
             cells.add((sign, coloring.color_of(space.index_of(combo))))
@@ -441,81 +454,56 @@ def _guard_enum(p: int, n: int) -> None:
         )
 
 
-def _sub_entries(entries: tuple[int, ...], support: list[int], keep: int) -> tuple[int, ...]:
-    out = list(entries)
-    for bit, pos in enumerate(support):
-        if not keep >> bit & 1:
-            out[pos] = 0
-    return tuple(out)
-
-
 def check_lemma1(
-    factors: Sequence[Hypergraph],
-    p: int,
-    tables: SignMapTables | None = None,
-    variant: str = "balanced",
+    factors: Sequence[Hypergraph], p: int, tables: SignMapTables | None = None,
+    variant: str = "balanced", cache: ResultCache | None = None, self_check: bool = False,
 ) -> list[Violation]:
     """Exhaustively verify the deficient-side labeling: it must be
     equivariant, stay within [1..cap], and never give face-comparable
     vectors the same index with different signs. Returns all violations
     (expected empty; corrupted tables are the negative control)."""
-    _guard_enum(p, sum(H.n for H in factors))
-    if tables is None:
-        tables = SignMapTables(p)
-    cap = index_cap(factors, p, variant)
-    return _check_labels(
-        factors,
-        p,
-        lambda S: lambda1(S, tables, variant=variant) if S.is_deficient else None,
-        lambda index: None if 1 <= index <= cap else f"index {index} outside [1..{cap}]",
-    )
+    return _check_labels(factors, p, None, tables, variant, cache, self_check)
 
 
 def check_lemma2(
-    factors: Sequence[Hypergraph],
-    p: int,
-    coloring: Coloring,
-    tables: SignMapTables | None = None,
-    variant: str = "balanced",
+    factors: Sequence[Hypergraph], p: int, coloring: Coloring, tables: SignMapTables | None = None,
+    variant: str = "balanced", cache: ResultCache | None = None, self_check: bool = False,
 ) -> list[Violation]:
     """Exhaustively verify the saturated-side labeling against a proper
     coloring of the product of the KG^p of the factors: equivariance, index
     above the cap, and no face-comparable pair with equal index and
     different signs."""
-    _guard_enum(p, sum(H.n for H in factors))
-    if tables is None:
-        tables = SignMapTables(p)
-    cap = index_cap(factors, p, variant)
-    return _check_labels(
-        factors,
-        p,
-        lambda S: lambda2(S, coloring, tables, cap) if S.is_saturated else None,
-        lambda index: None if index > cap else f"index {index} not above {cap}",
-    )
+    return _check_labels(factors, p, coloring, tables, variant, cache, self_check)
 
 
 def _check_labels(
-    factors: Sequence[Hypergraph],
-    p: int,
-    label: Callable[[SplitVector], tuple[int, int] | None],
-    range_problem: Callable[[int], str | None],
+    factors: Sequence[Hypergraph], p: int, coloring: Coloring | None, tables: SignMapTables | None,
+    variant: str, cache: ResultCache | None, self_check: bool,
 ) -> list[Violation]:
-    """Label every nonzero sign vector on one side (``label`` returns None
-    off that side), then report range, equivariance and chain violations in
-    vector order."""
+    """Label every nonzero sign vector on one side (the deficient side
+    without a ``coloring``, the saturated side with one), then report range,
+    equivariance and chain violations in vector order."""
+    _guard_enum(p, sum(H.n for H in factors))
+    if tables is None:
+        tables = SignMapTables(p)
+    cap = index_cap(factors, p, variant, cache, self_check)
     lengths = tuple(H.n for H in factors)
     labels: dict[tuple[int, ...], tuple[int, int]] = {}
     for entries in iproduct(range(p + 1), repeat=sum(lengths)):
         if not any(entries):
             continue
-        value = label(split(SignVector(p, entries), lengths, factors))
-        if value is not None:
-            labels[entries] = value
+        S = split(SignVector(p, entries), lengths, factors)
+        if coloring is None:
+            if S.is_deficient:
+                labels[entries] = lambda1(S, tables, variant=variant)
+        elif S.is_saturated:
+            labels[entries] = lambda2(S, coloring, tables, cap)
     violations: list[Violation] = []
     for entries, (sign, index) in labels.items():
-        problem = range_problem(index)
-        if problem is not None:
-            violations.append(Violation("range", entries, None, problem))
+        if coloring is None and not 1 <= index <= cap:
+            violations.append(Violation("range", entries, None, f"index {index} outside [1..{cap}]"))
+        elif coloring is not None and index <= cap:
+            violations.append(Violation("range", entries, None, f"index {index} not above {cap}"))
         for g in range(1, p):
             acted = tuple(act_sign(g, x, p) if x else 0 for x in entries)
             got = labels.get(acted)
@@ -711,24 +699,17 @@ def extract_witness(S: SplitVector, coloring: Coloring, q: int) -> PartiteWitnes
     else:
         eligible = [s for s in range(1, p + 1) if sizes[s - 1] > h]
     bumped = set(eligible[:extra])
-    dims = tuple(H.edge_count for H in S.hypergraphs)
-    space = ProductSpace(dims)
-    lists = {
-        sign: [
-            _contained_edges(H, blk.class_mask(sign))
-            for H, blk in zip(S.hypergraphs, S.blocks)
-        ]
-        for sign in range(1, p + 1)
-    }
+    space = ProductSpace(tuple(H.edge_count for H in S.hypergraphs))
     parts: list[tuple[tuple[int, ...], ...]] = []
     part_colors: list[tuple[int, ...]] = []
     for sign in range(1, p + 1):
         want = base + (1 if sign in bumped else 0)
         chosen_colors = sorted(simplex.row(sign))[:want]
+        lists = _class_edges(S, sign)
         vertices = []
         for color in chosen_colors:
             found = None
-            for combo in iproduct(*lists[sign]):
+            for combo in iproduct(*lists):
                 if coloring.color_of(space.index_of(combo)) == color:
                     found = combo
                     break
@@ -739,15 +720,21 @@ def extract_witness(S: SplitVector, coloring: Coloring, q: int) -> PartiteWitnes
     return PartiteWitness(p, tuple(parts), tuple(part_colors))
 
 
-def witness_target(factors: Sequence[Hypergraph], p: int) -> int:
+def witness_target(
+    factors: Sequence[Hypergraph], p: int, cache: ResultCache | None = None, self_check: bool = False
+) -> int:
     """The guaranteed witness size: the larger of the smallest equitable
     defect and the smallest order-minus-alternation over the factors."""
-    min_ecd = min(ecd(H, p) for H in factors)
-    for H in factors:
-        if H.n > ALT_EXACT_MAX_N:
-            return min_ecd  # alternation side needs exact values
-    min_alt_side = min(H.n - alt_min(H, p, "exact").value for H in factors)
-    return max(min_ecd, min_alt_side)
+    return max(_defect_minima(factors, p, cache, self_check))
+
+
+def misses_guarantee(p: int, target: int, guarantee: int, max_ell: int, saturated_count: int) -> bool:
+    """Whether a saturated-side scan (best balanced size ``max_ell`` over
+    ``saturated_count`` vectors) falls short of a ``target``-vertex witness
+    that a ``guarantee``-vertex guarantee promises. With no saturated vector
+    the guarantee degenerates to the defect quantities being at most p - 1,
+    so a target below p is then not promised."""
+    return max_ell < target <= guarantee and not (saturated_count == 0 and target < p)
 
 
 def find_witness(
@@ -780,11 +767,7 @@ def find_witness(
         return None
     S = split(scan.argmax, tuple(H.n for H in factors), factors)
     witness = extract_witness(S, coloring, target)
-    if experimental:
-        witness = PartiteWitness(
-            witness.p, witness.parts, witness.colors, experimental=True
-        )
-    return witness
+    return replace(witness, experimental=True) if experimental else witness
 
 
 @dataclass(frozen=True)
@@ -804,25 +787,16 @@ class DoldReport:
     @property
     def ok(self) -> bool:
         target = max(self.min_ecd, self.min_n_minus_alt)
-        if self.saturated_count:
-            return self.max_ell >= target
-        return target <= self.p - 1
+        return not misses_guarantee(self.p, target, target, self.max_ell, self.saturated_count)
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "max_ell": self.max_ell,
-            "min_ecd": self.min_ecd,
-            "min_n_minus_alt": self.min_n_minus_alt,
-            "saturated_count": self.saturated_count,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def dold_consequence(
-    factors: Sequence[Hypergraph], p: int, coloring: Coloring
+    factors: Sequence[Hypergraph], p: int, coloring: Coloring,
+    cache: ResultCache | None = None, self_check: bool = False,
 ) -> DoldReport:
     scan = sigma2_scan(factors, p, coloring)
-    min_ecd = min(ecd(H, p) for H in factors)
-    min_alt_side = min(H.n - alt_min(H, p, "exact").value for H in factors)
+    min_ecd, min_alt_side = _defect_minima(factors, p, cache, self_check)
     return DoldReport(p, scan.max_ell, min_ecd, min_alt_side, scan.saturated_count)

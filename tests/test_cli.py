@@ -186,6 +186,35 @@ class TestRun:
         assert second.status == first.status == "ok"
         assert canonical_json(second.payload) == canonical_json(first.payload)
 
+    @pytest.mark.parametrize(
+        "task, recipes",
+        [("witness", ("complete:5,2", "complete:5,2")), ("prooflab", ("complete:5,2",))],
+    )
+    def test_witness_and_prooflab_read_through_cache(self, task, recipes, tmp_path, monkeypatch):
+        spec = ExperimentSpec(
+            recipes=recipes, tasks=(task,), p=2, cache_path=str(tmp_path / "c.jsonl")
+        )
+        first = run(spec).results[0]
+        # the defect minima must now come from the cache
+        for module in ("prooflab", "chromatic", "experiments"):
+            for name in ("ecd", "alt_min"):
+                monkeypatch.setattr(f"kneserlab.{module}.{name}", None, raising=False)
+        second = run(spec).results[0]
+        assert second.status == first.status == "ok"
+        assert canonical_json(second.payload) == canonical_json(first.payload)
+
+    def test_bounds_keeps_row_over_vertex_cap(self):
+        spec = ExperimentSpec(recipes=("complete:17,2", "complete:4,2"), tasks=("bounds",), r=2)
+        res = run(spec).results[0]
+        assert res.status == "ok"
+        big, small = res.payload["factors"]
+        assert big["kg_chi"] is None and big["ecd"] == 15
+        assert small["kg_chi"] == 2
+        assert res.payload["exact_chi"] is None
+        assert res.payload["zhu_status"] == "BOUND_ONLY"
+        (note,) = res.payload["notes"]
+        assert note.startswith("complete:17,2 (r=2): chi not computed: ") and "136" in note
+
     def test_product_chi_keyed_by_every_factor(self, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         first.write_text(json.dumps(complete_uniform(4, 2).to_json_dict()))
@@ -406,6 +435,15 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "complete:5,2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("task", ["bounds", "compare"])
+    def test_r_below_two_is_a_usage_error(self, task, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([task, "--r", "1", "complete:4,2"])
+        assert exc.value.code == 2
+        with pytest.raises(ValueError, match="--r"):
+            ExperimentSpec(recipes=("complete:4,2",), tasks=(task,), r=1).validate()
+        ExperimentSpec(recipes=("complete:4,2",), tasks=("invariants",), r=1).validate()
 
     def test_build_command(self, capsys):
         code = main(["build", "kneser:2:complete:5,2"])

@@ -17,9 +17,11 @@ from kneserlab import (
     check_lemma1,
     check_lemma2,
     complete_uniform,
+    cycle,
     dold_consequence,
     ecd,
     extract_witness,
+    factor_bounds,
     find_witness,
     hnka,
     index_cap,
@@ -37,6 +39,7 @@ from kneserlab import (
     witness_target,
 )
 from kneserlab.invariants import act_sign
+from kneserlab.prooflab import misses_guarantee
 from conftest import min_element_coloring_petersen
 
 CU3 = complete_uniform(3, 2)
@@ -425,3 +428,45 @@ class TestScanAndCounting:
         coloring = Coloring.of([1] * kg.n, 1) if kg.n else Coloring.of([], 0)
         scan = sigma2_scan([CU3], 3, coloring)
         assert scan.saturated_count == 0 and scan.max_ell == 0
+
+
+class TestBoundsPath:
+    def test_defect_minima_match_naive_oracles(self):
+        from conftest import alt_min_naive, ecd_naive, random_pool
+        from kneserlab.prooflab import _defect_minima
+
+        # n <= 6 keeps the n! x (p+1)^n alternation oracle to about 2 s
+        pool = random_pool(24, max_n=6)
+        for p in (2, 3):
+            for pair in zip(pool[::2], pool[1::2]):
+                if p == 3 and max(H.n for H in pair) > 5:
+                    continue
+                assert _defect_minima(pair, p, None, False) == (
+                    min(ecd_naive(H, p) for H in pair),
+                    min(H.n - alt_min_naive(H, p) for H in pair),
+                )
+
+    def test_past_exact_alternation_range(self):
+        # at n = 10 every witness-side quantity reads the bounds path's
+        # heuristic n - alt, which here beats the equitable defect
+        H = cycle(10)
+        f = factor_bounds(H, 2)
+        assert not f.alt_exact and f.n_minus_alt > f.ecd
+        assert witness_target([H], 2) == f.n_minus_alt
+        assert index_cap([H], 2, "alternation") == H.n - f.n_minus_alt + 1
+        _, coloring = solve_chromatic(kneser(H, 2))
+        rep = dold_consequence([H], 2, coloring)
+        assert (rep.min_ecd, rep.min_n_minus_alt) == (f.ecd, f.n_minus_alt)
+        assert rep.ok
+        witness = find_witness([H], 2, coloring)
+        assert witness is not None and witness.size == f.n_minus_alt
+        assert witness.problems([H], coloring) == []
+
+    def test_guarantee_rule(self):
+        # (p, target, guarantee, max_ell, saturated_count)
+        assert misses_guarantee(2, 3, 3, 2, 5)
+        assert not misses_guarantee(2, 3, 3, 3, 5)
+        assert not misses_guarantee(2, 4, 3, 2, 5)  # beyond the guarantee
+        # an empty saturated side promises nothing below p
+        assert not misses_guarantee(3, 2, 2, 0, 0)
+        assert misses_guarantee(3, 3, 3, 0, 0)
