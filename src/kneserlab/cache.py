@@ -1,11 +1,13 @@
 """Append-only JSON-lines result cache keyed by (hypergraph digest,
-operation, parameters, code version), so a changed algorithm never serves
-values computed by older code. Corrupt lines are dropped and rebuilt on
-demand: every cached value is re-derivable.
+operation, parameters, code version). The code version is CODE_VERSION
+salted with a digest of the package's source, so a changed algorithm never
+serves values computed by older code. Corrupt lines are dropped and rebuilt
+on demand: every cached value is re-derivable.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -15,6 +17,14 @@ from pathlib import Path
 from .hypergraph import Hypergraph
 
 CODE_VERSION = "0.1.0"
+
+
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over the package's *.py sources, read once per process."""
+    files = sorted(Path(__file__).parent.glob("*.py"))
+    data = b"\0".join(p.name.encode() + b"\0" + p.read_bytes() for p in files)
+    return hashlib.sha256(data).hexdigest()
 
 
 def canonical_json(obj) -> str:
@@ -53,7 +63,8 @@ class ResultCache:
 
     @staticmethod
     def make_key(digest: str, op: str, params) -> dict:
-        return {"digest": digest, "op": op, "params": params, "version": CODE_VERSION}
+        version = f"{CODE_VERSION}+{_source_digest()}"
+        return {"digest": digest, "op": op, "params": params, "version": version}
 
     def get(self, key: dict):
         return self._entries.get(canonical_json(key))

@@ -8,7 +8,6 @@ live with the tests as independent oracles.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from functools import lru_cache
 from .bits import bits_of
 from .hypergraph import Hypergraph
 
-# alt_min in exact mode enumerates n! orderings.
+# alt_min in exact mode walks up to n! orderings.
 ALT_EXACT_MAX_N = 9
 
 # Entries kept by each of the cd, ecd and alt_min memos.
@@ -230,38 +229,57 @@ def ecd(H: Hypergraph, r: int) -> int:
 
 
 class _Found(Exception):
-    pass
+    def __init__(self, depth: int) -> None:
+        self.depth = depth  # order position of the found vector's last nonzero entry
 
 
-def _alt_search(H: Hypergraph, m: int, order: Sequence[int], cutoff: int | None) -> int:
+def _alt_search(
+    H: Hypergraph, m: int, order: Sequence[int], edges_at: list[list[int]], cutoff: int | None
+) -> int:
     """Max alt(X) over X in (Z_m u {0})^n whose sign classes (mapped through
     the vertex order) span no edge. With ``cutoff``, raises _Found as soon
-    as a vector with alt >= cutoff exists."""
+    as a vector with alt >= cutoff exists. Repeating the previous sign is
+    dominated by leaving the vertex unsigned, and unused signs are
+    interchangeable, so only the first of them is tried."""
     n = H.n
-    edges_at = _edges_at(H)
     best = 0
     class_masks = [0] * (m + 1)
 
-    def rec(i: int, last: int, cur: int) -> None:
+    def rec(i: int, last: int, used: int, cur: int) -> None:
         nonlocal best
         if cur > best:
             best = cur
             if cutoff is not None and best >= cutoff:
-                raise _Found
+                raise _Found(i - 1)
         if i > n or cur + (n - i + 1) <= best:
             return
         v = order[i - 1]
         bit = 1 << (v - 1)
-        for s in range(1, m + 1):
+        for s in range(1, min(used + 1, m) + 1):
+            if s == last:
+                continue
             new = class_masks[s] | bit
             if not any(em & ~new == 0 for em in edges_at[v]):
                 class_masks[s] = new
-                rec(i + 1, s, cur + (1 if s != last else 0))
+                rec(i + 1, s, max(used, s), cur + 1)
                 class_masks[s] ^= bit
-        rec(i + 1, last, cur)
+        rec(i + 1, last, used, cur)
 
-    rec(1, 0, 0)
+    rec(1, 0, 0, 0)
     return best
+
+
+def _next_block(order: list[int], depth: int) -> bool:
+    """Step ``order`` in place to the first lex-later ordering that differs
+    from it in order[:depth]; False if there is none."""
+    for i in range(depth - 1, -1, -1):
+        later = [x for x in order[i + 1 :] if x > order[i]]
+        if later:
+            rest = sorted(order[i:])
+            rest.remove(min(later))
+            order[i:] = [min(later), *rest]
+            return True
+    return False
 
 
 def alt_sigma(H: Hypergraph, r: int, sigma: Permutation) -> int:
@@ -271,7 +289,7 @@ def alt_sigma(H: Hypergraph, r: int, sigma: Permutation) -> int:
         raise ValueError("r must be >= 1")
     if len(sigma) != H.n:
         raise ValueError("permutation length mismatch")
-    return _alt_search(H, r, sigma.sigma, cutoff=None)
+    return _alt_search(H, r, sigma.sigma, _edges_at(H), cutoff=None)
 
 
 @dataclass(frozen=True)
@@ -292,47 +310,47 @@ class AltResult:
 def alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltResult:
     """Minimum of alt_sigma over all vertex orderings.
 
-    Exact mode enumerates all n! orderings (n <= 9) with an early exit once
-    an ordering is known not to beat the incumbent; the reported certificate
-    is the lexicographically smallest optimal ordering. Heuristic mode does
-    seeded random restarts with adjacent-transposition descent and returns
-    an upper bound.
+    Exact mode (n <= 9) walks the orderings in lex order and reports the
+    lexicographically smallest optimal one. When an ordering has a vector
+    reaching the incumbent, every ordering sharing its prefix up to that
+    vector's last nonzero entry has it too, and the walk jumps past them.
+    It stops at the floor min(r, m), m the vertices in no singleton edge:
+    r of those, each its own sign class, reach it under any ordering.
+    Heuristic mode does seeded random restarts with adjacent-transposition
+    descent and returns an upper bound.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     n = H.n
+    edges_at = _edges_at(H)
     if mode == "exact":
         if n > ALT_EXACT_MAX_N:
             raise ValueError(
                 f"exact mode enumerates {n}! orderings; use mode='heuristic'"
             )
-        best: int | None = None
-        cert: tuple[int, ...] = tuple(range(1, n + 1))
-        for order in itertools.permutations(range(1, n + 1)):
-            if best is None:
-                best = _alt_search(H, r, order, cutoff=None)
-                cert = order
-            else:
-                try:
-                    val = _alt_search(H, r, order, cutoff=best)
-                except _Found:
-                    continue
-                if val < best:
-                    best, cert = val, order
-        return AltResult(best if best is not None else 0, Permutation(cert), True)
+        floor = min(r, sum(1 for v in range(1, n + 1) if 1 << (v - 1) not in edges_at[v]))
+        order = list(range(1, n + 1))
+        best = _alt_search(H, r, order, edges_at, cutoff=None)
+        cert, depth = tuple(order), n
+        while best > floor and _next_block(order, depth):
+            try:
+                best = _alt_search(H, r, order, edges_at, cutoff=best)
+            except _Found as found:
+                depth = found.depth
+                continue
+            cert, depth = tuple(order), n
+        return AltResult(best, Permutation(cert), True)
 
     rng = random.Random(seed)
     base = list(range(1, n + 1))
     best_val: int | None = None
     best_order = tuple(base)
 
-    def evaluate(order: tuple[int, ...], bound: int | None) -> int | None:
-        if bound is None:
-            return _alt_search(H, r, order, cutoff=None)
+    def evaluate(order: tuple[int, ...], bound: int) -> int | None:
         try:
-            return _alt_search(H, r, order, cutoff=bound)
+            return _alt_search(H, r, order, edges_at, cutoff=bound)
         except _Found:
             return None
 
@@ -340,7 +358,7 @@ def alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltRes
         order = list(base)
         if restart:
             rng.shuffle(order)
-        cur = _alt_search(H, r, tuple(order), cutoff=None)
+        cur = _alt_search(H, r, order, edges_at, cutoff=None)
         improved = True
         while improved:
             improved = False

@@ -2,6 +2,8 @@
 
 The oracles here deliberately re-derive everything from the definitions by
 plain enumeration; they never call the pruned implementations they check.
+The one exception is ``alt_min_plain``, which checks only the ordering walk
+of exact ``alt_min`` and reuses its per-ordering search.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from kneserlab import (
     solve_chromatic,
 )
 from kneserlab.bits import mask_of
+from kneserlab.invariants import _alt_search, _edges_at, _Found
 
 SEED = 20240501
 
@@ -97,9 +100,9 @@ def alt_sigma_naive(H: Hypergraph, r: int, sigma: Permutation) -> int:
     return best
 
 
-def alt_min_naive(H: Hypergraph, r: int) -> int:
+def alt_min_lex_naive(H: Hypergraph, r: int) -> tuple[int, tuple[int, ...]]:
     """Oracle: plain minimum over all orderings of the exhaustive per-sigma
-    maximum."""
+    maximum, with the first ordering in lex order that attains it."""
     vectors = [SignVector(r, e) for e in itertools.product(range(r + 1), repeat=H.n)]
     scored = [(alt_naive(X), [X.class_positions(s) for s in range(1, r + 1)]) for X in vectors]
     best = None
@@ -117,8 +120,33 @@ def alt_min_naive(H: Hypergraph, r: int) -> int:
             if ok:
                 local = val
         if best is None or local < best:
-            best = local
-    return best if best is not None else 0
+            best, first = local, perm
+    return best, first
+
+
+def alt_min_naive(H: Hypergraph, r: int) -> int:
+    return alt_min_lex_naive(H, r)[0]
+
+
+def alt_min_plain(H: Hypergraph, r: int) -> tuple[int, tuple[int, ...]]:
+    """Differential oracle for the ordering walk of exact alt_min: every one
+    of the n! orderings in one plain itertools.permutations loop, each scored
+    by the library's per-ordering search (itself checked against
+    alt_sigma_naive). Returns (value, lex-least optimal ordering)."""
+    edges_at = _edges_at(H)
+    best = None
+    for order in itertools.permutations(range(1, H.n + 1)):
+        if best is None:
+            best = _alt_search(H, r, order, edges_at, cutoff=None)
+            cert = order
+            continue
+        try:
+            val = _alt_search(H, r, order, edges_at, cutoff=best)
+        except _Found:
+            continue
+        if val < best:
+            best, cert = val, order
+    return best, cert
 
 
 def chromatic_brute(H: Hypergraph, kmax: int | None = None) -> int | None:

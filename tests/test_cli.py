@@ -363,6 +363,18 @@ class TestCache:
         assert cached_value(cache, H, "cd", [2], lambda: 1) == 1
         assert (cache.hits, cache.misses) == (0, 1)
 
+    def test_other_source_digest_is_a_miss(self, tmp_path, monkeypatch):
+        # an edited algorithm module changes the source digest, not CODE_VERSION
+        path = tmp_path / "cache.jsonl"
+        H = complete_uniform(4, 2)
+        monkeypatch.setattr("kneserlab.cache._source_digest", lambda: "0" * 64)
+        cached_value(ResultCache(path), H, "cd", [2], lambda: 99)
+        monkeypatch.undo()
+        cache = ResultCache(path)
+        assert cached_value(cache, H, "cd", [2], lambda: 1) == 1
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert cached_value(ResultCache(path), H, "cd", [2], lambda: 2) == 1
+
     def test_digest_is_structural(self):
         assert hypergraph_digest(complete_uniform(4, 2)) == hypergraph_digest(
             complete_uniform(4, 2)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,11 +19,15 @@ from kneserlab import (
     cd,
     ecd,
     complete_uniform,
+    cycle,
     hnka,
     star,
 )
+from kneserlab import invariants
 from conftest import (
+    alt_min_lex_naive,
     alt_min_naive,
+    alt_min_plain,
     alt_naive,
     alt_sigma_naive,
     cd_naive,
@@ -164,8 +170,8 @@ class TestAltSigma:
         relabeled = Hypergraph(5, [tuple(inv[v] for v in e) for e in H.edges])
         assert alt_sigma(H, 2, sigma) == alt_sigma(relabeled, 2, Permutation.identity(5))
 
-    @given(small_hypergraphs(max_n=4, max_edges=4), st.integers(2, 3), st.data())
-    @settings(max_examples=25, deadline=None)
+    @given(small_hypergraphs(max_n=4, max_edges=4), st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
     def test_matches_oracle(self, H, r, data):
         perm = tuple(data.draw(st.permutations(list(range(1, H.n + 1)))))
         sigma = Permutation(perm)
@@ -182,7 +188,10 @@ class TestAltMin:
         assert res.value == 3 and res.exact
 
     def test_edgeless(self):
-        assert alt_min(Hypergraph(4, []), 3).value == 4
+        # alt = n with the identity certificate, below (n > r) and at the floor
+        for n, r in ((4, 3), (5, 2), (3, 3), (2, 4)):
+            res = alt_min(Hypergraph(n, []), r)
+            assert (res.value, res.sigma.sigma) == (n, tuple(range(1, n + 1)))
 
     def test_exact_mode_cap(self):
         with pytest.raises(ValueError):
@@ -206,6 +215,130 @@ class TestAltMin:
             H = random_hypergraph(rng, max_n=4, max_edges=5)
             for r in (2, 3):
                 assert alt_min(H, r).value == alt_min_naive(H, r)
+
+
+def _low_symmetry(rng: random.Random, n: int, sizes) -> Hypergraph:
+    """Distinct edges of the given sizes, redrawn until every vertex has its
+    own multiset of incident edge sizes (a trivial automorphism group)."""
+    while True:
+        edges = {frozenset(rng.sample(range(1, n + 1), k)) for k in sizes}
+        sig = {tuple(sorted(len(e) for e in edges if v in e)) for v in range(1, n + 1)}
+        if len(edges) == len(sizes) and len(sig) == n:
+            return Hypergraph(n, edges)
+
+
+def _spy_on_search(monkeypatch) -> list[list]:
+    """Record [ordering, depth of the _Found it raised or None, cutoff] per call."""
+    calls: list[list] = []
+    real = invariants._alt_search
+
+    def spy(H, m, order, edges_at, cutoff):
+        calls.append([tuple(order), None, cutoff])
+        try:
+            return real(H, m, order, edges_at, cutoff)
+        except invariants._Found as found:
+            calls[-1][1] = found.depth
+            raise
+
+    monkeypatch.setattr(invariants, "_alt_search", spy)
+    return calls
+
+
+class TestAltMinWalk:
+    """The ordering walk of exact alt_min: prefix skips and the floor stop
+    keep the value and the lex-least optimal certificate."""
+
+    def test_certificate_is_lex_least_optimal(self):
+        rng = random.Random(11)
+        for _ in range(8):
+            H = random_hypergraph(rng, max_n=5, max_edges=6)
+            for r in (1, 2, 3, 4):
+                res = alt_min(H, r)
+                assert (res.value, res.sigma.sigma) == alt_min_lex_naive(H, r), (H, r)
+
+    def test_matches_plain_loop(self):
+        rng = random.Random(5)
+        cases = [
+            (_low_symmetry(rng, n, sizes), r)
+            for n, sizes in (
+                (6, (1, 2, 2, 3, 3, 4)),
+                (6, (2, 2, 2, 3, 3, 4)),
+                (7, (1, 2, 3, 3, 3, 4, 4)),
+            )
+            for r in (2, 3)
+        ]
+        cases += [(star(7), 3), (cycle(7), 2), (hnka(7, 2, 3), 3)]
+        for H, r in cases:
+            res = alt_min(H, r)
+            assert (res.value, res.sigma.sigma) == alt_min_plain(H, r), (H, r)
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_skips_exactly_the_witness_prefix_blocks(self, monkeypatch, seed):
+        # each _Found depth is sound: the ordering's first `depth` vertices
+        # alone carry a vector reaching the cutoff
+        H = _low_symmetry(random.Random(seed), 6, (2, 2, 2, 3, 3, 4))
+        calls = _spy_on_search(monkeypatch)
+        res = alt_min.__wrapped__(H, 2)
+        monkeypatch.undo()
+        for order, depth, cutoff in calls:
+            if depth is not None:
+                pos = {v: j + 1 for j, v in enumerate(order[:depth])}
+                prefix = Hypergraph(
+                    depth, [[pos[v] for v in e] for e in H.edges if set(e) <= pos.keys()]
+                )
+                assert alt_sigma(prefix, 2, Permutation.identity(depth)) >= cutoff
+        # the walk leaves out exactly the orderings that share order[:depth]
+        # with an earlier ordering that raised _Found at that depth
+        evaluated = {order: i for i, (order, _, _) in enumerate(calls)}
+        assert len(evaluated) == len(calls)
+        assert res.value > 2  # above the floor: the walk covers all 6! orderings
+        skipped = 0
+        for perm in itertools.permutations(range(1, 7)):
+            limit = evaluated.get(perm, len(calls))
+            in_block = any(
+                depth is not None and perm[:depth] == order[:depth]
+                for order, depth, _ in calls[:limit]
+            )
+            assert in_block != (perm in evaluated), perm
+            skipped += in_block
+        assert skipped > 0
+
+    def test_r_one(self):
+        for H, value in ((Hypergraph(3, [(1, 2)]), 1), (Hypergraph(3, [(1,), (2,), (3,)]), 0)):
+            res = alt_min(H, 1)
+            assert (res.value, res.sigma.sigma) == alt_min_lex_naive(H, 1) == (value, (1, 2, 3))
+
+    def test_all_vertices_in_singleton_edges(self):
+        H = Hypergraph(4, [(1,), (2,), (3,), (4,), (1, 2)])
+        res = alt_min(H, 3)
+        assert (res.value, res.sigma.sigma) == (0, (1, 2, 3, 4))
+
+    def test_fewer_free_vertices_than_signs(self):
+        for H, r in (
+            (Hypergraph(4, [(1,), (2,), (3,)]), 3),
+            (Hypergraph(4, [(1,), (2, 3), (3, 4)]), 4),
+        ):
+            res = alt_min(H, r)
+            assert (res.value, res.sigma.sigma) == alt_min_lex_naive(H, r)
+
+    def test_floor_reached_after_the_first_ordering(self):
+        # the identity ordering gives floor + 1; a later one meets the floor
+        for H, r in (
+            (Hypergraph(3, [(1, 2)]), 2),
+            (Hypergraph(4, [(3,), (1, 3), (2, 3), (2, 4), (1, 3, 4)]), 2),
+        ):
+            res = alt_min(H, r)
+            assert alt_sigma(H, r, Permutation.identity(H.n)) == r + 1
+            assert res.value == r
+            assert (res.value, res.sigma.sigma) == alt_min_lex_naive(H, r)
+
+    def test_complete_graph_stops_at_floor(self, monkeypatch):
+        calls = _spy_on_search(monkeypatch)
+        start = time.perf_counter()
+        res = alt_min.__wrapped__(complete_uniform(9, 2), 3, "exact")
+        assert time.perf_counter() - start < 1.0
+        assert (res.value, res.sigma.sigma) == (3, tuple(range(1, 10)))
+        assert len(calls) == 1
 
 
 class TestOrderings:
