@@ -2,9 +2,9 @@
 comparison reports.
 
 One coloring engine serves explicit hypergraphs and implicit categorical
-products alike: a hypergraph is the one-factor product. Levels below chi are
-decided with a most-constrained-first vertex order; only chi itself runs the
-static lexicographic search that makes the certificate.
+products alike: a hypergraph is the one-factor product. Each level is decided
+by a most-constrained-first search; at chi, repeated decisions on the same
+search state fix the vertices in index order to the lex-least certificate.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ class _ColoringSearch:
     the cell sets the bit of its coordinate inside e_j. A color class covering
     the box's full mask contains a monochromatic product edge. An open cell
     completes a box when its position contains the bits ``miss`` that the
-    color still lacks, and then must not take that color.
+    color still lacks, and then must not take that color. `lex_least(k)`
+    searches level k on one search state.
     """
 
     def __init__(self, factors: Sequence[Hypergraph]) -> None:
@@ -65,7 +66,10 @@ class _ColoringSearch:
         self.pos_of: list[list[int]] = [[] for _ in range(N + 1)]
         vertex = list(range(N + 1))  # one int object per vertex, however often stored
         shapes: dict[tuple[int, ...], tuple[int, list[int], dict[int, list[int]]]] = {}
-        for box in iproduct(*(H.edges for H in factors)):
+        # per factor edge, the row-major offsets (v - 1) * stride of its vertices
+        strides = [prod(space.dims[j + 1 :]) for j in range(len(factors))]
+        edge_offsets = [[[(v - 1) * st for v in e] for e in H.edges] for H, st in zip(factors, strides)]
+        for box in iproduct(*edge_offsets):
             shape = tuple(len(e) for e in box)
             if shape not in shapes:
                 offsets = accumulate(shape, initial=0)
@@ -80,7 +84,7 @@ class _ColoringSearch:
                 shapes[shape] = ((1 << sum(shape)) - 1, positions, completing)
             full, positions, completing = shapes[shape]
             bid = len(self.full)
-            cells = [vertex[space.index_of(cell)] for cell in iproduct(*box)]
+            cells = [vertex[1 + sum(offs)] for offs in iproduct(*box)]
             for v, pos in zip(cells, positions):
                 self.boxes_of[v].append(bid)
                 self.pos_of[v].append(pos)
@@ -88,21 +92,22 @@ class _ColoringSearch:
             self.cells.append(cells)
             self.completing.append(completing)
 
-    def search(self, k: int, dynamic: bool) -> bool:
-        """Look for a proper k-coloring, leaving it in ``colors``.
+    def lex_least(self, k: int) -> list[int] | None:
+        """The lexicographically least proper k-coloring, or None.
 
-        Colors are tried in ascending order, and a vertex takes a color at
-        most one above those already used (color-order symmetry breaking).
-        With ``dynamic`` the next vertex is the one with the most forbidden
-        colors, ties to the least index (DSATUR-style); otherwise it is the
-        least uncolored index, so the first coloring found is the
-        lexicographically least. The backtracking keeps an explicit stack, so
-        its depth is not bounded by the interpreter's recursion limit.
+        ``decide`` extends the current partial coloring most-constrained-first
+        (most forbidden colors, ties to the least index), colors ascending and
+        at most one above those in use, on an explicit stack. It returns a
+        full coloring or None and leaves the state as it found it; its first
+        call is the level's proof. Then v = 1..N is fixed in index order to
+        the least color below the witness's with which the prefix still
+        extends, else to the witness's color: each fixed prefix is lex-least
+        and still extendable, so the last witness is the lex-least coloring.
         """
         N = self.N
         full, cells, completing = self.full, self.cells, self.completing
         boxes_of, pos_of = self.boxes_of, self.pos_of
-        self.colors = colors = [0] * (N + 1)
+        colors = [0] * (N + 1)
         forbid = [[0] * (k + 1) for _ in range(N + 1)]
         n_forbidden = [0] * (N + 1)
         covered = [[0] * len(full) for _ in range(k + 1)]
@@ -152,33 +157,51 @@ class _ColoringSearch:
                             forbidden.append(u)
             return trail
 
-        stack: list[tuple[int, int, int, tuple[list[int], list[int]]]] = []
-        maxc = 0
-        while len(stack) < N:
-            if dynamic:
+        def decide(maxc: int) -> list[int] | None:
+            stack: list[tuple[int, int, int, tuple[list[int], list[int]]]] = []
+            while uncolored:
                 v = max(uncolored, key=lambda u: (n_forbidden[u], -u))
                 uncolored.remove(v)
-            else:
-                v = len(stack) + 1
-            c = 0
-            while True:
-                trail = None
-                cap = min(k, maxc + 1)
-                while trail is None and c < cap:
-                    c += 1
-                    if not forbid[v][c]:
-                        trail = assign(v, c)
-                if trail is not None:
-                    break
-                if dynamic:
+                c = 0
+                while True:
+                    trail = None
+                    cap = min(k, maxc + 1)
+                    while trail is None and c < cap:
+                        c += 1
+                        if not forbid[v][c]:
+                            trail = assign(v, c)
+                    if trail is not None:
+                        break
                     uncolored.add(v)
-                if not stack:
-                    return False
-                v, c, maxc, trail = stack.pop()
+                    if not stack:
+                        return None
+                    v, c, maxc, trail = stack.pop()
+                    undo(v, c, trail)
+                stack.append((v, c, maxc, trail))
+                maxc = max(maxc, c)
+            rename: dict[int, int] = {}  # colors in order of first appearance
+            found = [0] + [rename.setdefault(c, len(rename) + 1) for c in colors[1:]]
+            for v, c, _, trail in reversed(stack):
                 undo(v, c, trail)
-            stack.append((v, c, maxc, trail))
-            maxc = max(maxc, c)
-        return True
+                uncolored.add(v)
+            return found
+
+        if (witness := decide(0)) is None:
+            return None
+        maxc = 0
+        for v in range(1, N + 1):
+            uncolored.remove(v)
+            for c in range(1, witness[v]):  # each c <= maxc + 1, by first appearance
+                if forbid[v][c] or (trail := assign(v, c)) is None:
+                    continue
+                if (found := decide(max(maxc, c))) is not None:
+                    witness = found
+                    break
+                undo(v, c, trail)
+            else:
+                assign(v, witness[v])
+            maxc = max(maxc, witness[v])
+        return witness[1:]
 
 
 def solve_product_chromatic(
@@ -188,9 +211,9 @@ def solve_product_chromatic(
     iterative deepening, never materializing product edges, with the
     lexicographically least optimal coloring as certificate.
 
-    Levels below chi are decided with the dynamic vertex order; only the first
-    satisfiable level runs the static-order search that yields the
-    certificate.
+    Each level k is one `_ColoringSearch.lex_least`, whose first decision
+    refutes k or proves it; at chi the decisions that follow refine that
+    witness into the certificate.
     """
     if not factors:
         raise ValueError("product needs at least one factor")
@@ -202,10 +225,8 @@ def solve_product_chromatic(
     while True:
         if limit is not None and k > limit:
             return ChromaticValue.exceeds(limit), None
-        # without boxes (an edgeless factor) every coloring is proper
-        if not engine.full or engine.search(k, dynamic=True):
-            engine.search(k, dynamic=False)
-            return ChromaticValue.finite(k), Coloring(tuple(engine.colors[1:]), k)
+        if (colors := engine.lex_least(k)) is not None:
+            return ChromaticValue.finite(k), Coloring(tuple(colors), k)
         k += 1
 
 

@@ -29,6 +29,7 @@ from .constructions import (
     edgeless,
     hnka,
     kneser,
+    product_is_proper,
     star,
     t_hypergraph,
 )
@@ -374,7 +375,10 @@ def _coloring_for(
     spec: ExperimentSpec, kgs: list[Hypergraph]
 ) -> tuple[Coloring | None, ChromaticValue | None]:
     if spec.coloring_path is not None:
-        return load_coloring(Path(spec.coloring_path).read_text()), None
+        coloring = load_coloring(Path(spec.coloring_path).read_text())
+        if not product_is_proper(kgs, coloring):
+            raise ValueError(f"coloring {spec.coloring_path} is not proper")
+        return coloring, None
     value, coloring = solve_product_chromatic(kgs, spec.limit)
     return coloring, value
 

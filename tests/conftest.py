@@ -2,8 +2,10 @@
 
 The oracles here deliberately re-derive everything from the definitions by
 plain enumeration; they never call the pruned implementations they check.
-The one exception is ``alt_min_plain``, which checks only the ordering walk
-of exact ``alt_min`` and reuses its per-ordering search.
+The exceptions are ``alt_min_plain``, which checks only the ordering walk
+of exact ``alt_min`` and reuses its per-ordering search, and
+``lex_least_coloring_static``, which checks only the certificate search of
+the coloring engine and reuses its compiled boxes.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from kneserlab import (
     solve_chromatic,
 )
 from kneserlab.bits import mask_of
+from kneserlab.chromatic import _ColoringSearch
 from kneserlab.invariants import _alt_search, _edges_at, _Found
 
 SEED = 20240501
@@ -173,6 +176,81 @@ def lex_least_coloring_brute(H: Hypergraph, k: int) -> tuple[int, ...] | None:
         if ok:
             return assignment
     return None
+
+
+def lex_least_coloring_static(factors: list[Hypergraph], k: int) -> list[int] | None:
+    """Differential oracle for the certificate of the coloring engine: the
+    lexicographically least proper k-coloring of the categorical product,
+    or None, by backtracking over the product vertices in index order
+    (colors ascending, each at most one above those in use), so the first
+    coloring found is the least. It reuses only the compiled boxes of
+    ``_ColoringSearch``, whose cells ``product_is_proper`` checks apart."""
+    engine = _ColoringSearch(factors)
+    N, full, cells, completing = engine.N, engine.full, engine.cells, engine.completing
+    boxes_of, pos_of = engine.boxes_of, engine.pos_of
+    colors = [0] * (N + 1)
+    forbid = [[0] * (k + 1) for _ in range(N + 1)]
+    covered = [[0] * len(full) for _ in range(k + 1)]
+
+    def undo(v, c, trail):
+        olds, forbidden = trail
+        for bid, old in zip(boxes_of[v], olds):
+            covered[c][bid] = old
+        for u in forbidden:
+            forbid[u][c] -= 1
+        colors[v] = 0
+
+    def assign(v, c):
+        cov = covered[c]
+        forbidden = []
+        trail = ([cov[bid] for bid in boxes_of[v]], forbidden)
+        colors[v] = c
+        for bid, pos in zip(boxes_of[v], pos_of[v]):
+            new = cov[bid] | pos
+            if new == cov[bid]:
+                continue
+            miss = full[bid] ^ new
+            if not miss:
+                undo(v, c, trail)
+                return None
+            cov[bid] = new
+            for i in completing[bid].get(miss, ()):
+                u = cells[bid][i]
+                if not colors[u]:
+                    forbid[u][c] += 1
+                    forbidden.append(u)
+        return trail
+
+    stack = []
+    maxc = 0
+    while len(stack) < N:
+        v = len(stack) + 1
+        c = 0
+        while True:
+            trail = None
+            while trail is None and c < min(k, maxc + 1):
+                c += 1
+                if not forbid[v][c]:
+                    trail = assign(v, c)
+            if trail is not None:
+                break
+            if not stack:
+                return None
+            v, c, maxc, trail = stack.pop()
+            undo(v, c, trail)
+        stack.append((v, c, maxc, trail))
+        maxc = max(maxc, c)
+    return colors[1:]
+
+
+def is_first_appearance(colors) -> bool:
+    """Whether every color is at most one above all colors before it."""
+    seen = 0
+    for c in colors:
+        if c > seen + 1:
+            return False
+        seen = max(seen, c)
+    return True
 
 
 def minimal_covers_brute(r1: int, r2: int) -> set[frozenset[tuple[int, int]]]:

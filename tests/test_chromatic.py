@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+from itertools import combinations
 
 import pytest
 
@@ -25,7 +27,19 @@ from kneserlab import (
     solve_chromatic,
     solve_product_chromatic,
 )
-from conftest import chromatic_brute, lex_least_coloring_brute, random_hypergraph
+from conftest import (
+    chromatic_brute,
+    is_first_appearance,
+    lex_least_coloring_brute,
+    lex_least_coloring_static,
+    random_hypergraph,
+)
+
+
+def relabeled(H: Hypergraph, rng: random.Random) -> Hypergraph:
+    perm = list(range(1, H.n + 1))
+    rng.shuffle(perm)
+    return Hypergraph(H.n, [tuple(perm[v - 1] for v in e) for e in H.edges])
 
 
 class TestSolver:
@@ -181,6 +195,17 @@ class TestProductChromatic:
             H1 = random_hypergraph(rng, max_n=3, max_edges=3, min_edge_size=2)
             H2 = random_hypergraph(rng, max_n=3, max_edges=3, min_edge_size=2)
             pairs.append((H1, H2))
+        # the first factor with the larger chi
+        pairs += [
+            (complete_uniform(3, 2), Hypergraph(2, [(1, 2)])),
+            (complete_uniform(4, 2), Hypergraph(3, [(1, 2), (2, 3)])),
+            (complete_uniform(5, 3), Hypergraph(3, [(1, 2, 3)])),
+        ]
+        while len(pairs) < 19:
+            H1 = random_hypergraph(rng, max_n=4, max_edges=5, min_edge_size=2)
+            H2 = random_hypergraph(rng, max_n=3, max_edges=3, min_edge_size=2)
+            if chromatic_number(H1).as_int() > chromatic_number(H2).as_int():
+                pairs.append((H1, H2))
         for H1, H2 in pairs:
             value, coloring = solve_product_chromatic([H1, H2])
             explicit = product_minimal([H1, H2])
@@ -196,6 +221,58 @@ class TestProductChromatic:
     def test_limit(self):
         A = complete_uniform(4, 2)
         assert product_chromatic([A, A], limit=1) == ChromaticValue.exceeds(1)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_first_factor_with_larger_chi(self, n):
+        # an index-order certificate search runs over a minute on these
+        factors = [kneser(complete_uniform(n, 2), 2), kneser(complete_uniform(5, 2), 2)]
+        start = time.perf_counter()
+        value, coloring = solve_product_chromatic(factors)
+        assert time.perf_counter() - start < 1.0
+        assert value.as_int() == 3
+        assert product_is_proper(factors, coloring)
+        assert is_first_appearance(coloring.colors)
+
+
+class TestLexLeastCertificate:
+    """The certificate against the static index-order search of
+    ``lex_least_coloring_static`` at chi."""
+
+    @staticmethod
+    def check(factors):
+        value, coloring = solve_product_chromatic(factors)
+        assert list(coloring.colors) == lex_least_coloring_static(factors, value.as_int())
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_relabelings_of_hnka(self, seed):
+        kg = kneser(relabeled(hnka(8, 2, 3), random.Random(seed)), 2)
+        start = time.perf_counter()
+        value, coloring = solve_chromatic(kg)
+        assert time.perf_counter() - start < 1.0
+        assert value.as_int() == 5
+        assert list(coloring.colors) == lex_least_coloring_static([kg], 5)
+
+    @pytest.mark.parametrize(
+        "ground, r",
+        [(complete_uniform(7, 2), 2), (complete_uniform(8, 2), 2), (complete_uniform(9, 2), 3), (hnka(8, 2, 3), 3)],
+    )
+    def test_kneser_hypergraphs(self, ground, r):
+        self.check([kneser(ground, r)])
+
+    def test_cube_of_petersen(self):
+        P = kneser(complete_uniform(5, 2), 2)
+        self.check([P, P, P])
+
+    def test_random_products(self):
+        # two dense graphs on at most 5 vertices: the oracle's index order
+        # takes up to a minute on products of two 7-vertex graphs
+        rng = random.Random(4245)
+        for _ in range(40):
+            factors = []
+            for n in (rng.randint(3, 5), rng.randint(3, 5)):
+                edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.6]
+                factors.append(Hypergraph(n, edges))
+            self.check(factors)
 
 
 class TestBoundReport:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import replace
 
 import pytest
 
 from kneserlab import (
+    Coloring,
     ExperimentSpec,
     compare_bounds,
     complete_uniform,
@@ -15,13 +17,17 @@ from kneserlab import (
     hnka,
     kneser,
     parse_recipe,
+    product_is_proper,
     reduction_check,
     run,
+    solve_chromatic,
     star,
+    store_coloring,
 )
 from kneserlab.cache import ResultCache, canonical_json, cached_value, hypergraph_digest
 from kneserlab.cli import main
 from kneserlab.experiments import RecipeError
+from conftest import is_first_appearance
 
 
 class TestRecipes:
@@ -171,7 +177,11 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "task, recipes",
-        [("bounds", ("complete:4,2", "complete:5,2")), ("compare", ("cycle:5", "star:4"))],
+        [
+            ("bounds", ("complete:4,2", "complete:5,2")),
+            ("compare", ("cycle:5", "star:4")),
+            ("bounds", ("complete:5,2", "complete:4,2")),
+        ],
     )
     def test_bounds_and_compare_read_through_cache(self, task, recipes, tmp_path, monkeypatch):
         spec = ExperimentSpec(
@@ -470,6 +480,42 @@ class TestMainEntry:
         files = list(tmp_path.glob("hypergraph-*.json"))
         assert len(files) == 1
         assert parse_recipe(f"file:{files[0]}") == kneser(complete_uniform(5, 2), 2)
+
+    @pytest.mark.parametrize("task", ["witness", "prooflab"])
+    def test_improper_coloring_file_fails_the_task(self, task, capsys, tmp_path):
+        path = tmp_path / "ones.json"
+        path.write_text(store_coloring(Coloring.of([1] * 10, 1)))
+        code = main([task, "--p", "2", "--coloring", str(path), "complete:5,2"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert f"[{task}] status=failed" in out
+        (result,) = json.loads(out[out.index("\n[\n") + 1 :])
+        assert result["payload"]["error"] == f"ValueError: coloring {path} is not proper"
+        assert "_coloring_for" in result["payload"]["traceback"]
+
+    def test_proper_coloring_file_gives_the_solved_payload(self, tmp_path):
+        path = tmp_path / "lex.json"
+        _, coloring = solve_chromatic(kneser(complete_uniform(5, 2), 2))
+        path.write_text(store_coloring(coloring))
+        base = dict(recipes=("complete:5,2",), tasks=("witness",), p=2)
+        solved = run(ExperimentSpec(**base)).results[0]
+        loaded = run(ExperimentSpec(**base, coloring_path=str(path))).results[0]
+        assert loaded.status == solved.status == "ok"
+        assert dict(loaded.payload, chi=3) == solved.payload
+
+    def test_chromatic_first_factor_with_larger_chi(self, capsys):
+        # an index-order certificate search runs over a minute on this
+        start = time.perf_counter()
+        code = main(["chromatic", "--r", "2", "complete:6,2", "complete:5,2"])
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr().out
+        assert code == 0
+        (result,) = json.loads(out[out.index("\n[\n") + 1 :])
+        payload = result["payload"]
+        assert payload["chi"] == 3
+        kgs = [kneser(complete_uniform(n, 2), 2) for n in (6, 5)]
+        assert product_is_proper(kgs, Coloring.of(payload["coloring"], 3))
+        assert is_first_appearance(payload["coloring"])
 
     def test_witness_command_writes_file(self, capsys, tmp_path):
         code = main(["witness", "--p", "2", "complete:5,2", "--out", str(tmp_path)])
