@@ -20,10 +20,6 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def vertex_tuple(mask: int) -> tuple[int, ...]:
-    return tuple(bits_of(mask))
-
-
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask``, including 0 and mask itself."""
     sub = mask

@@ -499,8 +499,9 @@ def _prooflab(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOut
         "lemma2_violations": None if lemma2 is None else [v.to_json_dict() for v in lemma2],
         "dold": dold.to_json_dict() if dold is not None else None,
     }
-    bad = bool(lemma1) or bool(lemma2) or (dold is not None and not dold.ok)
-    return ("violation" if bad else "ok"), payload
+    if lemma1 or lemma2 or (dold is not None and not dold.ok):
+        return "violation", payload
+    return ("exceeds" if coloring is None else "ok"), payload
 
 
 def _reduce(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
@@ -558,11 +559,17 @@ class Task:
     needs_recipes: bool = True
 
 
-_R = ("--r", {"type": int, "required": True})
+def _at_least(flag: str, low: int, **kwargs) -> tuple[str, dict]:
+    """An integer argument whose domain is the integers from ``low`` on."""
+    return flag, {"type": int, "choices": AtLeast(low), **kwargs}
+
+
+_R_ANY = ("--r", {"type": int, "required": True})  # chromatic --ground ignores it
+_R = _at_least("--r", 1, required=True)
 # the defect bounds divide by r - 1
-_R_BOUNDS = ("--r", {"type": int, "required": True, "choices": AtLeast(2)})
-_P = ("--p", {"type": int, "required": True})
-_LIMIT = ("--limit", {"type": int})
+_R_BOUNDS = _at_least("--r", 2, required=True)
+_P = _at_least("--p", 2, required=True)
+_LIMIT = _at_least("--limit", 0)
 _COLORING = (
     "--coloring",
     {"dest": "coloring_path", "metavar": "PATH", "help": "coloring JSON (default: solve optimal)"},
@@ -578,7 +585,7 @@ TASKS: dict[str, Task] = {
     ),
     "chromatic": Task(
         "exact chi of the product of KG^r(factors)",
-        (_R, _LIMIT, ("--ground", {"action": "store_true", "help": "color the factors themselves"})),
+        (_R_ANY, _LIMIT, ("--ground", {"action": "store_true", "help": "color the factors themselves"})),
         _chromatic,
     ),
     "bounds": Task(
@@ -588,7 +595,7 @@ TASKS: dict[str, Task] = {
         "colorful balanced complete p-partite witness",
         (
             _P,
-            ("--eta", {"type": int, "help": "witness size (default: guaranteed size)"}),
+            _at_least("--eta", 0, help="witness size (default: guaranteed size)"),
             _COLORING,
             _LIMIT,
             ("--force", {"action": "store_true", "help": "allow non-prime p (experimental)"}),
@@ -610,15 +617,15 @@ TASKS: dict[str, Task] = {
     ),
     "reduce": Task(
         "composite-modulus defect reduction check",
-        (_R, ("--s", {"type": int, "required": True}), ("--C", {"type": int, "required": True})),
+        (_R, _at_least("--s", 2, required=True), _at_least("--C", 0, required=True)),
         _reduce,
         _reduce_table,
     ),
     "compare": Task(
         "side-by-side defect bound table",
         (
-            ("--r", {"type": int, "choices": AtLeast(2), "help": "r for the given recipes"}),
-            ("--limit", {"type": int, "default": 6}),
+            _at_least("--r", 2, help="r for the given recipes"),
+            _at_least("--limit", 0, default=6),
         ),
         _compare,
         _compare_table,

@@ -84,12 +84,6 @@ class Hypergraph:
     def edge_count(self) -> int:
         return len(self.edge_masks)
 
-    def vertices(self) -> range:
-        return range(1, self.n + 1)
-
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
     def label_of(self, v: int) -> int:
         return self.labels[v - 1] if self.labels is not None else v
 

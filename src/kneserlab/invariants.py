@@ -45,10 +45,6 @@ class SignVector:
     def support_size(self) -> int:
         return sum(1 for x in self.entries if x)
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
     def class_positions(self, sign: int) -> tuple[int, ...]:
         return tuple(i + 1 for i, x in enumerate(self.entries) if x == sign)
 
@@ -69,11 +65,8 @@ class SignVector:
         return min(self.class_sizes())
 
     def balanced_size(self) -> int:
-        """m*h + #classes above h, where h is the smallest sign-class size:
-        the size of the largest balanced subfamily of the sign classes."""
-        sizes = self.class_sizes()
-        h = min(sizes)
-        return self.modulus * h + sum(1 for s in sizes if s > h)
+        """The size of the largest balanced subfamily of the sign classes."""
+        return balanced_size(self.class_sizes())
 
     def act(self, g: int) -> SignVector:
         """Multiply every nonzero entry by the group element ``g``."""
@@ -87,6 +80,14 @@ class SignVector:
         if self.modulus != other.modulus or len(self) != len(other):
             return False
         return all(x == 0 or x == y for x, y in zip(self.entries, other.entries))
+
+
+def balanced_size(sizes: Sequence[int]) -> int:
+    """len(sizes)*h + #sizes above h, where h = min(sizes): the most cells
+    that p = len(sizes) rows of these sizes keep when any two kept rows
+    differ by at most one and every row of size h is kept whole."""
+    h = min(sizes)
+    return len(sizes) * h + sum(1 for s in sizes if s > h)
 
 
 def act_sign(g: int, s: int, m: int) -> int:

@@ -7,20 +7,25 @@ are built, one per kind; their consistency on the face order is checked
 exhaustively, and the saturated-side search extracts colorful balanced
 complete p-partite witnesses from proper colorings of products of general
 Kneser hypergraphs.
+
+On the saturated side one reader, `_color_reader`, gives `tau_of`,
+`sigma2_scan` and `extract_witness` the colors each sign class realizes and
+by which product vertex; `PartiteWitness.problems` checks on its own lookup.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, replace
 from itertools import product as iproduct
+from math import prod
 
 from .bits import submasks
 from .cache import ResultCache
 from .chromatic import factor_bounds
 from .constructions import ProductSpace
 from .hypergraph import CapExceededError, Coloring, Hypergraph
-from .invariants import SignVector, act_sign, alt_min, alt_of
+from .invariants import SignVector, act_sign, alt_min, alt_of, balanced_size
 
 # Exhaustive labeling sweeps enumerate (p+1)^n vectors and (2p+1)^n face
 # pairs; keep them loudly bounded.
@@ -57,9 +62,6 @@ class Simplex:
             if not 1 <= c <= self.color_count:
                 raise ValueError(f"color {c} outside [1..{self.color_count}]")
 
-    def row(self, sign: int) -> frozenset[int]:
-        return frozenset(c for s, c in self.cells if s == sign)
-
     def row_sizes(self) -> tuple[int, ...]:
         counts = [0] * (self.p + 1)
         for s, _ in self.cells:
@@ -70,11 +72,8 @@ class Simplex:
         return min(self.row_sizes())
 
     def balanced_size(self) -> int:
-        """p*h + #rows above h: the size of the largest sub-simplex whose row
-        sizes differ by at most one while keeping every minimum row."""
-        sizes = self.row_sizes()
-        h = min(sizes)
-        return self.p * h + sum(1 for s in sizes if s > h)
+        """The largest balanced sub-simplex size (rows within one, every minimum row kept)."""
+        return balanced_size(self.row_sizes())
 
     def core(self) -> Simplex:
         """Sub-simplex formed by the minimum-size sign rows (all its nonempty
@@ -83,13 +82,6 @@ class Simplex:
         sizes = self.row_sizes()
         keep = frozenset((s, c) for s, c in self.cells if sizes[s - 1] == h)
         return Simplex(self.p, self.color_count, keep)
-
-    def act(self, g: int) -> Simplex:
-        return Simplex(
-            self.p,
-            self.color_count,
-            frozenset((act_sign(g, s, self.p), c) for s, c in self.cells),
-        )
 
     def is_join_simplex(self) -> bool:
         per_color: dict[int, int] = {}
@@ -380,14 +372,43 @@ def lambda1(
 # --- the saturated-side labeling -------------------------------------------------
 
 
-def _contained_edges(H: Hypergraph, mask: int) -> list[int]:
-    return [i + 1 for i, em in enumerate(H.edge_masks) if em & ~mask == 0]
+def _color_reader(
+    factors: Sequence[Hypergraph], coloring: Coloring
+) -> Callable[[tuple[int, ...]], dict[int, tuple[int, ...]]]:
+    """The saturated side's one reader of ``coloring``. It maps per-factor
+    vertex masks to {color: first product vertex}, over the product vertices
+    (tuples of 1-based factor edge indices, in row-major order) whose factor
+    edges all lie inside the masks; each mask tuple is read once."""
+    space = ProductSpace(tuple(H.edge_count for H in factors))
+    if coloring.n != space.size:
+        raise ValueError("coloring is not total on the product vertex space")
+    edges = [list(enumerate(H.edge_masks, start=1)) for H in factors]
+    memo: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+
+    def read(masks: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+        row = memo.get(masks)
+        if row is None:
+            lists = [[i for i, em in es if em & ~m == 0] for es, m in zip(edges, masks)]
+            row = memo[masks] = {}
+            for vertex in iproduct(*lists):
+                row.setdefault(coloring.color_of(space.index_of(vertex)), vertex)
+        return row
+
+    return read
 
 
-def _class_edges(S: SplitVector, sign: int) -> list[list[int]]:
-    """Per factor, the 1-based indices of its edges inside the block's
-    ``sign`` class: the product vertices realizing that sign."""
-    return [_contained_edges(H, blk.class_mask(sign)) for H, blk in zip(S.hypergraphs, S.blocks)]
+def _tau(S: SplitVector, coloring: Coloring) -> tuple[Simplex, dict[int, dict[int, tuple[int, ...]]]]:
+    """`tau_of`, and per sign the {color: first product vertex} row of its class."""
+    if not S.is_saturated:
+        raise ValueError("tau_of is only defined on saturated vectors")
+    read = _color_reader(S.hypergraphs, coloring)
+    rows = {s: read(tuple(blk.class_mask(s) for blk in S.blocks)) for s in range(1, S.p + 1)}
+    simplex = Simplex(S.p, coloring.color_count, frozenset((s, c) for s in rows for c in rows[s]))
+    if not simplex.is_join_simplex():
+        raise ValueError(
+            "some color is realized by all signs: the coloring is not proper"
+        )
+    return simplex, rows
 
 
 def tau_of(S: SplitVector, coloring: Coloring) -> Simplex:
@@ -397,25 +418,7 @@ def tau_of(S: SplitVector, coloring: Coloring) -> Simplex:
     Every sign row is nonempty for a saturated vector, and a proper coloring
     keeps every color column at p-1 signs or fewer.
     """
-    if not S.is_saturated:
-        raise ValueError("tau_of is only defined on saturated vectors")
-    p = S.p
-    dims = tuple(H.edge_count for H in S.hypergraphs)
-    space = ProductSpace(dims)
-    if coloring.n != space.size:
-        raise ValueError("coloring is not total on the product vertex space")
-    cells: set[tuple[int, int]] = set()
-    for sign in range(1, p + 1):
-        lists = _class_edges(S, sign)
-        assert all(lists), "saturated vector must have edges in every class"
-        for combo in iproduct(*lists):
-            cells.add((sign, coloring.color_of(space.index_of(combo))))
-    simplex = Simplex(p, coloring.color_count, frozenset(cells))
-    if not simplex.is_join_simplex():
-        raise ValueError(
-            "some color is realized by all signs: the coloring is not proper"
-        )
-    return simplex
+    return _tau(S, coloring)[0]
 
 
 def lambda2(
@@ -558,53 +561,28 @@ def sigma2_scan(
     """Exhaustive scan of the saturated vectors maximizing the balanced size
     of their color simplex; the reported argmax is the first maximizer in
     lexicographic vector order."""
-    dims = tuple(H.edge_count for H in factors)
-    space = ProductSpace(dims)
-    if coloring.n != space.size:
-        raise ValueError("coloring is not total on the product vertex space")
+    read = _color_reader(factors, coloring)
     per_factor_blocks: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
-    contained: list[list[list[int]]] = []
     for H in factors:
-        table = [_contained_edges(H, mask) for mask in range(1 << H.n)]
-        contained.append(table)
+        spans = [H.contains_edge_within(mask) for mask in range(1 << H.n)]
         blocks = []
         for entries in iproduct(range(p + 1), repeat=H.n):
             masks = [0] * (p + 1)
             for i, x in enumerate(entries):
-                if x:
-                    masks[x] |= 1 << i
-            if all(table[masks[s]] for s in range(1, p + 1)):
+                masks[x] |= 1 << i
+            if all(spans[m] for m in masks[1:]):
                 blocks.append((entries, tuple(masks[1:])))
         per_factor_blocks.append(blocks)
-    row_colors: dict[tuple[int, ...], frozenset[int]] = {}
-
-    def colors_for(class_masks: tuple[int, ...]) -> frozenset[int]:
-        got = row_colors.get(class_masks)
-        if got is None:
-            lists = [contained[j][m] for j, m in enumerate(class_masks)]
-            got = frozenset(
-                coloring.color_of(space.index_of(combo)) for combo in iproduct(*lists)
-            )
-            row_colors[class_masks] = got
-        return got
-
     best = -1
     best_entries: tuple[int, ...] | None = None
-    count = 0
     for combo in iproduct(*per_factor_blocks):
-        count += 1
-        sizes = []
-        for s in range(p):
-            class_masks = tuple(blk[1][s] for blk in combo)
-            sizes.append(len(colors_for(class_masks)))
-        h = min(sizes)
-        ell = p * h + sum(1 for s in sizes if s > h)
+        ell = balanced_size([len(read(masks)) for masks in zip(*(blk[1] for blk in combo))])
         if ell > best:
             best = ell
             best_entries = tuple(x for blk in combo for x in blk[0])
     if best_entries is None:
         return ScanResult(0, None, 0)
-    return ScanResult(best, SignVector(p, best_entries), count)
+    return ScanResult(best, SignVector(p, best_entries), prod(len(b) for b in per_factor_blocks))
 
 
 @dataclass(frozen=True)
@@ -687,7 +665,7 @@ def extract_witness(S: SplitVector, coloring: Coloring, q: int) -> PartiteWitnes
         raise ValueError("witness size must be nonnegative")
     if q == 0:
         return PartiteWitness(p, ((),) * p, ((),) * p)
-    simplex = tau_of(S, coloring)
+    simplex, rows = _tau(S, coloring)
     ell = simplex.balanced_size()
     if q > ell:
         raise ValueError(f"requested {q} vertices but balanced size is {ell}")
@@ -699,23 +677,12 @@ def extract_witness(S: SplitVector, coloring: Coloring, q: int) -> PartiteWitnes
     else:
         eligible = [s for s in range(1, p + 1) if sizes[s - 1] > h]
     bumped = set(eligible[:extra])
-    space = ProductSpace(tuple(H.edge_count for H in S.hypergraphs))
     parts: list[tuple[tuple[int, ...], ...]] = []
     part_colors: list[tuple[int, ...]] = []
     for sign in range(1, p + 1):
         want = base + (1 if sign in bumped else 0)
-        chosen_colors = sorted(simplex.row(sign))[:want]
-        lists = _class_edges(S, sign)
-        vertices = []
-        for color in chosen_colors:
-            found = None
-            for combo in iproduct(*lists):
-                if coloring.color_of(space.index_of(combo)) == color:
-                    found = combo
-                    break
-            assert found is not None, "color present in the simplex row"
-            vertices.append(found)
-        parts.append(tuple(vertices))
+        chosen_colors = sorted(rows[sign])[:want]
+        parts.append(tuple(rows[sign][c] for c in chosen_colors))
         part_colors.append(tuple(chosen_colors))
     return PartiteWitness(p, tuple(parts), tuple(part_colors))
 

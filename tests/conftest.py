@@ -253,6 +253,62 @@ def is_first_appearance(colors) -> bool:
     return True
 
 
+def _sign_classes(factors: list[Hypergraph], p: int, entries) -> list[list[set[int]]]:
+    """Per sign 1..p, per factor, the vertex set of that sign in the factor's
+    block of ``entries``."""
+    blocks, start = [], 0
+    for H in factors:
+        blocks.append(entries[start : start + H.n])
+        start += H.n
+    return [
+        [{v for v, x in enumerate(block, start=1) if x == s} for block in blocks]
+        for s in range(1, p + 1)
+    ]
+
+
+def first_vertex_of_color_naive(
+    factors: list[Hypergraph], coloring: Coloring, classes: list[set[int]]
+) -> dict[int, tuple[int, ...]]:
+    """Oracle: each color of the product vertices whose factor edges all lie
+    inside the given per-factor vertex sets, with the first such vertex.
+    Product vertices are scanned in row-major order, vertex i (0-based) of
+    that order being colored ``coloring.colors[i]``."""
+    first: dict[int, tuple[int, ...]] = {}
+    ranges = [range(1, H.edge_count + 1) for H in factors]
+    for i, vertex in enumerate(itertools.product(*ranges)):
+        if all(set(H.edges[e - 1]) <= cls for H, e, cls in zip(factors, vertex, classes)):
+            first.setdefault(coloring.colors[i], vertex)
+    return first
+
+
+def saturated_rows_naive(factors: list[Hypergraph], p: int, coloring: Coloring):
+    """Oracle: every saturated vector of (Z_p u 0)^N in lex order, with per
+    sign its colors and their first product vertices. A vector is saturated
+    when each sign class of each block contains an edge of its factor."""
+    for entries in itertools.product(range(p + 1), repeat=sum(H.n for H in factors)):
+        classes = _sign_classes(factors, p, entries)
+        if all(
+            any(set(e) <= cls for e in H.edges)
+            for row in classes
+            for H, cls in zip(factors, row)
+        ):
+            yield entries, [first_vertex_of_color_naive(factors, coloring, row) for row in classes]
+
+
+def sigma2_scan_naive(factors: list[Hypergraph], p: int, coloring: Coloring):
+    """Oracle for the saturated-side scan: (best balanced size, entries of
+    the first vector reaching it or None, number of saturated vectors)."""
+    best, best_entries, count = 0, None, 0
+    for entries, rows in saturated_rows_naive(factors, p, coloring):
+        count += 1
+        sizes = [len(row) for row in rows]
+        h = min(sizes)
+        ell = p * h + sum(1 for size in sizes if size > h)
+        if best_entries is None or ell > best:
+            best, best_entries = ell, entries
+    return best, best_entries, count
+
+
 def minimal_covers_brute(r1: int, r2: int) -> set[frozenset[tuple[int, int]]]:
     """Inclusion-minimal full-projection grid subsets by checking all 2^(r1 r2)
     subsets against each other."""

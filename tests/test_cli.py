@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import shlex
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +27,7 @@ from kneserlab import (
     store_coloring,
 )
 from kneserlab.cache import ResultCache, canonical_json, cached_value, hypergraph_digest
-from kneserlab.cli import main
+from kneserlab.cli import build_parser, main, spec_from_args
 from kneserlab.experiments import RecipeError
 from conftest import is_first_appearance
 
@@ -251,6 +253,16 @@ class TestRun:
         assert run(ExperimentSpec(**base)).exit_code() == 0
         assert run(ExperimentSpec(**base, strict=True)).exit_code() == 1
 
+    def test_prooflab_without_a_coloring_exceeds(self):
+        # lemma 2 and the Dold check cannot run when the coloring search stops
+        base = dict(recipes=("complete:5,2",), tasks=("prooflab",), p=2, limit=2)
+        result = run(ExperimentSpec(**base))
+        (task,) = result.results
+        assert task.status == "exceeds" and result.exit_code() == 0
+        assert task.payload["lemma1_violations"] == []
+        assert task.payload["lemma2_violations"] is None and task.payload["dold"] is None
+        assert run(ExperimentSpec(**base, strict=True)).exit_code() == 1
+
 
 class TestReduction:
     def test_spec_example(self):
@@ -467,6 +479,54 @@ class TestMainEntry:
             ExperimentSpec(recipes=("complete:4,2",), tasks=(task,), r=1).validate()
         ExperimentSpec(recipes=("complete:4,2",), tasks=("invariants",), r=1).validate()
 
+    VALID_ARGS = {
+        "witness": ["--p", "2"],
+        "prooflab": ["--p", "2"],
+        "reduce": ["--r", "2", "--s", "2", "--C", "1"],
+        "invariants": ["--r", "2"],
+        "chromatic": ["--r", "2"],
+        "bounds": ["--r", "2"],
+        "compare": [],
+    }
+
+    @pytest.mark.parametrize(
+        "task, flag, value",
+        [
+            ("witness", "--p", 1),
+            ("prooflab", "--p", 1),
+            ("witness", "--eta", -1),
+            ("reduce", "--s", 1),
+            ("reduce", "--C", -1),
+            ("reduce", "--r", 0),
+            ("invariants", "--r", 0),
+            *[(task, "--limit", -1) for task in ("chromatic", "bounds", "witness", "prooflab", "compare")],
+        ],
+    )
+    def test_integer_below_its_domain_is_a_usage_error(self, task, flag, value, capsys):
+        argv = [task, *self.VALID_ARGS[task], "complete:5,2"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, str(value)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid choice" in capsys.readouterr().err
+        spec = spec_from_args(build_parser().parse_args(argv))
+        with pytest.raises(ValueError, match=f"invalid {flag}"):
+            replace(spec, **{flag.lstrip("-"): value}).validate()
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (["chromatic", "--r", "2", "--limit", "0", "complete:5,2"], "exceeds"),
+            (["witness", "--p", "2", "--eta", "0", "complete:5,2"], "ok"),
+            (["invariants", "--r", "1", "complete:5,2"], "ok"),
+            (["reduce", "--r", "1", "--s", "2", "--C", "0", "complete:5,2"], "ok"),
+            # --ground ignores --r, so chromatic leaves it unchecked
+            (["chromatic", "--r", "0", "--ground", "complete:4,2"], "ok"),
+        ],
+    )
+    def test_domain_boundaries_still_run(self, argv, status, capsys):
+        assert main(argv) == 0
+        assert f"[{argv[0]}] status={status}" in capsys.readouterr().out
+
     def test_build_command(self, capsys):
         code = main(["build", "kneser:2:complete:5,2"])
         out = capsys.readouterr().out
@@ -526,3 +586,44 @@ class TestMainEntry:
         assert sorted("provenance" in d for d in data) == [False, True]
         witness = next(d for d in data if "provenance" not in d)
         assert sum(len(part["vertices"]) for part in witness["parts"]) == 3
+
+
+def readme_session() -> list[list[str]]:
+    """The argument lists of the ``kneserlab ...`` lines in the README's
+    "Command line" section, with their trailing comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in section.splitlines()
+        if line.startswith("kneserlab ")
+    ]
+
+
+def test_readme_session_cold_then_warm(capsys, tmp_path):
+    session = readme_session()
+    assert len(session) >= 10
+    cache = str(tmp_path / "cache.jsonl")
+    runs = {}
+    for phase in ("cold", "warm"):
+        for argv in session:
+            code = main([*argv, "--cache", cache])
+            out = capsys.readouterr().out
+            results = [
+                {k: v for k, v in r.items() if k != "wall_time_s"}
+                for r in json.loads(out[out.index("\n[\n") + 1 :])
+            ]
+            assert code == (1 if "--negative-control" in argv else 0), argv
+            runs.setdefault(" ".join(argv), []).append(results)
+    assert all(cold == warm for cold, warm in runs.values())
+
+    def payload(line):
+        return runs[line][0][0]["payload"]
+
+    assert payload("build kneser:2:complete:5,2")["hypergraphs"][0]["hypergraph"]["n"] == 10
+    assert payload("chromatic --r 2 hnka:7,2,3")["chi"] == 4
+    witness = payload("witness --p 2 complete:5,2")["witness"]
+    assert sum(len(part["vertices"]) for part in witness["parts"]) == 3
+    compare = payload("compare")
+    assert "star:6 (r=3)" in compare["ecd_side_wins"]
+    assert "cycle:5 (r=2)" in compare["alt_side_wins"]

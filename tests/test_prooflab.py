@@ -4,11 +4,13 @@ colorful witness search."""
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from kneserlab import (
     Coloring,
+    Hypergraph,
     ProductSpace,
     SignMapTables,
     SignVector,
@@ -34,13 +36,19 @@ from kneserlab import (
     projection_coloring,
     sigma2_scan,
     solve_chromatic,
+    solve_product_chromatic,
     split,
     tau_of,
     witness_target,
 )
 from kneserlab.invariants import act_sign
 from kneserlab.prooflab import misses_guarantee
-from conftest import min_element_coloring_petersen
+from conftest import (
+    min_element_coloring_petersen,
+    random_hypergraph,
+    saturated_rows_naive,
+    sigma2_scan_naive,
+)
 
 CU3 = complete_uniform(3, 2)
 CU4 = complete_uniform(4, 2)
@@ -428,6 +436,83 @@ class TestScanAndCounting:
         coloring = Coloring.of([1] * kg.n, 1) if kg.n else Coloring.of([], 0)
         scan = sigma2_scan([CU3], 3, coloring)
         assert scan.saturated_count == 0 and scan.max_ell == 0
+
+
+def _disjoint_edges_hypergraph(rng: random.Random, n: int, p: int) -> Hypergraph:
+    """p pairwise disjoint edges of size 1 or 2 (so saturated vectors exist),
+    plus up to five random pairs."""
+    order = rng.sample(range(1, n + 1), n)
+    edges, used = set(), 0
+    for k in range(p):
+        size = 2 if n - used >= 2 * (p - k) and rng.random() < 0.6 else 1
+        edges.add(tuple(sorted(order[used : used + size])))
+        used += size
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges.update(rng.sample(pairs, rng.randint(0, min(len(pairs), 5))))
+    return Hypergraph(n, edges)
+
+
+def saturated_side_instances() -> list[tuple[list[Hypergraph], int, str]]:
+    """(factors, p, coloring kind) for the saturated-side differential test:
+    named and seeded single factors and two-factor products at p = 2 and 3,
+    colored by an optimal coloring or by projection to the first factor;
+    some have no saturated vector."""
+    rng = random.Random(9091)
+    out = [
+        ([CU5], 2, "solved"),
+        ([complete_uniform(6, 2)], 3, "solved"),
+        ([CU3], 3, "solved"),
+        ([CU4, CU3], 2, "projection"),
+        ([CU3, CU4], 2, "solved"),
+    ]
+    for _ in range(3):
+        p = rng.choice((2, 3))
+        out.append(([random_hypergraph(rng, max_n=4, max_edges=3)], p, "solved"))
+    while len(out) < 40:
+        p = rng.choice((2, 3))
+        if rng.random() < 0.4:
+            factors = [_disjoint_edges_hypergraph(rng, rng.randint(p, 6 if p == 2 else 5), p)]
+        else:
+            factors = [_disjoint_edges_hypergraph(rng, rng.randint(p, 4 if p == 2 else 3), p) for _ in range(2)]
+        out.append((factors, p, rng.choice(("solved", "projection"))))
+    return out
+
+
+class TestSaturatedSideOracle:
+    def test_scan_tau_and_witness_match_the_definitions(self):
+        seen = {"saturated": 0, "none": 0, "products": 0, "p3": 0, "projection": 0}
+        for factors, p, kind in saturated_side_instances():
+            kgs = [kneser(H, p) for H in factors]
+            if kind == "solved":
+                _, coloring = solve_product_chromatic(kgs)
+            else:
+                coloring = projection_coloring(kgs, 0, solve_chromatic(kgs[0])[1])
+            scan = sigma2_scan(factors, p, coloring)
+            best, best_entries, count = sigma2_scan_naive(factors, p, coloring)
+            argmax = None if scan.argmax is None else scan.argmax.entries
+            assert (scan.max_ell, argmax, scan.saturated_count) == (best, best_entries, count)
+            lengths = [H.n for H in factors]
+            best_rows = None
+            for entries, rows in saturated_rows_naive(factors, p, coloring):
+                S = split(SignVector(p, entries), lengths, factors)
+                cells = {(s, c) for s, row in enumerate(rows, start=1) for c in row}
+                assert tau_of(S, coloring).cells == cells
+                if entries == best_entries:
+                    best_rows = rows
+            if best_entries is not None:
+                S = split(SignVector(p, best_entries), lengths, factors)
+                for q in range(best + 1):
+                    w = extract_witness(S, coloring, q)
+                    assert w.size == q and w.problems(factors, coloring) == []
+                    for part, cols, row in zip(w.parts, w.colors, best_rows):
+                        assert list(cols) == sorted(row)[: len(cols)]
+                        assert part == tuple(row[c] for c in cols)
+            seen["saturated" if count else "none"] += 1
+            seen["products"] += len(factors) == 2 and count > 0
+            seen["p3"] += p == 3 and count > 0
+            seen["projection"] += kind == "projection" and len(factors) == 2 and count > 0
+        assert seen["saturated"] >= 30 and seen["none"] >= 3
+        assert min(seen["products"], seen["p3"], seen["projection"]) >= 5
 
 
 class TestBoundsPath:
