@@ -3,6 +3,10 @@ operation, parameters, code version). The code version is CODE_VERSION
 salted with a digest of the package's source, so a changed algorithm never
 serves values computed by older code. Corrupt lines are dropped and rebuilt
 on demand: every cached value is re-derivable.
+
+A `ResultCache` is the one lookup context of a run: it keeps the hit and miss
+counts and the self-check policy, under which every hit is recomputed and
+must match. Without a cache there are no hits, so nothing to check.
 """
 
 from __future__ import annotations
@@ -43,10 +47,12 @@ class CacheMismatchError(RuntimeError):
 
 class ResultCache:
     """In-memory map backed by an append-only JSON-lines file. ``path=None``
-    keeps the cache purely in memory."""
+    keeps the cache purely in memory. With ``self_check`` every hit is
+    recomputed and must be byte-identical."""
 
-    def __init__(self, path: str | Path | None = None) -> None:
+    def __init__(self, path: str | Path | None = None, self_check: bool = False) -> None:
         self.path = Path(path) if path is not None else None
+        self.self_check = self_check
         self._entries: dict[str, object] = {}
         self.hits = 0
         self.misses = 0
@@ -84,18 +90,17 @@ def cached_value(
     op: str,
     params,
     compute,
-    self_check: bool = False,
 ):
     """Return the cached JSON value for (H, op, params), computing and
-    recording it on a miss; ``H`` may be the factor list of a product. With
-    ``self_check`` a hit is recomputed and must be byte-identical."""
+    recording it on a miss; ``H`` may be the factor list of a product. A hit
+    is recomputed and compared when the cache self-checks."""
     if cache is None:
         return compute()
     key = ResultCache.make_key(hypergraph_digest(H), op, params)
     hit = cache.get(key)
     if hit is not None:
         cache.hits += 1
-        if self_check:
+        if cache.self_check:
             fresh = compute()
             if canonical_json(fresh) != canonical_json(hit):
                 raise CacheMismatchError(f"cache self-check failed for {key}")

@@ -365,7 +365,6 @@ def factor_bounds(
     r: int,
     mode: str = "exact",
     cache: ResultCache | None = None,
-    self_check: bool = False,
 ) -> FactorBounds:
     """cd^r, ecd^r and n - alt_r of one factor, each read through the cache
     (ops ``cd``, ``ecd``, ``alt_min``). Exact alternation falls back to the
@@ -377,40 +376,30 @@ def factor_bounds(
         res = alt_min(H, r, mode)
         return {"alt": res.value, "status": res.status, "sigma": list(res.sigma.sigma)}
 
-    cd_v = cached_value(cache, H, "cd", [r], lambda: cd(H, r), self_check)
-    ecd_v = cached_value(cache, H, "ecd", [r], lambda: ecd(H, r), self_check)
-    alt = cached_value(cache, H, "alt_min", [r, mode], alt_json, self_check)
+    cd_v = cached_value(cache, H, "cd", [r], lambda: cd(H, r))
+    ecd_v = cached_value(cache, H, "ecd", [r], lambda: ecd(H, r))
+    alt = cached_value(cache, H, "alt_min", [r, mode], alt_json)
     return FactorBounds(r, H.n, cd_v, ecd_v, H.n - alt["alt"], alt["status"] == "EXACT")
-
-
-def kneser_chromatic(
-    H: Hypergraph,
-    r: int,
-    limit: int | None = None,
-    cache: ResultCache | None = None,
-    self_check: bool = False,
-) -> ChromaticValue:
-    """chi(KG^r(H)) under ``limit``, read through the cache (op ``kg_chi``);
-    KG^r(H) is built only on a miss."""
-
-    def solve() -> int | str:
-        return chromatic_number(kneser(H, r), limit).to_json()
-
-    return ChromaticValue.from_json(cached_value(cache, H, "kg_chi", [r, limit], solve, self_check))
 
 
 def factor_row(
     H: Hypergraph, r: int, limit: int | None = None,
-    cache: ResultCache | None = None, self_check: bool = False,
+    cache: ResultCache | None = None,
 ) -> FactorBounds:
-    """`factor_bounds` with chi(KG^r(H)) from `kneser_chromatic`. When
-    KG^r(H) cannot be built (it is over the vertex cap) the row is kept:
-    ``kg_chi`` stays None and ``kg_chi_error`` holds the reason."""
-    f = factor_bounds(H, r, "exact", cache, self_check)
+    """`factor_bounds` with chi(KG^r(H)) under ``limit``, read through the
+    cache (op ``kg_chi``); KG^r(H) is built only on a miss. When it cannot
+    be built (it is over the vertex cap) the row is kept: ``kg_chi`` stays
+    None and ``kg_chi_error`` holds the reason."""
+    f = factor_bounds(H, r, "exact", cache)
+
+    def solve() -> int | str:
+        return chromatic_number(kneser(H, r), limit).to_json()
+
     try:
-        return replace(f, kg_chi=kneser_chromatic(H, r, limit, cache, self_check))
+        chi = cached_value(cache, H, "kg_chi", [r, limit], solve)
     except CapExceededError as exc:
         return replace(f, kg_chi_error=str(exc))
+    return replace(f, kg_chi=ChromaticValue.from_json(chi))
 
 
 @dataclass(frozen=True)
@@ -467,7 +456,6 @@ def bound_report(
     r: int,
     limit: int | None = None,
     cache: ResultCache | None = None,
-    self_check: bool = False,
 ) -> BoundReport:
     """Every defect bound for the product of the KG^r of the factors, with
     exact chromatic numbers under ``limit`` (the product only within the
@@ -476,7 +464,7 @@ def bound_report(
     (op ``product_kg_chi``) under the digest of all factors."""
     if r < 2:
         raise ValueError("need r >= 2")
-    rows = tuple(factor_row(H, r, limit, cache, self_check) for H in factors)
+    rows = tuple(factor_row(H, r, limit, cache) for H in factors)
     product_alt_bound = ceil_div(min(f.n_minus_alt for f in rows), r - 1)
     product_ecd_bound = ceil_div(min(f.ecd for f in rows), r - 1)
     exact_chi: ChromaticValue | None = None
@@ -489,7 +477,7 @@ def bound_report(
             return product_chromatic([kneser(H, r) for H in factors], limit).to_json()
 
         exact_chi = ChromaticValue.from_json(
-            cached_value(cache, factors, "product_kg_chi", [r, limit], solve, self_check)
+            cached_value(cache, factors, "product_kg_chi", [r, limit], solve)
         )
     zhu = "BOUND_ONLY"
     if (

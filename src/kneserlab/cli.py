@@ -2,19 +2,21 @@
 
 Subcommands are generated from the task table `TASKS`; every run prints a
 provenance header, a human table where one applies, and the full JSON
-payload. With --out DIR the JSON and text reports are also written there.
+payload. With --out DIR the JSON and text reports are also written there,
+before anything is printed; a closed stdout ends the output, not the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from .cache import CODE_VERSION
-from .experiments import TASKS, ExperimentSpec, TaskResult, run
+from .experiments import TASKS, ExperimentSpec, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,11 +48,6 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return ExperimentSpec(tasks=(command,), **fields)
 
 
-def _table_for(result: TaskResult) -> str | None:
-    table = TASKS[result.name].table
-    return table(result.payload) if table and result.status != "failed" else None
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -78,17 +75,14 @@ def main(argv: list[str] | None = None) -> int:
     }
     body = []
     for task_result in result.results:
-        table = _table_for(task_result)
-        if table:
-            body.append(table)
+        table = TASKS[task_result.name].table
+        if table and task_result.status != "failed":
+            body.append(table(task_result.payload))
         body.append(f"[{task_result.name}] status={task_result.status}")
-    print(f"# kneserlab {CODE_VERSION} | {args.command} | {started} | {wall:.2f}s")
-    print("\n".join(body))
     report = {
         "provenance": header,
         "results": [r.to_json_dict() for r in result.results],
     }
-    print(json.dumps(report["results"], indent=2, sort_keys=True))
     if spec.out_dir:
         out_dir = Path(spec.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -98,6 +92,16 @@ def main(argv: list[str] | None = None) -> int:
         text = "\n".join([f"# kneserlab {CODE_VERSION} | {args.command} | {started}", *body])
         path.with_suffix(".txt").write_text(text + "\n")
         _write_artifacts(out_dir, stamp, result)
+    try:
+        print(f"# kneserlab {CODE_VERSION} | {args.command} | {started} | {wall:.2f}s")
+        print("\n".join(body))
+        print(json.dumps(report["results"], indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: that ends the output, not the run; what is
+        # still buffered goes to the null device at the interpreter's exit
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return result.exit_code()
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 import traceback
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .cache import CODE_VERSION, ResultCache, cached_value
@@ -187,35 +187,6 @@ class RunResult:
         return 0
 
 
-# --- per-factor rows ----------------------------------------------------------------
-
-
-def invariant_rows(
-    factors: Sequence[Hypergraph],
-    recipes: Sequence[str],
-    r: int,
-    mode: str,
-    cache: ResultCache | None,
-    self_check: bool = False,
-) -> list[dict]:
-    rows = []
-    for H, recipe in zip(factors, recipes):
-        f = factor_bounds(H, r, mode, cache, self_check)
-        rows.append(
-            {
-                "recipe": recipe,
-                "n": f.n,
-                "edges": H.edge_count,
-                "cd": f.cd,
-                "ecd": f.ecd,
-                "alt": f.n - f.n_minus_alt,
-                "n_minus_alt": f.n_minus_alt,
-                "alt_status": "EXACT" if f.alt_exact else "UPPER_BOUND",
-            }
-        )
-    return rows
-
-
 # --- reduction and comparison reports ----------------------------------------------
 
 
@@ -265,19 +236,14 @@ class CompareReport:
     notes: list[str]
 
     def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "ecd_side_wins": self.ecd_side_wins,
-            "alt_side_wins": self.alt_side_wins,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
-def default_compare_pool() -> list[ExperimentSpec]:
-    """The shipped pool: instances where each defect bound is known to win
-    somewhere (the star with r=3 for the equitable side, the 5-cycle for the
-    alternation side), plus reference rows."""
-    entries = [
+def default_compare_pool() -> list[tuple[str, int]]:
+    """The shipped pool of (recipe, r) pairs: instances where each defect
+    bound is known to win somewhere (the star with r=3 for the equitable
+    side, the 5-cycle for the alternation side), plus reference rows."""
+    return [
         ("star:4", 2),
         ("star:6", 3),
         ("cycle:5", 2),
@@ -287,10 +253,6 @@ def default_compare_pool() -> list[ExperimentSpec]:
         ("complete:7,2", 3),
         ("edgeless:4", 2),
     ]
-    return [
-        ExperimentSpec(recipes=(recipe,), tasks=("compare",), r=r)
-        for recipe, r in entries
-    ]
 
 
 def _chi_note(recipe: str, f: FactorBounds) -> str:
@@ -298,39 +260,36 @@ def _chi_note(recipe: str, f: FactorBounds) -> str:
 
 
 def compare_bounds(
-    pool: Sequence[ExperimentSpec],
+    pool: Sequence[tuple[str, int]],
     cache: ResultCache | None = None,
     limit: int | None = 6,
-    self_check: bool = False,
 ) -> CompareReport:
-    """One row per pool hypergraph with every defect quantity, both
-    aggregate bounds, and exact chi of its general Kneser hypergraph when
-    the solver finishes under the limit; records in which direction each
-    bound wins strictly."""
+    """One row per (recipe, r) pair of the pool with every defect quantity,
+    both aggregate bounds, and exact chi of its general Kneser hypergraph
+    when the solver finishes under the limit; records in which direction
+    each bound wins strictly."""
     if not pool:
         raise ValueError("empty comparison pool")
     rows: list[dict] = []
     notes: list[str] = []
-    for spec in pool:
-        r = spec.r if spec.r is not None else 2
-        for recipe in spec.recipes:
-            f = factor_row(parse_recipe(recipe), r, limit, cache, self_check)
-            row = {
-                "recipe": recipe,
-                "r": r,
-                "n": f.n,
-                "cd": f.cd,
-                "ecd": f.ecd,
-                "n_minus_alt": f.n_minus_alt,
-                "cd_bound": f.cd_bound,
-                "ecd_bound": f.ecd_bound,
-                "alt_bound": f.alt_bound,
-                "ecd_gap": f.ecd - f.n_minus_alt,
-                "chi": f.kg_chi.to_json() if f.kg_chi else None,
-            }
-            rows.append(row)
-            if f.kg_chi_error:
-                notes.append(_chi_note(recipe, f))
+    for recipe, r in pool:
+        f = factor_row(parse_recipe(recipe), r, limit, cache)
+        row = {
+            "recipe": recipe,
+            "r": r,
+            "n": f.n,
+            "cd": f.cd,
+            "ecd": f.ecd,
+            "n_minus_alt": f.n_minus_alt,
+            "cd_bound": f.cd_bound,
+            "ecd_bound": f.ecd_bound,
+            "alt_bound": f.alt_bound,
+            "ecd_gap": f.ecd - f.n_minus_alt,
+            "chi": f.kg_chi.to_json() if f.kg_chi else None,
+        }
+        rows.append(row)
+        if f.kg_chi_error:
+            notes.append(_chi_note(recipe, f))
 
     def wins(a: str, b: str) -> list[str]:
         return [f"{row['recipe']} (r={row['r']})" for row in rows if row[a] > row[b]]
@@ -371,15 +330,20 @@ _BOUND_COLUMNS = {"cd_bound": "cd_bound", "ecd_bound": "ecd_bound", "alt_bound":
 TaskOutcome = tuple[str, dict]  # (ok | exceeds | violation, payload)
 
 
+def _status(chis) -> str:
+    """``exceeds`` when any reported chi, in its JSON form, hit its limit."""
+    return "exceeds" if any(str(chi).startswith("EXCEEDS") for chi in chis) else "ok"
+
+
 def _coloring_for(
-    spec: ExperimentSpec, kgs: list[Hypergraph]
+    path: str | None, limit: int | None, kgs: list[Hypergraph]
 ) -> tuple[Coloring | None, ChromaticValue | None]:
-    if spec.coloring_path is not None:
-        coloring = load_coloring(Path(spec.coloring_path).read_text())
+    if path is not None:
+        coloring = load_coloring(Path(path).read_text())
         if not product_is_proper(kgs, coloring):
-            raise ValueError(f"coloring {spec.coloring_path} is not proper")
+            raise ValueError(f"coloring {path} is not proper")
         return coloring, None
-    value, coloring = solve_product_chromatic(kgs, spec.limit)
+    value, coloring = solve_product_chromatic(kgs, limit)
     return coloring, value
 
 
@@ -397,7 +361,21 @@ def _build(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcom
 
 
 def _invariants(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
-    rows = invariant_rows(factors, spec.recipes, spec.r, spec.mode, cache, spec.self_check)
+    rows = []
+    for H, recipe in zip(factors, spec.recipes):
+        f = factor_bounds(H, spec.r, spec.mode, cache)
+        rows.append(
+            {
+                "recipe": recipe,
+                "n": f.n,
+                "edges": H.edge_count,
+                "cd": f.cd,
+                "ecd": f.ecd,
+                "alt": f.n - f.n_minus_alt,
+                "n_minus_alt": f.n_minus_alt,
+                "alt_status": "EXACT" if f.alt_exact else "UPPER_BOUND",
+            }
+        )
     return "ok", {"r": spec.r, "factors": rows}
 
 
@@ -416,11 +394,11 @@ def _chromatic(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOu
         "coloring": list(coloring.colors) if coloring else None,
         "color_count": coloring.color_count if coloring else None,
     }
-    return ("exceeds" if value.kind == "exceeds" else "ok"), payload
+    return _status([payload["chi"]]), payload
 
 
 def _bounds(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
-    report = bound_report(factors, spec.r, spec.limit, cache, spec.self_check)
+    report = bound_report(factors, spec.r, spec.limit, cache)
     problems = report.check()
     payload = report.to_json_dict()
     payload["recipes"] = list(spec.recipes)
@@ -430,8 +408,7 @@ def _bounds(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutco
     if problems:
         payload["violations"] = problems
         return "violation", payload
-    exact = report.exact_chi
-    return ("exceeds" if exact is not None and exact.kind == "exceeds" else "ok"), payload
+    return _status([payload["exact_chi"], *(f["kg_chi"] for f in payload["factors"])]), payload
 
 
 def _bounds_table(payload: dict) -> str:
@@ -448,15 +425,12 @@ def _bounds_table(payload: dict) -> str:
 
 def _witness(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
     p = spec.p
-    coloring, chi = _coloring_for(spec, [kneser(H, p) for H in factors])
+    coloring, chi = _coloring_for(spec.coloring_path, spec.limit, [kneser(H, p) for H in factors])
     payload = {"p": p, "chi": chi.to_json() if chi else None}
     if coloring is None:
         return "exceeds", dict(payload, witness=None)
 
-    def guarantee() -> int:
-        return witness_target(factors, p, cache, spec.self_check)
-
-    target = spec.eta if spec.eta is not None else guarantee()
+    target = witness_target(factors, p, cache) if spec.eta is None else spec.eta
     scan = sigma2_scan(factors, p, coloring)
     witness = find_witness(factors, p, coloring, target, force=spec.force, scan=scan)
     payload.update(
@@ -467,9 +441,8 @@ def _witness(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutc
     if witness is None:
         # a miss within the guarantee of a prime p is a bug; with --eta the
         # guarantee is computed only now
-        bad = is_prime(p) and misses_guarantee(
-            p, target, target if spec.eta is None else guarantee(), scan.max_ell, scan.saturated_count
-        )
+        guarantee = target if spec.eta is None else witness_target(factors, p, cache)
+        bad = is_prime(p) and misses_guarantee(p, target, guarantee, scan.max_ell, scan.saturated_count)
         payload["status"] = "NOT_FOUND"
         return ("violation" if bad else "ok"), payload
     problems = witness.problems(factors, coloring)
@@ -484,14 +457,13 @@ def _prooflab(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOut
     p = spec.p
     corrupt = ("signsets", "simplex") if spec.negative_control else ()
     tables = SignMapTables(p, corrupt=corrupt)
-    reads = dict(cache=cache, self_check=spec.self_check)
-    lemma1 = check_lemma1(factors, p, tables, **reads)
-    coloring, _ = _coloring_for(spec, [kneser(H, p) for H in factors])
+    lemma1 = check_lemma1(factors, p, tables, cache=cache)
+    coloring, _ = _coloring_for(spec.coloring_path, spec.limit, [kneser(H, p) for H in factors])
     lemma2 = None
     dold = None
     if coloring is not None:
-        lemma2 = check_lemma2(factors, p, coloring, tables, **reads)
-        dold = dold_consequence(factors, p, coloring, **reads)
+        lemma2 = check_lemma2(factors, p, coloring, tables, cache=cache)
+        dold = dold_consequence(factors, p, coloring, cache)
     payload = {
         "p": p,
         "negative_control": spec.negative_control,
@@ -514,7 +486,6 @@ def _reduce(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutco
                 "reduce",
                 [spec.r, spec.s, spec.C],
                 lambda: reduction_check(H, spec.r, spec.s, spec.C).to_json_dict(),
-                spec.self_check,
             ),
         )
         for recipe, H in zip(spec.recipes, factors)
@@ -529,9 +500,11 @@ def _reduce_table(payload: dict) -> str:
 
 
 def _compare(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
-    pool = [spec] if spec.recipes else default_compare_pool()
+    r = 2 if spec.r is None else spec.r
+    pool = [(recipe, r) for recipe in spec.recipes] or default_compare_pool()
     limit = 6 if spec.limit is None else spec.limit
-    return "ok", compare_bounds(pool, cache, limit, spec.self_check).to_json_dict()
+    payload = compare_bounds(pool, cache, limit).to_json_dict()
+    return _status(row["chi"] for row in payload["rows"]), payload
 
 
 def _compare_table(payload: dict) -> str:
@@ -649,5 +622,5 @@ def run(spec: ExperimentSpec) -> RunResult:
     """Validate the spec, then run its tasks in order against one cache
     (loaded from and appended to ``spec.cache_path`` when it is set)."""
     spec.validate()
-    cache = ResultCache(spec.cache_path) if spec.cache_path else None
+    cache = ResultCache(spec.cache_path, spec.self_check) if spec.cache_path else None
     return RunResult(spec, [_run_task(spec, name, cache) for name in spec.tasks])

@@ -1,7 +1,7 @@
 """Core hypergraph model: vertices 1..n, edges as canonical bit masks.
 
-All types are immutable after construction and safe to share between
-workers; every operation here is a pure function.
+All types are immutable after construction; every operation here is a pure
+function.
 """
 
 from __future__ import annotations

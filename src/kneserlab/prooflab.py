@@ -314,26 +314,26 @@ def nu(S: SplitVector, variant: str = "balanced") -> int:
 
 
 def _defect_minima(
-    factors: Sequence[Hypergraph], p: int, cache: ResultCache | None, self_check: bool
+    factors: Sequence[Hypergraph], p: int, cache: ResultCache | None
 ) -> tuple[int, int]:
     """(min ecd^p, min n - alt_p) over the factors, read through the bounds
     path `factor_bounds`. Past its exact-alternation range n - alt_p comes
     from the heuristic alternation upper bound, which only lowers it: the
     witness target then stays within the guarantee, and the checks built on
     it only get weaker."""
-    rows = [factor_bounds(H, p, "exact", cache, self_check) for H in factors]
+    rows = [factor_bounds(H, p, "exact", cache) for H in factors]
     return min(f.ecd for f in rows), min(f.n_minus_alt for f in rows)
 
 
 def index_cap(
     factors: Sequence[Hypergraph], p: int, variant: str = "balanced",
-    cache: ResultCache | None = None, self_check: bool = False,
+    cache: ResultCache | None = None,
 ) -> int:
     """Upper end of the deficient-side index range: total order minus the
     relevant defect quantity plus p - 1."""
     if variant not in ("balanced", "alternation"):
         raise ValueError(f"unknown variant {variant!r}")
-    min_ecd, min_alt_side = _defect_minima(factors, p, cache, self_check)
+    min_ecd, min_alt_side = _defect_minima(factors, p, cache)
     quantity = min_ecd if variant == "balanced" else min_alt_side
     return sum(H.n for H in factors) - quantity + p - 1
 
@@ -459,29 +459,29 @@ def _guard_enum(p: int, n: int) -> None:
 
 def check_lemma1(
     factors: Sequence[Hypergraph], p: int, tables: SignMapTables | None = None,
-    variant: str = "balanced", cache: ResultCache | None = None, self_check: bool = False,
+    variant: str = "balanced", cache: ResultCache | None = None,
 ) -> list[Violation]:
     """Exhaustively verify the deficient-side labeling: it must be
     equivariant, stay within [1..cap], and never give face-comparable
     vectors the same index with different signs. Returns all violations
     (expected empty; corrupted tables are the negative control)."""
-    return _check_labels(factors, p, None, tables, variant, cache, self_check)
+    return _check_labels(factors, p, None, tables, variant, cache)
 
 
 def check_lemma2(
     factors: Sequence[Hypergraph], p: int, coloring: Coloring, tables: SignMapTables | None = None,
-    variant: str = "balanced", cache: ResultCache | None = None, self_check: bool = False,
+    variant: str = "balanced", cache: ResultCache | None = None,
 ) -> list[Violation]:
     """Exhaustively verify the saturated-side labeling against a proper
     coloring of the product of the KG^p of the factors: equivariance, index
     above the cap, and no face-comparable pair with equal index and
     different signs."""
-    return _check_labels(factors, p, coloring, tables, variant, cache, self_check)
+    return _check_labels(factors, p, coloring, tables, variant, cache)
 
 
 def _check_labels(
     factors: Sequence[Hypergraph], p: int, coloring: Coloring | None, tables: SignMapTables | None,
-    variant: str, cache: ResultCache | None, self_check: bool,
+    variant: str, cache: ResultCache | None,
 ) -> list[Violation]:
     """Label every nonzero sign vector on one side (the deficient side
     without a ``coloring``, the saturated side with one), then report range,
@@ -489,7 +489,7 @@ def _check_labels(
     _guard_enum(p, sum(H.n for H in factors))
     if tables is None:
         tables = SignMapTables(p)
-    cap = index_cap(factors, p, variant, cache, self_check)
+    cap = index_cap(factors, p, variant, cache)
     lengths = tuple(H.n for H in factors)
     labels: dict[tuple[int, ...], tuple[int, int]] = {}
     for entries in iproduct(range(p + 1), repeat=sum(lengths)):
@@ -688,11 +688,11 @@ def extract_witness(S: SplitVector, coloring: Coloring, q: int) -> PartiteWitnes
 
 
 def witness_target(
-    factors: Sequence[Hypergraph], p: int, cache: ResultCache | None = None, self_check: bool = False
+    factors: Sequence[Hypergraph], p: int, cache: ResultCache | None = None
 ) -> int:
     """The guaranteed witness size: the larger of the smallest equitable
     defect and the smallest order-minus-alternation over the factors."""
-    return max(_defect_minima(factors, p, cache, self_check))
+    return max(_defect_minima(factors, p, cache))
 
 
 def misses_guarantee(p: int, target: int, guarantee: int, max_ell: int, saturated_count: int) -> bool:
@@ -762,8 +762,8 @@ class DoldReport:
 
 def dold_consequence(
     factors: Sequence[Hypergraph], p: int, coloring: Coloring,
-    cache: ResultCache | None = None, self_check: bool = False,
+    cache: ResultCache | None = None,
 ) -> DoldReport:
     scan = sigma2_scan(factors, p, coloring)
-    min_ecd, min_alt_side = _defect_minima(factors, p, cache, self_check)
+    min_ecd, min_alt_side = _defect_minima(factors, p, cache)
     return DoldReport(p, scan.max_ell, min_ecd, min_alt_side, scan.saturated_count)

@@ -285,18 +285,18 @@ class TestReduction:
 
 class TestCompare:
     def test_star_row(self):
-        pool = [ExperimentSpec(recipes=("star:4",), tasks=("compare",), r=2)]
+        pool = [("star:4", 2)]
         report = compare_bounds(pool)
         row = report.rows[0]
         assert (row["cd"], row["ecd"], row["n_minus_alt"]) == (0, 1, 1)
 
     def test_complete_row(self):
-        pool = [ExperimentSpec(recipes=("complete:5,2",), tasks=("compare",), r=2)]
+        pool = [("complete:5,2", 2)]
         row = compare_bounds(pool).rows[0]
         assert row["cd"] == row["ecd"] == row["n_minus_alt"] == 3
 
     def test_edgeless_row_zero(self):
-        pool = [ExperimentSpec(recipes=("edgeless:4",), tasks=("compare",), r=2)]
+        pool = [("edgeless:4", 2)]
         row = compare_bounds(pool).rows[0]
         assert row["cd"] == row["ecd"] == row["n_minus_alt"] == 0
 
@@ -312,7 +312,7 @@ class TestCompare:
         assert report.alt_side_wins, "pool should exhibit an alternation-side win"
 
     def test_row_over_vertex_cap_records_why(self):
-        pool = [ExperimentSpec(recipes=("complete:17,2",), tasks=("compare",), r=2)]
+        pool = [("complete:17,2", 2)]
         report = compare_bounds(pool)
         assert report.rows[0]["chi"] is None
         (note,) = [n for n in report.notes if "chi not computed" in n]
@@ -364,10 +364,10 @@ class TestCache:
 
         path = tmp_path / "cache.jsonl"
         H = complete_uniform(4, 2)
-        cache = ResultCache(path)
+        cache = ResultCache(path, self_check=True)
         cached_value(cache, H, "op", [], lambda: 1)
         with pytest.raises(CacheMismatchError):
-            cached_value(cache, H, "op", [], lambda: 2, self_check=True)
+            cached_value(cache, H, "op", [], lambda: 2)
 
     def test_corrupt_lines_dropped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -464,6 +464,36 @@ class TestMainEntry:
         assert results[0]["status"] == "failed"
         assert "RecipeError" in results[0]["payload"]["error"]
         assert "parse_recipe" in results[0]["payload"]["traceback"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # every factor chi is EXCEEDS(1); the product is over the solve cap
+            ["bounds", "--r", "2", "--limit", "1", *["complete:8,2"] * 3],
+            ["compare", "--limit", "1", "complete:5,2"],
+            ["compare", "--limit", "0", "--r", "2", "cycle:5"],
+        ],
+    )
+    def test_exceeds_chi_in_a_row_exceeds(self, argv, capsys):
+        assert main(argv) == 0
+        assert f"[{argv[0]}] status=exceeds" in capsys.readouterr().out
+        assert main([*argv, "--strict"]) == 1
+
+    def test_closed_stdout_keeps_reports_and_exit_code(self, monkeypatch, tmp_path):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        out = ["--out", str(tmp_path)]
+        assert main(["invariants", "--r", "2", "complete:5,2", *out]) == 0
+        assert main(["bounds", "--r", "2", "--limit", "0", "--strict", "cycle:5", *out]) == 1
+        for stem in ("invariants", "bounds"):
+            assert len(list(tmp_path.glob(f"{stem}-*.json"))) == 1
+            assert len(list(tmp_path.glob(f"{stem}-*.txt"))) == 1
 
     def test_usage_error_on_missing_param(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -586,6 +616,60 @@ class TestMainEntry:
         assert sorted("provenance" in d for d in data) == [False, True]
         witness = next(d for d in data if "provenance" not in d)
         assert sum(len(part["vertices"]) for part in witness["parts"]) == 3
+
+
+def _altered(value):
+    """A cached JSON value with one number moved by one: the value itself,
+    or the alphabetically first integer field of a record."""
+    if isinstance(value, dict):
+        key = min(k for k, v in value.items() if type(v) is int)
+        return {**value, key: value[key] + 1}
+    assert type(value) is int, value
+    return value + 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--r", "2", "complete:5,2"],
+        ["bounds", "--r", "2", "complete:5,2", "cycle:5"],
+        ["witness", "--p", "2", "complete:5,2"],
+        ["prooflab", "--p", "2", "complete:4,2"],
+        ["reduce", "--r", "2", "--s", "2", "--C", "1", "complete:5,2"],
+        ["compare", "--r", "2", "cycle:5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_self_check_reaches_every_lookup(argv, capsys, monkeypatch, tmp_path):
+    """Each value the task caches, altered alone, is served to a warm run
+    and caught by --self-check."""
+    cold = tmp_path / "cold.jsonl"
+    assert main([*argv, "--cache", str(cold)]) == 0
+    lines = cold.read_text().splitlines()
+    assert lines
+    served = []
+    get = ResultCache.get
+
+    def spy(self, key):
+        value = get(self, key)
+        served.append((canonical_json(key), value))
+        return value
+
+    monkeypatch.setattr(ResultCache, "get", spy)
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        record["value"] = _altered(record["value"])
+        path = tmp_path / f"altered-{i}.jsonl"
+        path.write_text("\n".join([*lines[:i], json.dumps(record), *lines[i + 1 :]]) + "\n")
+        served.clear()
+        main([*argv, "--cache", str(path)])
+        assert (canonical_json(record["key"]), record["value"]) in served, record["key"]["op"]
+        capsys.readouterr()
+        assert main([*argv, "--cache", str(path), "--self-check"]) == 1
+        out = capsys.readouterr().out
+        (result,) = json.loads(out[out.index("\n[\n") + 1 :])
+        assert result["status"] == "failed", record["key"]["op"]
+        assert result["payload"]["error"].startswith("CacheMismatchError")
 
 
 def readme_session() -> list[list[str]]:

@@ -526,7 +526,7 @@ class TestBoundsPath:
             for pair in zip(pool[::2], pool[1::2]):
                 if p == 3 and max(H.n for H in pair) > 5:
                     continue
-                assert _defect_minima(pair, p, None, False) == (
+                assert _defect_minima(pair, p, None) == (
                     min(ecd_naive(H, p) for H in pair),
                     min(H.n - alt_min_naive(H, p) for H in pair),
                 )
