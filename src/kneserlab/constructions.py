@@ -13,15 +13,13 @@ from itertools import combinations, product as iproduct
 from .bits import bits_of
 from .hypergraph import (
     MAX_VERTICES,
+    T_ENUM_CAP,
     CapExceededError,
     Coloring,
     Hypergraph,
     induced_mask,
 )
 from .invariants import ecd
-
-# 2^n enumeration of induced subhypergraphs is only attempted up to here.
-T_ENUM_CAP = 16
 
 
 def complete_uniform(n: int, k: int) -> Hypergraph:

@@ -17,6 +17,11 @@ from .bits import bits_of, mask_of
 # the cap keeps accidental blow-ups loud instead of slow.
 MAX_VERTICES = 128
 
+# The largest n whose 2^n vertex subsets are enumerated or tabulated.
+T_ENUM_CAP = 16
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
 
 class CapExceededError(ValueError):
     """An enumeration or materialization exceeds the build-time cap."""
@@ -101,6 +106,30 @@ class Hypergraph:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
 
 
+def span_table(H: Hypergraph) -> bytes:
+    """Entry ``mask`` is 1 iff some hyperedge lies inside ``mask``: the
+    `contains_edge_within` test tabulated over all 2^n masks, in linear time.
+
+    Each edge mask sets its own bit of a 2^n-bit integer; then, one vertex
+    bit i at a time, every set mask lacking i also sets the mask with i (a
+    shift by 2^i under the "bit i clear" pattern, built by doubling).
+    """
+    if H.n > T_ENUM_CAP:
+        raise CapExceededError(f"2^{H.n} span table exceeds cap 2^{T_ENUM_CAP}")
+    size = 1 << H.n
+    table = 0
+    for em in H.edge_masks:
+        table |= 1 << em
+    for i in range(H.n):
+        step = 1 << i
+        low, width = (1 << step) - 1, 2 * step
+        while width < size:
+            low |= low << width
+            width *= 2
+        table |= (table & low) << step
+    return format(table, f"0{size}b")[::-1].encode().translate(_BIT_BYTES)
+
+
 @dataclass(frozen=True)
 class Coloring:
     """A total coloring: vertex i gets ``colors[i-1]``, colors within [1..C]."""
@@ -128,9 +157,6 @@ class Coloring:
 
     def color_of(self, v: int) -> int:
         return self.colors[v - 1]
-
-    def class_vertices(self, color: int) -> tuple[int, ...]:
-        return tuple(v for v in range(1, self.n + 1) if self.colors[v - 1] == color)
 
     def to_json_dict(self) -> dict:
         return {"colors": list(self.colors), "color_count": self.color_count}

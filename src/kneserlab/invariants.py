@@ -2,8 +2,11 @@
 
 The main entry points (cd, ecd, alt_sigma, alt_min) use pruned searches on
 the "maximal disjoint edge-free classes" reformulation; their memos keep at
-most MEMO_SIZE entries each. Deliberately dumb reference implementations
-live with the tests as independent oracles.
+most MEMO_SIZE entries each. A search node asks whether a class mask spans
+an edge: up to T_ENUM_CAP vertices by one index into the call's own
+`span_table`, above it by scanning the edges through the vertex just
+added. Deliberately dumb reference implementations live with the tests as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bits import bits_of
-from .hypergraph import Hypergraph
+from .hypergraph import T_ENUM_CAP, Hypergraph, span_table
 
 # alt_min in exact mode walks up to n! orderings.
 ALT_EXACT_MAX_N = 9
@@ -140,6 +143,18 @@ def _edges_at(H: Hypergraph) -> list[list[int]]:
     return at
 
 
+def _edge_index(H: Hypergraph) -> tuple[bytes | None, list[list[int]] | None]:
+    """What a search's node test reads, chosen once per call: the span table
+    up to T_ENUM_CAP vertices (the test is ``spans[new]``), else the edges
+    through each vertex (``any(em & new == em for em in edges_at[v])``).
+    Only the class holding v can have gained an edge, so the scan stays
+    per vertex; ``em & new == em`` builds one int per edge, where
+    ``em & ~new == 0`` built two."""
+    if H.n <= T_ENUM_CAP:
+        return span_table(H), None
+    return None, _edges_at(H)
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def cd(H: Hypergraph, r: int) -> int:
     """r-colorability defect: fewest vertex removals so the rest splits into
@@ -147,12 +162,13 @@ def cd(H: Hypergraph, r: int) -> int:
 
     Branch and bound over vertices in canonical order: each vertex joins a
     class (kept edge-free) or is removed; prune once removals reach the
-    incumbent.
+    incumbent. The edge-free test reads `span_table` up to T_ENUM_CAP
+    vertices.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     n = H.n
-    edges_at = _edges_at(H)
+    spans, edges_at = _edge_index(H)
     best = n
     classes = [0] * r
 
@@ -166,7 +182,7 @@ def cd(H: Hypergraph, r: int) -> int:
         bit = 1 << (v - 1)
         for i in range(min(used + 1, r)):
             new = classes[i] | bit
-            if not any(em & ~new == 0 for em in edges_at[v]):
+            if not (spans[new] if spans is not None else any(em & new == em for em in edges_at[v])):
                 classes[i] = new
                 rec(v + 1, removed, max(used, i + 1))
                 classes[i] ^= bit
@@ -180,11 +196,12 @@ def cd(H: Hypergraph, r: int) -> int:
 def ecd(H: Hypergraph, r: int) -> int:
     """Equitable r-colorability defect: like cd, but the r class sizes
     (including empty classes) must differ by at most one on the kept
-    vertices, which forces the exact size multiset for each kept count."""
+    vertices, which forces the exact size multiset for each kept count.
+    The edge-free test reads `span_table` up to T_ENUM_CAP vertices."""
     if r < 1:
         raise ValueError("r must be >= 1")
     n = H.n
-    edges_at = _edges_at(H)
+    spans, edges_at = _edge_index(H)
 
     def feasible(m: int) -> bool:
         q, rem = divmod(m, r)
@@ -208,7 +225,7 @@ def ecd(H: Hypergraph, r: int) -> int:
                         continue
                     seen_fresh.add(caps[i])
                 new = classes[i] | bit
-                if any(em & ~new == 0 for em in edges_at[v]):
+                if spans[new] if spans is not None else any(em & new == em for em in edges_at[v]):
                     continue
                 classes[i] = new
                 counts[i] += 1
@@ -235,13 +252,16 @@ class _Found(Exception):
 
 
 def _alt_search(
-    H: Hypergraph, m: int, order: Sequence[int], edges_at: list[list[int]], cutoff: int | None
+    H: Hypergraph, m: int, order: Sequence[int], spans: bytes | None, cutoff: int | None,
+    edges_at: list[list[int]] | None = None,
 ) -> int:
     """Max alt(X) over X in (Z_m u {0})^n whose sign classes (mapped through
-    the vertex order) span no edge. With ``cutoff``, raises _Found as soon
-    as a vector with alt >= cutoff exists. Repeating the previous sign is
-    dominated by leaving the vertex unsigned, and unused signs are
-    interchangeable, so only the first of them is tried."""
+    the vertex order) span no edge, read from ``spans``, or from
+    ``edges_at`` when ``spans`` is None (see `_edge_index`). With
+    ``cutoff``, raises _Found as soon as a vector with alt >= cutoff exists.
+    Repeating the previous sign is dominated by leaving the vertex unsigned,
+    and unused signs are interchangeable, so only the first of them is
+    tried."""
     n = H.n
     best = 0
     class_masks = [0] * (m + 1)
@@ -260,7 +280,7 @@ def _alt_search(
             if s == last:
                 continue
             new = class_masks[s] | bit
-            if not any(em & ~new == 0 for em in edges_at[v]):
+            if not (spans[new] if spans is not None else any(em & new == em for em in edges_at[v])):
                 class_masks[s] = new
                 rec(i + 1, s, max(used, s), cur + 1)
                 class_masks[s] ^= bit
@@ -290,7 +310,8 @@ def alt_sigma(H: Hypergraph, r: int, sigma: Permutation) -> int:
         raise ValueError("r must be >= 1")
     if len(sigma) != H.n:
         raise ValueError("permutation length mismatch")
-    return _alt_search(H, r, sigma.sigma, _edges_at(H), cutoff=None)
+    spans, edges_at = _edge_index(H)
+    return _alt_search(H, r, sigma.sigma, spans, cutoff=None, edges_at=edges_at)
 
 
 @dataclass(frozen=True)
@@ -318,26 +339,27 @@ def alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltRes
     It stops at the floor min(r, m), m the vertices in no singleton edge:
     r of those, each its own sign class, reach it under any ordering.
     Heuristic mode does seeded random restarts with adjacent-transposition
-    descent and returns an upper bound.
+    descent and returns an upper bound. One `span_table`, built per call up
+    to T_ENUM_CAP vertices, answers the edge-free test of every ordering.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     n = H.n
-    edges_at = _edges_at(H)
+    spans, edges_at = _edge_index(H)
     if mode == "exact":
         if n > ALT_EXACT_MAX_N:
             raise ValueError(
                 f"exact mode enumerates {n}! orderings; use mode='heuristic'"
             )
-        floor = min(r, sum(1 for v in range(1, n + 1) if 1 << (v - 1) not in edges_at[v]))
+        floor = min(r, sum(1 for v in range(1, n + 1) if not spans[1 << (v - 1)]))
         order = list(range(1, n + 1))
-        best = _alt_search(H, r, order, edges_at, cutoff=None)
+        best = _alt_search(H, r, order, spans, cutoff=None)
         cert, depth = tuple(order), n
         while best > floor and _next_block(order, depth):
             try:
-                best = _alt_search(H, r, order, edges_at, cutoff=best)
+                best = _alt_search(H, r, order, spans, cutoff=best)
             except _Found as found:
                 depth = found.depth
                 continue
@@ -351,7 +373,7 @@ def alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltRes
 
     def evaluate(order: tuple[int, ...], bound: int) -> int | None:
         try:
-            return _alt_search(H, r, order, edges_at, cutoff=bound)
+            return _alt_search(H, r, order, spans, cutoff=bound, edges_at=edges_at)
         except _Found:
             return None
 
@@ -359,7 +381,7 @@ def alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltRes
         order = list(base)
         if restart:
             rng.shuffle(order)
-        cur = _alt_search(H, r, order, edges_at, cutoff=None)
+        cur = _alt_search(H, r, order, spans, cutoff=None, edges_at=edges_at)
         improved = True
         while improved:
             improved = False

@@ -24,7 +24,7 @@ from .bits import submasks
 from .cache import ResultCache
 from .chromatic import factor_bounds
 from .constructions import ProductSpace
-from .hypergraph import CapExceededError, Coloring, Hypergraph
+from .hypergraph import CapExceededError, Coloring, Hypergraph, span_table
 from .invariants import SignVector, act_sign, alt_min, alt_of, balanced_size
 
 # Exhaustive labeling sweeps enumerate (p+1)^n vectors and (2p+1)^n face
@@ -283,6 +283,8 @@ def nu(S: SplitVector, variant: str = "balanced") -> int:
 
     Edge-free sub-vectors are enumerated outright; the score is not
     monotone under restriction, so no pruning by dominance is attempted.
+    Each such block reads the edge-free test from its factor's `span_table`,
+    so a factor above T_ENUM_CAP vertices raises CapExceededError.
     """
     if variant not in ("balanced", "alternation"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -294,15 +296,14 @@ def nu(S: SplitVector, variant: str = "balanced") -> int:
             total += blk.support_size
             continue
         order = _alt_order(H, p) if variant == "alternation" else None
+        spans = span_table(H)
         support = [i for i, x in enumerate(blk.entries) if x]
         support_bits = (1 << len(support)) - 1
         best = 0
         for keep in submasks(support_bits):
             entries = _sub_entries(blk.entries, support, keep)
             sub = SignVector(p, entries)
-            if any(
-                H.contains_edge_within(sub.class_mask(s)) for s in range(1, p + 1)
-            ):
+            if any(spans[sub.class_mask(s)] for s in range(1, p + 1)):
                 continue
             if order is None:
                 score = sub.balanced_size()
@@ -560,11 +561,13 @@ def sigma2_scan(
 ) -> ScanResult:
     """Exhaustive scan of the saturated vectors maximizing the balanced size
     of their color simplex; the reported argmax is the first maximizer in
-    lexicographic vector order."""
+    lexicographic vector order. ``coloring`` must be proper: then no color
+    reaches all p sign rows, the balanced size is at most (p-1)*k for k
+    colors, and the scan stops at the first vector reaching that ceiling."""
     read = _color_reader(factors, coloring)
     per_factor_blocks: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
     for H in factors:
-        spans = [H.contains_edge_within(mask) for mask in range(1 << H.n)]
+        spans = span_table(H)
         blocks = []
         for entries in iproduct(range(p + 1), repeat=H.n):
             masks = [0] * (p + 1)
@@ -573,6 +576,7 @@ def sigma2_scan(
             if all(spans[m] for m in masks[1:]):
                 blocks.append((entries, tuple(masks[1:])))
         per_factor_blocks.append(blocks)
+    ceiling = (p - 1) * coloring.color_count
     best = -1
     best_entries: tuple[int, ...] | None = None
     for combo in iproduct(*per_factor_blocks):
@@ -580,6 +584,8 @@ def sigma2_scan(
         if ell > best:
             best = ell
             best_entries = tuple(x for blk in combo for x in blk[0])
+            if best >= ceiling:
+                break
     if best_entries is None:
         return ScanResult(0, None, 0)
     return ScanResult(best, SignVector(p, best_entries), prod(len(b) for b in per_factor_blocks))

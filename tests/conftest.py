@@ -29,12 +29,18 @@ from kneserlab import (
 )
 from kneserlab.bits import mask_of
 from kneserlab.chromatic import _ColoringSearch
-from kneserlab.invariants import _alt_search, _edges_at, _Found
+from kneserlab.hypergraph import span_table
+from kneserlab.invariants import _alt_search, _Found
 
 SEED = 20240501
 
 
 # --- oracles ---------------------------------------------------------------------
+
+
+def class_vertices(coloring: Coloring, color: int) -> tuple[int, ...]:
+    """The vertices that ``coloring`` gives ``color``, ascending."""
+    return tuple(v for v, c in enumerate(coloring.colors, start=1) if c == color)
 
 
 def alt_naive(X: SignVector) -> int:
@@ -136,15 +142,15 @@ def alt_min_plain(H: Hypergraph, r: int) -> tuple[int, tuple[int, ...]]:
     of the n! orderings in one plain itertools.permutations loop, each scored
     by the library's per-ordering search (itself checked against
     alt_sigma_naive). Returns (value, lex-least optimal ordering)."""
-    edges_at = _edges_at(H)
+    spans = span_table(H)
     best = None
     for order in itertools.permutations(range(1, H.n + 1)):
         if best is None:
-            best = _alt_search(H, r, order, edges_at, cutoff=None)
+            best = _alt_search(H, r, order, spans, cutoff=None)
             cert = order
             continue
         try:
-            val = _alt_search(H, r, order, edges_at, cutoff=best)
+            val = _alt_search(H, r, order, spans, cutoff=best)
         except _Found:
             continue
         if val < best:

@@ -1,12 +1,15 @@
-"""Core model: canonical form, induced/section, properness, and the
-colorful-balanced-complete predicate."""
+"""Core model: canonical form, induced/section, properness, the span table,
+and the colorful-balanced-complete predicate."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kneserlab import (
+    CapExceededError,
     Coloring,
     Hypergraph,
     complete_uniform,
@@ -18,8 +21,10 @@ from kneserlab import (
     load_hypergraph,
     section,
     store_hypergraph,
+    t_hypergraph,
 )
-from conftest import min_element_coloring_petersen
+from kneserlab.hypergraph import T_ENUM_CAP, span_table
+from conftest import class_vertices, min_element_coloring_petersen, random_hypergraph
 
 
 @st.composite
@@ -56,6 +61,43 @@ class TestHypergraphModel:
         H = Hypergraph(2, [(1, 2)])
         with pytest.raises(AttributeError):
             H.n = 5
+
+
+class TestSpanTable:
+    """span_table against its oracle, contains_edge_within, on every mask."""
+
+    @staticmethod
+    def assert_matches(H: Hypergraph) -> None:
+        spans = span_table(H)
+        assert len(spans) == 1 << H.n
+        assert [spans[m] for m in range(1 << H.n)] == [
+            int(H.contains_edge_within(m)) for m in range(1 << H.n)
+        ], H
+
+    def test_random_hypergraphs(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            self.assert_matches(random_hypergraph(rng, max_n=12, max_edges=8))
+
+    def test_no_vertices(self):
+        self.assert_matches(Hypergraph(0))
+        assert span_table(Hypergraph(0)) == b"\x00"
+
+    def test_singleton_edges(self):
+        H = Hypergraph(5, [(2,), (4,), (1, 3)])
+        self.assert_matches(H)
+        assert span_table(H)[0b00010] == 1 and span_table(H)[0b00101] == 1
+        assert span_table(H)[0b10001] == 0
+
+    def test_upward_closed(self):
+        self.assert_matches(t_hypergraph(complete_uniform(11, 2), 1, 2))
+
+    def test_at_the_cap(self):
+        rng = random.Random(16)
+        edges = {frozenset(rng.sample(range(1, 17), rng.randint(2, 6))) for _ in range(12)}
+        self.assert_matches(Hypergraph(T_ENUM_CAP, edges))
+        with pytest.raises(CapExceededError):
+            span_table(complete_uniform(T_ENUM_CAP + 1, 2))
 
 
 class TestInduced:
@@ -211,7 +253,7 @@ class TestColoringModel:
     def test_of_infers_color_count(self):
         c = Coloring.of([2, 1, 2])
         assert c.color_count == 2
-        assert c.class_vertices(2) == (1, 3)
+        assert class_vertices(c, 2) == (1, 3)
 
     def test_chromatic_value_kinds(self):
         from kneserlab import ChromaticValue

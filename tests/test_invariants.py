@@ -24,6 +24,7 @@ from kneserlab import (
     star,
 )
 from kneserlab import invariants
+from kneserlab.hypergraph import T_ENUM_CAP
 from conftest import (
     alt_min_lex_naive,
     alt_min_naive,
@@ -98,6 +99,24 @@ class TestCd:
 
     def test_star_zero(self):
         assert cd(STAR4, 2) == 0
+
+
+class TestEdgeIndexCap:
+    """The node test reads the span table up to T_ENUM_CAP vertices and
+    scans the edges through each vertex above it; both sides of the cap
+    give the closed forms of the complete graph K_n (classes of at most
+    one vertex): cd = ecd = n - r and alternation r."""
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_closed_forms_either_side(self, n):
+        H = complete_uniform(n, 2)
+        spans, edges_at = invariants._edge_index(H)
+        assert (spans is not None) == (n <= T_ENUM_CAP) == (edges_at is None)
+        for r in (2, 3):
+            assert cd(H, r) == ecd(H, r) == n - r
+            res = alt_min(H, r, "heuristic")
+            assert (res.value, res.exact) == (r, False)
+            assert alt_sigma(H, r, res.sigma) == r
 
 
 class TestMemo:
@@ -232,10 +251,10 @@ def _spy_on_search(monkeypatch) -> list[list]:
     calls: list[list] = []
     real = invariants._alt_search
 
-    def spy(H, m, order, edges_at, cutoff):
+    def spy(H, m, order, spans, cutoff):
         calls.append([tuple(order), None, cutoff])
         try:
-            return real(H, m, order, edges_at, cutoff)
+            return real(H, m, order, spans, cutoff)
         except invariants._Found as found:
             calls[-1][1] = found.depth
             raise
