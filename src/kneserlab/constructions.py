@@ -1,13 +1,13 @@
-"""Derived hypergraphs: general Kneser hypergraphs, categorical products
-(minimal-edge and implicit forms), the H(n,k,a) family, and the induced
-equitable-defect hypergraph used by the composite-modulus reduction.
+"""Derived hypergraphs: general Kneser hypergraphs, the vertex space and
+implicit properness test of categorical products, the H(n,k,a) family, and
+the induced equitable-defect hypergraph used by the composite-modulus
+reduction.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product as iproduct
 
 from .bits import bits_of
@@ -88,48 +88,6 @@ def kneser(H: Hypergraph, r: int) -> Hypergraph:
     return Hypergraph(m, hyperedges)
 
 
-@lru_cache(maxsize=None)
-def minimal_covers(r1: int, r2: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All inclusion-minimal subsets of the [r1] x [r2] grid whose row and
-    column projections are both full, ordered by size then lexicographically.
-
-    A minimal cover is a forest (otherwise a cycle edge could be dropped),
-    so its size is at most r1 + r2 - 1; that bounds the enumeration.
-    """
-    if r1 < 1 or r2 < 1:
-        raise ValueError("grid dimensions must be >= 1")
-    cells = [(i, j) for i in range(1, r1 + 1) for j in range(1, r2 + 1)]
-    found: list[tuple[tuple[int, int], ...]] = []
-    for size in range(1, r1 + r2):
-        for combo in combinations(cells, size):
-            rows = [0] * (r1 + 1)
-            cols = [0] * (r2 + 1)
-            for i, j in combo:
-                rows[i] += 1
-                cols[j] += 1
-            if 0 in rows[1:] or 0 in cols[1:]:
-                continue
-            # minimal iff every cell is the last of its row or column
-            if all(rows[i] == 1 or cols[j] == 1 for i, j in combo):
-                found.append(combo)
-    return tuple(found)
-
-
-@lru_cache(maxsize=None)
-def _full_covers(r1: int, r2: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All subsets of the [r1] x [r2] grid with full projections (oracle-grade
-    enumeration; used to materialize full categorical products)."""
-    if r1 * r2 > 16:
-        raise CapExceededError("full cover enumeration capped at 16 grid cells")
-    cells = [(i, j) for i in range(1, r1 + 1) for j in range(1, r2 + 1)]
-    out = []
-    for size in range(1, r1 * r2 + 1):
-        for combo in combinations(cells, size):
-            if len({i for i, _ in combo}) == r1 and len({j for _, j in combo}) == r2:
-                out.append(combo)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class ProductSpace:
     """Row-major tuple <-> integer bijection for a product vertex space."""
@@ -172,70 +130,6 @@ class ProductSpace:
             out.append(rem % d + 1)
             rem //= d
         return tuple(reversed(out))
-
-
-def _product2_minimal(H1: Hypergraph, H2: Hypergraph) -> Hypergraph:
-    space = ProductSpace((H1.n, H2.n))
-    if space.size > MAX_VERTICES:
-        raise CapExceededError(
-            f"product on {space.size} vertices exceeds cap {MAX_VERTICES}; "
-            "use the implicit checker (product_is_proper / product_chromatic)"
-        )
-    candidates: set[int] = set()
-    for e1 in H1.edges:
-        for e2 in H2.edges:
-            for cover in minimal_covers(len(e1), len(e2)):
-                mask = 0
-                for i, j in cover:
-                    mask |= 1 << (space.index_of((e1[i - 1], e2[j - 1])) - 1)
-                candidates.add(mask)
-    # nested factor edges can make a cover of one box contain a smaller
-    # product edge from another box, so filter to inclusion-minimal masks
-    kept: list[int] = []
-    for mask in sorted(candidates, key=lambda m: (m.bit_count(), m)):
-        if not any(k & ~mask == 0 for k in kept):
-            kept.append(mask)
-    kept.sort(key=lambda m: (m.bit_count(), tuple(bits_of(m))))
-    return Hypergraph(space.size, [tuple(bits_of(m)) for m in kept])
-
-
-def product_minimal(factors: Sequence[Hypergraph]) -> Hypergraph:
-    """Minimal-edge form of the categorical product, folded pairwise
-    left-to-right; it has the same chromatic number as the full product."""
-    if not factors:
-        raise ValueError("product needs at least one factor")
-    out = factors[0]
-    for H in factors[1:]:
-        out = _product2_minimal(out, H)
-    return out
-
-
-def _product2_full(H1: Hypergraph, H2: Hypergraph) -> Hypergraph:
-    space = ProductSpace((H1.n, H2.n))
-    if space.size > MAX_VERTICES:
-        raise CapExceededError("full product exceeds the vertex cap")
-    edges: list[tuple[int, ...]] = []
-    for e1 in H1.edges:
-        for e2 in H2.edges:
-            for cover in _full_covers(len(e1), len(e2)):
-                edges.append(
-                    tuple(space.index_of((e1[i - 1], e2[j - 1])) for i, j in cover)
-                )
-    return Hypergraph(space.size, edges)
-
-
-def product_full(factors: Sequence[Hypergraph]) -> Hypergraph:
-    """The categorical product with every hyperedge materialized.
-
-    Exponential in edge sizes; intended as a desk-scale oracle for the
-    minimal-edge form and for validating witnesses.
-    """
-    if not factors:
-        raise ValueError("product needs at least one factor")
-    out = factors[0]
-    for H in factors[1:]:
-        out = _product2_full(out, H)
-    return out
 
 
 def product_is_proper(factors: Sequence[Hypergraph], coloring: Coloring) -> bool:

@@ -7,9 +7,8 @@ function.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .bits import bits_of, mask_of
 
@@ -32,18 +31,11 @@ class Hypergraph:
 
     Edges are stored in canonical order (by size, then lexicographically by
     sorted vertex list) so equality of hypergraphs is structural equality.
-    ``labels`` optionally records original vertex labels after relabeling
-    operations such as :func:`induced`; it does not take part in equality.
     """
 
-    __slots__ = ("n", "edges", "edge_masks", "labels", "_edge_set", "_hash")
+    __slots__ = ("n", "edges", "edge_masks", "_hash")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[Iterable[int]] = (),
-        labels: Sequence[int] | None = None,
-    ) -> None:
+    def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()) -> None:
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"vertex count must be a nonnegative int, got {n!r}")
         if n > MAX_VERTICES:
@@ -63,12 +55,6 @@ class Hypergraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(canon))
         object.__setattr__(self, "edge_masks", masks)
-        object.__setattr__(self, "_edge_set", frozenset(masks))
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("labels must have one entry per vertex")
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_hash", hash((n, masks)))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -89,14 +75,8 @@ class Hypergraph:
     def edge_count(self) -> int:
         return len(self.edge_masks)
 
-    def label_of(self, v: int) -> int:
-        return self.labels[v - 1] if self.labels is not None else v
-
     def has_singleton_edge(self) -> bool:
         return bool(self.edges) and len(self.edges[0]) == 1
-
-    def is_edge_mask(self, mask: int) -> bool:
-        return mask in self._edge_set
 
     def contains_edge_within(self, mask: int) -> bool:
         """True iff some hyperedge is entirely contained in ``mask``."""
@@ -222,9 +202,7 @@ class ChromaticValue:
 def induced(H: Hypergraph, A: Iterable[int]) -> Hypergraph:
     """Subhypergraph induced by vertex subset ``A``, relabeled to 1..|A|.
 
-    Vertices are relabeled by the order-preserving map from sorted(A); the
-    original labels are retained in ``labels`` so user-facing output can
-    report them.
+    Vertices are relabeled by the order-preserving map from sorted(A).
     """
     kept = sorted(set(A))
     if kept and (kept[0] < 1 or kept[-1] > H.n):
@@ -240,81 +218,7 @@ def induced_mask(H: Hypergraph, amask: int) -> Hypergraph:
         for e, em in zip(H.edges, H.edge_masks)
         if em & ~amask == 0
     ]
-    labels = tuple(H.label_of(v) for v in kept)
-    return Hypergraph(len(kept), new_edges, labels=labels)
-
-
-def section(F: Hypergraph, parts: Sequence[Iterable[int]]) -> Hypergraph:
-    """Subhypergraph on the union of the parts keeping edges that meet every
-    part in exactly one vertex (and touch nothing outside the parts)."""
-    masks = [mask_of(p) for p in parts]
-    union = 0
-    for pm in masks:
-        if pm & union:
-            raise ValueError("parts must be pairwise disjoint")
-        union |= pm
-    if union >> F.n:
-        raise ValueError(f"parts not inside vertex set [1..{F.n}]")
-    kept = list(bits_of(union))
-    remap = {v: i + 1 for i, v in enumerate(kept)}
-    new_edges = [
-        tuple(remap[v] for v in e)
-        for e, em in zip(F.edges, F.edge_masks)
-        if em & ~union == 0 and all((em & pm).bit_count() == 1 for pm in masks)
-    ]
-    labels = tuple(F.label_of(v) for v in kept)
-    return Hypergraph(len(kept), new_edges, labels=labels)
-
-
-def is_proper(H: Hypergraph, coloring: Coloring) -> bool:
-    """True iff no hyperedge is monochromatic (singleton edges always are)."""
-    if coloring.n != H.n:
-        raise ValueError(
-            f"coloring is not total: {coloring.n} colors for {H.n} vertices"
-        )
-    cols = coloring.colors
-    for e in H.edges:
-        first = cols[e[0] - 1]
-        if all(cols[v - 1] == first for v in e[1:]):
-            return False
-    return True
-
-
-def is_colorful_balanced_complete(
-    F: Hypergraph, parts: Sequence[Iterable[int]], coloring: Coloring
-) -> bool:
-    """Check the three defining properties of a colorful balanced complete
-    multipartite subhypergraph of ``F`` spanned by ``parts``:
-
-    - complete: every transversal picking one vertex per part is an edge;
-    - balanced: part sizes differ by at most one;
-    - colorful: colors within each part are pairwise distinct.
-    """
-    if coloring.n != F.n:
-        raise ValueError("coloring is not total on the hypergraph")
-    vertex_lists: list[tuple[int, ...]] = []
-    seen = 0
-    for p in parts:
-        vs = tuple(sorted(set(p)))
-        if not vs:
-            raise ValueError("parts must be nonempty")
-        pm = mask_of(vs)
-        if pm & seen:
-            raise ValueError("parts must be pairwise disjoint")
-        if pm >> F.n:
-            raise ValueError("parts must be inside the vertex set")
-        seen |= pm
-        vertex_lists.append(vs)
-    sizes = [len(vs) for vs in vertex_lists]
-    if max(sizes) - min(sizes) > 1:
-        return False
-    for vs in vertex_lists:
-        if len({coloring.color_of(v) for v in vs}) != len(vs):
-            return False
-    for combo in iproduct(*vertex_lists):
-        if not F.is_edge_mask(mask_of(combo)):
-            return False
-    return True
+    return Hypergraph(len(kept), new_edges)
 
 
 # --- JSON round-trips -------------------------------------------------------

@@ -48,9 +48,6 @@ class SignVector:
     def support_size(self) -> int:
         return sum(1 for x in self.entries if x)
 
-    def class_positions(self, sign: int) -> tuple[int, ...]:
-        return tuple(i + 1 for i, x in enumerate(self.entries) if x == sign)
-
     def class_mask(self, sign: int) -> int:
         m = 0
         for i, x in enumerate(self.entries):
@@ -77,12 +74,6 @@ class SignVector:
         return SignVector(
             m, tuple(act_sign(g, x, m) if x else 0 for x in self.entries)
         )
-
-    def face_le(self, other: SignVector) -> bool:
-        """Face order: every nonzero entry of self equals the one in other."""
-        if self.modulus != other.modulus or len(self) != len(other):
-            return False
-        return all(x == 0 or x == y for x, y in zip(self.entries, other.entries))
 
 
 def balanced_size(sizes: Sequence[int]) -> int:
@@ -115,9 +106,6 @@ class Permutation:
 
     def __len__(self) -> int:
         return len(self.sigma)
-
-    def apply(self, position: int) -> int:
-        return self.sigma[position - 1]
 
 
 def alt_of(X: SignVector) -> int:

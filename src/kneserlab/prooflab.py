@@ -265,14 +265,6 @@ def _alt_order(H: Hypergraph, p: int) -> tuple[int, ...]:
     return alt_min(H, p, "exact").sigma.sigma
 
 
-def _sub_entries(entries: tuple[int, ...], support: list[int], keep: int) -> tuple[int, ...]:
-    out = list(entries)
-    for bit, pos in enumerate(support):
-        if not keep >> bit & 1:
-            out[pos] = 0
-    return tuple(out)
-
-
 def nu(S: SplitVector, variant: str = "balanced") -> int:
     """Index of a vector under the deficient-side labeling: blocks whose
     every sign spans an edge count their full support; other blocks count
@@ -297,18 +289,18 @@ def nu(S: SplitVector, variant: str = "balanced") -> int:
             continue
         order = _alt_order(H, p) if variant == "alternation" else None
         spans = span_table(H)
-        support = [i for i, x in enumerate(blk.entries) if x]
-        support_bits = (1 << len(support)) - 1
+        masks = [blk.class_mask(s) for s in range(1, p + 1)]
         best = 0
-        for keep in submasks(support_bits):
-            entries = _sub_entries(blk.entries, support, keep)
-            sub = SignVector(p, entries)
-            if any(spans[sub.class_mask(s)] for s in range(1, p + 1)):
+        # the sign classes are disjoint, so their sum is the support
+        for kept in submasks(sum(masks)):
+            if any(spans[m & kept] for m in masks):
                 continue
             if order is None:
-                score = sub.balanced_size()
+                score = balanced_size([(m & kept).bit_count() for m in masks])
             else:
-                score = alt_of(SignVector(p, tuple(entries[v - 1] for v in order)))
+                score = alt_of(
+                    SignVector(p, tuple(blk.entries[v - 1] if kept >> (v - 1) & 1 else 0 for v in order))
+                )
             best = max(best, score)
         total += len(present) + best
     return total
@@ -522,12 +514,11 @@ def _check_labels(
                     )
                 )
     for y_entries, (y_sign, y_index) in labels.items():
-        support = [i for i, x in enumerate(y_entries) if x]
-        support_bits = (1 << len(support)) - 1
-        for keep in submasks(support_bits):
-            if keep in (support_bits, 0):
+        support = sum(1 << i for i, x in enumerate(y_entries) if x)
+        for kept in submasks(support):
+            if kept in (support, 0):
                 continue
-            x_entries = _sub_entries(y_entries, support, keep)
+            x_entries = tuple(x if kept >> i & 1 else 0 for i, x in enumerate(y_entries))
             x_label = labels.get(x_entries)
             if x_label is None:
                 # the deficient side is closed under faces; a face of a

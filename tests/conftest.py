@@ -12,13 +12,18 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterable, Sequence
+from functools import lru_cache
 
 import pytest
 
 from kneserlab import (
+    MAX_VERTICES,
+    CapExceededError,
     Coloring,
     Hypergraph,
     Permutation,
+    ProductSpace,
     SignVector,
     complete_uniform,
     hnka,
@@ -27,7 +32,7 @@ from kneserlab import (
     projection_coloring,
     solve_chromatic,
 )
-from kneserlab.bits import mask_of
+from kneserlab.bits import bits_of, mask_of
 from kneserlab.chromatic import _ColoringSearch
 from kneserlab.hypergraph import span_table
 from kneserlab.invariants import _alt_search, _Found
@@ -100,7 +105,7 @@ def alt_sigma_naive(H: Hypergraph, r: int, sigma: Permutation) -> int:
         X = SignVector(r, entries)
         ok = True
         for s in range(1, r + 1):
-            vmask = mask_of(sigma.apply(i) for i in X.class_positions(s))
+            vmask = mask_of(sigma.sigma[i] for i, x in enumerate(entries) if x == s)
             if H.contains_edge_within(vmask):
                 ok = False
                 break
@@ -113,7 +118,10 @@ def alt_min_lex_naive(H: Hypergraph, r: int) -> tuple[int, tuple[int, ...]]:
     """Oracle: plain minimum over all orderings of the exhaustive per-sigma
     maximum, with the first ordering in lex order that attains it."""
     vectors = [SignVector(r, e) for e in itertools.product(range(r + 1), repeat=H.n)]
-    scored = [(alt_naive(X), [X.class_positions(s) for s in range(1, r + 1)]) for X in vectors]
+    scored = [
+        (alt_naive(X), [[i + 1 for i, x in enumerate(X.entries) if x == s] for s in range(1, r + 1)])
+        for X in vectors
+    ]
     best = None
     for perm in itertools.permutations(range(1, H.n + 1)):
         local = 0
@@ -313,6 +321,167 @@ def sigma2_scan_naive(factors: list[Hypergraph], p: int, coloring: Coloring):
         if best_entries is None or ell > best:
             best, best_entries = ell, entries
     return best, best_entries, count
+
+
+# --- product and witness oracles ----------------------------------------------
+
+
+def is_proper(H: Hypergraph, coloring: Coloring) -> bool:
+    """True iff no hyperedge is monochromatic (singleton edges always are)."""
+    if coloring.n != H.n:
+        raise ValueError(
+            f"coloring is not total: {coloring.n} colors for {H.n} vertices"
+        )
+    cols = coloring.colors
+    for e in H.edges:
+        first = cols[e[0] - 1]
+        if all(cols[v - 1] == first for v in e[1:]):
+            return False
+    return True
+
+
+def is_colorful_balanced_complete(
+    F: Hypergraph, parts: Sequence[Iterable[int]], coloring: Coloring
+) -> bool:
+    """Check the three defining properties of a colorful balanced complete
+    multipartite subhypergraph of ``F`` spanned by ``parts``:
+
+    - complete: every transversal picking one vertex per part is an edge;
+    - balanced: part sizes differ by at most one;
+    - colorful: colors within each part are pairwise distinct.
+    """
+    if coloring.n != F.n:
+        raise ValueError("coloring is not total on the hypergraph")
+    vertex_lists: list[tuple[int, ...]] = []
+    seen = 0
+    for p in parts:
+        vs = tuple(sorted(set(p)))
+        if not vs:
+            raise ValueError("parts must be nonempty")
+        pm = mask_of(vs)
+        if pm & seen:
+            raise ValueError("parts must be pairwise disjoint")
+        if pm >> F.n:
+            raise ValueError("parts must be inside the vertex set")
+        seen |= pm
+        vertex_lists.append(vs)
+    sizes = [len(vs) for vs in vertex_lists]
+    if max(sizes) - min(sizes) > 1:
+        return False
+    for vs in vertex_lists:
+        if len({coloring.color_of(v) for v in vs}) != len(vs):
+            return False
+    edges = set(F.edge_masks)
+    for combo in itertools.product(*vertex_lists):
+        if mask_of(combo) not in edges:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def minimal_covers(r1: int, r2: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """All inclusion-minimal subsets of the [r1] x [r2] grid whose row and
+    column projections are both full, ordered by size then lexicographically.
+
+    A minimal cover is a forest (otherwise a cycle edge could be dropped),
+    so its size is at most r1 + r2 - 1; that bounds the enumeration.
+    """
+    if r1 < 1 or r2 < 1:
+        raise ValueError("grid dimensions must be >= 1")
+    cells = [(i, j) for i in range(1, r1 + 1) for j in range(1, r2 + 1)]
+    found: list[tuple[tuple[int, int], ...]] = []
+    for size in range(1, r1 + r2):
+        for combo in itertools.combinations(cells, size):
+            rows = [0] * (r1 + 1)
+            cols = [0] * (r2 + 1)
+            for i, j in combo:
+                rows[i] += 1
+                cols[j] += 1
+            if 0 in rows[1:] or 0 in cols[1:]:
+                continue
+            # minimal iff every cell is the last of its row or column
+            if all(rows[i] == 1 or cols[j] == 1 for i, j in combo):
+                found.append(combo)
+    return tuple(found)
+
+
+@lru_cache(maxsize=None)
+def _full_covers(r1: int, r2: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """All subsets of the [r1] x [r2] grid with full projections (oracle-grade
+    enumeration; used to materialize full categorical products)."""
+    if r1 * r2 > 16:
+        raise CapExceededError("full cover enumeration capped at 16 grid cells")
+    cells = [(i, j) for i in range(1, r1 + 1) for j in range(1, r2 + 1)]
+    out = []
+    for size in range(1, r1 * r2 + 1):
+        for combo in itertools.combinations(cells, size):
+            if len({i for i, _ in combo}) == r1 and len({j for _, j in combo}) == r2:
+                out.append(combo)
+    return tuple(out)
+
+
+def _product2_minimal(H1: Hypergraph, H2: Hypergraph) -> Hypergraph:
+    space = ProductSpace((H1.n, H2.n))
+    if space.size > MAX_VERTICES:
+        raise CapExceededError(
+            f"product on {space.size} vertices exceeds cap {MAX_VERTICES}; "
+            "use the implicit checker (product_is_proper / product_chromatic)"
+        )
+    candidates: set[int] = set()
+    for e1 in H1.edges:
+        for e2 in H2.edges:
+            for cover in minimal_covers(len(e1), len(e2)):
+                mask = 0
+                for i, j in cover:
+                    mask |= 1 << (space.index_of((e1[i - 1], e2[j - 1])) - 1)
+                candidates.add(mask)
+    # nested factor edges can make a cover of one box contain a smaller
+    # product edge from another box, so filter to inclusion-minimal masks
+    kept: list[int] = []
+    for mask in sorted(candidates, key=lambda m: (m.bit_count(), m)):
+        if not any(k & ~mask == 0 for k in kept):
+            kept.append(mask)
+    kept.sort(key=lambda m: (m.bit_count(), tuple(bits_of(m))))
+    return Hypergraph(space.size, [tuple(bits_of(m)) for m in kept])
+
+
+def product_minimal(factors: Sequence[Hypergraph]) -> Hypergraph:
+    """Minimal-edge form of the categorical product, folded pairwise
+    left-to-right; it has the same chromatic number as the full product."""
+    if not factors:
+        raise ValueError("product needs at least one factor")
+    out = factors[0]
+    for H in factors[1:]:
+        out = _product2_minimal(out, H)
+    return out
+
+
+def _product2_full(H1: Hypergraph, H2: Hypergraph) -> Hypergraph:
+    space = ProductSpace((H1.n, H2.n))
+    if space.size > MAX_VERTICES:
+        raise CapExceededError("full product exceeds the vertex cap")
+    edges: list[tuple[int, ...]] = []
+    for e1 in H1.edges:
+        for e2 in H2.edges:
+            for cover in _full_covers(len(e1), len(e2)):
+                edges.append(
+                    tuple(space.index_of((e1[i - 1], e2[j - 1])) for i, j in cover)
+                )
+    return Hypergraph(space.size, edges)
+
+
+def product_full(factors: Sequence[Hypergraph]) -> Hypergraph:
+    """The categorical product with every hyperedge materialized.
+
+    Exponential in edge sizes; intended as a desk-scale oracle for the
+    minimal-edge form and for validating witnesses.
+    """
+    if not factors:
+        raise ValueError("product needs at least one factor")
+    out = factors[0]
+    for H in factors[1:]:
+        out = _product2_full(out, H)
+    return out
 
 
 def minimal_covers_brute(r1: int, r2: int) -> set[frozenset[tuple[int, int]]]:

@@ -25,13 +25,8 @@ from kneserlab import (
     find_witness,
     formula_kneser,
     hnka,
-    is_colorful_balanced_complete,
-    is_proper,
     kneser,
-    minimal_covers,
-    product_full,
     product_is_proper,
-    product_minimal,
     projection_coloring,
     reduction_check,
     sigma2_scan,
@@ -46,7 +41,12 @@ from conftest import (
     alt_min_naive,
     cd_naive,
     ecd_naive,
+    is_colorful_balanced_complete,
+    is_proper,
+    minimal_covers,
     minimal_covers_brute,
+    product_full,
+    product_minimal,
     random_hypergraph,
     random_pool,
 )

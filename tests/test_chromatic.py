@@ -19,19 +19,19 @@ from kneserlab import (
     formula_hnka_checked,
     formula_kneser,
     hnka,
-    is_proper,
     kneser,
     product_chromatic,
     product_is_proper,
-    product_minimal,
     solve_chromatic,
     solve_product_chromatic,
 )
 from conftest import (
     chromatic_brute,
     is_first_appearance,
+    is_proper,
     lex_least_coloring_brute,
     lex_least_coloring_static,
+    product_minimal,
     random_hypergraph,
 )
 

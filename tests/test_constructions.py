@@ -17,15 +17,18 @@ from kneserlab import (
     complete_uniform,
     ecd,
     hnka,
-    is_proper,
     kneser,
-    minimal_covers,
-    product_full,
     product_is_proper,
-    product_minimal,
     t_hypergraph,
 )
-from conftest import minimal_covers_brute, random_hypergraph
+from conftest import (
+    is_proper,
+    minimal_covers,
+    minimal_covers_brute,
+    product_full,
+    product_minimal,
+    random_hypergraph,
+)
 
 
 class TestCompleteUniform:

@@ -1,5 +1,5 @@
-"""Core model: canonical form, induced/section, properness, the span table,
-and the colorful-balanced-complete predicate."""
+"""Core model: canonical form, induced, the span table, and the properness
+and colorful-balanced-complete oracles."""
 
 from __future__ import annotations
 
@@ -15,16 +15,19 @@ from kneserlab import (
     complete_uniform,
     hnka,
     induced,
-    is_colorful_balanced_complete,
-    is_proper,
     kneser,
     load_hypergraph,
-    section,
     store_hypergraph,
     t_hypergraph,
 )
 from kneserlab.hypergraph import T_ENUM_CAP, span_table
-from conftest import class_vertices, min_element_coloring_petersen, random_hypergraph
+from conftest import (
+    class_vertices,
+    is_colorful_balanced_complete,
+    is_proper,
+    min_element_coloring_petersen,
+    random_hypergraph,
+)
 
 
 @st.composite
@@ -43,11 +46,6 @@ class TestHypergraphModel:
     def test_canonical_edge_order(self):
         H = Hypergraph(4, [(3, 4), (1, 2, 3), (1, 2)])
         assert H.edges == ((1, 2), (3, 4), (1, 2, 3))
-
-    def test_structural_equality_ignores_labels(self):
-        H = Hypergraph(3, [(1, 2)])
-        G = Hypergraph(3, [(1, 2)], labels=(4, 5, 6))
-        assert H == G and hash(H) == hash(G)
 
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):
@@ -122,13 +120,6 @@ class TestInduced:
         H = complete_uniform(4, 2)
         assert induced(H, range(1, 5)) == H
 
-    def test_labels_compose(self):
-        H = complete_uniform(5, 2)
-        sub = induced(H, {2, 4, 5})
-        assert sub.labels == (2, 4, 5)
-        subsub = induced(sub, {1, 3})
-        assert subsub.labels == (2, 5)
-
     @given(hypergraphs(), st.data())
     @settings(max_examples=50, deadline=None)
     def test_nested_induced_is_intersection(self, H, data):
@@ -138,32 +129,6 @@ class TestInduced:
         B = {b for b in B if b <= inner.n}
         translated = {sorted(A)[b - 1] for b in B}
         assert induced(inner, B) == induced(H, translated)
-
-
-class TestSection:
-    def test_each_part_met_once(self):
-        F = Hypergraph(4, [(1, 3), (1, 4), (2, 3)])
-        got = section(F, [{1, 2}, {3, 4}])
-        assert got == Hypergraph(4, [(1, 3), (1, 4), (2, 3)])
-
-    def test_no_edge_inside_parts(self):
-        F = Hypergraph(4, [(1, 3), (1, 4), (2, 3)])
-        assert section(F, [{1}, {2}]).edge_count == 0
-
-    def test_oversized_edge_excluded(self):
-        F = Hypergraph(4, [(1, 2, 3)])
-        assert section(F, [{1, 2}, {3, 4}]).edge_count == 0
-        assert section(F, [{1, 3}, {2, 4}]).edge_count == 0
-
-    def test_overlapping_parts_rejected(self):
-        F = complete_uniform(4, 2)
-        with pytest.raises(ValueError):
-            section(F, [{1, 2}, {2, 3}])
-
-    def test_single_part_keeps_singletons_only(self):
-        F = Hypergraph(3, [(1,), (1, 2)])
-        got = section(F, [{1, 2}])
-        assert got == Hypergraph(2, [(1,)])
 
 
 class TestIsProper:

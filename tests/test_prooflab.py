@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -27,12 +28,10 @@ from kneserlab import (
     find_witness,
     hnka,
     index_cap,
-    is_colorful_balanced_complete,
     kneser,
     lambda1,
     lambda2,
     nu,
-    product_full,
     projection_coloring,
     sigma2_scan,
     solve_chromatic,
@@ -44,7 +43,9 @@ from kneserlab import (
 from kneserlab.invariants import act_sign
 from kneserlab.prooflab import misses_guarantee
 from conftest import (
+    is_colorful_balanced_complete,
     min_element_coloring_petersen,
+    product_full,
     random_hypergraph,
     saturated_rows_naive,
     sigma2_scan_naive,
@@ -400,21 +401,104 @@ class TestWitness:
         )
 
 
-class TestFaceOrder:
-    def test_partial_order_axioms(self):
-        import itertools as it
+class TestWitnessNegativeControls:
+    """Each corruption of a valid witness must show up in
+    ``PartiteWitness.problems``; where the colorful-balanced-complete
+    definition covers it, the materialized oracle must reject it too."""
 
-        vectors = [
-            SignVector(2, entries) for entries in it.product(range(3), repeat=3)
-        ]
-        for X in vectors:
-            assert X.face_le(X)
-        for X, Y in it.permutations(vectors, 2):
-            if X.face_le(Y) and Y.face_le(X):
-                assert X == Y
-        for X, Y, Z in it.product(vectors, repeat=3):
-            if X.face_le(Y) and Y.face_le(Z):
-                assert X.face_le(Z)
+    @pytest.fixture(scope="class", params=["petersen", "petersen_square"])
+    def case(self, request, petersen, petersen_coloring):
+        if request.param == "petersen":
+            factors, coloring, F = [CU5], min_element_coloring_petersen(), petersen
+            w = extract_witness(split(SignVector(2, (1, 1, 1, 2, 2)), [5], [CU5]), coloring, 3)
+        else:
+            factors = [CU5, CU5]
+            coloring = projection_coloring([petersen, petersen], 0, petersen_coloring)
+            F = product_full([petersen, petersen])
+            w = find_witness(factors, 2, coloring, 3)
+        space = ProductSpace(tuple(H.edge_count for H in factors))
+        assert [len(part) for part in w.parts] == [2, 1]
+        assert w.problems(factors, coloring) == []
+        assert self.oracle(F, space, w, coloring)
+        return factors, coloring, F, space, w
+
+    @staticmethod
+    def oracle(F, space, w, coloring):
+        parts = [[space.index_of(v) for v in part] for part in w.parts]
+        return is_colorful_balanced_complete(F, parts, coloring)
+
+    @staticmethod
+    def color(space, coloring, vertex):
+        return coloring.color_of(space.index_of(vertex))
+
+    @staticmethod
+    def outside(factors, w):
+        used = {v for part in w.parts for v in part}
+        ranges = [range(1, H.edge_count + 1) for H in factors]
+        return [v for v in itertools.product(*ranges) if v not in used]
+
+    @staticmethod
+    def put(w, i, j, vertex, color):
+        """``w`` with vertex j of part i replaced (or appended at j = len)."""
+        parts, colors = [list(part) for part in w.parts], [list(cols) for cols in w.colors]
+        parts[i][j:j + 1], colors[i][j:j + 1] = [vertex], [color]
+        return replace(w, parts=tuple(map(tuple, parts)), colors=tuple(map(tuple, colors)))
+
+    @staticmethod
+    def recolor(space, coloring, vertex, color):
+        colors = list(coloring.colors)
+        colors[space.index_of(vertex) - 1] = color
+        return Coloring(tuple(colors), coloring.color_count)
+
+    def test_unbalanced_parts(self, case):
+        factors, coloring, F, space, w = case
+        v = next(v for v in self.outside(factors, w) if self.color(space, coloring, v) not in w.colors[0])
+        bad = self.put(w, 0, 2, v, self.color(space, coloring, v))
+        assert any("unbalanced" in msg for msg in bad.problems(factors, coloring))
+        assert not self.oracle(F, space, bad, coloring)
+
+    def test_repeated_color_in_part(self, case):
+        factors, coloring, F, space, w = case
+        c = w.colors[0][0]
+        v = next(v for v in self.outside(factors, w) if self.color(space, coloring, v) == c)
+        bad = self.put(w, 0, 1, v, c)
+        assert any("repeated colors" in msg for msg in bad.problems(factors, coloring))
+        assert not self.oracle(F, space, bad, coloring)
+
+    def test_vertex_with_wrong_color(self, case):
+        factors, coloring, F, space, w = case
+        bad_coloring = self.recolor(space, coloring, w.parts[0][1], w.colors[0][0])
+        assert any("is not colored" in msg for msg in w.problems(factors, bad_coloring))
+        assert not self.oracle(F, space, w, bad_coloring)
+
+    def test_color_used_more_than_p_minus_1_times(self, case):
+        # colorful, balanced and complete do not bound a color's uses across
+        # parts, so the oracle accepts this one
+        factors, coloring, F, space, w = case
+        c = w.colors[0][0]
+        bad_coloring = self.recolor(space, coloring, w.parts[1][0], c)
+        bad = self.put(w, 1, 0, w.parts[1][0], c)
+        assert any(f"color {c} appears 2 > p-1" in msg for msg in bad.problems(factors, bad_coloring))
+        assert self.oracle(F, space, bad, bad_coloring)
+
+    def test_transversal_not_disjoint(self, case):
+        factors, coloring, F, space, w = case
+        c = w.colors[1][0]
+
+        def meets_part_0(v):
+            return any(
+                H.edge_masks[v[j] - 1] & H.edge_masks[u[j] - 1]
+                for u in w.parts[0]
+                for j, H in enumerate(factors)
+            )
+
+        v = next(
+            v for v in self.outside(factors, w)
+            if self.color(space, coloring, v) == c and meets_part_0(v)
+        )
+        bad = self.put(w, 1, 0, v, c)
+        assert any("not disjoint in factor" in msg for msg in bad.problems(factors, coloring))
+        assert not self.oracle(F, space, bad, coloring)
 
 
 class TestScanAndCounting:
