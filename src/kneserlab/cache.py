@@ -6,7 +6,8 @@ on demand: every cached value is re-derivable.
 
 A `ResultCache` is the one lookup context of a run: it keeps the hit and miss
 counts and the self-check policy, under which every hit is recomputed and
-must match. Without a cache there are no hits, so nothing to check.
+must match. A run without a cache file keeps one in memory, so its repeated
+lookups are checked too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 from collections.abc import Sequence
 from pathlib import Path
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, canonical_json
 
 CODE_VERSION = "0.1.0"
 
@@ -29,10 +30,6 @@ def _source_digest() -> str:
     files = sorted(Path(__file__).parent.glob("*.py"))
     data = b"\0".join(p.name.encode() + b"\0" + p.read_bytes() for p in files)
     return hashlib.sha256(data).hexdigest()
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def hypergraph_digest(H: Hypergraph | Sequence[Hypergraph]) -> str:

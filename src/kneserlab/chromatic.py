@@ -276,8 +276,10 @@ def formula_kneser(n: int, k: int, r: int) -> int:
 
 
 def formula_hnka(n: int, k: int, a: int, r: int) -> int:
-    """ceil((n - max(a, k-1)) / (r-1)) on the proven parameter range
-    (a <= 2k-1 or a >= rk-1); the middle range raises."""
+    """ceil((n - max(a, r(k-1))) / (r-1)) on the proven parameter range
+    (a <= 2k-1 or a >= rk-1); the middle range raises. For a < k, H(n,k,a)
+    is every k-subset and this is the Alon-Frankl-Lovasz value of
+    `formula_kneser`; max(a, r(k-1)) = a once a >= rk-1."""
     if r < 2:
         raise ValueError("need r >= 2")
     if n < r * k:
@@ -288,7 +290,7 @@ def formula_hnka(n: int, k: int, a: int, r: int) -> int:
         raise OutOfProvenRangeError(
             f"a={a} lies in the open range [2k, rk-2] = [{2 * k}, {r * k - 2}]"
         )
-    return ceil_div(n - max(a, k - 1), r - 1)
+    return ceil_div(n - max(a, r * (k - 1)), r - 1)
 
 
 @dataclass(frozen=True)

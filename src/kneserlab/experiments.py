@@ -607,7 +607,7 @@ TASKS: dict[str, Task] = {
 }
 
 
-def _run_task(spec: ExperimentSpec, name: str, cache: ResultCache | None) -> TaskResult:
+def _run_task(spec: ExperimentSpec, name: str, cache: ResultCache) -> TaskResult:
     start = time.perf_counter()
     try:
         factors = [parse_recipe(recipe) for recipe in spec.recipes]
@@ -620,7 +620,8 @@ def _run_task(spec: ExperimentSpec, name: str, cache: ResultCache | None) -> Tas
 
 def run(spec: ExperimentSpec) -> RunResult:
     """Validate the spec, then run its tasks in order against one cache
-    (loaded from and appended to ``spec.cache_path`` when it is set)."""
+    (loaded from and appended to ``spec.cache_path`` when it is set, else
+    in memory for the run)."""
     spec.validate()
-    cache = ResultCache(spec.cache_path, spec.self_check) if spec.cache_path else None
+    cache = ResultCache(spec.cache_path, spec.self_check)
     return RunResult(spec, [_run_task(spec, name, cache) for name in spec.tasks])

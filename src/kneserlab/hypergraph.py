@@ -224,15 +224,15 @@ def induced_mask(H: Hypergraph, amask: int) -> Hypergraph:
 # --- JSON round-trips -------------------------------------------------------
 #
 # The canonical file format is byte-stable: storing a loaded canonical file
-# reproduces it exactly.
+# reproduces it exactly. The cache keys and lines use the same writer.
 
 
-def dumps_canonical(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+def canonical_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def store_hypergraph(H: Hypergraph) -> str:
-    return dumps_canonical(H.to_json_dict())
+    return canonical_json(H.to_json_dict()) + "\n"
 
 
 def load_hypergraph(text: str) -> Hypergraph:
@@ -241,7 +241,7 @@ def load_hypergraph(text: str) -> Hypergraph:
 
 
 def store_coloring(c: Coloring) -> str:
-    return dumps_canonical(c.to_json_dict())
+    return canonical_json(c.to_json_dict()) + "\n"
 
 
 def load_coloring(text: str) -> Coloring:

@@ -61,20 +61,6 @@ class SignVector:
             counts[x] += 1
         return tuple(counts[1:])
 
-    def min_class_size(self) -> int:
-        return min(self.class_sizes())
-
-    def balanced_size(self) -> int:
-        """The size of the largest balanced subfamily of the sign classes."""
-        return balanced_size(self.class_sizes())
-
-    def act(self, g: int) -> SignVector:
-        """Multiply every nonzero entry by the group element ``g``."""
-        m = self.modulus
-        return SignVector(
-            m, tuple(act_sign(g, x, m) if x else 0 for x in self.entries)
-        )
-
 
 def balanced_size(sizes: Sequence[int]) -> int:
     """len(sizes)*h + #sizes above h, where h = min(sizes): the most cells

@@ -102,7 +102,6 @@ class SplitVector:
     edge-spanning signs precomputed. Construct through :func:`split`."""
 
     vector: SignVector
-    block_lengths: tuple[int, ...]
     hypergraphs: tuple[Hypergraph, ...]
     blocks: tuple[SignVector, ...]
     edge_signs: tuple[frozenset[int], ...]
@@ -114,46 +113,26 @@ class SplitVector:
     @property
     def is_saturated(self) -> bool:
         """Every sign class of every block contains an edge of its factor."""
-        full = frozenset(range(1, self.p + 1))
-        return all(a == full for a in self.edge_signs)
-
-    @property
-    def is_deficient(self) -> bool:
-        return not self.is_saturated
-
-    def act(self, g: int) -> SplitVector:
-        return split(self.vector.act(g), self.block_lengths, self.hypergraphs)
+        return all(len(a) == self.p for a in self.edge_signs)
 
 
-def split(
-    X: SignVector,
-    block_lengths: Sequence[int],
-    hypergraphs: Sequence[Hypergraph],
-) -> SplitVector:
-    """Cut ``X`` into consecutive blocks of the given lengths and classify
-    which signs of each block span an edge of the matching hypergraph."""
-    lengths = tuple(block_lengths)
+def split(X: SignVector, hypergraphs: Sequence[Hypergraph]) -> SplitVector:
+    """Cut ``X`` into consecutive blocks, one per factor and as long as its
+    order, and classify which signs of each block span an edge of it."""
     hgs = tuple(hypergraphs)
-    if sum(lengths) != len(X):
-        raise ValueError("block lengths do not add up to the vector length")
-    if len(lengths) != len(hgs):
-        raise ValueError("one hypergraph per block is required")
-    for ln, H in zip(lengths, hgs):
-        if H.n != ln:
-            raise ValueError("block length must equal its hypergraph order")
+    if sum(H.n for H in hgs) != len(X):
+        raise ValueError("factor orders do not add up to the vector length")
     p = X.modulus
     blocks: list[SignVector] = []
-    signs: list[frozenset[int]] = []
     offset = 0
-    for ln, H in zip(lengths, hgs):
-        blk = SignVector(p, X.entries[offset : offset + ln])
-        offset += ln
-        blocks.append(blk)
-        present = frozenset(
-            s for s in range(1, p + 1) if H.contains_edge_within(blk.class_mask(s))
-        )
-        signs.append(present)
-    return SplitVector(X, lengths, hgs, tuple(blocks), tuple(signs))
+    for H in hgs:
+        blocks.append(SignVector(p, X.entries[offset : offset + H.n]))
+        offset += H.n
+    signs = tuple(
+        frozenset(s for s in range(1, p + 1) if H.contains_edge_within(blk.class_mask(s)))
+        for blk, H in zip(blocks, hgs)
+    )
+    return SplitVector(X, hgs, tuple(blocks), signs)
 
 
 # --- equivariant sign tables ----------------------------------------------------
@@ -180,12 +159,12 @@ def _act_cells(g: int, key: tuple, p: int) -> tuple:
 
 
 class SignMapTables:
-    """Lazily built equivariant sign assignments on the three domains the
-    labelings query: block signatures, tuples of sign sets, and uniform-row
-    simplices.
+    """Equivariant sign assignments on the three domains the labelings
+    query: block signatures, tuples of sign sets, and uniform-row simplices.
 
-    Values are fixed by sending the lexicographically least orbit element to
-    sign 1 and extending along the action. Passing table names in
+    Nothing is stored: the lexicographically least element of a key's orbit
+    has sign 1, and the key gets the sign g*1 for the least group element g
+    taking that minimum to the key. Passing table names in
     ``corrupt`` replaces that table by a constant map, which is not
     equivariant; this is the negative control for the consistency checks.
     For non-prime moduli some orbits are not free, in which case no
@@ -200,7 +179,6 @@ class SignMapTables:
         unknown = self.corrupt - set(self.TABLE_NAMES)
         if unknown:
             raise ValueError(f"unknown table names: {sorted(unknown)}")
-        self._reps: dict[str, dict[tuple, int]] = {n: {} for n in self.TABLE_NAMES}
         self.non_free_seen = False
 
     def _lookup(self, name: str, key: tuple, act) -> int:
@@ -211,11 +189,8 @@ class SignMapTables:
         if len(set(orbit)) < p:
             self.non_free_seen = True
         rep = min(orbit)
-        table = self._reps[name]
-        if rep not in table:
-            table[rep] = 1
         g = next(g for g in range(1, p + 1) if act(g, rep, p) == key)
-        return act_sign(g, table[rep], p)
+        return act_sign(g, 1, p)
 
     def sign_for_blocks(self, signature: tuple) -> int:
         return self._lookup("blocks", signature, _act_signature)
@@ -232,10 +207,9 @@ def block_signature(S: SplitVector) -> tuple | None:
     block has a proper nonempty set of edge-spanning signs (the sign-set
     table handles that case instead)."""
     p = S.p
-    full = frozenset(range(1, p + 1))
     comps: list[tuple] = []
     for blk, present in zip(S.blocks, S.edge_signs):
-        if present == full:
+        if len(present) == p:
             comps.append(("vec", blk.entries))
         elif not present:
             sizes = blk.class_sizes()
@@ -281,10 +255,9 @@ def nu(S: SplitVector, variant: str = "balanced") -> int:
     if variant not in ("balanced", "alternation"):
         raise ValueError(f"unknown variant {variant!r}")
     p = S.p
-    full = frozenset(range(1, p + 1))
     total = 0
     for blk, present, H in zip(S.blocks, S.edge_signs, S.hypergraphs):
-        if present == full:
+        if len(present) == p:
             total += blk.support_size
             continue
         order = _alt_order(H, p) if variant == "alternation" else None
@@ -331,14 +304,9 @@ def index_cap(
     return sum(H.n for H in factors) - quantity + p - 1
 
 
-def lambda1(
-    S: SplitVector,
-    tables: SignMapTables,
-    alpha: int | None = None,
-    variant: str = "balanced",
-) -> tuple[int, int]:
+def lambda1(S: SplitVector, tables: SignMapTables, variant: str = "balanced") -> tuple[int, int]:
     """Equivariant label (sign, index) of a deficient vector."""
-    if not S.is_deficient:
+    if S.is_saturated:
         raise ValueError("lambda1 is only defined on deficient vectors")
     index = nu(S, variant)
     sig = block_signature(S)
@@ -357,8 +325,6 @@ def lambda1(
     else:
         key = tuple(tuple(sorted(a)) for a in S.edge_signs)
         sign = tables.sign_for_signsets(key)
-    if alpha is not None and not 1 <= index <= alpha:
-        raise ValueError(f"index {index} outside [1..{alpha}]")
     return sign, index
 
 
@@ -443,13 +409,6 @@ class Violation:
         }
 
 
-def _guard_enum(p: int, n: int) -> None:
-    if (2 * p + 1) ** n > LEMMA_ENUM_CAP:
-        raise CapExceededError(
-            f"exhaustive sweep over (Z_{p} u 0)^{n} faces is beyond the cap"
-        )
-
-
 def check_lemma1(
     factors: Sequence[Hypergraph], p: int, tables: SignMapTables | None = None,
     variant: str = "balanced", cache: ResultCache | None = None,
@@ -463,13 +422,13 @@ def check_lemma1(
 
 def check_lemma2(
     factors: Sequence[Hypergraph], p: int, coloring: Coloring, tables: SignMapTables | None = None,
-    variant: str = "balanced", cache: ResultCache | None = None,
+    cache: ResultCache | None = None,
 ) -> list[Violation]:
     """Exhaustively verify the saturated-side labeling against a proper
     coloring of the product of the KG^p of the factors: equivariance, index
     above the cap, and no face-comparable pair with equal index and
     different signs."""
-    return _check_labels(factors, p, coloring, tables, variant, cache)
+    return _check_labels(factors, p, coloring, tables, "balanced", cache)
 
 
 def _check_labels(
@@ -478,20 +437,24 @@ def _check_labels(
 ) -> list[Violation]:
     """Label every nonzero sign vector on one side (the deficient side
     without a ``coloring``, the saturated side with one), then report range,
-    equivariance and chain violations in vector order."""
-    _guard_enum(p, sum(H.n for H in factors))
+    equivariance and chain violations in vector order. A composite p fixes
+    some sign orbits, so no equivariant labeling exists and p must be prime."""
+    n = sum(H.n for H in factors)
+    if not is_prime(p):
+        raise ValueError(f"the labeling sweeps need a prime p, got p={p}")
+    if (2 * p + 1) ** n > LEMMA_ENUM_CAP:
+        raise CapExceededError(f"exhaustive sweep over (Z_{p} u 0)^{n} faces is beyond the cap")
     if tables is None:
         tables = SignMapTables(p)
     cap = index_cap(factors, p, variant, cache)
-    lengths = tuple(H.n for H in factors)
     labels: dict[tuple[int, ...], tuple[int, int]] = {}
-    for entries in iproduct(range(p + 1), repeat=sum(lengths)):
+    for entries in iproduct(range(p + 1), repeat=n):
         if not any(entries):
             continue
-        S = split(SignVector(p, entries), lengths, factors)
+        S = split(SignVector(p, entries), factors)
         if coloring is None:
-            if S.is_deficient:
-                labels[entries] = lambda1(S, tables, variant=variant)
+            if not S.is_saturated:
+                labels[entries] = lambda1(S, tables, variant)
         elif S.is_saturated:
             labels[entries] = lambda2(S, coloring, tables, cap)
     violations: list[Violation] = []
@@ -729,7 +692,7 @@ def find_witness(
         scan = sigma2_scan(factors, p, coloring)
     if scan.argmax is None or scan.max_ell < target:
         return None
-    S = split(scan.argmax, tuple(H.n for H in factors), factors)
+    S = split(scan.argmax, factors)
     witness = extract_witness(S, coloring, target)
     return replace(witness, experimental=True) if experimental else witness
 

@@ -140,13 +140,36 @@ class TestFormulas:
         with pytest.raises(OutOfProvenRangeError):
             formula_hnka(9, 2, 4, 3)  # 2k=4 <= a=4 <= rk-2=4
 
-    def test_hnka_checked_flags_discrepancy(self):
-        # a < k-1 branch disagrees with the solver at (7,2,0,2): the formula
-        # gives 6 while the 21-vertex Kneser graph is 5-chromatic
+    def test_hnka_checked_below_k(self):
+        # a = 0 < k: H(7,2,0) is every pair, so the value is chi(KG(7,2)) = 5
         chk = formula_hnka_checked(7, 2, 0, 2)
-        assert chk.formula_value == 6
+        assert chk.formula_value == 5
         assert chk.exact.as_int() == 5
-        assert chk.status == "DISCREPANCY"
+        assert chk.status == "OK"
+
+    def test_hnka_checked_flags_discrepancy(self, monkeypatch):
+        import kneserlab.chromatic
+
+        monkeypatch.setattr(kneserlab.chromatic, "formula_hnka", lambda n, k, a, r: 6)
+        chk = formula_hnka_checked(7, 2, 0, 2)
+        assert (chk.formula_value, chk.exact.as_int(), chk.status) == (6, 5, "DISCREPANCY")
+
+    def test_hnka_formula_matches_solver_grid(self):
+        # every (n, k, a) outside the open middle range with at most 40 edges
+        checked = 0
+        for r in (2, 3):
+            for k in (2, 3):
+                for n in range(r * k, 9):
+                    for a in range(n):
+                        if 2 * k <= a <= r * k - 2:
+                            continue
+                        H = hnka(n, k, a)
+                        if H.edge_count > 40:
+                            continue
+                        chi = chromatic_number(kneser(H, r)).as_int()
+                        assert formula_hnka(n, k, a, r) == chi, (n, k, a, r)
+                        checked += 1
+        assert checked == 63
 
     def test_hnka_checked_ok(self):
         chk = formula_hnka_checked(7, 2, 3, 2)

@@ -672,6 +672,35 @@ def test_self_check_reaches_every_lookup(argv, capsys, monkeypatch, tmp_path):
         assert result["payload"]["error"].startswith("CacheMismatchError")
 
 
+def test_self_check_without_cache_file(capsys, monkeypatch):
+    """Without --cache the run keeps its cache in memory, so --self-check
+    recomputes the repeated lookups of one run: prooflab reads each factor's
+    ecd three times, and an ecd that changes on its second call is caught."""
+    import kneserlab.chromatic
+
+    ecd = kneserlab.chromatic.ecd
+    calls = []
+
+    def drifting(*args, **kwargs):
+        calls.append(args)
+        return ecd(*args, **kwargs) + (len(calls) > 1)
+
+    monkeypatch.setattr(kneserlab.chromatic, "ecd", drifting)
+    assert main(["prooflab", "--p", "2", "complete:5,2", "--self-check"]) == 1
+    out = capsys.readouterr().out
+    (result,) = json.loads(out[out.index("\n[\n") + 1 :])
+    assert result["status"] == "failed"
+    assert result["payload"]["error"].startswith("CacheMismatchError")
+
+
+def test_prooflab_refuses_composite_p(capsys):
+    assert main(["prooflab", "--p", "4", "complete:4,2"]) == 1
+    out = capsys.readouterr().out
+    (result,) = json.loads(out[out.index("\n[\n") + 1 :])
+    assert result["status"] == "failed"
+    assert "prime" in result["payload"]["error"]
+
+
 def readme_session() -> list[list[str]]:
     """The argument lists of the ``kneserlab ...`` lines in the README's
     "Command line" section, with their trailing comments dropped."""

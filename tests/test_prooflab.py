@@ -40,7 +40,7 @@ from kneserlab import (
     tau_of,
     witness_target,
 )
-from kneserlab.invariants import act_sign
+from kneserlab.invariants import act_sign, balanced_size
 from kneserlab.prooflab import misses_guarantee
 from conftest import (
     is_colorful_balanced_complete,
@@ -54,6 +54,11 @@ from conftest import (
 CU3 = complete_uniform(3, 2)
 CU4 = complete_uniform(4, 2)
 CU5 = complete_uniform(5, 2)
+
+
+def act_vector(g: int, X: SignVector) -> SignVector:
+    """Multiply every nonzero entry of ``X`` by the group element ``g``."""
+    return SignVector(X.modulus, tuple(act_sign(g, x, X.modulus) if x else 0 for x in X.entries))
 
 
 def all_vectors(p: int, n: int):
@@ -86,56 +91,58 @@ class TestSimplex:
 
 class TestSplit:
     def test_one_edge_class(self):
-        S = split(SignVector(2, (1, 1, 0)), [3], [CU3])
+        S = split(SignVector(2, (1, 1, 0)), [CU3])
         assert S.edge_signs == (frozenset({1}),)
-        assert S.is_deficient
+        assert not S.is_saturated
 
     def test_singleton_classes_edge_free(self):
-        S = split(SignVector(2, (1, 2, 0)), [3], [CU3])
+        S = split(SignVector(2, (1, 2, 0)), [CU3])
         assert S.edge_signs == (frozenset(),)
-        assert S.is_deficient
+        assert not S.is_saturated
 
     def test_saturated(self):
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [5], [CU5])
+        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
         assert S.edge_signs == (frozenset({1, 2}),)
         assert S.is_saturated
 
     def test_length_mismatch_rejected(self):
+        # the factor orders must add up to the vector length
         with pytest.raises(ValueError):
-            split(SignVector(2, (1, 0)), [3], [CU3])
+            split(SignVector(2, (1, 0)), [CU3])
+        with pytest.raises(ValueError):
+            split(SignVector(2, (1, 0, 2, 1)), [CU3])
 
 
 class TestNu:
     def test_saturated_block_counts_support(self):
-        S = split(SignVector(2, (1, 1, 2, 2)), [4], [CU4])
+        S = split(SignVector(2, (1, 1, 2, 2)), [CU4])
         assert nu(S) == 4
 
     def test_deficient_block_best_subvector(self):
         # best edge-free sub-vector of (w, w2, 0) is itself: level 2
-        S = split(SignVector(2, (1, 2, 0)), [3], [CU3])
+        S = split(SignVector(2, (1, 2, 0)), [CU3])
         oracle = 0
         for keep in itertools.product((0, 1), repeat=3):
             entries = tuple(x if k else 0 for x, k in zip((1, 2, 0), keep))
             sub = SignVector(2, entries)
             if any(CU3.contains_edge_within(sub.class_mask(s)) for s in (1, 2)):
                 continue
-            oracle = max(oracle, sub.balanced_size())
+            oracle = max(oracle, balanced_size(sub.class_sizes()))
         assert oracle == 2
         assert nu(S) == 2
 
     def test_single_entry_edgeless_block(self):
         H = complete_uniform(2, 2)
-        S = split(SignVector(2, (1, 0)), [2], [H])
+        S = split(SignVector(2, (1, 0)), [H])
         assert nu(S) == 1
 
     def test_range_soundness_exhaustive(self):
         for p, factors in [(2, [CU5]), (3, [CU5]), (2, [CU3, CU3])]:
-            lengths = [H.n for H in factors]
-            n = sum(lengths)
+            n = sum(H.n for H in factors)
             cap = index_cap(factors, p)
             for entries in all_vectors(p, n):
-                S = split(SignVector(p, entries), lengths, factors)
-                if S.is_deficient:
+                S = split(SignVector(p, entries), factors)
+                if not S.is_saturated:
                     value = nu(S)
                     assert 1 <= value <= cap
 
@@ -143,28 +150,28 @@ class TestNu:
 class TestLambda1:
     def test_partial_sign_set_case(self):
         tables = SignMapTables(2)
-        S = split(SignVector(2, (1, 1, 0)), [3], [CU3])
+        S = split(SignVector(2, (1, 1, 0)), [CU3])
         sign, index = lambda1(S, tables)
         assert index == 2  # |{w}| + best edge-free sub-vector level 1
 
     def test_block_signature_case(self):
         tables = SignMapTables(2)
-        S = split(SignVector(2, (1, 2, 0)), [3], [CU3])
+        S = split(SignVector(2, (1, 2, 0)), [CU3])
         sign, index = lambda1(S, tables)
         assert index == 2
         assert sign in (1, 2)
 
     def test_equivariance_spot(self):
         tables = SignMapTables(3)
-        S = split(SignVector(3, (1, 2, 0, 1, 0)), [5], [CU5])
+        S = split(SignVector(3, (1, 2, 0, 1, 0)), [CU5])
         base = lambda1(S, tables)
         for g in (1, 2):
-            acted = lambda1(S.act(g), tables)
+            acted = lambda1(split(act_vector(g, S.vector), [CU5]), tables)
             assert acted == (act_sign(g, base[0], 3), base[1])
 
     def test_rejected_on_saturated(self):
         tables = SignMapTables(2)
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [5], [CU5])
+        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
         with pytest.raises(ValueError):
             lambda1(S, tables)
 
@@ -172,7 +179,7 @@ class TestLambda1:
 class TestTau:
     def test_petersen_example(self):
         coloring = min_element_coloring_petersen()
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [5], [CU5])
+        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
         tau = tau_of(S, coloring)
         assert tau.cells == frozenset({(1, 1), (1, 2), (2, 3)})
         assert tau.min_class_size() == 1
@@ -181,7 +188,7 @@ class TestTau:
     def test_every_row_nonempty(self):
         coloring = min_element_coloring_petersen()
         for entries in all_vectors(2, 5):
-            S = split(SignVector(2, entries), [5], [CU5])
+            S = split(SignVector(2, entries), [CU5])
             if S.is_saturated:
                 tau = tau_of(S, coloring)
                 assert tau.min_class_size() > 0
@@ -189,7 +196,7 @@ class TestTau:
 
     def test_improper_coloring_rejected(self):
         bad = Coloring.of([1] * 10, 1)
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [5], [CU5])
+        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
         with pytest.raises(ValueError):
             tau_of(S, bad)
 
@@ -200,16 +207,16 @@ class TestLambda2:
         tables = SignMapTables(2)
         alpha = index_cap([CU5], 2)
         assert alpha == 3  # 5 - ecd + p - 1
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [5], [CU5])
+        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
         sign, index = lambda2(S, coloring, tables, alpha)
         assert index == 5  # alpha - p + 1 + balanced size 3
 
     def test_equivariance_spot(self):
         coloring = min_element_coloring_petersen()
         tables = SignMapTables(2)
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [5], [CU5])
+        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
         base = lambda2(S, coloring, tables, 3)
-        acted = lambda2(S.act(1), coloring, tables, 3)
+        acted = lambda2(split(act_vector(1, S.vector), [CU5]), coloring, tables, 3)
         assert acted == (act_sign(1, base[0], 2), base[1])
 
 
@@ -221,6 +228,25 @@ class TestSignTables:
         for g in (1, 2):
             acted = (("set", tuple(sorted(act_sign(g, s, 3) for s in (1, 2)))),)
             assert tables.sign_for_blocks(acted) == act_sign(g, base, 3)
+
+    def test_signs_independent_of_query_order(self):
+        # no sign is stored, so a fresh map answers every key the same way
+        # whatever was asked before it
+        keys = [
+            ("blocks", (("set", (1, 2)),)),
+            ("blocks", (("vec", (0, 3, 1)), ("set", (2,)))),
+            ("signsets", ((1,), (2, 3))),
+            ("signsets", ((3,), ())),
+            ("simplex", Simplex(3, 4, frozenset({(1, 2), (2, 4), (3, 1)}))),
+            ("simplex", Simplex(3, 4, frozenset({(2, 1), (3, 3), (1, 4)}))),
+        ]
+
+        def ask(tables, name, key):
+            return getattr(tables, f"sign_for_{name}")(key)
+
+        forward, backward = SignMapTables(3), SignMapTables(3)
+        signs = [ask(forward, name, key) for name, key in keys]
+        assert signs == [ask(backward, name, key) for name, key in reversed(keys)][::-1]
 
     def test_non_free_orbit_detected_for_composite_modulus(self):
         # {w^2, w^4} is fixed by w^2 when the modulus is 4
@@ -295,6 +321,16 @@ class TestLemmaChecks:
     def test_lemma1_alternation_variant_clean(self):
         assert check_lemma1([CU5], 2, variant="alternation") == []
 
+    def test_composite_modulus_refused(self):
+        # a composite p fixes some sign orbits: the sweeps refuse it rather
+        # than report the equivariance failures that must follow
+        for check in (
+            lambda: check_lemma1([CU4], 4),
+            lambda: check_lemma2([CU4], 4, Coloring.of([1] * 3, 1)),
+        ):
+            with pytest.raises(ValueError, match="prime"):
+                check()
+
     def test_lemma1_corrupted_tables_detected(self):
         tables = SignMapTables(2, corrupt=("signsets",))
         violations = check_lemma1([CU5], 2, tables=tables)
@@ -331,7 +367,7 @@ def solve_product_chromatic_pair(kg):
 class TestWitness:
     def test_extract_petersen(self):
         coloring = min_element_coloring_petersen()
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [5], [CU5])
+        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
         w = extract_witness(S, coloring, 3)
         assert w.size == 3
         assert w.parts == (((1,), (5,)), ((10,),))  # {1,2},{2,3} | {4,5}
@@ -344,20 +380,20 @@ class TestWitness:
 
     def test_extract_single_vertex_per_sign(self):
         coloring = min_element_coloring_petersen()
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [5], [CU5])
+        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
         w = extract_witness(S, coloring, 2)
         assert [len(p) for p in w.parts] == [1, 1]
         assert w.problems([CU5], coloring) == []
 
     def test_extract_zero_empty(self):
         coloring = min_element_coloring_petersen()
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [5], [CU5])
+        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
         w = extract_witness(S, coloring, 0)
         assert w.size == 0
 
     def test_extract_too_large_rejected(self):
         coloring = min_element_coloring_petersen()
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [5], [CU5])
+        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
         with pytest.raises(ValueError):
             extract_witness(S, coloring, 4)
 
@@ -410,7 +446,7 @@ class TestWitnessNegativeControls:
     def case(self, request, petersen, petersen_coloring):
         if request.param == "petersen":
             factors, coloring, F = [CU5], min_element_coloring_petersen(), petersen
-            w = extract_witness(split(SignVector(2, (1, 1, 1, 2, 2)), [5], [CU5]), coloring, 3)
+            w = extract_witness(split(SignVector(2, (1, 1, 1, 2, 2)), [CU5]), coloring, 3)
         else:
             factors = [CU5, CU5]
             coloring = projection_coloring([petersen, petersen], 0, petersen_coloring)
@@ -575,16 +611,15 @@ class TestSaturatedSideOracle:
             best, best_entries, count = sigma2_scan_naive(factors, p, coloring)
             argmax = None if scan.argmax is None else scan.argmax.entries
             assert (scan.max_ell, argmax, scan.saturated_count) == (best, best_entries, count)
-            lengths = [H.n for H in factors]
             best_rows = None
             for entries, rows in saturated_rows_naive(factors, p, coloring):
-                S = split(SignVector(p, entries), lengths, factors)
+                S = split(SignVector(p, entries), factors)
                 cells = {(s, c) for s, row in enumerate(rows, start=1) for c in row}
                 assert tau_of(S, coloring).cells == cells
                 if entries == best_entries:
                     best_rows = rows
             if best_entries is not None:
-                S = split(SignVector(p, best_entries), lengths, factors)
+                S = split(SignVector(p, best_entries), factors)
                 for q in range(best + 1):
                     w = extract_witness(S, coloring, q)
                     assert w.size == q and w.problems(factors, coloring) == []
