@@ -22,7 +22,7 @@ from .hypergraph import (
     Coloring,
     Hypergraph,
 )
-from .invariants import ALT_EXACT_MAX_N, alt_min, cd, ecd
+from .invariants import ALT_EXACT_MAX_N, _alt_min, _cd, _ecd
 
 # Implicit product instances beyond this many tuple vertices are not solved
 # exactly by bound_report (the solver itself has no hard cap).
@@ -369,17 +369,18 @@ def factor_bounds(
     cache: ResultCache | None = None,
 ) -> FactorBounds:
     """cd^r, ecd^r and n - alt_r of one factor, each read through the cache
-    (ops ``cd``, ``ecd``, ``alt_min``). Exact alternation falls back to the
-    heuristic upper bound when n > ALT_EXACT_MAX_N."""
+    (ops ``cd``, ``ecd``, ``alt_min``) and derived by the plain searches, not
+    their memos. Exact alternation falls back to the heuristic upper bound
+    when n > ALT_EXACT_MAX_N."""
     if mode == "exact" and H.n > ALT_EXACT_MAX_N:
         mode = "heuristic"
 
     def alt_json() -> dict:
-        res = alt_min(H, r, mode)
+        res = _alt_min(H, r, mode)
         return {"alt": res.value, "status": res.status, "sigma": list(res.sigma.sigma)}
 
-    cd_v = cached_value(cache, H, "cd", [r], lambda: cd(H, r))
-    ecd_v = cached_value(cache, H, "ecd", [r], lambda: ecd(H, r))
+    cd_v = cached_value(cache, H, "cd", [r], lambda: _cd(H, r))
+    ecd_v = cached_value(cache, H, "ecd", [r], lambda: _ecd(H, r))
     alt = cached_value(cache, H, "alt_min", [r, mode], alt_json)
     return FactorBounds(r, H.n, cd_v, ecd_v, H.n - alt["alt"], alt["status"] == "EXACT")
 

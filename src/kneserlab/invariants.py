@@ -129,8 +129,7 @@ def _edge_index(H: Hypergraph) -> tuple[bytes | None, list[list[int]] | None]:
     return None, _edges_at(H)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def cd(H: Hypergraph, r: int) -> int:
+def _cd(H: Hypergraph, r: int) -> int:
     """r-colorability defect: fewest vertex removals so the rest splits into
     r disjoint edge-free classes.
 
@@ -166,8 +165,7 @@ def cd(H: Hypergraph, r: int) -> int:
     return best
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def ecd(H: Hypergraph, r: int) -> int:
+def _ecd(H: Hypergraph, r: int) -> int:
     """Equitable r-colorability defect: like cd, but the r class sizes
     (including empty classes) must differ by at most one on the kept
     vertices, which forces the exact size multiset for each kept count.
@@ -302,8 +300,7 @@ class AltResult:
         return "EXACT" if self.exact else "UPPER_BOUND"
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltResult:
+def _alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltResult:
     """Minimum of alt_sigma over all vertex orderings.
 
     Exact mode (n <= 9) walks the orderings in lex order and reports the
@@ -370,3 +367,10 @@ def alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltRes
         if best_val is None or cur < best_val:
             best_val, best_order = cur, tuple(order)
     return AltResult(best_val if best_val is not None else 0, Permutation(best_order), False)
+
+
+# The public memos. The bounds path calls the plain searches under them:
+# its cache memoizes a run, and a self-checking cache must re-derive.
+cd = lru_cache(maxsize=MEMO_SIZE)(_cd)
+ecd = lru_cache(maxsize=MEMO_SIZE)(_ecd)
+alt_min = lru_cache(maxsize=MEMO_SIZE)(_alt_min)

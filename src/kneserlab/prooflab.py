@@ -11,6 +11,9 @@ Kneser hypergraphs.
 On the saturated side one reader, `_color_reader`, gives `tau_of`,
 `sigma2_scan` and `extract_witness` the colors each sign class realizes and
 by which product vertex; `PartiteWitness.problems` checks on its own lookup.
+The color simplex tau(X) is kept as those rows, one per sign; `tau_of`
+returns their (sign, color) cells. The sign tables refuse a composite p, and
+a self-checking cache re-derives the defect minima by the plain searches.
 """
 
 from __future__ import annotations
@@ -41,56 +44,6 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
-
-
-# --- simplices of sign/color pairs --------------------------------------------
-
-
-@dataclass(frozen=True)
-class Simplex:
-    """A set of (sign, color) cells with every color column missing at least
-    one sign (so no color can be realized by all p signs)."""
-
-    p: int
-    color_count: int
-    cells: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        for s, c in self.cells:
-            if not 1 <= s <= self.p:
-                raise ValueError(f"sign {s} outside [1..{self.p}]")
-            if not 1 <= c <= self.color_count:
-                raise ValueError(f"color {c} outside [1..{self.color_count}]")
-
-    def row_sizes(self) -> tuple[int, ...]:
-        counts = [0] * (self.p + 1)
-        for s, _ in self.cells:
-            counts[s] += 1
-        return tuple(counts[1:])
-
-    def min_class_size(self) -> int:
-        return min(self.row_sizes())
-
-    def balanced_size(self) -> int:
-        """The largest balanced sub-simplex size (rows within one, every minimum row kept)."""
-        return balanced_size(self.row_sizes())
-
-    def core(self) -> Simplex:
-        """Sub-simplex formed by the minimum-size sign rows (all its nonempty
-        rows share one size, so it is a valid uniform-row key)."""
-        h = self.min_class_size()
-        sizes = self.row_sizes()
-        keep = frozenset((s, c) for s, c in self.cells if sizes[s - 1] == h)
-        return Simplex(self.p, self.color_count, keep)
-
-    def is_join_simplex(self) -> bool:
-        per_color: dict[int, int] = {}
-        for _, c in self.cells:
-            per_color[c] = per_color.get(c, 0) + 1
-        return all(v <= self.p - 1 for v in per_color.values())
-
-    def key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.cells))
 
 
 # --- split vectors -------------------------------------------------------------
@@ -160,35 +113,34 @@ def _act_cells(g: int, key: tuple, p: int) -> tuple:
 
 class SignMapTables:
     """Equivariant sign assignments on the three domains the labelings
-    query: block signatures, tuples of sign sets, and uniform-row simplices.
+    query: block signatures, tuples of sign sets, and the core keys of color
+    simplices (the sorted (sign, color) cells of their minimum-size rows).
 
     Nothing is stored: the lexicographically least element of a key's orbit
     has sign 1, and the key gets the sign g*1 for the least group element g
     taking that minimum to the key. Passing table names in
     ``corrupt`` replaces that table by a constant map, which is not
     equivariant; this is the negative control for the consistency checks.
-    For non-prime moduli some orbits are not free, in which case no
-    equivariant choice exists and ``non_free_seen`` is set.
+    The modulus must be prime: a composite p fixes some orbits, and then no
+    equivariant choice exists.
     """
 
     TABLE_NAMES = ("blocks", "signsets", "simplex")
 
     def __init__(self, p: int, corrupt: Sequence[str] = ()) -> None:
+        if not is_prime(p):
+            raise ValueError(f"the labeling sweeps need a prime p, got p={p}")
         self.p = p
         self.corrupt = frozenset(corrupt)
         unknown = self.corrupt - set(self.TABLE_NAMES)
         if unknown:
             raise ValueError(f"unknown table names: {sorted(unknown)}")
-        self.non_free_seen = False
 
     def _lookup(self, name: str, key: tuple, act) -> int:
         if name in self.corrupt:
             return 1
         p = self.p
-        orbit = [act(g, key, p) for g in range(1, p + 1)]
-        if len(set(orbit)) < p:
-            self.non_free_seen = True
-        rep = min(orbit)
+        rep = min(act(g, key, p) for g in range(1, p + 1))
         g = next(g for g in range(1, p + 1) if act(g, rep, p) == key)
         return act_sign(g, 1, p)
 
@@ -198,8 +150,8 @@ class SignMapTables:
     def sign_for_signsets(self, key: tuple) -> int:
         return self._lookup("signsets", key, _act_signsets)
 
-    def sign_for_simplex(self, simplex: Simplex) -> int:
-        return self._lookup("simplex", simplex.key(), _act_cells)
+    def sign_for_simplex(self, core: tuple[tuple[int, int], ...]) -> int:
+        return self._lookup("simplex", core, _act_cells)
 
 
 def block_signature(S: SplitVector) -> tuple | None:
@@ -356,38 +308,39 @@ def _color_reader(
     return read
 
 
-def _tau(S: SplitVector, coloring: Coloring) -> tuple[Simplex, dict[int, dict[int, tuple[int, ...]]]]:
-    """`tau_of`, and per sign the {color: first product vertex} row of its class."""
+def _tau(S: SplitVector, coloring: Coloring) -> tuple[dict[int, tuple[int, ...]], ...]:
+    """The color simplex tau(X) as its rows: for sign s, at index s-1, the
+    {color: first product vertex} row of its class. Every row is nonempty
+    for a saturated vector, and a proper coloring keeps every color out of
+    some row."""
     if not S.is_saturated:
         raise ValueError("tau_of is only defined on saturated vectors")
     read = _color_reader(S.hypergraphs, coloring)
-    rows = {s: read(tuple(blk.class_mask(s) for blk in S.blocks)) for s in range(1, S.p + 1)}
-    simplex = Simplex(S.p, coloring.color_count, frozenset((s, c) for s in rows for c in rows[s]))
-    if not simplex.is_join_simplex():
+    rows = tuple(read(tuple(blk.class_mask(s) for blk in S.blocks)) for s in range(1, S.p + 1))
+    if set(rows[0]).intersection(*rows[1:]):
         raise ValueError(
             "some color is realized by all signs: the coloring is not proper"
         )
-    return simplex, rows
+    return rows
 
 
-def tau_of(S: SplitVector, coloring: Coloring) -> Simplex:
-    """The simplex of (sign, color) pairs realized by product vertices whose
-    factor edges all sit inside the corresponding sign class.
-
-    Every sign row is nonempty for a saturated vector, and a proper coloring
-    keeps every color column at p-1 signs or fewer.
-    """
-    return _tau(S, coloring)[0]
+def tau_of(S: SplitVector, coloring: Coloring) -> frozenset[tuple[int, int]]:
+    """The (sign, color) cells realized by product vertices whose factor
+    edges all sit inside the corresponding sign class."""
+    return frozenset((s, c) for s, row in enumerate(_tau(S, coloring), start=1) for c in row)
 
 
 def lambda2(
     S: SplitVector, coloring: Coloring, tables: SignMapTables, alpha: int
 ) -> tuple[int, int]:
     """Equivariant label (sign, index) of a saturated vector; the index is
-    always above ``alpha``."""
-    simplex = tau_of(S, coloring)
-    sign = tables.sign_for_simplex(simplex.core())
-    return sign, alpha - S.p + 1 + simplex.balanced_size()
+    always above ``alpha``. The sign is read from the core of tau(X): the
+    sorted cells of its minimum-size rows."""
+    rows = _tau(S, coloring)
+    sizes = [len(row) for row in rows]
+    h = min(sizes)
+    core = tuple((s, c) for s, row in enumerate(rows, start=1) if len(row) == h for c in sorted(row))
+    return tables.sign_for_simplex(core), alpha - S.p + 1 + balanced_size(sizes)
 
 
 # --- exhaustive consistency checks ------------------------------------------------
@@ -437,15 +390,15 @@ def _check_labels(
 ) -> list[Violation]:
     """Label every nonzero sign vector on one side (the deficient side
     without a ``coloring``, the saturated side with one), then report range,
-    equivariance and chain violations in vector order. A composite p fixes
-    some sign orbits, so no equivariant labeling exists and p must be prime."""
-    n = sum(H.n for H in factors)
-    if not is_prime(p):
-        raise ValueError(f"the labeling sweeps need a prime p, got p={p}")
-    if (2 * p + 1) ** n > LEMMA_ENUM_CAP:
-        raise CapExceededError(f"exhaustive sweep over (Z_{p} u 0)^{n} faces is beyond the cap")
+    equivariance and chain violations in vector order. The sign tables
+    refuse a composite p, and ``tables`` must be built for p itself."""
     if tables is None:
         tables = SignMapTables(p)
+    elif tables.p != p:
+        raise ValueError(f"sign tables built for p={tables.p} cannot label vectors mod {p}")
+    n = sum(H.n for H in factors)
+    if (2 * p + 1) ** n > LEMMA_ENUM_CAP:
+        raise CapExceededError(f"exhaustive sweep over (Z_{p} u 0)^{n} faces is beyond the cap")
     cap = index_cap(factors, p, variant, cache)
     labels: dict[tuple[int, ...], tuple[int, int]] = {}
     for entries in iproduct(range(p + 1), repeat=n):
@@ -625,13 +578,13 @@ def extract_witness(S: SplitVector, coloring: Coloring, q: int) -> PartiteWitnes
         raise ValueError("witness size must be nonnegative")
     if q == 0:
         return PartiteWitness(p, ((),) * p, ((),) * p)
-    simplex, rows = _tau(S, coloring)
-    ell = simplex.balanced_size()
+    rows = _tau(S, coloring)
+    sizes = [len(row) for row in rows]
+    ell = balanced_size(sizes)
     if q > ell:
         raise ValueError(f"requested {q} vertices but balanced size is {ell}")
     base, extra = divmod(q, p)
-    h = simplex.min_class_size()
-    sizes = simplex.row_sizes()
+    h = min(sizes)
     if base < h:
         eligible = list(range(1, p + 1))
     else:
@@ -639,10 +592,10 @@ def extract_witness(S: SplitVector, coloring: Coloring, q: int) -> PartiteWitnes
     bumped = set(eligible[:extra])
     parts: list[tuple[tuple[int, ...], ...]] = []
     part_colors: list[tuple[int, ...]] = []
-    for sign in range(1, p + 1):
+    for sign, row in enumerate(rows, start=1):
         want = base + (1 if sign in bumped else 0)
-        chosen_colors = sorted(rows[sign])[:want]
-        parts.append(tuple(rows[sign][c] for c in chosen_colors))
+        chosen_colors = sorted(row)[:want]
+        parts.append(tuple(row[c] for c in chosen_colors))
         part_colors.append(tuple(chosen_colors))
     return PartiteWitness(p, tuple(parts), tuple(part_colors))
 

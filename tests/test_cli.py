@@ -16,6 +16,7 @@ from kneserlab import (
     compare_bounds,
     complete_uniform,
     default_compare_pool,
+    factor_bounds,
     hnka,
     kneser,
     parse_recipe,
@@ -674,23 +675,39 @@ def test_self_check_reaches_every_lookup(argv, capsys, monkeypatch, tmp_path):
 
 def test_self_check_without_cache_file(capsys, monkeypatch):
     """Without --cache the run keeps its cache in memory, so --self-check
-    recomputes the repeated lookups of one run: prooflab reads each factor's
-    ecd three times, and an ecd that changes on its second call is caught."""
+    re-derives the repeated lookups of one run: prooflab reads each factor's
+    ecd three times. The drift sits in the plain search under the `ecd`
+    memo, and the re-derivation reaches it, so it is caught."""
     import kneserlab.chromatic
 
-    ecd = kneserlab.chromatic.ecd
+    search = kneserlab.chromatic._ecd
     calls = []
 
-    def drifting(*args, **kwargs):
-        calls.append(args)
-        return ecd(*args, **kwargs) + (len(calls) > 1)
+    def drifting(H, r):
+        calls.append(H)
+        return search(H, r) + (len(calls) > 1)
 
-    monkeypatch.setattr(kneserlab.chromatic, "ecd", drifting)
+    monkeypatch.setattr(kneserlab.chromatic, "_ecd", drifting)
     assert main(["prooflab", "--p", "2", "complete:5,2", "--self-check"]) == 1
     out = capsys.readouterr().out
     (result,) = json.loads(out[out.index("\n[\n") + 1 :])
     assert result["status"] == "failed"
     assert result["payload"]["error"].startswith("CacheMismatchError")
+    assert len(calls) == 2
+
+
+def test_self_check_bypasses_the_memos():
+    """The bounds path derives through the plain searches: a self-checking
+    cache re-derives every hit, and a memo would hand back the first value."""
+    from kneserlab import invariants
+
+    memos = (invariants.cd, invariants.ecd, invariants.alt_min)
+    before = [m.cache_info()[:2] for m in memos]
+    cache = ResultCache(self_check=True)
+    first = factor_bounds(complete_uniform(6, 2), 2, "exact", cache)
+    assert factor_bounds(complete_uniform(6, 2), 2, "exact", cache) == first
+    assert cache.hits == 3
+    assert [m.cache_info()[:2] for m in memos] == before
 
 
 def test_prooflab_refuses_composite_p(capsys):

@@ -15,7 +15,6 @@ from kneserlab import (
     ProductSpace,
     SignMapTables,
     SignVector,
-    Simplex,
     alt_min,
     check_lemma1,
     check_lemma2,
@@ -61,32 +60,15 @@ def act_vector(g: int, X: SignVector) -> SignVector:
     return SignVector(X.modulus, tuple(act_sign(g, x, X.modulus) if x else 0 for x in X.entries))
 
 
+def row_sizes(cells, p: int) -> tuple[int, ...]:
+    """The row sizes of a color simplex given as its (sign, color) cells."""
+    return tuple(sum(1 for s, _ in cells if s == sign) for sign in range(1, p + 1))
+
+
 def all_vectors(p: int, n: int):
     for entries in itertools.product(range(p + 1), repeat=n):
         if any(entries):
             yield entries
-
-
-class TestSimplex:
-    def test_level_arithmetic(self):
-        # row sizes (2,2,3) at p=3: h=2, balanced size 7
-        cells = {(1, 1), (1, 2), (2, 3), (2, 4), (3, 5), (3, 6), (3, 7)}
-        s = Simplex(3, 7, frozenset(cells))
-        assert s.min_class_size() == 2
-        assert s.balanced_size() == 7
-
-    def test_level_pairs(self):
-        s = Simplex(2, 2, frozenset({(1, 1), (2, 2)}))
-        assert s.min_class_size() == 1 and s.balanced_size() == 2
-
-    def test_core_keeps_min_rows(self):
-        cells = {(1, 1), (1, 2), (2, 3)}
-        s = Simplex(2, 3, frozenset(cells))
-        assert s.core().cells == frozenset({(2, 3)})
-
-    def test_join_condition(self):
-        assert not Simplex(2, 1, frozenset({(1, 1), (2, 1)})).is_join_simplex()
-        assert Simplex(2, 2, frozenset({(1, 1), (2, 2)})).is_join_simplex()
 
 
 class TestSplit:
@@ -181,18 +163,18 @@ class TestTau:
         coloring = min_element_coloring_petersen()
         S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
         tau = tau_of(S, coloring)
-        assert tau.cells == frozenset({(1, 1), (1, 2), (2, 3)})
-        assert tau.min_class_size() == 1
-        assert tau.balanced_size() == 3
+        assert tau == frozenset({(1, 1), (1, 2), (2, 3)})
+        assert min(row_sizes(tau, 2)) == 1
+        assert balanced_size(row_sizes(tau, 2)) == 3
 
     def test_every_row_nonempty(self):
         coloring = min_element_coloring_petersen()
         for entries in all_vectors(2, 5):
             S = split(SignVector(2, entries), [CU5])
             if S.is_saturated:
-                tau = tau_of(S, coloring)
-                assert tau.min_class_size() > 0
-                assert tau.balanced_size() >= 2
+                sizes = row_sizes(tau_of(S, coloring), 2)
+                assert min(sizes) > 0
+                assert balanced_size(sizes) >= 2
 
     def test_improper_coloring_rejected(self):
         bad = Coloring.of([1] * 10, 1)
@@ -210,6 +192,15 @@ class TestLambda2:
         S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
         sign, index = lambda2(S, coloring, tables, alpha)
         assert index == 5  # alpha - p + 1 + balanced size 3
+
+    def test_sign_read_from_the_core(self):
+        # rows of sizes (2, 1): the core is the one minimum-size row, {(2, 3)}
+        coloring = min_element_coloring_petersen()
+        tables = SignMapTables(2)
+        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
+        assert row_sizes(tau_of(S, coloring), 2) == (2, 1)
+        sign, _ = lambda2(S, coloring, tables, 3)
+        assert sign == tables.sign_for_simplex(((2, 3),))
 
     def test_equivariance_spot(self):
         coloring = min_element_coloring_petersen()
@@ -237,8 +228,8 @@ class TestSignTables:
             ("blocks", (("vec", (0, 3, 1)), ("set", (2,)))),
             ("signsets", ((1,), (2, 3))),
             ("signsets", ((3,), ())),
-            ("simplex", Simplex(3, 4, frozenset({(1, 2), (2, 4), (3, 1)}))),
-            ("simplex", Simplex(3, 4, frozenset({(2, 1), (3, 3), (1, 4)}))),
+            ("simplex", ((1, 2), (2, 4), (3, 1))),
+            ("simplex", ((1, 4), (2, 1), (3, 3))),
         ]
 
         def ask(tables, name, key):
@@ -248,14 +239,11 @@ class TestSignTables:
         signs = [ask(forward, name, key) for name, key in keys]
         assert signs == [ask(backward, name, key) for name, key in reversed(keys)][::-1]
 
-    def test_non_free_orbit_detected_for_composite_modulus(self):
-        # {w^2, w^4} is fixed by w^2 when the modulus is 4
-        tables = SignMapTables(4)
-        tables.sign_for_signsets(((2, 4),))
-        assert tables.non_free_seen
-        clean = SignMapTables(5)
-        clean.sign_for_signsets(((2, 4),))
-        assert not clean.non_free_seen
+    def test_composite_modulus_refused(self):
+        # {w^2, w^4} is fixed by w^2 when the modulus is 4: no equivariant
+        # sign exists for it
+        with pytest.raises(ValueError, match="need a prime p, got p=4"):
+            SignMapTables(4)
 
     def test_unknown_corrupt_name_rejected(self):
         with pytest.raises(ValueError):
@@ -330,6 +318,11 @@ class TestLemmaChecks:
         ):
             with pytest.raises(ValueError, match="prime"):
                 check()
+
+    @pytest.mark.parametrize("p, table_p", [(2, 3), (3, 2)])
+    def test_tables_for_another_modulus_refused(self, p, table_p):
+        with pytest.raises(ValueError, match=f"built for p={table_p}"):
+            check_lemma1([CU5], p, tables=SignMapTables(table_p))
 
     def test_lemma1_corrupted_tables_detected(self):
         tables = SignMapTables(2, corrupt=("signsets",))
@@ -615,7 +608,7 @@ class TestSaturatedSideOracle:
             for entries, rows in saturated_rows_naive(factors, p, coloring):
                 S = split(SignVector(p, entries), factors)
                 cells = {(s, c) for s, row in enumerate(rows, start=1) for c in row}
-                assert tau_of(S, coloring).cells == cells
+                assert tau_of(S, coloring) == cells
                 if entries == best_entries:
                     best_rows = rows
             if best_entries is not None:
