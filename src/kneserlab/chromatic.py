@@ -282,6 +282,8 @@ def formula_hnka(n: int, k: int, a: int, r: int) -> int:
     `formula_kneser`; max(a, r(k-1)) = a once a >= rk-1."""
     if r < 2:
         raise ValueError("need r >= 2")
+    if k < 1:
+        raise ValueError("need k >= 1")
     if n < r * k:
         raise ValueError(f"need n >= rk (got n={n}, rk={r * k})")
     if a >= n or a < 0:
@@ -347,6 +349,15 @@ class FactorBounds:
     @property
     def ecd_bound(self) -> int:
         return ceil_div(self.ecd, self.r - 1)
+
+    def check(self) -> list[str]:
+        """Every single-factor bound must stay at or below chi(KG^r(H))
+        when it is known."""
+        if self.kg_chi is None or not self.kg_chi.is_finite:
+            return []
+        chi = self.kg_chi.as_int()
+        bounds = {"cd_bound": self.cd_bound, "alt_bound": self.alt_bound, "ecd_bound": self.ecd_bound}
+        return [f"{name}={val} > chi={chi}" for name, val in bounds.items() if val > chi]
 
     def to_json_dict(self) -> dict:
         return {
@@ -422,17 +433,7 @@ class BoundReport:
     def check(self) -> list[str]:
         """Internal consistency: every recorded bound must stay at or below
         every exact chromatic number it bounds."""
-        problems = []
-        for i, f in enumerate(self.factors):
-            if f.kg_chi is not None and f.kg_chi.is_finite:
-                chi = f.kg_chi.as_int()
-                for name, val in (
-                    ("cd_bound", f.cd_bound),
-                    ("alt_bound", f.alt_bound),
-                    ("ecd_bound", f.ecd_bound),
-                ):
-                    if val > chi:
-                        problems.append(f"factor {i + 1}: {name}={val} > chi={chi}")
+        problems = [f"factor {i}: {p}" for i, f in enumerate(self.factors, start=1) for p in f.check()]
         if self.exact_chi is not None and self.exact_chi.is_finite:
             chi = self.exact_chi.as_int()
             if self.product_alt_bound > chi:

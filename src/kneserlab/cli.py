@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from .cache import CODE_VERSION
-from .experiments import TASKS, ExperimentSpec, run
+from .experiments import TASKS, ExperimentSpec, TaskResult, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,11 +41,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# what every subcommand has besides its task's arguments
+_SHARED = ("command", "recipes", "cache_path", "out_dir", "strict", "self_check")
+
+
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     fields = dict(vars(args))
-    command = fields.pop("command")
+    del fields["out_dir"], fields["strict"]  # read by `main` alone
     fields["recipes"] = tuple(fields["recipes"])
-    return ExperimentSpec(tasks=(command,), **fields)
+    return ExperimentSpec(task=fields.pop("command"), **fields)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -65,26 +69,16 @@ def main(argv: list[str] | None = None) -> int:
         "version": CODE_VERSION,
         "command": args.command,
         "recipes": list(spec.recipes),
-        "params": {
-            k: getattr(spec, k)
-            for k in ("r", "p", "limit", "mode", "s", "C", "eta")
-            if getattr(spec, k) is not None
-        },
+        "params": {k: v for k, v in vars(args).items() if k not in _SHARED and v is not None},
         "started": started,
         "wall_time_s": round(wall, 3),
     }
-    body = []
-    for task_result in result.results:
-        table = TASKS[task_result.name].table
-        if table and task_result.status != "failed":
-            body.append(table(task_result.payload))
-        body.append(f"[{task_result.name}] status={task_result.status}")
-    report = {
-        "provenance": header,
-        "results": [r.to_json_dict() for r in result.results],
-    }
-    if spec.out_dir:
-        out_dir = Path(spec.out_dir)
+    table = TASKS[result.name].table
+    body = [table(result.payload)] if table and result.status != "failed" else []
+    body.append(f"[{result.name}] status={result.status}")
+    report = {"provenance": header, "results": [result.to_json_dict()]}
+    if args.out_dir:
+        out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         stamp = time.strftime("%Y%m%d-%H%M%S")
         path = _claim_path(out_dir, f"{args.command}-{stamp}")
@@ -102,7 +96,8 @@ def main(argv: list[str] | None = None) -> int:
         # still buffered goes to the null device at the interpreter's exit
         if sys.stdout is sys.__stdout__:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return result.exit_code()
+    failed = result.status in ("failed", "violation")
+    return int(failed or (args.strict and result.status == "exceeds"))
 
 
 def _claim_path(out_dir: Path, stem: str) -> Path:
@@ -119,22 +114,17 @@ def _claim_path(out_dir: Path, stem: str) -> Path:
             path = out_dir / f"{stem}-{n}.json"
 
 
-def _write_artifacts(out_dir: Path, stamp: str, result) -> None:
+def _write_artifacts(out_dir: Path, stamp: str, result: TaskResult) -> None:
     """Dedicated files for built hypergraphs and found witnesses."""
-    for task_result in result.results:
-        if task_result.name == "build" and task_result.status == "ok":
-            for i, item in enumerate(task_result.payload["hypergraphs"], start=1):
-                name = "".join(
-                    ch if ch.isalnum() else "-" for ch in item["recipe"]
-                ).strip("-")
-                data = dict(item["hypergraph"], meta=item["meta"])
-                path = out_dir / f"hypergraph-{i}-{name}.json"
-                path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        if task_result.name == "witness" and task_result.payload.get("witness"):
-            path = _claim_path(out_dir, f"witness-{stamp}")
-            path.write_text(
-                json.dumps(task_result.payload["witness"], indent=2, sort_keys=True) + "\n"
-            )
+    if result.name == "build" and result.status == "ok":
+        for i, item in enumerate(result.payload["hypergraphs"], start=1):
+            name = "".join(ch if ch.isalnum() else "-" for ch in item["recipe"]).strip("-")
+            data = dict(item["hypergraph"], meta=item["meta"])
+            path = out_dir / f"hypergraph-{i}-{name}.json"
+            path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    if result.name == "witness" and result.payload.get("witness"):
+        path = _claim_path(out_dir, f"witness-{stamp}")
+        path.write_text(json.dumps(result.payload["witness"], indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from .hypergraph import (
     Hypergraph,
     induced_mask,
 )
-from .invariants import ecd
+from .invariants import _ecd
 
 
 def complete_uniform(n: int, k: int) -> Hypergraph:
@@ -161,7 +161,8 @@ def t_hypergraph(H: Hypergraph, C: int, s: int) -> Hypergraph:
 
     All qualifying subsets are kept, not only the inclusion-minimal ones;
     proper-coloring semantics are unaffected because supersets of
-    monochromatic sets are monochromatic.
+    monochromatic sets are monochromatic. Each distinct induced
+    subhypergraph is searched once per call, by the plain `_ecd`.
     """
     if s < 2:
         raise ValueError("reduction modulus s must be >= 2")
@@ -172,8 +173,12 @@ def t_hypergraph(H: Hypergraph, C: int, s: int) -> Hypergraph:
             f"2^{H.n} subset enumeration exceeds cap 2^{T_ENUM_CAP}"
         )
     threshold = (s - 1) * C
+    values: dict[Hypergraph, int] = {}
     edges = []
     for amask in range(1, 1 << H.n):
-        if ecd(induced_mask(H, amask), s) > threshold:
+        A = induced_mask(H, amask)
+        if A not in values:
+            values[A] = _ecd(A, s)
+        if values[A] > threshold:
             edges.append(tuple(bits_of(amask)))
     return Hypergraph(H.n, edges)

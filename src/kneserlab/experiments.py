@@ -40,7 +40,7 @@ from .hypergraph import (
     load_coloring,
     load_hypergraph,
 )
-from .invariants import ecd
+from .invariants import _ecd
 from .prooflab import (
     SignMapTables,
     check_lemma1,
@@ -118,10 +118,10 @@ def parse_recipe(text: str) -> Hypergraph:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A batch of tasks over one list of factor recipes."""
+    """One task over one list of factor recipes."""
 
     recipes: tuple[str, ...]
-    tasks: tuple[str, ...]
+    task: str
     r: int | None = None
     p: int | None = None
     limit: int | None = None
@@ -131,30 +131,25 @@ class ExperimentSpec:
     eta: int | None = None
     coloring_path: str | None = None
     force: bool = False
-    strict: bool = False
     negative_control: bool = False
     self_check: bool = False
     ground: bool = False
     cache_path: str | None = None
-    out_dir: str | None = None
 
     def validate(self) -> None:
-        if not self.tasks:
-            raise ValueError("task list is empty")
-        for name in self.tasks:
-            task = TASKS.get(name)
-            if task is None:
-                raise ValueError(f"unknown task {name!r}")
-            if task.needs_recipes and not self.recipes:
-                raise ValueError("no factor recipes given")
-            for flag, kwargs in task.args:
-                value = getattr(self, kwargs.get("dest", flag.lstrip("-").replace("-", "_")))
-                if value is None:
-                    if kwargs.get("required"):
-                        raise ValueError(f"task {name!r} needs {flag}")
-                elif "choices" in kwargs and value not in kwargs["choices"]:
-                    allowed = ", ".join(map(str, kwargs["choices"]))
-                    raise ValueError(f"task {name!r}: invalid {flag} {value!r} (choose from {allowed})")
+        task = TASKS.get(self.task)
+        if task is None:
+            raise ValueError(f"unknown task {self.task!r}")
+        if task.needs_recipes and not self.recipes:
+            raise ValueError("no factor recipes given")
+        for flag, kwargs in task.args:
+            value = getattr(self, kwargs.get("dest", flag.lstrip("-").replace("-", "_")))
+            if value is None:
+                if kwargs.get("required"):
+                    raise ValueError(f"task {self.task!r} needs {flag}")
+            elif "choices" in kwargs and value not in kwargs["choices"]:
+                allowed = ", ".join(map(str, kwargs["choices"]))
+                raise ValueError(f"task {self.task!r}: invalid {flag} {value!r} (choose from {allowed})")
 
 
 @dataclass
@@ -171,20 +166,6 @@ class TaskResult:
             "wall_time_s": round(self.wall_time, 3),
             "payload": self.payload,
         }
-
-
-@dataclass
-class RunResult:
-    spec: ExperimentSpec
-    results: list[TaskResult] = field(default_factory=list)
-
-    def exit_code(self) -> int:
-        for res in self.results:
-            if res.status in ("failed", "violation"):
-                return 1
-            if res.status == "exceeds" and self.spec.strict:
-                return 1
-        return 0
 
 
 # --- reduction and comparison reports ----------------------------------------------
@@ -221,9 +202,11 @@ class ReductionReport:
 
 
 def reduction_check(H: Hypergraph, r: int, s: int, C: int) -> ReductionReport:
-    lhs = ecd(H, r * s)
+    """Both sides derived by the plain search, not the `ecd` memo, so a
+    self-checking cache re-derives them."""
+    lhs = _ecd(H, r * s)
     T = t_hypergraph(H, C, s)
-    ecd_t = ecd(T, r)
+    ecd_t = _ecd(T, r)
     rhs = r * (s - 1) * C + ecd_t
     return ReductionReport(r, s, C, lhs, rhs, ecd_t, T.edge_count)
 
@@ -234,9 +217,11 @@ class CompareReport:
     ecd_side_wins: list[str]  # recipes where ecd_bound > alt_bound
     alt_side_wins: list[str]  # recipes where alt_bound > ecd_bound
     notes: list[str]
+    violations: list[str] = field(default_factory=list)  # bounds above chi
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The report; ``violations`` only when there are some."""
+        return {k: v for k, v in asdict(self).items() if k != "violations" or v}
 
 
 def default_compare_pool() -> list[tuple[str, int]]:
@@ -267,11 +252,12 @@ def compare_bounds(
     """One row per (recipe, r) pair of the pool with every defect quantity,
     both aggregate bounds, and exact chi of its general Kneser hypergraph
     when the solver finishes under the limit; records in which direction
-    each bound wins strictly."""
+    each bound wins strictly, and every bound above its row's chi."""
     if not pool:
         raise ValueError("empty comparison pool")
     rows: list[dict] = []
     notes: list[str] = []
+    violations: list[str] = []
     for recipe, r in pool:
         f = factor_row(parse_recipe(recipe), r, limit, cache)
         row = {
@@ -290,6 +276,7 @@ def compare_bounds(
         rows.append(row)
         if f.kg_chi_error:
             notes.append(_chi_note(recipe, f))
+        violations.extend(f"{recipe} (r={r}): {problem}" for problem in f.check())
 
     def wins(a: str, b: str) -> list[str]:
         return [f"{row['recipe']} (r={row['r']})" for row in rows if row[a] > row[b]]
@@ -299,7 +286,7 @@ def compare_bounds(
         notes.append("no pool instance has ecd_bound > alt_bound")
     if not alt_side:
         notes.append("no pool instance has alt_bound > ecd_bound")
-    return CompareReport(rows, ecd_side, alt_side, notes)
+    return CompareReport(rows, ecd_side, alt_side, notes, violations)
 
 
 # --- text tables ---------------------------------------------------------------------
@@ -503,7 +490,10 @@ def _compare(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutc
     r = 2 if spec.r is None else spec.r
     pool = [(recipe, r) for recipe in spec.recipes] or default_compare_pool()
     limit = 6 if spec.limit is None else spec.limit
-    payload = compare_bounds(pool, cache, limit).to_json_dict()
+    report = compare_bounds(pool, cache, limit)
+    payload = report.to_json_dict()
+    if report.violations:
+        return "violation", payload
     return _status(row["chi"] for row in payload["rows"]), payload
 
 
@@ -607,21 +597,18 @@ TASKS: dict[str, Task] = {
 }
 
 
-def _run_task(spec: ExperimentSpec, name: str, cache: ResultCache) -> TaskResult:
+def run(spec: ExperimentSpec) -> TaskResult:
+    """Validate the spec, then run its task against one cache (loaded from
+    and appended to ``spec.cache_path`` when it is set, else in memory for
+    the run). A task that raises ends ``failed`` with its error and
+    traceback."""
+    spec.validate()
+    cache = ResultCache(spec.cache_path, spec.self_check)
     start = time.perf_counter()
     try:
         factors = [parse_recipe(recipe) for recipe in spec.recipes]
-        status, payload = TASKS[name].run(spec, factors, cache)
+        status, payload = TASKS[spec.task].run(spec, factors, cache)
     except Exception as exc:  # failure is a first-class outcome
         status = "failed"
         payload = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
-    return TaskResult(name, status, payload, time.perf_counter() - start)
-
-
-def run(spec: ExperimentSpec) -> RunResult:
-    """Validate the spec, then run its tasks in order against one cache
-    (loaded from and appended to ``spec.cache_path`` when it is set, else
-    in memory for the run)."""
-    spec.validate()
-    cache = ResultCache(spec.cache_path, spec.self_check)
-    return RunResult(spec, [_run_task(spec, name, cache) for name in spec.tasks])
+    return TaskResult(spec.task, status, payload, time.perf_counter() - start)

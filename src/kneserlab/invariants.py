@@ -369,7 +369,7 @@ def _alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltRe
     return AltResult(best_val if best_val is not None else 0, Permutation(best_order), False)
 
 
-# The public memos. The bounds path calls the plain searches under them:
+# The public memos. The bounds path and `reduce` call the plain searches under them:
 # its cache memoizes a run, and a self-checking cache must re-derive.
 cd = lru_cache(maxsize=MEMO_SIZE)(_cd)
 ecd = lru_cache(maxsize=MEMO_SIZE)(_ecd)

@@ -136,6 +136,12 @@ class TestFormulas:
         assert formula_hnka(7, 2, 3, 2) == 4
         assert formula_hnka(9, 2, 7, 3) == 1
 
+    def test_hnka_formula_needs_k_at_least_one(self):
+        # like hnka and formula_kneser; these once returned 5 and 3
+        for args in ((5, 0, 0, 2), (6, -1, 0, 3)):
+            with pytest.raises(ValueError, match="need k >= 1"):
+                formula_hnka(*args)
+
     def test_hnka_open_range_rejected(self):
         with pytest.raises(OutOfProvenRangeError):
             formula_hnka(9, 2, 4, 3)  # 2k=4 <= a=4 <= rk-2=4

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import shlex
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from kneserlab import (
 )
 from kneserlab.cache import ResultCache, canonical_json, cached_value, hypergraph_digest
 from kneserlab.cli import build_parser, main, spec_from_args
-from kneserlab.experiments import RecipeError
+from kneserlab.experiments import TASKS, RecipeError
 from conftest import is_first_appearance
 
 
@@ -63,49 +64,55 @@ class TestRecipes:
 
 
 class TestRun:
-    def test_empty_tasks_rejected(self):
-        spec = ExperimentSpec(recipes=("complete:5,2",), tasks=())
-        with pytest.raises(ValueError):
+    def test_unknown_task_rejected(self):
+        spec = ExperimentSpec(recipes=("complete:5,2",), task="nonsense")
+        with pytest.raises(ValueError, match="unknown task 'nonsense'"):
             run(spec)
 
+    def test_spec_fields_are_what_run_reads(self):
+        """The recipes, the task, the cache settings and each task argument;
+        a flag only the CLI reads (--out, --strict) has no field."""
+        dests = {
+            argparse.ArgumentParser().add_argument(flag, **kwargs).dest
+            for task in TASKS.values()
+            for flag, kwargs in task.args
+        }
+        expected = {"recipes", "task", "cache_path", "self_check", *dests}
+        assert {f.name for f in fields(ExperimentSpec)} == expected
+
     def test_missing_r_rejected(self):
-        spec = ExperimentSpec(recipes=("complete:5,2",), tasks=("bounds",))
+        spec = ExperimentSpec(recipes=("complete:5,2",), task="bounds")
         with pytest.raises(ValueError):
             run(spec)
 
     def test_bounds_task_spec_example(self, tmp_path):
-        spec = ExperimentSpec(
-            recipes=("hnka:7,2,3",),
-            tasks=("bounds", "chromatic"),
-            r=2,
-            cache_path=str(tmp_path / "cache.jsonl"),
-        )
-        result = run(spec)
-        assert result.exit_code() == 0
-        bounds = result.results[0].payload
+        base = dict(recipes=("hnka:7,2,3",), r=2, cache_path=str(tmp_path / "cache.jsonl"))
+        result = run(ExperimentSpec(**base, task="bounds"))
+        assert result.status == "ok"
+        bounds = result.payload
         assert bounds["factors"][0]["ecd"] == 4
         assert bounds["product_ecd_bound"] == 4
         assert bounds["exact_chi"] == 4
         assert bounds["zhu_status"] == "VERIFIED"
-        chrom = result.results[1].payload
+        chrom = run(ExperimentSpec(**base, task="chromatic")).payload
         assert chrom["chi"] == 4
 
     def test_witness_task(self):
-        spec = ExperimentSpec(recipes=("complete:5,2",), tasks=("witness",), p=2)
+        spec = ExperimentSpec(recipes=("complete:5,2",), task="witness", p=2)
         result = run(spec)
-        assert result.exit_code() == 0
-        payload = result.results[0].payload
+        assert result.status == "ok"
+        payload = result.payload
         assert payload["status"] == "FOUND"
         assert payload["target"] == 3
         assert sum(len(part["vertices"]) for part in payload["witness"]["parts"]) == 3
 
     def test_witness_task_two_factors(self):
         spec = ExperimentSpec(
-            recipes=("complete:5,2", "complete:5,2"), tasks=("witness",), p=2
+            recipes=("complete:5,2", "complete:5,2"), task="witness", p=2
         )
         result = run(spec)
-        assert result.exit_code() == 0
-        payload = result.results[0].payload
+        assert result.status == "ok"
+        payload = result.payload
         assert payload["status"] == "FOUND" and payload["chi"] == 3
         assert sum(len(part["vertices"]) for part in payload["witness"]["parts"]) == 3
         for part in payload["witness"]["parts"]:
@@ -113,10 +120,10 @@ class TestRun:
                 assert len(vertex) == 2  # one edge index per factor
 
     def test_prooflab_task_clean(self):
-        spec = ExperimentSpec(recipes=("complete:3,2",), tasks=("prooflab",), p=2)
+        spec = ExperimentSpec(recipes=("complete:3,2",), task="prooflab", p=2)
         result = run(spec)
-        assert result.exit_code() == 0
-        payload = result.results[0].payload
+        assert result.status == "ok"
+        payload = result.payload
         assert payload["lemma1_violations"] == []
         assert payload["lemma2_violations"] == []
         assert payload["dold"]["ok"]
@@ -124,26 +131,13 @@ class TestRun:
     def test_prooflab_negative_control_fails_run(self):
         spec = ExperimentSpec(
             recipes=("complete:3,2",),
-            tasks=("prooflab",),
+            task="prooflab",
             p=2,
             negative_control=True,
         )
         result = run(spec)
-        assert result.exit_code() == 1
-        assert result.results[0].payload["lemma1_violations"]
-
-    def test_multi_task_spec_matches_single_tasks(self, tmp_path):
-        base = dict(recipes=("complete:5,2",), r=2)
-        both = run(
-            ExperimentSpec(
-                **base,
-                tasks=("invariants", "chromatic"),
-                cache_path=str(tmp_path / "c.jsonl"),
-            )
-        )
-        alone = [run(ExperimentSpec(**base, tasks=(t,))) for t in ("invariants", "chromatic")]
-        assert [r.name for r in both.results] == ["invariants", "chromatic"]
-        assert [r.payload for r in both.results] == [a.results[0].payload for a in alone]
+        assert result.status == "violation"
+        assert result.payload["lemma1_violations"]
 
     def test_witness_scans_once(self, monkeypatch):
         import kneserlab.experiments
@@ -158,23 +152,23 @@ class TestRun:
 
         monkeypatch.setattr(kneserlab.experiments, "sigma2_scan", counted)
         monkeypatch.setattr(kneserlab.prooflab, "sigma2_scan", counted)
-        spec = ExperimentSpec(recipes=("complete:5,2",), tasks=("witness",), p=2)
-        assert run(spec).results[0].payload["status"] == "FOUND"
+        spec = ExperimentSpec(recipes=("complete:5,2",), task="witness", p=2)
+        assert run(spec).payload["status"] == "FOUND"
         assert len(calls) == 1
 
     def test_reduce_reads_through_cache(self, tmp_path, monkeypatch):
         spec = ExperimentSpec(
             recipes=("complete:5,2",),
-            tasks=("reduce",),
+            task="reduce",
             r=2,
             s=2,
             C=1,
             cache_path=str(tmp_path / "c.jsonl"),
         )
-        first = run(spec).results[0]
+        first = run(spec)
         # a cache miss on the second run would now fail the task
         monkeypatch.setattr("kneserlab.experiments.reduction_check", None)
-        second = run(spec).results[0]
+        second = run(spec)
         assert second.status == first.status == "ok"
         assert canonical_json(second.payload) == canonical_json(first.payload)
 
@@ -188,14 +182,14 @@ class TestRun:
     )
     def test_bounds_and_compare_read_through_cache(self, task, recipes, tmp_path, monkeypatch):
         spec = ExperimentSpec(
-            recipes=recipes, tasks=(task,), r=2, cache_path=str(tmp_path / "c.jsonl")
+            recipes=recipes, task=task, r=2, cache_path=str(tmp_path / "c.jsonl")
         )
-        first = run(spec).results[0]
+        first = run(spec)
         # a cache miss on the second run would now fail the task
         for module in ("chromatic", "experiments"):
             for name in ("cd", "ecd", "alt_min", "chromatic_number", "product_chromatic"):
                 monkeypatch.setattr(f"kneserlab.{module}.{name}", None, raising=False)
-        second = run(spec).results[0]
+        second = run(spec)
         assert second.status == first.status == "ok"
         assert canonical_json(second.payload) == canonical_json(first.payload)
 
@@ -205,20 +199,20 @@ class TestRun:
     )
     def test_witness_and_prooflab_read_through_cache(self, task, recipes, tmp_path, monkeypatch):
         spec = ExperimentSpec(
-            recipes=recipes, tasks=(task,), p=2, cache_path=str(tmp_path / "c.jsonl")
+            recipes=recipes, task=task, p=2, cache_path=str(tmp_path / "c.jsonl")
         )
-        first = run(spec).results[0]
+        first = run(spec)
         # the defect minima must now come from the cache
         for module in ("prooflab", "chromatic", "experiments"):
             for name in ("ecd", "alt_min"):
                 monkeypatch.setattr(f"kneserlab.{module}.{name}", None, raising=False)
-        second = run(spec).results[0]
+        second = run(spec)
         assert second.status == first.status == "ok"
         assert canonical_json(second.payload) == canonical_json(first.payload)
 
     def test_bounds_keeps_row_over_vertex_cap(self):
-        spec = ExperimentSpec(recipes=("complete:17,2", "complete:4,2"), tasks=("bounds",), r=2)
-        res = run(spec).results[0]
+        spec = ExperimentSpec(recipes=("complete:17,2", "complete:4,2"), task="bounds", r=2)
+        res = run(spec)
         assert res.status == "ok"
         big, small = res.payload["factors"]
         assert big["kg_chi"] is None and big["ecd"] == 15
@@ -234,35 +228,35 @@ class TestRun:
         second.write_text(json.dumps(complete_uniform(5, 2).to_json_dict()))
         spec = ExperimentSpec(
             recipes=(f"file:{first}", f"file:{second}"),
-            tasks=("bounds",),
+            task="bounds",
             r=2,
             cache_path=str(tmp_path / "c.jsonl"),
         )
-        assert run(spec).results[0].payload["exact_chi"] == 2
+        assert run(spec).payload["exact_chi"] == 2
         # KG(3,2) has no edges, so the product is 1-colorable
         second.write_text(json.dumps(complete_uniform(3, 2).to_json_dict()))
-        assert run(spec).results[0].payload["exact_chi"] == 1
+        assert run(spec).payload["exact_chi"] == 1
 
     def test_run_idempotent(self):
-        spec = ExperimentSpec(recipes=("star:4",), tasks=("invariants",), r=2)
-        first = run(spec).results[0].payload
-        second = run(spec).results[0].payload
+        spec = ExperimentSpec(recipes=("star:4",), task="invariants", r=2)
+        first = run(spec).payload
+        second = run(spec).payload
         assert canonical_json(first) == canonical_json(second)
 
-    def test_exceeds_exit_code_strict(self):
-        base = dict(recipes=("complete:7,2",), tasks=("chromatic",), r=2, limit=2)
-        assert run(ExperimentSpec(**base)).exit_code() == 0
-        assert run(ExperimentSpec(**base, strict=True)).exit_code() == 1
+    def test_exceeds_exit_code_strict(self, capsys):
+        argv = ["chromatic", "--r", "2", "--limit", "2", "complete:7,2"]
+        assert main(argv) == 0
+        assert main([*argv, "--strict"]) == 1
 
-    def test_prooflab_without_a_coloring_exceeds(self):
+    def test_prooflab_without_a_coloring_exceeds(self, capsys):
         # lemma 2 and the Dold check cannot run when the coloring search stops
-        base = dict(recipes=("complete:5,2",), tasks=("prooflab",), p=2, limit=2)
-        result = run(ExperimentSpec(**base))
-        (task,) = result.results
-        assert task.status == "exceeds" and result.exit_code() == 0
+        task = run(ExperimentSpec(recipes=("complete:5,2",), task="prooflab", p=2, limit=2))
+        assert task.status == "exceeds"
         assert task.payload["lemma1_violations"] == []
         assert task.payload["lemma2_violations"] is None and task.payload["dold"] is None
-        assert run(ExperimentSpec(**base, strict=True)).exit_code() == 1
+        argv = ["prooflab", "--p", "2", "--limit", "2", "complete:5,2"]
+        assert main(argv) == 0
+        assert main([*argv, "--strict"]) == 1
 
 
 class TestReduction:
@@ -321,20 +315,35 @@ class TestCompare:
         assert "136" in note
 
     def test_limit_zero_is_kept(self):
-        spec = ExperimentSpec(recipes=("cycle:5",), tasks=("compare",), r=2, limit=0)
-        (row,) = run(spec).results[0].payload["rows"]
+        spec = ExperimentSpec(recipes=("cycle:5",), task="compare", r=2, limit=0)
+        (row,) = run(spec).payload["rows"]
         assert row["chi"] == "EXCEEDS(0)"
 
     def test_self_check_catches_a_wrong_cache_entry(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        spec = ExperimentSpec(recipes=("cycle:5",), tasks=("compare",), r=2, cache_path=str(path))
-        assert run(spec).results[0].status == "ok"
-        cache = ResultCache(path)
-        cache.put(ResultCache.make_key(hypergraph_digest(parse_recipe("cycle:5")), "cd", [2]), 99)
-        assert run(spec).results[0].status == "ok"
-        checked = run(replace(spec, self_check=True)).results[0]
-        assert checked.status == "failed"
-        assert checked.payload["error"].startswith("CacheMismatchError")
+        spec = ExperimentSpec(recipes=("cycle:5",), task="compare", r=2, cache_path=str(path))
+        assert run(spec).status == "ok"
+        key = ResultCache.make_key(hypergraph_digest(parse_recipe("cycle:5")), "cd", [2])
+        # cd is 1 and chi 3: a wrong cd of 2 passes unchecked, one of 99
+        # puts cd_bound above chi
+        for wrong, unchecked in ((2, "ok"), (99, "violation")):
+            ResultCache(path).put(key, wrong)
+            assert run(spec).status == unchecked
+            checked = run(replace(spec, self_check=True))
+            assert checked.status == "failed"
+            assert checked.payload["error"].startswith("CacheMismatchError")
+
+    def test_bound_above_chi_is_a_violation(self, capsys, monkeypatch):
+        import kneserlab.chromatic
+
+        assert "violations" not in compare_bounds([("cycle:5", 2)]).to_json_dict()
+        search = kneserlab.chromatic._ecd
+        monkeypatch.setattr(kneserlab.chromatic, "_ecd", lambda H, r: search(H, r) + 5)
+        assert main(["compare", "--r", "2", "cycle:5"]) == 1
+        out = capsys.readouterr().out
+        (result,) = json.loads(out[out.index("\n[\n") + 1 :])
+        assert result["status"] == "violation"
+        assert result["payload"]["violations"] == ["cycle:5 (r=2): ecd_bound=6 > chi=3"]
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
@@ -406,7 +415,7 @@ class TestCache:
     def test_bounds_values_traceable_to_cache(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         spec = ExperimentSpec(
-            recipes=("hnka:7,2,3",), tasks=("bounds",), r=2, cache_path=str(path)
+            recipes=("hnka:7,2,3",), task="bounds", r=2, cache_path=str(path)
         )
         run(spec)
         ops = {
@@ -436,6 +445,24 @@ class TestMainEntry:
         assert written
         report = json.loads(written[0].read_text())
         assert report["results"][0]["payload"]["exact_chi"] == 4
+
+    def test_out_header_records_the_task_parameters(self, capsys, tmp_path):
+        path = tmp_path / "lex.json"
+        _, coloring = solve_chromatic(kneser(complete_uniform(5, 2), 2))
+        path.write_text(store_coloring(coloring))
+        witness_dir, bounds_dir = tmp_path / "w", tmp_path / "b"
+        argv = ["witness", "--p", "2", "--coloring", str(path), "complete:5,2"]
+        assert main([*argv, "--out", str(witness_dir)]) == 0
+        assert main(["bounds", "--r", "2", "complete:5,2", "--strict", "--out", str(bounds_dir)]) == 0
+        capsys.readouterr()
+
+        def params(out_dir):
+            reports = [json.loads(f.read_text()) for f in out_dir.glob("*.json")]
+            (header,) = [d["provenance"] for d in reports if "provenance" in d]
+            return header["params"]
+
+        assert params(witness_dir) == {"p": 2, "coloring_path": str(path), "force": False}
+        assert params(bounds_dir) == {"r": 2}
 
     def test_out_reports_of_one_second_kept_apart(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr("kneserlab.cli.time.strftime", lambda *_: "20240501-120000")
@@ -507,8 +534,8 @@ class TestMainEntry:
             main([task, "--r", "1", "complete:4,2"])
         assert exc.value.code == 2
         with pytest.raises(ValueError, match="--r"):
-            ExperimentSpec(recipes=("complete:4,2",), tasks=(task,), r=1).validate()
-        ExperimentSpec(recipes=("complete:4,2",), tasks=("invariants",), r=1).validate()
+            ExperimentSpec(recipes=("complete:4,2",), task=task, r=1).validate()
+        ExperimentSpec(recipes=("complete:4,2",), task="invariants", r=1).validate()
 
     VALID_ARGS = {
         "witness": ["--p", "2"],
@@ -588,9 +615,9 @@ class TestMainEntry:
         path = tmp_path / "lex.json"
         _, coloring = solve_chromatic(kneser(complete_uniform(5, 2), 2))
         path.write_text(store_coloring(coloring))
-        base = dict(recipes=("complete:5,2",), tasks=("witness",), p=2)
-        solved = run(ExperimentSpec(**base)).results[0]
-        loaded = run(ExperimentSpec(**base, coloring_path=str(path))).results[0]
+        base = dict(recipes=("complete:5,2",), task="witness", p=2)
+        solved = run(ExperimentSpec(**base))
+        loaded = run(ExperimentSpec(**base, coloring_path=str(path)))
         assert loaded.status == solved.status == "ok"
         assert dict(loaded.payload, chi=3) == solved.payload
 
@@ -694,6 +721,33 @@ def test_self_check_without_cache_file(capsys, monkeypatch):
     assert result["status"] == "failed"
     assert result["payload"]["error"].startswith("CacheMismatchError")
     assert len(calls) == 2
+
+
+def test_reduce_self_check_rederives(capsys, monkeypatch):
+    """`reduction_check` and `t_hypergraph` derive through the plain search,
+    not the `ecd` memo: the second factor's lookup is a hit, and its
+    re-derivation reaches a search that drifts from its second call on."""
+    import kneserlab.constructions
+    import kneserlab.experiments
+    from kneserlab import invariants
+
+    seen = set()
+
+    def drifting(H, r):
+        again = (H, r) in seen
+        seen.add((H, r))
+        return invariants._ecd(H, r) + again
+
+    for module in (kneserlab.constructions, kneserlab.experiments):
+        monkeypatch.setattr(module, "_ecd", drifting)
+    before = invariants.ecd.cache_info()[:2]
+    argv = ["reduce", "--r", "2", "--s", "2", "--C", "1", "complete:5,2", "complete:5,2"]
+    assert main([*argv, "--self-check"]) == 1
+    out = capsys.readouterr().out
+    (result,) = json.loads(out[out.index("\n[\n") + 1 :])
+    assert result["status"] == "failed"
+    assert result["payload"]["error"].startswith("CacheMismatchError")
+    assert invariants.ecd.cache_info()[:2] == before
 
 
 def test_self_check_bypasses_the_memos():
