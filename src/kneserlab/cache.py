@@ -1,8 +1,9 @@
 """Append-only JSON-lines result cache keyed by (hypergraph digest,
 operation, parameters, code version). The code version is CODE_VERSION
 salted with a digest of the package's source, so a changed algorithm never
-serves values computed by older code. Corrupt lines are dropped and rebuilt
-on demand: every cached value is re-derivable.
+serves values computed by older code; their lines stay in the file, which
+other runs may be appending to, but are not loaded. Corrupt lines are
+dropped and rebuilt on demand: every cached value is re-derivable.
 
 A `ResultCache` is the one lookup context of a run: it keeps the hit and miss
 counts and the self-check policy, under which every hit is recomputed and
@@ -32,6 +33,12 @@ def _source_digest() -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _key_version() -> str:
+    """The version of every key this code writes: CODE_VERSION salted with
+    the source digest."""
+    return f"{CODE_VERSION}+{_source_digest()}"
+
+
 def hypergraph_digest(H: Hypergraph | Sequence[Hypergraph]) -> str:
     """Digest of a hypergraph, or of a sequence of factors (a product)."""
     data = H.to_json_dict() if isinstance(H, Hypergraph) else [hypergraph_digest(G) for G in H]
@@ -54,11 +61,14 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         if self.path is not None and self.path.exists():
+            version = _key_version()
             for line in self.path.read_text().splitlines():
                 if not line.strip():
                     continue
                 try:
                     record = json.loads(line)
+                    if record["key"]["version"] != version:
+                        continue  # written by other code: it can never hit
                     key = canonical_json(record["key"])
                     self._entries[key] = record["value"]
                 except (json.JSONDecodeError, KeyError, TypeError):
@@ -66,8 +76,7 @@ class ResultCache:
 
     @staticmethod
     def make_key(digest: str, op: str, params) -> dict:
-        version = f"{CODE_VERSION}+{_source_digest()}"
-        return {"digest": digest, "op": op, "params": params, "version": version}
+        return {"digest": digest, "op": op, "params": params, "version": _key_version()}
 
     def get(self, key: dict):
         return self._entries.get(canonical_json(key))

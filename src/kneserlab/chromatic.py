@@ -15,7 +15,7 @@ from itertools import accumulate, product as iproduct
 from math import prod
 
 from .cache import ResultCache, cached_value
-from .constructions import ProductSpace, hnka, kneser
+from .constructions import ProductSpace, kneser
 from .hypergraph import (
     CapExceededError,
     ChromaticValue,
@@ -238,29 +238,6 @@ def solve_chromatic(
     return solve_product_chromatic([H], limit)
 
 
-def chromatic_number(H: Hypergraph, limit: int | None = None) -> ChromaticValue:
-    return solve_chromatic(H, limit)[0]
-
-
-def product_chromatic(
-    factors: Sequence[Hypergraph], limit: int | None = None
-) -> ChromaticValue:
-    return solve_product_chromatic(factors, limit)[0]
-
-
-def projection_coloring(
-    factors: Sequence[Hypergraph], which: int, coloring: Coloring
-) -> Coloring:
-    """Color the product by projecting to factor ``which`` (0-based)."""
-    space = ProductSpace.for_factors(factors)
-    if coloring.n != factors[which].n:
-        raise ValueError("coloring does not fit the chosen factor")
-    cols = tuple(
-        coloring.color_of(space.tuple_of(i)[which]) for i in range(1, space.size + 1)
-    )
-    return Coloring(cols, coloring.color_count)
-
-
 # --- closed forms -------------------------------------------------------------
 
 
@@ -293,30 +270,6 @@ def formula_hnka(n: int, k: int, a: int, r: int) -> int:
             f"a={a} lies in the open range [2k, rk-2] = [{2 * k}, {r * k - 2}]"
         )
     return ceil_div(n - max(a, r * (k - 1)), r - 1)
-
-
-@dataclass(frozen=True)
-class HnkaFormulaCheck:
-    formula_value: int
-    exact: ChromaticValue | None
-    status: str  # OK | DISCREPANCY | UNCHECKED
-
-
-def formula_hnka_checked(
-    n: int, k: int, a: int, r: int, limit: int | None = None
-) -> HnkaFormulaCheck:
-    """Evaluate the closed form and cross-check it against the exact solver
-    whenever the instance fits; on conflict report both values rather than
-    trusting either."""
-    value = formula_hnka(n, k, a, r)
-    try:
-        exact, _ = solve_chromatic(kneser(hnka(n, k, a), r), limit)
-    except CapExceededError:
-        return HnkaFormulaCheck(value, None, "UNCHECKED")
-    if not exact.is_finite:
-        return HnkaFormulaCheck(value, exact, "UNCHECKED")
-    status = "OK" if exact.as_int() == value else "DISCREPANCY"
-    return HnkaFormulaCheck(value, exact, status)
 
 
 # --- bound reports ------------------------------------------------------------
@@ -407,7 +360,7 @@ def factor_row(
     f = factor_bounds(H, r, "exact", cache)
 
     def solve() -> int | str:
-        return chromatic_number(kneser(H, r), limit).to_json()
+        return solve_chromatic(kneser(H, r), limit)[0].to_json()
 
     try:
         chi = cached_value(cache, H, "kg_chi", [r, limit], solve)
@@ -478,7 +431,7 @@ def bound_report(
         def solve() -> int | str:
             if len(factors) == 1:
                 return rows[0].kg_chi.to_json()  # type: ignore[union-attr]
-            return product_chromatic([kneser(H, r) for H in factors], limit).to_json()
+            return solve_product_chromatic([kneser(H, r) for H in factors], limit)[0].to_json()
 
         exact_chi = ChromaticValue.from_json(
             cached_value(cache, factors, "product_kg_chi", [r, limit], solve)

@@ -121,16 +121,6 @@ class ProductSpace:
             idx = idx * d + (v - 1)
         return idx + 1
 
-    def tuple_of(self, index: int) -> tuple[int, ...]:
-        if not 1 <= index <= self.size:
-            raise ValueError(f"index {index} outside [1..{self.size}]")
-        rem = index - 1
-        out = []
-        for d in reversed(self.dims):
-            out.append(rem % d + 1)
-            rem //= d
-        return tuple(reversed(out))
-
 
 def product_is_proper(factors: Sequence[Hypergraph], coloring: Coloring) -> bool:
     """Proper-coloring test on the categorical product without materializing

@@ -487,8 +487,8 @@ def _reduce_table(payload: dict) -> str:
 
 
 def _compare(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
-    r = 2 if spec.r is None else spec.r
-    pool = [(recipe, r) for recipe in spec.recipes] or default_compare_pool()
+    pool = [(recipe, 2) for recipe in spec.recipes] or default_compare_pool()
+    pool = [(recipe, spec.r or r) for recipe, r in pool]
     limit = 6 if spec.limit is None else spec.limit
     report = compare_bounds(pool, cache, limit)
     payload = report.to_json_dict()
@@ -587,7 +587,7 @@ TASKS: dict[str, Task] = {
     "compare": Task(
         "side-by-side defect bound table",
         (
-            _at_least("--r", 2, help="r for the given recipes"),
+            _at_least("--r", 2, help="r for every row (default: 2, or the shipped pool's own r)"),
             _at_least("--limit", 0, default=6),
         ),
         _compare,

@@ -124,13 +124,6 @@ class Coloring:
             if not isinstance(c, int) or not 1 <= c <= self.color_count:
                 raise ValueError(f"color {c!r} outside [1..{self.color_count}]")
 
-    @classmethod
-    def of(cls, colors: Iterable[int], color_count: int | None = None) -> Coloring:
-        tup = tuple(colors)
-        if color_count is None:
-            color_count = max(tup, default=0)
-        return cls(tup, color_count)
-
     @property
     def n(self) -> int:
         return len(self.colors)
@@ -199,18 +192,8 @@ class ChromaticValue:
         return cls.exceeds(int(value.removeprefix("EXCEEDS(").removesuffix(")")))
 
 
-def induced(H: Hypergraph, A: Iterable[int]) -> Hypergraph:
-    """Subhypergraph induced by vertex subset ``A``, relabeled to 1..|A|.
-
-    Vertices are relabeled by the order-preserving map from sorted(A).
-    """
-    kept = sorted(set(A))
-    if kept and (kept[0] < 1 or kept[-1] > H.n):
-        raise ValueError(f"subset {kept} not inside vertex set [1..{H.n}]")
-    return induced_mask(H, mask_of(kept))
-
-
 def induced_mask(H: Hypergraph, amask: int) -> Hypergraph:
+    """Subhypergraph induced by the vertex mask, relabeled to 1..|A| in order."""
     kept = list(bits_of(amask))
     remap = {v: i + 1 for i, v in enumerate(kept)}
     new_edges = [

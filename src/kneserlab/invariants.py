@@ -1,7 +1,7 @@
 """Exact colorability defects and alternation numbers.
 
-The main entry points (cd, ecd, alt_sigma, alt_min) use pruned searches on
-the "maximal disjoint edge-free classes" reformulation; their memos keep at
+The main entry points (cd, ecd, alt_min) use pruned searches on the
+"maximal disjoint edge-free classes" reformulation; their memos keep at
 most MEMO_SIZE entries each. A search node asks whether a class mask spans
 an edge: up to T_ENUM_CAP vertices by one index into the call's own
 `span_table`, above it by scanning the edges through the vertex just
@@ -85,13 +85,6 @@ class Permutation:
         n = len(self.sigma)
         if sorted(self.sigma) != list(range(1, n + 1)):
             raise ValueError("not a bijection of [1..n]")
-
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
-
-    def __len__(self) -> int:
-        return len(self.sigma)
 
 
 def alt_of(X: SignVector) -> int:
@@ -275,17 +268,6 @@ def _next_block(order: list[int], depth: int) -> bool:
     return False
 
 
-def alt_sigma(H: Hypergraph, r: int, sigma: Permutation) -> int:
-    """Largest alternation over sign vectors whose classes, read through the
-    ordering ``sigma``, are all edge-free."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if len(sigma) != H.n:
-        raise ValueError("permutation length mismatch")
-    spans, edges_at = _edge_index(H)
-    return _alt_search(H, r, sigma.sigma, spans, cutoff=None, edges_at=edges_at)
-
-
 @dataclass(frozen=True)
 class AltResult:
     """alt value with its certificate ordering; ``exact=False`` marks a
@@ -301,7 +283,8 @@ class AltResult:
 
 
 def _alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltResult:
-    """Minimum of alt_sigma over all vertex orderings.
+    """Minimum over all vertex orderings of the largest alternation of a
+    sign vector whose classes, read through the ordering, are edge-free.
 
     Exact mode (n <= 9) walks the orderings in lex order and reports the
     lexicographically smallest optimal one. When an ordering has a vector

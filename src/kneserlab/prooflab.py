@@ -8,12 +8,12 @@ exhaustively, and the saturated-side search extracts colorful balanced
 complete p-partite witnesses from proper colorings of products of general
 Kneser hypergraphs.
 
-On the saturated side one reader, `_color_reader`, gives `tau_of`,
+On the saturated side one reader, `_color_reader`, gives `lambda2`,
 `sigma2_scan` and `extract_witness` the colors each sign class realizes and
 by which product vertex; `PartiteWitness.problems` checks on its own lookup.
-The color simplex tau(X) is kept as those rows, one per sign; `tau_of`
-returns their (sign, color) cells. The sign tables refuse a composite p, and
-a self-checking cache re-derives the defect minima by the plain searches.
+The color simplex tau(X) is kept as those rows, one per sign. The sign
+tables refuse a composite p, and a self-checking cache re-derives the
+defect minima by the plain searches.
 """
 
 from __future__ import annotations
@@ -314,7 +314,7 @@ def _tau(S: SplitVector, coloring: Coloring) -> tuple[dict[int, tuple[int, ...]]
     for a saturated vector, and a proper coloring keeps every color out of
     some row."""
     if not S.is_saturated:
-        raise ValueError("tau_of is only defined on saturated vectors")
+        raise ValueError("tau(X) is only defined on saturated vectors")
     read = _color_reader(S.hypergraphs, coloring)
     rows = tuple(read(tuple(blk.class_mask(s) for blk in S.blocks)) for s in range(1, S.p + 1))
     if set(rows[0]).intersection(*rows[1:]):
@@ -322,12 +322,6 @@ def _tau(S: SplitVector, coloring: Coloring) -> tuple[dict[int, tuple[int, ...]]
             "some color is realized by all signs: the coloring is not proper"
         )
     return rows
-
-
-def tau_of(S: SplitVector, coloring: Coloring) -> frozenset[tuple[int, int]]:
-    """The (sign, color) cells realized by product vertices whose factor
-    edges all sit inside the corresponding sign class."""
-    return frozenset((s, c) for s, row in enumerate(_tau(S, coloring), start=1) for c in row)
 
 
 def lambda2(

@@ -25,19 +25,42 @@ from kneserlab import (
     Permutation,
     ProductSpace,
     SignVector,
+    SplitVector,
     complete_uniform,
     hnka,
-    induced,
     kneser,
-    projection_coloring,
     solve_chromatic,
 )
 from kneserlab.bits import bits_of, mask_of
 from kneserlab.chromatic import _ColoringSearch
-from kneserlab.hypergraph import span_table
-from kneserlab.invariants import _alt_search, _Found
+from kneserlab.hypergraph import induced_mask, span_table
+from kneserlab.invariants import _alt_search, _edge_index, _Found
+from kneserlab.prooflab import _tau
 
 SEED = 20240501
+
+
+# --- test-side views of library values -------------------------------------------
+
+
+def induced(H: Hypergraph, A: Iterable[int]) -> Hypergraph:
+    """Subhypergraph induced by the vertex set ``A``, relabeled to 1..|A| in order."""
+    return induced_mask(H, mask_of(A))
+
+
+def projection_coloring(
+    factors: Sequence[Hypergraph], which: int, coloring: Coloring
+) -> Coloring:
+    """Color the product, in row-major vertex order, by projecting to factor
+    ``which`` (0-based)."""
+    assert coloring.n == factors[which].n
+    tuples = itertools.product(*(range(1, H.n + 1) for H in factors))
+    return Coloring(tuple(coloring.color_of(t[which]) for t in tuples), coloring.color_count)
+
+
+def tau_of(S: SplitVector, coloring: Coloring) -> frozenset[tuple[int, int]]:
+    """tau(X) as its (sign, color) cells: the cells of the `_tau` rows."""
+    return frozenset((s, c) for s, row in enumerate(_tau(S, coloring), start=1) for c in row)
 
 
 # --- oracles ---------------------------------------------------------------------
@@ -97,6 +120,15 @@ def _has_proper_r_coloring(H: Hypergraph, r: int, equitable: bool) -> bool:
                 continue
         return True
     return False
+
+
+def alt_sigma(H: Hypergraph, r: int, sigma: Permutation) -> int:
+    """Largest alternation over sign vectors whose classes, read through the
+    ordering ``sigma``, are all edge-free: the library's per-ordering search
+    on its own, checked against `alt_sigma_naive`."""
+    assert len(sigma.sigma) == H.n
+    spans, edges_at = _edge_index(H)
+    return _alt_search(H, r, sigma.sigma, spans, cutoff=None, edges_at=edges_at)
 
 
 def alt_sigma_naive(H: Hypergraph, r: int, sigma: Permutation) -> int:
@@ -425,7 +457,7 @@ def _product2_minimal(H1: Hypergraph, H2: Hypergraph) -> Hypergraph:
     if space.size > MAX_VERTICES:
         raise CapExceededError(
             f"product on {space.size} vertices exceeds cap {MAX_VERTICES}; "
-            "use the implicit checker (product_is_proper / product_chromatic)"
+            "use the implicit checker (product_is_proper / solve_product_chromatic)"
         )
     candidates: set[int] = set()
     for e1 in H1.edges:
@@ -570,4 +602,4 @@ def min_element_coloring_petersen() -> Coloring:
     """The classical proper 3-coloring of the Petersen graph as KG(5,2):
     pair {i,j} gets min(i, j, 3)."""
     ground = complete_uniform(5, 2)
-    return Coloring.of([min(e[0], e[1], 3) for e in ground.edges], 3)
+    return Coloring(tuple(min(e[0], e[1], 3) for e in ground.edges), 3)

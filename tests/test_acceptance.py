@@ -17,7 +17,6 @@ from kneserlab import (
     cd,
     check_lemma1,
     check_lemma2,
-    chromatic_number,
     compare_bounds,
     complete_uniform,
     default_compare_pool,
@@ -27,7 +26,6 @@ from kneserlab import (
     hnka,
     kneser,
     product_is_proper,
-    projection_coloring,
     reduction_check,
     sigma2_scan,
     solve_chromatic,
@@ -47,6 +45,7 @@ from conftest import (
     minimal_covers_brute,
     product_full,
     product_minimal,
+    projection_coloring,
     random_hypergraph,
     random_pool,
 )
@@ -154,7 +153,7 @@ def test_criterion_05_lower_bound_soundness(pool):
     checked = 0
     for H in pool:
         for r in (2, 3):
-            value = chromatic_number(kneser(H, r), limit=6)
+            value = solve_chromatic(kneser(H, r), limit=6)[0]
             if not value.is_finite:
                 continue
             chi = value.as_int()
@@ -253,9 +252,9 @@ def test_criterion_08_lemma_suites(timed_instances):
     # p=3 on five vertices: the saturated side is empty, the sweep is vacuous
     kg53 = kneser(H5, 3)
     assert kg53.edge_count == 0
-    assert check_lemma2([H5], 3, Coloring.of([1] * kg53.n, 1)) == []
+    assert check_lemma2([H5], 3, Coloring((1,) * kg53.n, 1)) == []
     kg3 = kneser(H3, 2)
-    pair_coloring = Coloring.of([1] * (kg3.n * kg3.n), 1)
+    pair_coloring = Coloring((1,) * (kg3.n * kg3.n), 1)
     assert check_lemma2([H3, H3], 2, pair_coloring) == []
     # negative controls: corrupted tables must be detected
     assert check_lemma1([H5], 2, tables=SignMapTables(2, corrupt=("signsets",)))
@@ -307,8 +306,8 @@ def test_criterion_11_product_representations():
         for _ in range(5):
             if checked >= 500:
                 break
-            coloring = Coloring.of(
-                [rng.randint(1, k) for _ in range(mini.n)], k
+            coloring = Coloring(
+                tuple(rng.randint(1, k) for _ in range(mini.n)), k
             )
             assert product_is_proper([H1, H2], coloring) == is_proper(mini, coloring)
             checked += 1

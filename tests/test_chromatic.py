@@ -13,14 +13,11 @@ from kneserlab import (
     Hypergraph,
     OutOfProvenRangeError,
     bound_report,
-    chromatic_number,
     complete_uniform,
     formula_hnka,
-    formula_hnka_checked,
     formula_kneser,
     hnka,
     kneser,
-    product_chromatic,
     product_is_proper,
     solve_chromatic,
     solve_product_chromatic,
@@ -44,20 +41,20 @@ def relabeled(H: Hypergraph, rng: random.Random) -> Hypergraph:
 
 class TestSolver:
     def test_lovasz_petersen(self):
-        assert chromatic_number(kneser(complete_uniform(5, 2), 2)).as_int() == 3
+        assert solve_chromatic(kneser(complete_uniform(5, 2), 2))[0].as_int() == 3
 
     def test_singleton_edge_infinite(self):
         H = Hypergraph(3, [(1,), (2, 3)])
-        assert chromatic_number(H) == ChromaticValue.infinite()
+        assert solve_chromatic(H)[0] == ChromaticValue.infinite()
 
     def test_empty_hypergraph(self):
-        assert chromatic_number(Hypergraph(0, [])).as_int() == 1
-        assert chromatic_number(Hypergraph(4, [])).as_int() == 1
+        assert solve_chromatic(Hypergraph(0, []))[0].as_int() == 1
+        assert solve_chromatic(Hypergraph(4, []))[0].as_int() == 1
 
     def test_limit_exceeded(self):
         H = complete_uniform(6, 2)
-        assert chromatic_number(H, limit=3) == ChromaticValue.exceeds(3)
-        assert chromatic_number(H, limit=6).as_int() == 6
+        assert solve_chromatic(H, limit=3)[0] == ChromaticValue.exceeds(3)
+        assert solve_chromatic(H, limit=6)[0].as_int() == 6
 
     def test_certificate_is_proper_and_lex_least(self):
         H = kneser(complete_uniform(5, 2), 2)
@@ -88,14 +85,14 @@ class TestSolver:
             max_n = 8 if trial < 4 else 6
             H = random_hypergraph(rng, max_n=max_n, max_edges=6)
             if H.has_singleton_edge():
-                assert chromatic_number(H) == ChromaticValue.infinite()
+                assert solve_chromatic(H)[0] == ChromaticValue.infinite()
             else:
-                assert chromatic_number(H).as_int() == chromatic_brute(H)
+                assert solve_chromatic(H)[0].as_int() == chromatic_brute(H)
 
     def test_three_uniform(self):
         # a 2-coloring of [5] always has a class of size >= 3, i.e. an edge
         H = complete_uniform(5, 3)
-        assert chromatic_number(H).as_int() == chromatic_brute(H) == 3
+        assert solve_chromatic(H)[0].as_int() == chromatic_brute(H) == 3
 
 
 class TestFormulas:
@@ -112,7 +109,7 @@ class TestFormulas:
     def test_formula_matches_solver_small(self):
         for n, k, r in [(4, 2, 2), (5, 2, 2), (6, 2, 2), (6, 2, 3), (6, 3, 2), (7, 2, 3)]:
             kg = kneser(complete_uniform(n, k), r)
-            assert chromatic_number(kg).as_int() == formula_kneser(n, k, r)
+            assert solve_chromatic(kg)[0].as_int() == formula_kneser(n, k, r)
 
     def test_formula_full_sweep(self):
         # every (n, k, r) with n >= rk, C(n,k) <= 25, r in {2, 3}; the k=1
@@ -129,7 +126,7 @@ class TestFormulas:
                         continue
                     kg = kneser(complete_uniform(n, k), r)
                     assert (
-                        chromatic_number(kg).as_int() == formula_kneser(n, k, r)
+                        solve_chromatic(kg)[0].as_int() == formula_kneser(n, k, r)
                     ), (n, k, r)
 
     def test_hnka_formula(self):
@@ -146,20 +143,6 @@ class TestFormulas:
         with pytest.raises(OutOfProvenRangeError):
             formula_hnka(9, 2, 4, 3)  # 2k=4 <= a=4 <= rk-2=4
 
-    def test_hnka_checked_below_k(self):
-        # a = 0 < k: H(7,2,0) is every pair, so the value is chi(KG(7,2)) = 5
-        chk = formula_hnka_checked(7, 2, 0, 2)
-        assert chk.formula_value == 5
-        assert chk.exact.as_int() == 5
-        assert chk.status == "OK"
-
-    def test_hnka_checked_flags_discrepancy(self, monkeypatch):
-        import kneserlab.chromatic
-
-        monkeypatch.setattr(kneserlab.chromatic, "formula_hnka", lambda n, k, a, r: 6)
-        chk = formula_hnka_checked(7, 2, 0, 2)
-        assert (chk.formula_value, chk.exact.as_int(), chk.status) == (6, 5, "DISCREPANCY")
-
     def test_hnka_formula_matches_solver_grid(self):
         # every (n, k, a) outside the open middle range with at most 40 edges
         checked = 0
@@ -172,44 +155,40 @@ class TestFormulas:
                         H = hnka(n, k, a)
                         if H.edge_count > 40:
                             continue
-                        chi = chromatic_number(kneser(H, r)).as_int()
+                        chi = solve_chromatic(kneser(H, r))[0].as_int()
                         assert formula_hnka(n, k, a, r) == chi, (n, k, a, r)
                         checked += 1
         assert checked == 63
 
-    def test_hnka_checked_ok(self):
-        chk = formula_hnka_checked(7, 2, 3, 2)
-        assert chk.status == "OK" and chk.formula_value == 4
-
     def test_hnka_edgeless_case(self):
         # a = 7 >= rk-1: KG^3 of {pairs meeting {8,9}} has no 3 disjoint edges
-        assert chromatic_number(kneser(hnka(9, 2, 7), 3)).as_int() == 1
+        assert solve_chromatic(kneser(hnka(9, 2, 7), 3))[0].as_int() == 1
         assert formula_hnka(9, 2, 7, 3) == 1
 
 
 class TestProductChromatic:
     def test_single_factor_matches(self):
         P = kneser(complete_uniform(5, 2), 2)
-        assert product_chromatic([P]) == chromatic_number(P)
+        assert solve_product_chromatic([P])[0] == solve_chromatic(P)[0]
 
     def test_matches_minimal_form(self):
         rng = random.Random(4242)
         for _ in range(8):
             H1 = random_hypergraph(rng, max_n=3, max_edges=4)
             H2 = random_hypergraph(rng, max_n=4, max_edges=4)
-            implicit = product_chromatic([H1, H2])
-            explicit = chromatic_number(product_minimal([H1, H2]))
+            implicit = solve_product_chromatic([H1, H2])[0]
+            explicit = solve_chromatic(product_minimal([H1, H2]))[0]
             assert implicit == explicit
 
     def test_projection_upper_bound(self):
         A = complete_uniform(4, 2)
         B = complete_uniform(3, 2)
-        chi = product_chromatic([A, B]).as_int()
-        assert chi <= min(chromatic_number(A).as_int(), chromatic_number(B).as_int())
+        chi = solve_product_chromatic([A, B])[0].as_int()
+        assert chi <= min(solve_chromatic(A)[0].as_int(), solve_chromatic(B)[0].as_int())
 
     def test_all_singleton_factors_infinite(self):
         S = Hypergraph(2, [(1,)])
-        assert product_chromatic([S, S]) == ChromaticValue.infinite()
+        assert solve_product_chromatic([S, S])[0] == ChromaticValue.infinite()
 
     def test_certificate_proper(self):
         A = complete_uniform(3, 2)
@@ -233,7 +212,7 @@ class TestProductChromatic:
         while len(pairs) < 19:
             H1 = random_hypergraph(rng, max_n=4, max_edges=5, min_edge_size=2)
             H2 = random_hypergraph(rng, max_n=3, max_edges=3, min_edge_size=2)
-            if chromatic_number(H1).as_int() > chromatic_number(H2).as_int():
+            if solve_chromatic(H1)[0].as_int() > solve_chromatic(H2)[0].as_int():
                 pairs.append((H1, H2))
         for H1, H2 in pairs:
             value, coloring = solve_product_chromatic([H1, H2])
@@ -249,7 +228,7 @@ class TestProductChromatic:
 
     def test_limit(self):
         A = complete_uniform(4, 2)
-        assert product_chromatic([A, A], limit=1) == ChromaticValue.exceeds(1)
+        assert solve_product_chromatic([A, A], limit=1)[0] == ChromaticValue.exceeds(1)
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_first_factor_with_larger_chi(self, n):

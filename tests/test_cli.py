@@ -186,9 +186,8 @@ class TestRun:
         )
         first = run(spec)
         # a cache miss on the second run would now fail the task
-        for module in ("chromatic", "experiments"):
-            for name in ("cd", "ecd", "alt_min", "chromatic_number", "product_chromatic"):
-                monkeypatch.setattr(f"kneserlab.{module}.{name}", None, raising=False)
+        for name in ("_cd", "_ecd", "_alt_min", "solve_chromatic", "solve_product_chromatic"):
+            monkeypatch.setattr(f"kneserlab.chromatic.{name}", None)
         second = run(spec)
         assert second.status == first.status == "ok"
         assert canonical_json(second.payload) == canonical_json(first.payload)
@@ -203,9 +202,8 @@ class TestRun:
         )
         first = run(spec)
         # the defect minima must now come from the cache
-        for module in ("prooflab", "chromatic", "experiments"):
-            for name in ("ecd", "alt_min"):
-                monkeypatch.setattr(f"kneserlab.{module}.{name}", None, raising=False)
+        for name in ("_cd", "_ecd", "_alt_min"):
+            monkeypatch.setattr(f"kneserlab.chromatic.{name}", None)
         second = run(spec)
         assert second.status == first.status == "ok"
         assert canonical_json(second.payload) == canonical_json(first.payload)
@@ -381,9 +379,10 @@ class TestCache:
 
     def test_corrupt_lines_dropped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        path.write_text('not json\n{"key": {"digest": "d", "op": "cd", "params": [2]}, "value": 7}\n')
+        key = ResultCache.make_key("d", "cd", [2])
+        path.write_text("not json\n" + json.dumps({"key": key, "value": 7}) + "\n")
         cache = ResultCache(path)
-        assert cache.get({"digest": "d", "op": "cd", "params": [2]}) == 7
+        assert cache.get(key) == 7
 
     def test_other_code_version_is_a_miss(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.jsonl"
@@ -394,6 +393,18 @@ class TestCache:
         cache = ResultCache(path)
         assert cached_value(cache, H, "cd", [2], lambda: 1) == 1
         assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_other_version_lines_not_loaded(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        H = complete_uniform(4, 2)
+        monkeypatch.setattr("kneserlab.cache.CODE_VERSION", "0.0.0-old")
+        cached_value(ResultCache(path), H, "cd", [2], lambda: 99)
+        monkeypatch.undo()
+        cached_value(ResultCache(path), H, "cd", [2], lambda: 1)
+        written = path.read_bytes()
+        assert len(written.splitlines()) == 2
+        assert list(ResultCache(path)._entries.values()) == [1]
+        assert path.read_bytes() == written
 
     def test_other_source_digest_is_a_miss(self, tmp_path, monkeypatch):
         # an edited algorithm module changes the source digest, not CODE_VERSION
@@ -477,6 +488,14 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert code == 0
         assert "star:4" in out and "cycle:5" in out
+
+    def test_compare_r_applies_to_the_pool(self, capsys):
+        assert main(["compare", "--r", "3"]) == 0
+        out = capsys.readouterr().out
+        (result,) = json.loads(out[out.index("\n[\n") + 1 :])
+        rows = result["payload"]["rows"]
+        assert [row["recipe"] for row in rows] == [recipe for recipe, _ in default_compare_pool()]
+        assert {row["r"] for row in rows} == {3}
 
     def test_reduce_command(self, capsys):
         code = main(["reduce", "--r", "2", "--s", "2", "--C", "1", "complete:5,2"])
@@ -602,7 +621,7 @@ class TestMainEntry:
     @pytest.mark.parametrize("task", ["witness", "prooflab"])
     def test_improper_coloring_file_fails_the_task(self, task, capsys, tmp_path):
         path = tmp_path / "ones.json"
-        path.write_text(store_coloring(Coloring.of([1] * 10, 1)))
+        path.write_text(store_coloring(Coloring((1,) * 10, 1)))
         code = main([task, "--p", "2", "--coloring", str(path), "complete:5,2"])
         out = capsys.readouterr().out
         assert code == 1
@@ -632,7 +651,7 @@ class TestMainEntry:
         payload = result["payload"]
         assert payload["chi"] == 3
         kgs = [kneser(complete_uniform(n, 2), 2) for n in (6, 5)]
-        assert product_is_proper(kgs, Coloring.of(payload["coloring"], 3))
+        assert product_is_proper(kgs, Coloring(tuple(payload["coloring"]), 3))
         assert is_first_appearance(payload["coloring"])
 
     def test_witness_command_writes_file(self, capsys, tmp_path):

@@ -1,0 +1,85 @@
+"""The CLI's outputs, pinned: every command of `COMMANDS` runs in-process
+through `cli.main`, cold and then warm on one cache, and must reproduce the
+exit code, text and JSON results recorded in ``golden/cli.json``.
+
+``python tests/regen_golden.py`` rewrites that file; the suite never does.
+A change to it is an intended output change of the commands that differ.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import shlex
+from pathlib import Path
+
+from kneserlab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+
+# the ``file:`` recipe's hypergraph, written to the working directory
+FILE_NAME = "g6.json"
+FILE_GRAPH = {"n": 6, "edges": [[2, 4], [3, 6], [4, 6], [1, 4, 5], [3, 4, 6], [1, 2, 4, 6]]}
+
+COMMANDS = (
+    # the README session of the benchmark's lab_cli workload
+    "build kneser:2:complete:5,2",
+    "invariants --r 2 hnka:7,2,3",
+    "invariants --r 2 complete:6,2",
+    f"invariants --r 3 file:{FILE_NAME}",
+    "chromatic --r 2 hnka:7,2,3",
+    "chromatic --r 2 complete:6,2",
+    "chromatic --r 2 complete:5,2 complete:5,2",
+    "bounds --r 2 hnka:7,2,3",
+    "witness --p 2 complete:5,2",
+    "witness --p 2 complete:5,2 complete:5,2",
+    "witness --p 2 complete:6,2 complete:6,2",
+    "prooflab --p 2 complete:5,2",
+    "prooflab --p 2 complete:3,2 --negative-control",
+    "prooflab --p 3 complete:5,2",
+    "reduce --r 2 --s 2 --C 1 complete:5,2",
+    "reduce --r 2 --s 2 --C 1 complete:11,2",
+    "compare",
+    # limits, strictness, caps, refusals and failures
+    "chromatic --r 2 --limit 2 complete:7,2",
+    "chromatic --r 2 --limit 2 complete:7,2 --strict",
+    "chromatic --r 0 --ground complete:4,2",
+    "bounds --r 2 complete:17,2 complete:4,2",
+    "witness --p 4 --force complete:8,2",
+    "prooflab --p 4 complete:4,2",
+    "prooflab --p 2 --limit 2 complete:5,2",
+    "compare --r 2 cycle:5 star:4",
+    "invariants --r 2 nonsense:1",
+)
+
+
+def capture(command: str, cache: str) -> dict:
+    """One command's exit code, its printed text without the timestamped
+    first line, and its JSON results without ``wall_time_s`` and
+    ``traceback``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*shlex.split(command), "--cache", cache])
+    lines = out.getvalue().splitlines()[1:]
+    start = lines.index("[")
+    results = json.loads("\n".join(lines[start:]))
+    for result in results:
+        del result["wall_time_s"]
+        result["payload"].pop("traceback", None)
+    return {"command": command, "exit": code, "text": lines[:start], "results": results}
+
+
+def write_file_graph(directory: Path) -> None:
+    (directory / FILE_NAME).write_text(json.dumps(FILE_GRAPH) + "\n")
+
+
+def test_cli_outputs_match_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_file_graph(tmp_path)
+    golden = json.loads(GOLDEN.read_text())
+    assert [g["command"] for g in golden] == list(COMMANDS)
+    for phase in ("cold", "warm"):
+        for expected in golden:
+            got = capture(expected["command"], "cache.jsonl")
+            assert got == expected, (phase, expected["command"])

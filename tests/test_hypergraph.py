@@ -14,7 +14,6 @@ from kneserlab import (
     Hypergraph,
     complete_uniform,
     hnka,
-    induced,
     kneser,
     load_hypergraph,
     store_hypergraph,
@@ -23,6 +22,7 @@ from kneserlab import (
 from kneserlab.hypergraph import T_ENUM_CAP, span_table
 from conftest import (
     class_vertices,
+    induced,
     is_colorful_balanced_complete,
     is_proper,
     min_element_coloring_petersen,
@@ -151,16 +151,16 @@ class TestIsProper:
 
     def test_singleton_edge_never_proper(self):
         H = Hypergraph(3, [(2,)])
-        assert not is_proper(H, Coloring.of([1, 2, 3]))
+        assert not is_proper(H, Coloring((1, 2, 3), 3))
 
     def test_two_colors_on_edge(self):
         H = Hypergraph(3, [(1, 2, 3)])
-        assert is_proper(H, Coloring.of([1, 1, 2]))
+        assert is_proper(H, Coloring((1, 1, 2), 2))
 
     def test_partial_coloring_rejected(self):
         H = complete_uniform(3, 2)
         with pytest.raises(ValueError):
-            is_proper(H, Coloring.of([1, 2]))
+            is_proper(H, Coloring((1, 2), 2))
 
     @given(hypergraphs(max_n=5), st.data())
     @settings(max_examples=50, deadline=None)
@@ -168,7 +168,7 @@ class TestIsProper:
         colors = data.draw(
             st.lists(st.integers(1, 3), min_size=H.n, max_size=H.n)
         )
-        c = Coloring.of(colors, 3)
+        c = Coloring(tuple(colors), 3)
         if is_proper(H, c):
             keep = data.draw(st.frozensets(st.integers(0, max(H.edge_count - 1, 0))))
             sub = Hypergraph(H.n, [e for i, e in enumerate(H.edges) if i in keep])
@@ -185,27 +185,27 @@ class TestColorfulBalancedComplete:
         colors = [2] * 10
         colors[idx[(2, 3)] - 1] = 1
         colors[idx[(1, 5)] - 1] = 3
-        assert is_colorful_balanced_complete(P, parts, Coloring.of(colors, 3))
+        assert is_colorful_balanced_complete(P, parts, Coloring(tuple(colors), 3))
 
     def test_unbalanced_fails(self):
         F = complete_uniform(4, 2)
-        c = Coloring.of([1, 2, 3, 4])
+        c = Coloring((1, 2, 3, 4), 4)
         assert not is_colorful_balanced_complete(F, [[1, 2, 3], [4]], c)
 
     def test_repeated_color_in_part_fails(self):
         F = complete_uniform(4, 2)
-        c = Coloring.of([1, 1, 2, 3])
+        c = Coloring((1, 1, 2, 3), 3)
         assert not is_colorful_balanced_complete(F, [[1, 2], [3, 4]], c)
 
     def test_missing_edge_fails_completeness(self):
         F = Hypergraph(4, [(1, 3), (1, 4), (2, 3)])
-        c = Coloring.of([1, 2, 3, 4])
+        c = Coloring((1, 2, 3, 4), 4)
         assert not is_colorful_balanced_complete(F, [[1, 2], [3, 4]], c)
 
     def test_empty_part_rejected(self):
         F = complete_uniform(3, 2)
         with pytest.raises(ValueError):
-            is_colorful_balanced_complete(F, [[1], []], Coloring.of([1, 2, 3]))
+            is_colorful_balanced_complete(F, [[1], []], Coloring((1, 2, 3), 3))
 
 
 class TestColoringModel:
@@ -216,7 +216,7 @@ class TestColoringModel:
             Coloring((0, 1), 2)
 
     def test_of_infers_color_count(self):
-        c = Coloring.of([2, 1, 2])
+        c = Coloring((2, 1, 2), 2)
         assert c.color_count == 2
         assert class_vertices(c, 2) == (1, 3)
 
@@ -261,7 +261,7 @@ class TestJson:
     def test_coloring_round_trip(self):
         from kneserlab import load_coloring, store_coloring
 
-        c = Coloring.of([1, 3, 2, 3], 3)
+        c = Coloring((1, 3, 2, 3), 3)
         text = store_coloring(c)
         assert load_coloring(text) == c
         assert store_coloring(load_coloring(text)) == text

@@ -15,7 +15,6 @@ from kneserlab import (
     SignVector,
     alt_min,
     alt_of,
-    alt_sigma,
     cd,
     ecd,
     complete_uniform,
@@ -30,6 +29,7 @@ from conftest import (
     alt_min_naive,
     alt_min_plain,
     alt_naive,
+    alt_sigma,
     alt_sigma_naive,
     cd_naive,
     ecd_naive,
@@ -167,17 +167,17 @@ class TestEcd:
 class TestAltSigma:
     def test_complete_graph_identity(self):
         H = complete_uniform(5, 2)
-        ident = Permutation.identity(5)
+        ident = Permutation(tuple(range(1, 6)))
         assert alt_sigma(H, 2, ident) == alt_sigma_naive(H, 2, ident) == 2
 
     def test_star_identity(self):
-        ident = Permutation.identity(4)
+        ident = Permutation(tuple(range(1, 5)))
         assert alt_sigma(STAR4, 2, ident) == alt_sigma_naive(STAR4, 2, ident) == 3
 
     def test_edgeless_full_alternation(self):
         H = Hypergraph(5, [])
         for r in (2, 3):
-            assert alt_sigma(H, r, Permutation.identity(5)) == 5
+            assert alt_sigma(H, r, Permutation(tuple(range(1, 6)))) == 5
 
     def test_relabeling_consistency(self):
         # applying sigma as a vertex relabeling and then using the identity
@@ -186,7 +186,7 @@ class TestAltSigma:
         sigma = Permutation((3, 1, 5, 2, 4))
         inv = {v: i + 1 for i, v in enumerate(sigma.sigma)}
         relabeled = Hypergraph(5, [tuple(inv[v] for v in e) for e in H.edges])
-        assert alt_sigma(H, 2, sigma) == alt_sigma(relabeled, 2, Permutation.identity(5))
+        assert alt_sigma(H, 2, sigma) == alt_sigma(relabeled, 2, Permutation(tuple(range(1, 6))))
 
     @given(small_hypergraphs(max_n=4, max_edges=4), st.integers(1, 4), st.data())
     @settings(max_examples=40, deadline=None)
@@ -304,7 +304,7 @@ class TestAltMinWalk:
                 prefix = Hypergraph(
                     depth, [[pos[v] for v in e] for e in H.edges if set(e) <= pos.keys()]
                 )
-                assert alt_sigma(prefix, 2, Permutation.identity(depth)) >= cutoff
+                assert alt_sigma(prefix, 2, Permutation(tuple(range(1, depth + 1)))) >= cutoff
         # the walk leaves out exactly the orderings that share order[:depth]
         # with an earlier ordering that raised _Found at that depth
         evaluated = {order: i for i, (order, _, _) in enumerate(calls)}
@@ -346,7 +346,7 @@ class TestAltMinWalk:
             (Hypergraph(4, [(3,), (1, 3), (2, 3), (2, 4), (1, 3, 4)]), 2),
         ):
             res = alt_min(H, r)
-            assert alt_sigma(H, r, Permutation.identity(H.n)) == r + 1
+            assert alt_sigma(H, r, Permutation(tuple(range(1, H.n + 1)))) == r + 1
             assert res.value == r
             assert (res.value, res.sigma.sigma) == alt_min_lex_naive(H, r)
 

@@ -31,12 +31,10 @@ from kneserlab import (
     lambda1,
     lambda2,
     nu,
-    projection_coloring,
     sigma2_scan,
     solve_chromatic,
     solve_product_chromatic,
     split,
-    tau_of,
     witness_target,
 )
 from kneserlab.invariants import act_sign, balanced_size
@@ -45,9 +43,11 @@ from conftest import (
     is_colorful_balanced_complete,
     min_element_coloring_petersen,
     product_full,
+    projection_coloring,
     random_hypergraph,
     saturated_rows_naive,
     sigma2_scan_naive,
+    tau_of,
 )
 
 CU3 = complete_uniform(3, 2)
@@ -177,7 +177,7 @@ class TestTau:
                 assert balanced_size(sizes) >= 2
 
     def test_improper_coloring_rejected(self):
-        bad = Coloring.of([1] * 10, 1)
+        bad = Coloring((1,) * 10, 1)
         S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
         with pytest.raises(ValueError):
             tau_of(S, bad)
@@ -314,7 +314,7 @@ class TestLemmaChecks:
         # than report the equivariance failures that must follow
         for check in (
             lambda: check_lemma1([CU4], 4),
-            lambda: check_lemma2([CU4], 4, Coloring.of([1] * 3, 1)),
+            lambda: check_lemma2([CU4], 4, Coloring((1,) * 3, 1)),
         ):
             with pytest.raises(ValueError, match="prime"):
                 check()
@@ -418,7 +418,7 @@ class TestWitness:
 
     def test_non_prime_forced_is_experimental(self):
         kg = kneser(CU5, 4)  # [5] has no 4 disjoint pairs: edgeless, chi 1
-        coloring = Coloring.of([1] * kg.n, 1)
+        coloring = Coloring((1,) * kg.n, 1)
         w0 = find_witness([CU5], 4, coloring, 0, force=True)
         assert w0 is not None and w0.experimental and w0.size == 0
         # the saturated side needs 8 vertices, so nothing reaches target 1
@@ -546,7 +546,7 @@ class TestScanAndCounting:
         # of a 2-coloring split into singleton classes... the saturated side
         # of complete_uniform(3,2) at p=3 is empty (needs 6 vertices)
         kg = kneser(CU3, 3)
-        coloring = Coloring.of([1] * kg.n, 1) if kg.n else Coloring.of([], 0)
+        coloring = Coloring((1,) * kg.n, 1) if kg.n else Coloring((), 0)
         scan = sigma2_scan([CU3], 3, coloring)
         assert scan.saturated_count == 0 and scan.max_ell == 0
 
