@@ -50,7 +50,8 @@ class _ColoringSearch:
     the box's full mask contains a monochromatic product edge. An open cell
     completes a box when its position contains the bits ``miss`` that the
     color still lacks, and then must not take that color. `lex_least(k)`
-    searches level k on one search state.
+    searches level k on one search state; it picks the open vertex v of largest
+    score n_forbidden(v) * (N + 1) + N - v, one int kept per vertex.
     """
 
     def __init__(self, factors: Sequence[Hypergraph]) -> None:
@@ -69,34 +70,41 @@ class _ColoringSearch:
         # per factor edge, the row-major offsets (v - 1) * stride of its vertices
         strides = [prod(space.dims[j + 1 :]) for j in range(len(factors))]
         edge_offsets = [[[(v - 1) * st for v in e] for e in H.edges] for H, st in zip(factors, strides)]
-        for box in iproduct(*edge_offsets):
-            shape = tuple(len(e) for e in box)
-            if shape not in shapes:
-                offsets = accumulate(shape, initial=0)
-                fields = [[1 << (off + i) for i in range(n)] for off, n in zip(offsets, shape)]
-                positions = [sum(bits) for bits in iproduct(*fields)]
-                completing: dict[int, list[int]] = {}
-                for i, pos in enumerate(positions):
-                    miss = pos
-                    while miss:  # every nonempty sub-mask of pos
-                        completing.setdefault(miss, []).append(i)
-                        miss = (miss - 1) & pos
-                shapes[shape] = ((1 << sum(shape)) - 1, positions, completing)
-            full, positions, completing = shapes[shape]
-            bid = len(self.full)
-            cells = [vertex[1 + sum(offs)] for offs in iproduct(*box)]
-            for v, pos in zip(cells, positions):
-                self.boxes_of[v].append(bid)
-                self.pos_of[v].append(pos)
-            self.full.append(full)
-            self.cells.append(cells)
-            self.completing.append(completing)
+        boxes_of, pos_of = self.boxes_of, self.pos_of
+        # row-major, as iproduct(*edge_offsets): the cells over all factors but
+        # the last are summed once per prefix, then extended by each last edge
+        *head, last = edge_offsets
+        for prefix in iproduct(*head):
+            base = [1 + sum(offs) for offs in iproduct(*prefix)]
+            for e in last:
+                shape = (*map(len, prefix), len(e))
+                if shape not in shapes:
+                    offsets = accumulate(shape, initial=0)
+                    fields = [[1 << (off + i) for i in range(n)] for off, n in zip(offsets, shape)]
+                    positions = [sum(bits) for bits in iproduct(*fields)]
+                    completing: dict[int, list[int]] = {}
+                    for i, pos in enumerate(positions):
+                        miss = pos
+                        while miss:  # every nonempty sub-mask of pos
+                            completing.setdefault(miss, []).append(i)
+                            miss = (miss - 1) & pos
+                    shapes[shape] = ((1 << sum(shape)) - 1, positions, completing)
+                full, positions, completing = shapes[shape]
+                bid = len(self.full)
+                cells = [vertex[c + o] for c in base for o in e]
+                for v, pos in zip(cells, positions):
+                    boxes_of[v].append(bid)
+                    pos_of[v].append(pos)
+                self.full.append(full)
+                self.cells.append(cells)
+                self.completing.append(completing)
 
     def lex_least(self, k: int) -> list[int] | None:
         """The lexicographically least proper k-coloring, or None.
 
         ``decide`` extends the current partial coloring most-constrained-first
-        (most forbidden colors, ties to the least index), colors ascending and
+        (most forbidden colors, ties to the least index: the largest score
+        n_forbidden(v) * (N + 1) + N - v, as N - v <= N), colors ascending and
         at most one above those in use, on an explicit stack. It returns a
         full coloring or None and leaves the state as it found it; its first
         call is the level's proof. Then v = 1..N is fixed in index order to
@@ -109,7 +117,7 @@ class _ColoringSearch:
         boxes_of, pos_of = self.boxes_of, self.pos_of
         colors = [0] * (N + 1)
         forbid = [[0] * (k + 1) for _ in range(N + 1)]
-        n_forbidden = [0] * (N + 1)
+        score = [N - u for u in range(N + 1)]  # n_forbidden[u] * (N + 1) + N - u
         covered = [[0] * len(full) for _ in range(k + 1)]
         uncolored = set(range(1, N + 1))
 
@@ -122,7 +130,7 @@ class _ColoringSearch:
                 f = forbid[u]
                 f[c] -= 1
                 if not f[c]:
-                    n_forbidden[u] -= 1
+                    score[u] -= N + 1
             colors[v] = 0
 
         def assign(v: int, c: int) -> tuple[list[int], list[int]] | None:
@@ -152,7 +160,7 @@ class _ColoringSearch:
                         if not colors[u]:
                             f = forbid[u]
                             if not f[c]:
-                                n_forbidden[u] += 1
+                                score[u] += N + 1
                             f[c] += 1
                             forbidden.append(u)
             return trail
@@ -160,7 +168,7 @@ class _ColoringSearch:
         def decide(maxc: int) -> list[int] | None:
             stack: list[tuple[int, int, int, tuple[list[int], list[int]]]] = []
             while uncolored:
-                v = max(uncolored, key=lambda u: (n_forbidden[u], -u))
+                v = max(uncolored, key=score.__getitem__)
                 uncolored.remove(v)
                 c = 0
                 while True:

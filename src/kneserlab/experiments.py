@@ -54,6 +54,7 @@ from .prooflab import (
 )
 
 MODES = ("exact", "heuristic")
+COMPARE_LIMIT = 6  # compare's default solver limit, with or without the CLI
 
 
 @dataclass(frozen=True)
@@ -247,7 +248,7 @@ def _chi_note(recipe: str, f: FactorBounds) -> str:
 def compare_bounds(
     pool: Sequence[tuple[str, int]],
     cache: ResultCache | None = None,
-    limit: int | None = 6,
+    limit: int | None = COMPARE_LIMIT,
 ) -> CompareReport:
     """One row per (recipe, r) pair of the pool with every defect quantity,
     both aggregate bounds, and exact chi of its general Kneser hypergraph
@@ -489,8 +490,7 @@ def _reduce_table(payload: dict) -> str:
 def _compare(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
     pool = [(recipe, 2) for recipe in spec.recipes] or default_compare_pool()
     pool = [(recipe, spec.r or r) for recipe, r in pool]
-    limit = 6 if spec.limit is None else spec.limit
-    report = compare_bounds(pool, cache, limit)
+    report = compare_bounds(pool, cache, COMPARE_LIMIT if spec.limit is None else spec.limit)
     payload = report.to_json_dict()
     if report.violations:
         return "violation", payload
@@ -588,7 +588,7 @@ TASKS: dict[str, Task] = {
         "side-by-side defect bound table",
         (
             _at_least("--r", 2, help="r for every row (default: 2, or the shipped pool's own r)"),
-            _at_least("--limit", 0, default=6),
+            _at_least("--limit", 0, default=COMPARE_LIMIT),
         ),
         _compare,
         _compare_table,

@@ -2,10 +2,12 @@
 
 The oracles here deliberately re-derive everything from the definitions by
 plain enumeration; they never call the pruned implementations they check.
-The exceptions are ``alt_min_plain``, which checks only the ordering walk
-of exact ``alt_min`` and reuses its per-ordering search, and
-``lex_least_coloring_static``, which checks only the certificate search of
-the coloring engine and reuses its compiled boxes.
+The exception is ``alt_min_plain``, which checks only the ordering walk
+of exact ``alt_min`` and reuses its per-ordering search.
+``lex_least_coloring_static`` checks only the certificate search of the
+coloring engine: it takes its boxes from ``compile_boxes_naive``, a plain
+compiler of the engine's box layout that a differential test holds equal
+to the engine's own.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import itertools
 import random
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from math import prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,7 +36,6 @@ from kneserlab import (
     solve_chromatic,
 )
 from kneserlab.bits import bits_of, mask_of
-from kneserlab.chromatic import _ColoringSearch
 from kneserlab.hypergraph import induced_mask, span_table
 from kneserlab.invariants import _alt_search, _edge_index, _Found
 from kneserlab.prooflab import _tau
@@ -224,14 +227,54 @@ def lex_least_coloring_brute(H: Hypergraph, k: int) -> tuple[int, ...] | None:
     return None
 
 
+def compile_boxes_naive(factors: Sequence[Hypergraph]) -> SimpleNamespace:
+    """The box layout of the coloring engine (``N``, ``full``, ``cells``,
+    ``completing``, ``boxes_of``, ``pos_of``; see ``_ColoringSearch``),
+    compiled box by box over ``itertools.product`` of the factor edges, with
+    one ``sum`` per cell where the engine sums each prefix of factors once."""
+    space = ProductSpace.for_factors(factors)
+    N = space.size
+    out = SimpleNamespace(N=N, full=[], cells=[], completing=[])
+    out.boxes_of = [[] for _ in range(N + 1)]
+    out.pos_of = [[] for _ in range(N + 1)]
+    vertex = list(range(N + 1))  # one int object per vertex, however often stored
+    shapes = {}
+    # per factor edge, the row-major offsets (v - 1) * stride of its vertices
+    strides = [prod(space.dims[j + 1 :]) for j in range(len(factors))]
+    edge_offsets = [[[(v - 1) * st for v in e] for e in H.edges] for H, st in zip(factors, strides)]
+    for box in itertools.product(*edge_offsets):
+        shape = tuple(len(e) for e in box)
+        if shape not in shapes:
+            offsets = itertools.accumulate(shape, initial=0)
+            fields = [[1 << (off + i) for i in range(n)] for off, n in zip(offsets, shape)]
+            positions = [sum(bits) for bits in itertools.product(*fields)]
+            completing = {}
+            for i, pos in enumerate(positions):
+                miss = pos
+                while miss:  # every nonempty sub-mask of pos
+                    completing.setdefault(miss, []).append(i)
+                    miss = (miss - 1) & pos
+            shapes[shape] = ((1 << sum(shape)) - 1, positions, completing)
+        full, positions, completing = shapes[shape]
+        bid = len(out.full)
+        cells = [vertex[1 + sum(offs)] for offs in itertools.product(*box)]
+        for v, pos in zip(cells, positions):
+            out.boxes_of[v].append(bid)
+            out.pos_of[v].append(pos)
+        out.full.append(full)
+        out.cells.append(cells)
+        out.completing.append(completing)
+    return out
+
+
 def lex_least_coloring_static(factors: list[Hypergraph], k: int) -> list[int] | None:
     """Differential oracle for the certificate of the coloring engine: the
     lexicographically least proper k-coloring of the categorical product,
     or None, by backtracking over the product vertices in index order
     (colors ascending, each at most one above those in use), so the first
-    coloring found is the least. It reuses only the compiled boxes of
-    ``_ColoringSearch``, whose cells ``product_is_proper`` checks apart."""
-    engine = _ColoringSearch(factors)
+    coloring found is the least. Its boxes come from ``compile_boxes_naive``,
+    whose cells ``product_is_proper`` checks apart."""
+    engine = compile_boxes_naive(factors)
     N, full, cells, completing = engine.N, engine.full, engine.cells, engine.completing
     boxes_of, pos_of = engine.boxes_of, engine.pos_of
     colors = [0] * (N + 1)

@@ -14,6 +14,7 @@ from kneserlab import (
     OutOfProvenRangeError,
     bound_report,
     complete_uniform,
+    cycle,
     formula_hnka,
     formula_kneser,
     hnka,
@@ -21,9 +22,12 @@ from kneserlab import (
     product_is_proper,
     solve_chromatic,
     solve_product_chromatic,
+    star,
 )
+from kneserlab.chromatic import _ColoringSearch
 from conftest import (
     chromatic_brute,
+    compile_boxes_naive,
     is_first_appearance,
     is_proper,
     lex_least_coloring_brute,
@@ -240,6 +244,58 @@ class TestProductChromatic:
         assert value.as_int() == 3
         assert product_is_proper(factors, coloring)
         assert is_first_appearance(coloring.colors)
+
+
+def _kg(n: int, k: int, r: int = 2) -> Hypergraph:
+    return kneser(complete_uniform(n, k), r)
+
+
+class TestBoxCompiler:
+    """`_ColoringSearch` compiles the same boxes as ``compile_boxes_naive``,
+    field by field, and stores one int object per vertex."""
+
+    @staticmethod
+    def check(factors):
+        engine, naive = _ColoringSearch(factors), compile_boxes_naive(factors)
+        for name in ("N", "full", "cells", "completing", "boxes_of", "pos_of"):
+            assert getattr(engine, name) == getattr(naive, name), name
+        stored = [v for cells in engine.cells for v in cells]
+        assert len({id(v) for v in stored}) == len(set(stored))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: [_kg(5, 2)] * 2, id="KG(5,2)^2"),
+            pytest.param(lambda: [_kg(6, 2)] * 2, id="KG(6,2)^2"),
+            pytest.param(lambda: [_kg(7, 2, 3)] * 2, id="KG^3(7,2)^2"),
+            pytest.param(lambda: [_kg(5, 2), _kg(7, 3)], id="KG(5,2)xKG(7,3)"),
+            pytest.param(lambda: [_kg(5, 2), _kg(6, 2)], id="KG(5,2)xKG(6,2)"),
+            pytest.param(lambda: [kneser(hnka(6, 2, 2), 2)] * 2, id="KG(H(6,2,2))^2"),
+            pytest.param(lambda: [cycle(7)] * 3, id="C7^3"),
+            pytest.param(lambda: [cycle(5), cycle(7)], id="C5xC7"),
+            pytest.param(lambda: [star(5), cycle(5), hnka(6, 2, 2)], id="star5xC5xH(6,2,2)"),
+        ],
+    )
+    def test_products(self, make):
+        self.check(make())
+
+    def test_random_products(self):
+        # one to three factors with edges of one to three vertices, so boxes
+        # of several shapes share one product
+        rng = random.Random(4246)
+        for _ in range(60):
+            factors = []
+            for _ in range(rng.randint(1, 3)):
+                n = rng.randint(2, 4)
+                sizes = [rng.randint(1, min(n, 3)) for _ in range(rng.randint(1, 3))]
+                factors.append(Hypergraph(n, {frozenset(rng.sample(range(1, n + 1), m)) for m in sizes}))
+            self.check(factors)
+
+    @pytest.mark.parametrize("where", range(3))
+    def test_edgeless_factor(self, where):
+        factors = [complete_uniform(3, 2), cycle(4)]
+        factors.insert(where, Hypergraph(3))
+        self.check(factors)
 
 
 class TestLexLeastCertificate:

@@ -489,6 +489,16 @@ class TestMainEntry:
         assert code == 0
         assert "star:4" in out and "cycle:5" in out
 
+    @pytest.mark.parametrize("recipes", [(), ("complete:7,1",)])
+    def test_compare_limit_default_same_everywhere(self, recipes, capsys):
+        # chi(KG(complete:7,1)) = chi(K_7) = 7 is just above the default limit
+        assert main(["compare", *recipes]) == 0
+        out = capsys.readouterr().out
+        (result,) = json.loads(out[out.index("\n[\n") + 1 :])
+        assert run(ExperimentSpec(recipes, "compare")).payload == result["payload"]
+        pool = [(recipe, 2) for recipe in recipes] or default_compare_pool()
+        assert compare_bounds(pool).to_json_dict() == result["payload"]
+
     def test_compare_r_applies_to_the_pool(self, capsys):
         assert main(["compare", "--r", "3"]) == 0
         out = capsys.readouterr().out
