@@ -43,11 +43,11 @@ from .hypergraph import (
 from .invariants import _ecd
 from .prooflab import (
     SignMapTables,
+    _experimental,
     check_lemma1,
     check_lemma2,
     dold_consequence,
     find_witness,
-    is_prime,
     misses_guarantee,
     sigma2_scan,
     witness_target,
@@ -413,6 +413,7 @@ def _bounds_table(payload: dict) -> str:
 
 def _witness(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
     p = spec.p
+    experimental = _experimental(p, spec.force)  # refuse before the solve
     coloring, chi = _coloring_for(spec.coloring_path, spec.limit, [kneser(H, p) for H in factors])
     payload = {"p": p, "chi": chi.to_json() if chi else None}
     if coloring is None:
@@ -430,7 +431,7 @@ def _witness(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutc
         # a miss within the guarantee of a prime p is a bug; with --eta the
         # guarantee is computed only now
         guarantee = target if spec.eta is None else witness_target(factors, p, cache)
-        bad = is_prime(p) and misses_guarantee(p, target, guarantee, scan.max_ell, scan.saturated_count)
+        bad = not experimental and misses_guarantee(p, target, guarantee, scan.max_ell, scan.saturated_count)
         payload["status"] = "NOT_FOUND"
         return ("violation" if bad else "ok"), payload
     problems = witness.problems(factors, coloring)

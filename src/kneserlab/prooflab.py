@@ -8,12 +8,14 @@ exhaustively, and the saturated-side search extracts colorful balanced
 complete p-partite witnesses from proper colorings of products of general
 Kneser hypergraphs.
 
-On the saturated side one reader, `_color_reader`, gives `lambda2`,
-`sigma2_scan` and `extract_witness` the colors each sign class realizes and
-by which product vertex; `PartiteWitness.problems` checks on its own lookup.
-The color simplex tau(X) is kept as those rows, one per sign. The sign
-tables refuse a composite p, and a self-checking cache re-derives the
-defect minima by the plain searches.
+On the saturated side one enumerator, `_saturated_blocks`, lists each
+factor's saturated blocks for `sigma2_scan` and the lemma-2 sweep, which take
+their product. One reader, `_color_reader`, gives `lambda2`, `sigma2_scan`
+and `extract_witness` the colors each sign class realizes and by which
+product vertex; `PartiteWitness.problems` checks on its own lookup. The
+color simplex tau(X) is kept as those rows, one per sign. The sign tables
+refuse a composite p, and a self-checking cache re-derives the defect minima
+by the plain searches.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, replace
 from itertools import product as iproduct
-from math import prod
+from math import isqrt, prod
 
 from .bits import submasks
 from .cache import ResultCache
@@ -36,14 +38,7 @@ LEMMA_ENUM_CAP = 2_000_000
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 # --- split vectors -------------------------------------------------------------
@@ -86,6 +81,25 @@ def split(X: SignVector, hypergraphs: Sequence[Hypergraph]) -> SplitVector:
         for blk, H in zip(blocks, hgs)
     )
     return SplitVector(X, hgs, tuple(blocks), signs)
+
+
+def _saturated_blocks(H: Hypergraph, p: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The saturated blocks of ``H`` in lex order with their class masks for
+    signs 1..p. A prefix, the empty one too, is dropped once some class
+    cannot span an edge even with every open vertex added."""
+    spans = span_table(H)
+    blocks = [((), (0,) * p)] if spans[-1] else []
+    for i in range(H.n):
+        open_ = (1 << H.n) - (2 << i)  # the vertices after vertex i+1
+        grown = []
+        for e, m in blocks:
+            # the classes that need vertex i+1; the others stay viable anyway
+            short = [s for s in range(1, p + 1) if not spans[m[s - 1] | open_]]
+            if len(short) < 2:
+                for x in short or range(p + 1):
+                    grown.append((e + (x,), m[: x - 1] + (m[x - 1] | 1 << i,) + m[x:] if x else m))
+        blocks = grown
+    return blocks
 
 
 # --- equivariant sign tables ----------------------------------------------------
@@ -394,16 +408,14 @@ def _check_labels(
     if (2 * p + 1) ** n > LEMMA_ENUM_CAP:
         raise CapExceededError(f"exhaustive sweep over (Z_{p} u 0)^{n} faces is beyond the cap")
     cap = index_cap(factors, p, variant, cache)
-    labels: dict[tuple[int, ...], tuple[int, int]] = {}
-    for entries in iproduct(range(p + 1), repeat=n):
-        if not any(entries):
-            continue
-        S = split(SignVector(p, entries), factors)
-        if coloring is None:
-            if not S.is_saturated:
-                labels[entries] = lambda1(S, tables, variant)
-        elif S.is_saturated:
-            labels[entries] = lambda2(S, coloring, tables, cap)
+    if coloring is None:
+        vectors = (split(SignVector(p, e), factors) for e in iproduct(range(p + 1), repeat=n) if any(e))
+        labels = {S.vector.entries: lambda1(S, tables, variant) for S in vectors if not S.is_saturated}
+    else:
+        # the saturated vectors are the products of saturated blocks, in lex order
+        combos = iproduct(*(_saturated_blocks(H, p) for H in factors))
+        vectors = (split(SignVector(p, tuple(x for blk in c for x in blk[0])), factors) for c in combos)
+        labels = {S.vector.entries: lambda2(S, coloring, tables, cap) for S in vectors}
     violations: list[Violation] = []
     for entries, (sign, index) in labels.items():
         if coloring is None and not 1 <= index <= cap:
@@ -466,17 +478,7 @@ def sigma2_scan(
     reaches all p sign rows, the balanced size is at most (p-1)*k for k
     colors, and the scan stops at the first vector reaching that ceiling."""
     read = _color_reader(factors, coloring)
-    per_factor_blocks: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
-    for H in factors:
-        spans = span_table(H)
-        blocks = []
-        for entries in iproduct(range(p + 1), repeat=H.n):
-            masks = [0] * (p + 1)
-            for i, x in enumerate(entries):
-                masks[x] |= 1 << i
-            if all(spans[m] for m in masks[1:]):
-                blocks.append((entries, tuple(masks[1:])))
-        per_factor_blocks.append(blocks)
+    per_factor_blocks = [_saturated_blocks(H, p) for H in factors]
     ceiling = (p - 1) * coloring.color_count
     best = -1
     best_entries: tuple[int, ...] | None = None
@@ -611,6 +613,13 @@ def misses_guarantee(p: int, target: int, guarantee: int, max_ell: int, saturate
     return max_ell < target <= guarantee and not (saturated_count == 0 and target < p)
 
 
+def _experimental(p: int, force: bool) -> bool:
+    """Whether p is not prime, which a witness search refuses unless forced."""
+    if not (force or is_prime(p)):
+        raise ValueError(f"p={p} is not prime; pass force=True to experiment")
+    return not is_prime(p)
+
+
 def find_witness(
     factors: Sequence[Hypergraph],
     p: int,
@@ -628,9 +637,7 @@ def find_witness(
     flagged experimental. ``scan`` is the `sigma2_scan` of the same
     arguments, when the caller has it already.
     """
-    experimental = not is_prime(p)
-    if experimental and not force:
-        raise ValueError(f"p={p} is not prime; pass force=True to experiment")
+    experimental = _experimental(p, force)
     if target is None:
         target = witness_target(factors, p)
     if target == 0:

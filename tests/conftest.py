@@ -384,6 +384,18 @@ def saturated_rows_naive(factors: list[Hypergraph], p: int, coloring: Coloring):
             yield entries, [first_vertex_of_color_naive(factors, coloring, row) for row in classes]
 
 
+def saturated_blocks_naive(H: Hypergraph, p: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Oracle: every saturated block of ``H`` in lex order, with its class
+    masks for signs 1..p, by testing the sign classes of every entry tuple
+    of (Z_p u 0)^n for an edge subset."""
+    out = []
+    for entries in itertools.product(range(p + 1), repeat=H.n):
+        classes = [row[0] for row in _sign_classes([H], p, entries)]
+        if all(any(set(e) <= cls for e in H.edges) for cls in classes):
+            out.append((entries, tuple(mask_of(cls) for cls in classes)))
+    return out
+
+
 def sigma2_scan_naive(factors: list[Hypergraph], p: int, coloring: Coloring):
     """Oracle for the saturated-side scan: (best balanced size, entries of
     the first vector reaching it or None, number of saturated vectors)."""

@@ -156,6 +156,20 @@ class TestRun:
         assert run(spec).payload["status"] == "FOUND"
         assert len(calls) == 1
 
+    def test_composite_witness_refused_before_the_solve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called for a refused p")
+
+        for target in (
+            "kneserlab.experiments.solve_product_chromatic",
+            "kneserlab.experiments.sigma2_scan",
+            "kneserlab.prooflab.sigma2_scan",
+        ):
+            monkeypatch.setattr(target, forbidden)
+        result = run(ExperimentSpec(recipes=("complete:8,2",), task="witness", p=4))
+        assert result.status == "failed"
+        assert result.payload["error"] == "ValueError: p=4 is not prime; pass force=True to experiment"
+
     def test_reduce_reads_through_cache(self, tmp_path, monkeypatch):
         spec = ExperimentSpec(
             recipes=("complete:5,2",),

@@ -1,6 +1,8 @@
 """The CLI's outputs, pinned: every command of `COMMANDS` runs in-process
-through `cli.main`, cold and then warm on one cache, and must reproduce the
-exit code, text and JSON results recorded in ``golden/cli.json``.
+through `cli.main`, cold, then warm on one cache, then warm again with
+``--self-check`` (every cache hit re-derived and compared), and must
+reproduce the exit code, text and JSON results recorded in
+``golden/cli.json``.
 
 ``python tests/regen_golden.py`` rewrites that file; the suite never does.
 A change to it is an intended output change of the commands that differ.
@@ -49,18 +51,19 @@ COMMANDS = (
     "witness --p 4 --force complete:8,2",
     "prooflab --p 4 complete:4,2",
     "prooflab --p 2 --limit 2 complete:5,2",
+    "prooflab --p 2 edgeless:0 complete:4,2",
     "compare --r 2 cycle:5 star:4",
     "invariants --r 2 nonsense:1",
 )
 
 
-def capture(command: str, cache: str) -> dict:
+def capture(command: str, cache: str, *flags: str) -> dict:
     """One command's exit code, its printed text without the timestamped
     first line, and its JSON results without ``wall_time_s`` and
-    ``traceback``."""
+    ``traceback``; ``flags`` are added to the command line."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([*shlex.split(command), "--cache", cache])
+        code = main([*shlex.split(command), "--cache", cache, *flags])
     lines = out.getvalue().splitlines()[1:]
     start = lines.index("[")
     results = json.loads("\n".join(lines[start:]))
@@ -79,7 +82,7 @@ def test_cli_outputs_match_golden(tmp_path, monkeypatch):
     write_file_graph(tmp_path)
     golden = json.loads(GOLDEN.read_text())
     assert [g["command"] for g in golden] == list(COMMANDS)
-    for phase in ("cold", "warm"):
+    for phase, flags in (("cold", ()), ("warm", ()), ("self-check", ("--self-check",))):
         for expected in golden:
-            got = capture(expected["command"], "cache.jsonl")
+            got = capture(expected["command"], "cache.jsonl", *flags)
             assert got == expected, (phase, expected["command"])

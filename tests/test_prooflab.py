@@ -15,6 +15,7 @@ from kneserlab import (
     ProductSpace,
     SignMapTables,
     SignVector,
+    Violation,
     alt_min,
     check_lemma1,
     check_lemma2,
@@ -22,6 +23,7 @@ from kneserlab import (
     cycle,
     dold_consequence,
     ecd,
+    edgeless,
     extract_witness,
     factor_bounds,
     find_witness,
@@ -35,16 +37,20 @@ from kneserlab import (
     solve_chromatic,
     solve_product_chromatic,
     split,
+    star,
     witness_target,
 )
 from kneserlab.invariants import act_sign, balanced_size
-from kneserlab.prooflab import misses_guarantee
+import kneserlab.prooflab
+from kneserlab.prooflab import _saturated_blocks, misses_guarantee
 from conftest import (
     is_colorful_balanced_complete,
     min_element_coloring_petersen,
     product_full,
     projection_coloring,
     random_hypergraph,
+    random_pool,
+    saturated_blocks_naive,
     saturated_rows_naive,
     sigma2_scan_naive,
     tau_of,
@@ -625,6 +631,61 @@ class TestSaturatedSideOracle:
             seen["projection"] += kind == "projection" and len(factors) == 2 and count > 0
         assert seen["saturated"] >= 30 and seen["none"] >= 3
         assert min(seen["products"], seen["p3"], seen["projection"]) >= 5
+
+
+class TestSaturatedBlocks:
+    # n <= 6 keeps the (p+1)^n oracle to a few thousand tuples per factor
+    NAMED = (
+        CU3,
+        CU4,
+        CU5,
+        complete_uniform(6, 2),
+        complete_uniform(6, 3),
+        cycle(6),
+        star(5),
+        hnka(6, 2, 2),
+        Hypergraph(0),
+        edgeless(1),
+        Hypergraph(3, [(2,), (1, 3)]),
+        Hypergraph(4, [(1,), (2,), (3,), (4,)]),
+        Hypergraph(5, [(1,), (2,), (3,), (4, 5), (1, 5)]),
+        Hypergraph(6, [(1,), (2,), (3, 4), (5, 6), (4, 5)]),
+    )
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_blocks_match_the_definition(self, p):
+        nonempty = 0
+        for H in (*random_pool(16, max_n=6), *self.NAMED):
+            blocks = _saturated_blocks(H, p)
+            assert blocks == saturated_blocks_naive(H, p), H
+            nonempty += bool(blocks)
+        assert nonempty >= 3
+
+    def test_lemma2_splits_only_saturated_vectors(self, monkeypatch):
+        factors = [CU4, CU4]
+        _, coloring = solve_product_chromatic([kneser(CU4, 2)] * 2)
+        count = sigma2_scan(factors, 2, coloring).saturated_count
+        calls = []
+
+        def counted(X, hypergraphs):
+            calls.append(X)
+            return split(X, hypergraphs)
+
+        monkeypatch.setattr(kneserlab.prooflab, "split", counted)
+        assert check_lemma2(factors, 2, coloring) == []
+        assert len(calls) == count == 36
+        # a constant simplex table breaks equivariance on every saturated
+        # vector, reported in vector order against its negation
+        corrupted = check_lemma2(factors, 2, coloring, SignMapTables(2, corrupt=("simplex",)))
+        assert corrupted == [
+            Violation(
+                "equivariance",
+                x,
+                tuple(3 - v if v else 0 for v in x),
+                "label(1, 8) != expected (2, 8) under g=1",
+            )
+            for x, _ in saturated_rows_naive(factors, 2, coloring)
+        ]
 
 
 class TestBoundsPath:
