@@ -212,8 +212,9 @@ def _ecd(H: Hypergraph, r: int) -> int:
 
 
 class _Found(Exception):
-    def __init__(self, depth: int) -> None:
+    def __init__(self, depth: int, classes: list[int]) -> None:
         self.depth = depth  # order position of the found vector's last nonzero entry
+        self.classes = classes  # its vertex masks of signs 1..m
 
 
 def _alt_search(
@@ -236,7 +237,7 @@ def _alt_search(
         if cur > best:
             best = cur
             if cutoff is not None and best >= cutoff:
-                raise _Found(i - 1)
+                raise _Found(i - 1, class_masks[1:])
         if i > n or cur + (n - i + 1) <= best:
             return
         v = order[i - 1]
@@ -257,15 +258,43 @@ def _alt_search(
 
 def _next_block(order: list[int], depth: int) -> bool:
     """Step ``order`` in place to the first lex-later ordering that differs
-    from it in order[:depth]; False if there is none."""
-    for i in range(depth - 1, -1, -1):
-        later = [x for x in order[i + 1 :] if x > order[i]]
-        if later:
-            rest = sorted(order[i:])
-            rest.remove(min(later))
-            order[i:] = [min(later), *rest]
-            return True
-    return False
+    from it in order[:depth]; False if there is none. Sorting the tail
+    after ``depth`` descending makes ``order`` the last ordering of its
+    block, and the plain next permutation follows it."""
+    order[depth:] = sorted(order[depth:], reverse=True)
+    i = len(order) - 2
+    while i >= 0 and order[i] > order[i + 1]:
+        i -= 1
+    if i < 0:
+        return False
+    j = len(order) - 1
+    while order[j] < order[i]:
+        j -= 1
+    order[i], order[j] = order[j], order[i]
+    order[i + 1 :] = order[:i:-1]
+    return True
+
+
+def _reach(kept: list[list[int]], order: list[int], best: int) -> int:
+    """The first position of ``order`` at which a vector of ``kept``, read
+    along it, has ``best`` runs, or 0 if none does. A vector is dropped at
+    the position where too few are left to reach ``best``; the one that
+    reaches it moves to the front of ``kept``."""
+    slack = len(order) - best
+    for k, signs in enumerate(kept):
+        last = missed = 0
+        for d, v in enumerate(order, 1):
+            s = signs[v]
+            if s and s != last:
+                if d - missed >= best:
+                    kept.insert(0, kept.pop(k))
+                    return d
+                last = s
+            elif missed == slack:
+                break
+            else:
+                missed += 1
+    return 0
 
 
 @dataclass(frozen=True)
@@ -290,6 +319,16 @@ def _alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltRe
     lexicographically smallest optimal one. When an ordering has a vector
     reaching the incumbent, every ordering sharing its prefix up to that
     vector's last nonzero entry has it too, and the walk jumps past them.
+    The walk keeps up to n of the vectors the search found, one sign per
+    vertex and the last one to reach the incumbent first, and reads them
+    along each ordering before it searches. Their sign classes are vertex
+    sets, edge-free under every ordering, so one that reaches the
+    incumbent at position d lets the walk jump past the block of
+    order[:d] without a search. Jumps drop only orderings that are not
+    better than the incumbent, and the certificate changes only on a
+    strict improvement, so it stays the lex-least optimal ordering. With
+    at most n vectors, an ordering that no kept vector settles costs at
+    most n*n steps before its search.
     It stops at the floor min(r, m), m the vertices in no singleton edge:
     r of those, each its own sign class, reach it under any ordering.
     Heuristic mode does seeded random restarts with adjacent-transposition
@@ -311,11 +350,21 @@ def _alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltRe
         order = list(range(1, n + 1))
         best = _alt_search(H, r, order, spans, cutoff=None)
         cert, depth = tuple(order), n
+        kept: list[list[int]] = []  # found vectors, one sign per vertex
         while best > floor and _next_block(order, depth):
+            depth = _reach(kept, order, best)
+            if depth:
+                continue
             try:
                 best = _alt_search(H, r, order, spans, cutoff=best)
             except _Found as found:
                 depth = found.depth
+                signs = [0] * (n + 1)
+                for s, mask in enumerate(found.classes, 1):
+                    for v in bits_of(mask):
+                        signs[v] = s
+                kept.insert(0, signs)
+                del kept[n:]
                 continue
             cert, depth = tuple(order), n
         return AltResult(best, Permutation(cert), True)

@@ -54,6 +54,9 @@ COMMANDS = (
     "prooflab --p 2 edgeless:0 complete:4,2",
     "compare --r 2 cycle:5 star:4",
     "invariants --r 2 nonsense:1",
+    # the alternation walk with a falling incumbent, and a larger scan
+    "invariants --r 2 cycle:8",
+    "witness --p 3 complete:9,2",
 )
 
 

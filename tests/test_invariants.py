@@ -245,21 +245,26 @@ def _low_symmetry(rng: random.Random, n: int, sizes) -> Hypergraph:
             return Hypergraph(n, edges)
 
 
-def _spy_on_search(monkeypatch) -> list[list]:
-    """Record [ordering, depth of the _Found it raised or None, cutoff] per call."""
-    calls: list[list] = []
-    real = invariants._alt_search
+def _spy_on_walk(monkeypatch) -> tuple[list[tuple[tuple[int, ...], int]], list[int]]:
+    """Record (ordering, depth) per `_next_block` call, i.e. every ordering
+    the walk visits with the depth of the block it leaves (n: that ordering
+    alone), whether a search or a kept vector settled it; count the
+    `_alt_search` calls in a one-element list."""
+    steps: list[tuple[tuple[int, ...], int]] = []
+    searches = [0]
+    real_step, real_search = invariants._next_block, invariants._alt_search
 
-    def spy(H, m, order, spans, cutoff):
-        calls.append([tuple(order), None, cutoff])
-        try:
-            return real(H, m, order, spans, cutoff)
-        except invariants._Found as found:
-            calls[-1][1] = found.depth
-            raise
+    def step(order, depth):
+        steps.append((tuple(order), depth))
+        return real_step(order, depth)
 
-    monkeypatch.setattr(invariants, "_alt_search", spy)
-    return calls
+    def search(*args, **kwargs):
+        searches[0] += 1
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "_next_block", step)
+    monkeypatch.setattr(invariants, "_alt_search", search)
+    return steps, searches
 
 
 class TestAltMinWalk:
@@ -286,40 +291,57 @@ class TestAltMinWalk:
             for r in (2, 3)
         ]
         cases += [(star(7), 3), (cycle(7), 2), (hnka(7, 2, 3), 3)]
+        # the incumbent falls after the walk has kept vectors (8 -> 7 -> 6
+        # and 8 -> ... -> 4), and kept vectors reach it deeper than the
+        # search's own 4-vertex vector would
+        cases += [(cycle(8), 3), (cycle(8), 2), (complete_uniform(8, 3), 2)]
         for H, r in cases:
             res = alt_min(H, r)
             assert (res.value, res.sigma.sigma) == alt_min_plain(H, r), (H, r)
 
     @pytest.mark.parametrize("seed", [1, 3])
     def test_skips_exactly_the_witness_prefix_blocks(self, monkeypatch, seed):
-        # each _Found depth is sound: the ordering's first `depth` vertices
-        # alone carry a vector reaching the cutoff
         H = _low_symmetry(random.Random(seed), 6, (2, 2, 2, 3, 3, 4))
-        calls = _spy_on_search(monkeypatch)
+        steps, searches = _spy_on_walk(monkeypatch)
         res = alt_min.__wrapped__(H, 2)
         monkeypatch.undo()
-        for order, depth, cutoff in calls:
-            if depth is not None:
-                pos = {v: j + 1 for j, v in enumerate(order[:depth])}
-                prefix = Hypergraph(
-                    depth, [[pos[v] for v in e] for e in H.edges if set(e) <= pos.keys()]
-                )
-                assert alt_sigma(prefix, 2, Permutation(tuple(range(1, depth + 1)))) >= cutoff
-        # the walk leaves out exactly the orderings that share order[:depth]
-        # with an earlier ordering that raised _Found at that depth
-        evaluated = {order: i for i, (order, _, _) in enumerate(calls)}
-        assert len(evaluated) == len(calls)
         assert res.value > 2  # above the floor: the walk covers all 6! orderings
+        # each block is sound: the ordering's first `depth` vertices alone
+        # carry a vector reaching the incumbent, the least alternation over
+        # the orderings visited so far
+        incumbent = H.n
+        for order, depth in steps:
+            incumbent = min(incumbent, alt_sigma(H, 2, Permutation(order)))
+            pos = {v: j + 1 for j, v in enumerate(order[:depth])}
+            prefix = Hypergraph(
+                depth, [[pos[v] for v in e] for e in H.edges if set(e) <= pos.keys()]
+            )
+            assert alt_sigma(prefix, 2, Permutation(tuple(range(1, depth + 1)))) >= incumbent
+        # the walk leaves out exactly the orderings that share order[:depth]
+        # with an earlier visited ordering
+        visited = {order: i for i, (order, _) in enumerate(steps)}
+        assert len(visited) == len(steps)
         skipped = 0
         for perm in itertools.permutations(range(1, 7)):
-            limit = evaluated.get(perm, len(calls))
-            in_block = any(
-                depth is not None and perm[:depth] == order[:depth]
-                for order, depth, _ in calls[:limit]
-            )
-            assert in_block != (perm in evaluated), perm
+            limit = visited.get(perm, len(steps))
+            in_block = any(perm[:depth] == order[:depth] for order, depth in steps[:limit])
+            assert in_block != (perm in visited), perm
             skipped += in_block
         assert skipped > 0
+        # kept vectors settle some visited orderings without a search
+        assert searches[0] < len(steps)
+
+    def test_block_step_matches_its_definition(self):
+        # the first lex-later ordering whose first `depth` entries differ
+        for n in range(6):
+            perms = list(itertools.permutations(range(1, n + 1)))
+            for i, perm in enumerate(perms):
+                for depth in range(n + 1):
+                    later = [q for q in perms[i + 1 :] if q[:depth] != perm[:depth]]
+                    order = list(perm)
+                    assert invariants._next_block(order, depth) == bool(later), (perm, depth)
+                    if later:
+                        assert tuple(order) == later[0], (perm, depth)
 
     def test_r_one(self):
         for H, value in ((Hypergraph(3, [(1, 2)]), 1), (Hypergraph(3, [(1,), (2,), (3,)]), 0)):
@@ -351,12 +373,12 @@ class TestAltMinWalk:
             assert (res.value, res.sigma.sigma) == alt_min_lex_naive(H, r)
 
     def test_complete_graph_stops_at_floor(self, monkeypatch):
-        calls = _spy_on_search(monkeypatch)
+        steps, searches = _spy_on_walk(monkeypatch)
         start = time.perf_counter()
         res = alt_min.__wrapped__(complete_uniform(9, 2), 3, "exact")
         assert time.perf_counter() - start < 1.0
         assert (res.value, res.sigma.sigma) == (3, tuple(range(1, 10)))
-        assert len(calls) == 1
+        assert (len(steps), searches[0]) == (0, 1)
 
 
 class TestOrderings:
