@@ -297,6 +297,43 @@ def _reach(kept: list[list[int]], order: list[int], best: int) -> int:
     return 0
 
 
+def _twins_below(H: Hypergraph) -> dict[int, int]:
+    """For each vertex v that has one, the mask of the vertices u < v whose
+    transposition (u v) maps E(H) onto itself. An edge holding both or
+    neither is fixed, so only an edge holding one of them needs its swapped
+    image in E(H)."""
+    edges = set(H.edge_masks)
+    below: dict[int, int] = {}
+    for v in range(2, H.n + 1):
+        for u in range(1, v):
+            pair = 1 << (u - 1) | 1 << (v - 1)
+            if all(em & pair in (0, pair) or em ^ pair in edges for em in H.edge_masks):
+                below[v] = below.get(v, 0) | 1 << (u - 1)
+    return below
+
+
+def _symmetric_prefix(order: list[int], below: dict[int, int]) -> int:
+    """The shortest prefix of ``order`` whose block, by one of two rules,
+    holds only orderings with a lex-earlier image of equal value, or 0.
+    Reversal: if order[-1] < order[0], every ordering of the block of
+    order[:d], d the position of the last entry >= order[0], ends below
+    order[0], so its reverse is lex-earlier. Twins: at the first position d
+    that places a vertex v before a twin u < v (``below``), swapping u and
+    v in any ordering of the block of order[:d] gives a lex-earlier one."""
+    n = depth = len(order)
+    if order[-1] < order[0]:
+        depth -= 1
+        while order[depth - 1] < order[0]:
+            depth -= 1
+    if below:
+        placed = 0
+        for d, v in enumerate(order[:depth], 1):
+            if below.get(v, 0) & ~placed:
+                return d
+            placed |= 1 << (v - 1)
+    return depth if depth < n else 0
+
+
 @dataclass(frozen=True)
 class AltResult:
     """alt value with its certificate ordering; ``exact=False`` marks a
@@ -329,6 +366,17 @@ def _alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltRe
     strict improvement, so it stays the lex-least optimal ordering. With
     at most n vectors, an ordering that no kept vector settles costs at
     most n*n steps before its search.
+    Before the kept vectors, `_symmetric_prefix` settles in O(n) the
+    blocks whose orderings all have a lex-earlier image under reversal or
+    under a twin swap (u v), a transposition that maps E(H) onto itself
+    (`_twins_below`, built once if the walk goes past the first search).
+    The value of an ordering equals that of its reverse, since the number
+    of runs of a vector does not change when it is read backwards and the
+    sign classes are vertex sets, and that of its image under any
+    automorphism of H. Every ordering before the current one in lex order
+    is no better than the incumbent, so an ordering with a lex-earlier
+    image cannot improve on it. The lex-least optimal ordering has no
+    lex-earlier image, so the value and the certificate do not change.
     It stops at the floor min(r, m), m the vertices in no singleton edge:
     r of those, each its own sign class, reach it under any ordering.
     Heuristic mode does seeded random restarts with adjacent-transposition
@@ -351,8 +399,9 @@ def _alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltRe
         best = _alt_search(H, r, order, spans, cutoff=None)
         cert, depth = tuple(order), n
         kept: list[list[int]] = []  # found vectors, one sign per vertex
+        below = _twins_below(H) if best > floor else {}
         while best > floor and _next_block(order, depth):
-            depth = _reach(kept, order, best)
+            depth = _symmetric_prefix(order, below) or _reach(kept, order, best)
             if depth:
                 continue
             try:

@@ -201,6 +201,18 @@ def alt_min_plain(H: Hypergraph, r: int) -> tuple[int, tuple[int, ...]]:
     return best, cert
 
 
+def twins_naive(H: Hypergraph) -> set[tuple[int, int]]:
+    """Oracle for `_twins_below`: the pairs u < v whose transposition,
+    applied to every vertex of every edge, gives back the same edge set."""
+    edges = {frozenset(e) for e in H.edges}
+    twins = set()
+    for u, v in itertools.combinations(range(1, H.n + 1), 2):
+        swap = {u: v, v: u}
+        if {frozenset(swap.get(x, x) for x in e) for e in edges} == edges:
+            twins.add((u, v))
+    return twins
+
+
 def chromatic_brute(H: Hypergraph, kmax: int | None = None) -> int | None:
     """Smallest k with a proper k-coloring, by enumerating all colorings.
     Returns None if no k up to kmax works (singleton edges)."""

@@ -57,6 +57,9 @@ COMMANDS = (
     # the alternation walk with a falling incumbent, and a larger scan
     "invariants --r 2 cycle:8",
     "witness --p 3 complete:9,2",
+    # symmetric inputs the walk settles by reversal and twin swaps
+    "invariants --r 3 star:9",
+    "invariants --r 2 complete:8,3",
 )
 
 

@@ -34,6 +34,8 @@ from conftest import (
     cd_naive,
     ecd_naive,
     random_hypergraph,
+    random_pool,
+    twins_naive,
 )
 
 
@@ -245,6 +247,24 @@ def _low_symmetry(rng: random.Random, n: int, sizes) -> Hypergraph:
             return Hypergraph(n, edges)
 
 
+def _star_plus(n: int) -> Hypergraph:
+    """star(n) with the extra edge {1, 2}: twin classes {1, 2}, {3..n-1}
+    and {n} for n >= 4."""
+    return Hypergraph(n, [(i, n) for i in range(1, n)] + [(1, 2)] * (n >= 3))
+
+
+def _has_earlier_image(order: tuple[int, ...], twins) -> bool:
+    """Whether the reverse of ``order``, or its image under the swap of
+    one pair of ``twins``, comes before it in lex order."""
+    if order[::-1] < order:
+        return True
+    for u, v in twins:
+        swap = {u: v, v: u}
+        if tuple(swap.get(x, x) for x in order) < order:
+            return True
+    return False
+
+
 def _spy_on_walk(monkeypatch) -> tuple[list[tuple[tuple[int, ...], int]], list[int]]:
     """Record (ordering, depth) per `_next_block` call, i.e. every ordering
     the walk visits with the depth of the block it leaves (n: that ordering
@@ -295,6 +315,9 @@ class TestAltMinWalk:
         # and 8 -> ... -> 4), and kept vectors reach it deeper than the
         # search's own 4-vertex vector would
         cases += [(cycle(8), 3), (cycle(8), 2), (complete_uniform(8, 3), 2)]
+        # twins: whole classes, and a star with one extra edge, whose twin
+        # classes {1, 2}, {3..6} and {7} leave some vertices without a twin
+        cases += [(star(8), 3), (hnka(8, 2, 3), 3), (complete_uniform(6, 3), 2), (_star_plus(7), 3)]
         for H, r in cases:
             res = alt_min(H, r)
             assert (res.value, res.sigma.sigma) == alt_min_plain(H, r), (H, r)
@@ -306,17 +329,27 @@ class TestAltMinWalk:
         res = alt_min.__wrapped__(H, 2)
         monkeypatch.undo()
         assert res.value > 2  # above the floor: the walk covers all 6! orderings
-        # each block is sound: the ordering's first `depth` vertices alone
-        # carry a vector reaching the incumbent, the least alternation over
-        # the orderings visited so far
+        twins = twins_naive(H)
+        # each block is sound. A symmetry block holds only orderings with a
+        # lex-earlier reverse or twin-swapped image; any other block is a
+        # witness block: the ordering's first `depth` vertices alone carry a
+        # vector reaching the incumbent, the least alternation over the
+        # orderings visited so far
         incumbent = H.n
+        kinds = {"symmetry": 0, "witness": 0}
         for order, depth in steps:
             incumbent = min(incumbent, alt_sigma(H, 2, Permutation(order)))
+            block = [order[:depth] + tail for tail in itertools.permutations(order[depth:])]
+            if all(_has_earlier_image(q, twins) for q in block):
+                kinds["symmetry"] += 1
+                continue
+            kinds["witness"] += 1
             pos = {v: j + 1 for j, v in enumerate(order[:depth])}
             prefix = Hypergraph(
                 depth, [[pos[v] for v in e] for e in H.edges if set(e) <= pos.keys()]
             )
             assert alt_sigma(prefix, 2, Permutation(tuple(range(1, depth + 1)))) >= incumbent
+        assert kinds["symmetry"] > 0 and kinds["witness"] > 0, kinds
         # the walk leaves out exactly the orderings that share order[:depth]
         # with an earlier visited ordering
         visited = {order: i for i, (order, _) in enumerate(steps)}
@@ -328,8 +361,53 @@ class TestAltMinWalk:
             assert in_block != (perm in visited), perm
             skipped += in_block
         assert skipped > 0
-        # kept vectors settle some visited orderings without a search
-        assert searches[0] < len(steps)
+        # kept vectors settle some visited orderings without a search: every
+        # ordering outside a symmetry block is searched or settled by one
+        assert searches[0] < kinds["witness"]
+
+    def test_symmetric_prefix_matches_its_definition(self):
+        # depth is the shortest prefix whose block holds only orderings with
+        # a lex-earlier reverse or twin-swapped image, 0 if there is none;
+        # so it is 0 exactly when the ordering itself has no such image
+        for n in range(1, 7):
+            grounds = [Hypergraph(n), _star_plus(n)]
+            grounds += [_low_symmetry(random.Random(n), n, range(1, n + 1))]
+            grounds += [star(n)] if n >= 2 else []
+            grounds += [cycle(n)] if n >= 3 else []
+            for H in grounds:
+                twins = twins_naive(H)
+                below = invariants._twins_below(H)
+                perms = list(itertools.permutations(range(1, n + 1)))
+                # the prefixes of a permutation without an earlier image
+                open_prefixes = {
+                    p[:d] for p in perms if not _has_earlier_image(p, twins) for d in range(n + 1)
+                }
+                for perm in perms:
+                    want = next((d for d in range(1, n + 1) if perm[:d] not in open_prefixes), 0)
+                    assert invariants._symmetric_prefix(list(perm), below) == want, (H, perm)
+
+    def test_twins_match_naive(self):
+        grounds = random_pool(40)
+        grounds += [star(n) for n in (2, 5, 9)] + [cycle(n) for n in (3, 4, 7)]
+        grounds += [complete_uniform(6, 2), complete_uniform(7, 3), hnka(7, 2, 3), hnka(8, 2, 3)]
+        grounds += [Hypergraph(0), Hypergraph(1), Hypergraph(1, [(1,)]), Hypergraph(5)]
+        grounds += [Hypergraph(4, [(2,)]), Hypergraph(4, [(1,), (3,)]), _star_plus(7)]
+        for H in grounds:
+            want = {}
+            for u, v in twins_naive(H):
+                want[v] = want.get(v, 0) | 1 << (u - 1)
+            assert invariants._twins_below(H) == want, H
+
+    @pytest.mark.parametrize(
+        "H, r, value, limit", [(star(9), 3, 9, 1000), (complete_uniform(8, 3), 2, 4, 100)]
+    )
+    def test_symmetric_inputs_walk_few_orderings(self, monkeypatch, H, r, value, limit):
+        # without the reversal and twin rules the walk visits all 9!
+        # orderings of star(9) and 34,969 of complete_uniform(8, 3)
+        steps, _ = _spy_on_walk(monkeypatch)
+        res = alt_min.__wrapped__(H, r)
+        assert (res.value, res.sigma.sigma) == (value, tuple(range(1, H.n + 1)))
+        assert len(steps) < limit
 
     def test_block_step_matches_its_definition(self):
         # the first lex-later ordering whose first `depth` entries differ
