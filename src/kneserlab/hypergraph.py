@@ -78,17 +78,13 @@ class Hypergraph:
     def has_singleton_edge(self) -> bool:
         return bool(self.edges) and len(self.edges[0]) == 1
 
-    def contains_edge_within(self, mask: int) -> bool:
-        """True iff some hyperedge is entirely contained in ``mask``."""
-        return any(em & ~mask == 0 for em in self.edge_masks)
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
 
 
 def span_table(H: Hypergraph) -> bytes:
-    """Entry ``mask`` is 1 iff some hyperedge lies inside ``mask``: the
-    `contains_edge_within` test tabulated over all 2^n masks, in linear time.
+    """Entry ``mask`` is 1 iff some hyperedge lies inside ``mask``, tabulated
+    over all 2^n masks in linear time.
 
     Each edge mask sets its own bit of a 2^n-bit integer; then, one vertex
     bit i at a time, every set mask lacking i also sets the mask with i (a

@@ -44,22 +44,12 @@ class SignVector:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def support_size(self) -> int:
-        return sum(1 for x in self.entries if x)
-
     def class_mask(self, sign: int) -> int:
         m = 0
         for i, x in enumerate(self.entries):
             if x == sign:
                 m |= 1 << i
         return m
-
-    def class_sizes(self) -> tuple[int, ...]:
-        counts = [0] * (self.modulus + 1)
-        for x in self.entries:
-            counts[x] += 1
-        return tuple(counts[1:])
 
 
 def balanced_size(sizes: Sequence[int]) -> int:

@@ -8,14 +8,19 @@ exhaustively, and the saturated-side search extracts colorful balanced
 complete p-partite witnesses from proper colorings of products of general
 Kneser hypergraphs.
 
-On the saturated side one enumerator, `_saturated_blocks`, lists each
-factor's saturated blocks for `sigma2_scan` and the lemma-2 sweep, which take
-their product. One reader, `_color_reader`, gives `lambda2`, `sigma2_scan`
-and `extract_witness` the colors each sign class realizes and by which
-product vertex; `PartiteWitness.problems` checks on its own lookup. The
-color simplex tau(X) is kept as those rows, one per sign. The sign tables
-refuse a composite p, and a self-checking cache re-derives the defect minima
-by the plain searches.
+Both sweeps label from per-factor block tables and take their product, so
+that lex order of the blocks is lex vector order. On the deficient side
+`_deficient_blocks` lists every block of a factor with its share of the
+label: its index term, its block-signature component and its edge-spanning
+signs; a vector's label is one sum and one sign-table lookup. On the
+saturated side `_saturated_blocks` lists each factor's saturated blocks with
+their class masks, for `sigma2_scan` and the lemma-2 sweep. One reader per
+sweep, `_color_reader`, gives them and `extract_witness(factors, X,
+coloring, q)` the colors each sign class realizes and by which product
+vertex; `PartiteWitness.problems` checks on its own lookup. The color
+simplex tau(X) is kept as those rows, one per sign. The sign tables refuse a
+composite p, and a self-checking cache re-derives the defect minima by the
+plain searches.
 """
 
 from __future__ import annotations
@@ -41,46 +46,7 @@ def is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
-# --- split vectors -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SplitVector:
-    """A sign vector split into per-factor blocks, with each block's set of
-    edge-spanning signs precomputed. Construct through :func:`split`."""
-
-    vector: SignVector
-    hypergraphs: tuple[Hypergraph, ...]
-    blocks: tuple[SignVector, ...]
-    edge_signs: tuple[frozenset[int], ...]
-
-    @property
-    def p(self) -> int:
-        return self.vector.modulus
-
-    @property
-    def is_saturated(self) -> bool:
-        """Every sign class of every block contains an edge of its factor."""
-        return all(len(a) == self.p for a in self.edge_signs)
-
-
-def split(X: SignVector, hypergraphs: Sequence[Hypergraph]) -> SplitVector:
-    """Cut ``X`` into consecutive blocks, one per factor and as long as its
-    order, and classify which signs of each block span an edge of it."""
-    hgs = tuple(hypergraphs)
-    if sum(H.n for H in hgs) != len(X):
-        raise ValueError("factor orders do not add up to the vector length")
-    p = X.modulus
-    blocks: list[SignVector] = []
-    offset = 0
-    for H in hgs:
-        blocks.append(SignVector(p, X.entries[offset : offset + H.n]))
-        offset += H.n
-    signs = tuple(
-        frozenset(s for s in range(1, p + 1) if H.contains_edge_within(blk.class_mask(s)))
-        for blk, H in zip(blocks, hgs)
-    )
-    return SplitVector(X, hgs, tuple(blocks), signs)
+# --- per-factor block tables ----------------------------------------------------
 
 
 def _saturated_blocks(H: Hypergraph, p: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -99,6 +65,61 @@ def _saturated_blocks(H: Hypergraph, p: int) -> list[tuple[tuple[int, ...], tupl
                 for x in short or range(p + 1):
                     grown.append((e + (x,), m[: x - 1] + (m[x - 1] | 1 << i,) + m[x:] if x else m))
         blocks = grown
+    return blocks
+
+
+def _deficient_blocks(H: Hypergraph, p: int, variant: str) -> list[tuple]:
+    """Every block of ``H`` in lex order with its share of a deficient
+    vector's label: (entries, saturated, index term, block-signature
+    component or None, edge-spanning signs, first sign in the alternation
+    order or 0).
+
+    A block whose every sign spans an edge counts its support; another
+    counts its edge-spanning signs plus the best score of an edge-free
+    sub-block: the balanced class size by default, or in the "alternation"
+    variant the alternation number read in the factor's alternation-optimal
+    vertex order. Sub-blocks are enumerated outright, since the score is not
+    monotone under restriction. The edge-free test reads the factor's
+    `span_table`, so a factor above T_ENUM_CAP vertices raises
+    CapExceededError.
+
+    The component is the whole block when every sign spans an edge; when
+    none does, it is the set of present signs if some class is empty, else
+    the block cut to its minimum-size classes. It is None when some but not
+    all signs span an edge: the sign-set table labels such vectors.
+    """
+    spans = span_table(H)
+    # alternation, unlike the balanced size, depends on coordinate order:
+    # scored in another order than this one the index can overshoot its cap
+    order = alt_min(H, p, "exact").sigma.sigma if variant == "alternation" else ()
+    blocks = []
+    for entries in iproduct(range(p + 1), repeat=H.n):
+        masks = [sum(1 << i for i, x in enumerate(entries) if x == s) for s in range(1, p + 1)]
+        signs = tuple(s for s, m in enumerate(masks, start=1) if spans[m])
+        first = next((entries[v - 1] for v in order if entries[v - 1]), 0)
+        if len(signs) == p:
+            blocks.append((entries, True, len(entries) - entries.count(0), ("vec", entries), signs, first))
+            continue
+        best = 0
+        # the sign classes are disjoint, so their sum is the support
+        for kept in submasks(sum(masks)):
+            if any(spans[m & kept] for m in masks):
+                continue
+            if variant == "alternation":
+                kept_entries = tuple(entries[v - 1] if kept >> (v - 1) & 1 else 0 for v in order)
+                score = alt_of(SignVector(p, kept_entries))
+            else:
+                score = balanced_size([(m & kept).bit_count() for m in masks])
+            best = max(best, score)
+        sizes = [m.bit_count() for m in masks]
+        h = min(sizes)
+        if signs:
+            component = None
+        elif h == 0:
+            component = ("set", tuple(s for s, size in enumerate(sizes, start=1) if size))
+        else:
+            component = ("vec", tuple(x if x and sizes[x - 1] == h else 0 for x in entries))
+        blocks.append((entries, False, len(signs) + best, component, signs, first))
     return blocks
 
 
@@ -168,81 +189,7 @@ class SignMapTables:
         return self._lookup("simplex", core, _act_cells)
 
 
-def block_signature(S: SplitVector) -> tuple | None:
-    """Per-block keys for the block-signature sign table; None when some
-    block has a proper nonempty set of edge-spanning signs (the sign-set
-    table handles that case instead)."""
-    p = S.p
-    comps: list[tuple] = []
-    for blk, present in zip(S.blocks, S.edge_signs):
-        if len(present) == p:
-            comps.append(("vec", blk.entries))
-        elif not present:
-            sizes = blk.class_sizes()
-            if min(sizes) == 0:
-                comps.append(
-                    ("set", tuple(s for s in range(1, p + 1) if sizes[s - 1] > 0))
-                )
-            else:
-                h = min(sizes)
-                kept = tuple(
-                    x if x and sizes[x - 1] == h else 0 for x in blk.entries
-                )
-                comps.append(("vec", kept))
-        else:
-            return None
-    return tuple(comps)
-
-
-# --- the deficient-side labeling -----------------------------------------------
-
-
-def _alt_order(H: Hypergraph, p: int) -> tuple[int, ...]:
-    """The alternation-optimal vertex ordering of a factor. The alternation
-    variant of the labeling must score sign vectors in this order: scored in
-    an arbitrary order the index can overshoot its cap, since alternation
-    (unlike the balanced class size) depends on coordinate order."""
-    return alt_min(H, p, "exact").sigma.sigma
-
-
-def nu(S: SplitVector, variant: str = "balanced") -> int:
-    """Index of a vector under the deficient-side labeling: blocks whose
-    every sign spans an edge count their full support; other blocks count
-    their edge-spanning signs plus the best score of an edge-free
-    sub-vector. The score is the balanced class size by default, or the
-    alternation number (read in the factor's alternation-optimal vertex
-    order) in the "alternation" variant.
-
-    Edge-free sub-vectors are enumerated outright; the score is not
-    monotone under restriction, so no pruning by dominance is attempted.
-    Each such block reads the edge-free test from its factor's `span_table`,
-    so a factor above T_ENUM_CAP vertices raises CapExceededError.
-    """
-    if variant not in ("balanced", "alternation"):
-        raise ValueError(f"unknown variant {variant!r}")
-    p = S.p
-    total = 0
-    for blk, present, H in zip(S.blocks, S.edge_signs, S.hypergraphs):
-        if len(present) == p:
-            total += blk.support_size
-            continue
-        order = _alt_order(H, p) if variant == "alternation" else None
-        spans = span_table(H)
-        masks = [blk.class_mask(s) for s in range(1, p + 1)]
-        best = 0
-        # the sign classes are disjoint, so their sum is the support
-        for kept in submasks(sum(masks)):
-            if any(spans[m & kept] for m in masks):
-                continue
-            if order is None:
-                score = balanced_size([(m & kept).bit_count() for m in masks])
-            else:
-                score = alt_of(
-                    SignVector(p, tuple(blk.entries[v - 1] if kept >> (v - 1) & 1 else 0 for v in order))
-                )
-            best = max(best, score)
-        total += len(present) + best
-    return total
+# --- the index cap --------------------------------------------------------------
 
 
 def _defect_minima(
@@ -270,31 +217,7 @@ def index_cap(
     return sum(H.n for H in factors) - quantity + p - 1
 
 
-def lambda1(S: SplitVector, tables: SignMapTables, variant: str = "balanced") -> tuple[int, int]:
-    """Equivariant label (sign, index) of a deficient vector."""
-    if S.is_saturated:
-        raise ValueError("lambda1 is only defined on deficient vectors")
-    index = nu(S, variant)
-    sig = block_signature(S)
-    if sig is not None:
-        if variant == "alternation":
-            # first nonzero entry, reading each block in its
-            # alternation-optimal vertex order
-            sign = next(
-                blk.entries[v - 1]
-                for blk, H in zip(S.blocks, S.hypergraphs)
-                for v in _alt_order(H, S.p)
-                if blk.entries[v - 1]
-            )
-        else:
-            sign = tables.sign_for_blocks(sig)
-    else:
-        key = tuple(tuple(sorted(a)) for a in S.edge_signs)
-        sign = tables.sign_for_signsets(key)
-    return sign, index
-
-
-# --- the saturated-side labeling -------------------------------------------------
+# --- the color reader and tau(X) ------------------------------------------------
 
 
 def _color_reader(
@@ -322,33 +245,21 @@ def _color_reader(
     return read
 
 
-def _tau(S: SplitVector, coloring: Coloring) -> tuple[dict[int, tuple[int, ...]], ...]:
+def _tau(
+    masks: Sequence[tuple[int, ...]], read: Callable[[tuple[int, ...]], dict[int, tuple[int, ...]]]
+) -> tuple[dict[int, tuple[int, ...]], ...]:
     """The color simplex tau(X) as its rows: for sign s, at index s-1, the
-    {color: first product vertex} row of its class. Every row is nonempty
-    for a saturated vector, and a proper coloring keeps every color out of
-    some row."""
-    if not S.is_saturated:
+    {color: first product vertex} row that ``read`` gives the per-factor
+    class masks of s. A row is empty exactly when X is not saturated, and a
+    proper coloring keeps every color out of some row."""
+    rows = tuple(read(m) for m in masks)
+    if not all(rows):
         raise ValueError("tau(X) is only defined on saturated vectors")
-    read = _color_reader(S.hypergraphs, coloring)
-    rows = tuple(read(tuple(blk.class_mask(s) for blk in S.blocks)) for s in range(1, S.p + 1))
     if set(rows[0]).intersection(*rows[1:]):
         raise ValueError(
             "some color is realized by all signs: the coloring is not proper"
         )
     return rows
-
-
-def lambda2(
-    S: SplitVector, coloring: Coloring, tables: SignMapTables, alpha: int
-) -> tuple[int, int]:
-    """Equivariant label (sign, index) of a saturated vector; the index is
-    always above ``alpha``. The sign is read from the core of tau(X): the
-    sorted cells of its minimum-size rows."""
-    rows = _tau(S, coloring)
-    sizes = [len(row) for row in rows]
-    h = min(sizes)
-    core = tuple((s, c) for s, row in enumerate(rows, start=1) if len(row) == h for c in sorted(row))
-    return tables.sign_for_simplex(core), alpha - S.p + 1 + balanced_size(sizes)
 
 
 # --- exhaustive consistency checks ------------------------------------------------
@@ -392,6 +303,46 @@ def check_lemma2(
     return _check_labels(factors, p, coloring, tables, "balanced", cache)
 
 
+def _labels(
+    factors: Sequence[Hypergraph], p: int, coloring: Coloring | None, tables: SignMapTables,
+    variant: str, cap: int,
+) -> dict[tuple[int, ...], tuple[int, int]]:
+    """The label (sign, index) of every nonzero vector on one side, in lex
+    order, from the products of the factors' block tables.
+
+    A deficient vector's index is the sum of its blocks' terms. Its sign
+    comes from the sign-set table when some component is None; otherwise it
+    is the first nonzero entry in the alternation orders in the
+    "alternation" variant, and the block-signature table's sign by default.
+    A saturated vector's index is ``cap`` - p + 1 plus the balanced size of
+    tau(X), so it is above ``cap``; its sign is the simplex table's sign of
+    the core of tau(X), the sorted cells of its minimum-size rows."""
+    labels = {}
+    if coloring is None:
+        for combo in iproduct(*(_deficient_blocks(H, p, variant) for H in factors)):
+            entries, saturated, terms, components, signs, firsts = zip(*combo)
+            vector = sum(entries, ())
+            if all(saturated) or not any(vector):
+                continue
+            if None in components:
+                sign = tables.sign_for_signsets(signs)
+            elif variant == "alternation":
+                sign = next(s for s in firsts if s)
+            else:
+                sign = tables.sign_for_blocks(components)
+            labels[vector] = sign, sum(terms)
+        return labels
+    read = _color_reader(factors, coloring)
+    for combo in iproduct(*(_saturated_blocks(H, p) for H in factors)):
+        rows = _tau(tuple(zip(*(blk[1] for blk in combo))), read)
+        sizes = [len(row) for row in rows]
+        h = min(sizes)
+        core = tuple((s, c) for s, row in enumerate(rows, start=1) if len(row) == h for c in sorted(row))
+        index = cap - p + 1 + balanced_size(sizes)
+        labels[sum((blk[0] for blk in combo), ())] = tables.sign_for_simplex(core), index
+    return labels
+
+
 def _check_labels(
     factors: Sequence[Hypergraph], p: int, coloring: Coloring | None, tables: SignMapTables | None,
     variant: str, cache: ResultCache | None,
@@ -408,14 +359,7 @@ def _check_labels(
     if (2 * p + 1) ** n > LEMMA_ENUM_CAP:
         raise CapExceededError(f"exhaustive sweep over (Z_{p} u 0)^{n} faces is beyond the cap")
     cap = index_cap(factors, p, variant, cache)
-    if coloring is None:
-        vectors = (split(SignVector(p, e), factors) for e in iproduct(range(p + 1), repeat=n) if any(e))
-        labels = {S.vector.entries: lambda1(S, tables, variant) for S in vectors if not S.is_saturated}
-    else:
-        # the saturated vectors are the products of saturated blocks, in lex order
-        combos = iproduct(*(_saturated_blocks(H, p) for H in factors))
-        vectors = (split(SignVector(p, tuple(x for blk in c for x in blk[0])), factors) for c in combos)
-        labels = {S.vector.entries: lambda2(S, coloring, tables, cap) for S in vectors}
+    labels = _labels(factors, p, coloring, tables, variant, cap)
     violations: list[Violation] = []
     for entries, (sign, index) in labels.items():
         if coloring is None and not 1 <= index <= cap:
@@ -564,17 +508,27 @@ class PartiteWitness:
         }
 
 
-def extract_witness(S: SplitVector, coloring: Coloring, q: int) -> PartiteWitness:
+def extract_witness(
+    factors: Sequence[Hypergraph], X: SignVector, coloring: Coloring, q: int
+) -> PartiteWitness:
     """Build a q-vertex witness from a saturated vector whose color simplex
     has balanced size at least q: keep a balanced sub-simplex of q cells and
     realize each cell by the first product vertex of its sign class with the
-    required color."""
-    p = S.p
+    required color. ``X`` is cut into one block per factor, as long as its
+    order."""
+    p = X.modulus
+    if sum(H.n for H in factors) != len(X):
+        raise ValueError("factor orders do not add up to the vector length")
     if q < 0:
         raise ValueError("witness size must be nonnegative")
     if q == 0:
         return PartiteWitness(p, ((),) * p, ((),) * p)
-    rows = _tau(S, coloring)
+    blocks, rest = [], X.entries
+    for H in factors:
+        blocks.append(SignVector(p, rest[: H.n]))
+        rest = rest[H.n :]
+    masks = [tuple(blk.class_mask(s) for blk in blocks) for s in range(1, p + 1)]
+    rows = _tau(masks, _color_reader(factors, coloring))
     sizes = [len(row) for row in rows]
     ell = balanced_size(sizes)
     if q > ell:
@@ -646,8 +600,7 @@ def find_witness(
         scan = sigma2_scan(factors, p, coloring)
     if scan.argmax is None or scan.max_ell < target:
         return None
-    S = split(scan.argmax, factors)
-    witness = extract_witness(S, coloring, target)
+    witness = extract_witness(factors, scan.argmax, coloring, target)
     return replace(witness, experimental=True) if experimental else witness
 
 

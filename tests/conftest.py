@@ -7,7 +7,8 @@ of exact ``alt_min`` and reuses its per-ordering search.
 ``lex_least_coloring_static`` checks only the certificate search of the
 coloring engine: it takes its boxes from ``compile_boxes_naive``, a plain
 compiler of the engine's box layout that a differential test holds equal
-to the engine's own.
+to the engine's own. ``labels_naive`` takes the alternation orders, which
+the alternation variant of the labeling is defined by, from ``alt_min``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from kneserlab import (
     Permutation,
     ProductSpace,
     SignVector,
-    SplitVector,
+    alt_min,
     complete_uniform,
     hnka,
     kneser,
@@ -38,7 +39,7 @@ from kneserlab import (
 from kneserlab.bits import bits_of, mask_of
 from kneserlab.hypergraph import induced_mask, span_table
 from kneserlab.invariants import _alt_search, _edge_index, _Found
-from kneserlab.prooflab import _tau
+from kneserlab.prooflab import _color_reader, _saturated_blocks, _tau
 
 SEED = 20240501
 
@@ -61,12 +62,26 @@ def projection_coloring(
     return Coloring(tuple(coloring.color_of(t[which]) for t in tuples), coloring.color_count)
 
 
-def tau_of(S: SplitVector, coloring: Coloring) -> frozenset[tuple[int, int]]:
-    """tau(X) as its (sign, color) cells: the cells of the `_tau` rows."""
-    return frozenset((s, c) for s, row in enumerate(_tau(S, coloring), start=1) for c in row)
+def tau_of(
+    factors: Sequence[Hypergraph], p: int, entries: tuple[int, ...], coloring: Coloring
+) -> frozenset[tuple[int, int]]:
+    """tau(X) as its (sign, color) cells: the cells of the `_tau` rows, read
+    from the class masks of X's blocks in the factors' saturated-block
+    tables (a KeyError for a deficient X)."""
+    masks, start = [], 0
+    for H in factors:
+        masks.append(dict(_saturated_blocks(H, p))[entries[start : start + H.n]])
+        start += H.n
+    rows = _tau(tuple(zip(*masks)), _color_reader(factors, coloring))
+    return frozenset((s, c) for s, row in enumerate(rows, start=1) for c in row)
 
 
 # --- oracles ---------------------------------------------------------------------
+
+
+def contains_edge_within(H: Hypergraph, mask: int) -> bool:
+    """True iff some hyperedge of ``H`` lies entirely inside ``mask``."""
+    return any(em & ~mask == 0 for em in H.edge_masks)
 
 
 def class_vertices(coloring: Coloring, color: int) -> tuple[int, ...]:
@@ -115,7 +130,7 @@ def _has_proper_r_coloring(H: Hypergraph, r: int, equitable: bool) -> bool:
         masks = [0] * r
         for v, cls in enumerate(assignment, start=1):
             masks[cls] |= 1 << (v - 1)
-        if any(H.contains_edge_within(m) for m in masks):
+        if any(contains_edge_within(H, m) for m in masks):
             continue
         if equitable:
             sizes = [m.bit_count() for m in masks]
@@ -141,7 +156,7 @@ def alt_sigma_naive(H: Hypergraph, r: int, sigma: Permutation) -> int:
         ok = True
         for s in range(1, r + 1):
             vmask = mask_of(sigma.sigma[i] for i, x in enumerate(entries) if x == s)
-            if H.contains_edge_within(vmask):
+            if contains_edge_within(H, vmask):
                 ok = False
                 break
         if ok:
@@ -166,7 +181,7 @@ def alt_min_lex_naive(H: Hypergraph, r: int) -> tuple[int, tuple[int, ...]]:
             ok = True
             for positions in classes:
                 vmask = mask_of(perm[i - 1] for i in positions)
-                if H.contains_edge_within(vmask):
+                if contains_edge_within(H, vmask):
                     ok = False
                     break
             if ok:
@@ -420,6 +435,115 @@ def sigma2_scan_naive(factors: list[Hypergraph], p: int, coloring: Coloring):
         if best_entries is None or ell > best:
             best, best_entries = ell, entries
     return best, best_entries, count
+
+
+# --- labeling oracles -----------------------------------------------------------
+
+
+def _split_naive(factors: Sequence[Hypergraph], p: int, entries: tuple[int, ...]):
+    """``entries`` cut into one block per factor, as (factor, block, signs
+    whose class spans an edge of the factor)."""
+    out, start = [], 0
+    for H in factors:
+        blk = SignVector(p, entries[start : start + H.n])
+        start += H.n
+        signs = frozenset(s for s in range(1, p + 1) if contains_edge_within(H, blk.class_mask(s)))
+        out.append((H, blk, signs))
+    return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def nu_naive(blocks, p: int, variant: str) -> int:
+    """Oracle for the deficient-side index: blocks whose every sign spans an
+    edge count their support; other blocks count their edge-spanning signs
+    plus the best score of an edge-free sub-block, every sub-block tried.
+    The score is the balanced class size, or in the "alternation" variant
+    the alternation number read in the factor's alternation-optimal order.
+    Cached, since the labels of one vector under several sign tables share
+    their index; the cache holds every vector of the largest sweep the
+    tests compare (3^7)."""
+    total = 0
+    for H, blk, present in blocks:
+        if len(present) == p:
+            total += sum(1 for x in blk.entries if x)
+            continue
+        order = alt_min(H, p, "exact").sigma.sigma if variant == "alternation" else None
+        best = 0
+        for keep in itertools.product((0, 1), repeat=H.n):
+            sub = SignVector(p, tuple(x if k else 0 for x, k in zip(blk.entries, keep)))
+            if any(contains_edge_within(H, sub.class_mask(s)) for s in range(1, p + 1)):
+                continue
+            if variant == "alternation":
+                score = alt_naive(SignVector(p, tuple(sub.entries[v - 1] for v in order)))
+            else:
+                sizes = [sub.entries.count(s) for s in range(1, p + 1)]
+                score = p * min(sizes) + sum(1 for size in sizes if size > min(sizes))
+            best = max(best, score)
+        total += len(present) + best
+    return total
+
+
+def block_signature_naive(blocks, p: int) -> tuple | None:
+    """Oracle for the block-signature key: per block, the whole block when
+    every sign spans an edge; when none does, the present signs if some
+    class is empty, else the block cut to its minimum-size classes. None
+    when some block has a proper nonempty set of edge-spanning signs."""
+    comps: list[tuple] = []
+    for _, blk, present in blocks:
+        sizes = [blk.entries.count(s) for s in range(1, p + 1)]
+        if len(present) == p:
+            comps.append(("vec", blk.entries))
+        elif present:
+            return None
+        elif min(sizes) == 0:
+            comps.append(("set", tuple(s for s in range(1, p + 1) if sizes[s - 1] > 0)))
+        else:
+            h = min(sizes)
+            comps.append(("vec", tuple(x if x and sizes[x - 1] == h else 0 for x in blk.entries)))
+    return tuple(comps)
+
+
+def lambda1_naive(blocks, p: int, tables, variant: str) -> tuple[int, int]:
+    """Oracle for the label (sign, index) of a deficient vector."""
+    sig = block_signature_naive(blocks, p)
+    if sig is None:
+        sign = tables.sign_for_signsets(tuple(tuple(sorted(present)) for _, _, present in blocks))
+    elif variant == "alternation":
+        # the first nonzero entry, each block read in its alternation order
+        sign = next(
+            blk.entries[v - 1]
+            for H, blk, _ in blocks
+            for v in alt_min(H, p, "exact").sigma.sigma
+            if blk.entries[v - 1]
+        )
+    else:
+        sign = tables.sign_for_blocks(sig)
+    return sign, nu_naive(blocks, p, variant)
+
+
+def labels_naive(
+    factors: Sequence[Hypergraph], p: int, coloring: Coloring | None, tables, variant: str, cap: int
+) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Oracle for the sweeps' label dict, vector by vector in lex order:
+    without a ``coloring`` every nonzero deficient vector labeled by
+    `lambda1_naive`; with one, every saturated vector of
+    `saturated_rows_naive`, indexed ``cap`` - p + 1 plus the balanced size
+    of its rows and signed by the simplex table at the sorted cells of its
+    minimum-size rows."""
+    labels = {}
+    if coloring is not None:
+        for entries, rows in saturated_rows_naive(factors, p, coloring):
+            sizes = [len(row) for row in rows]
+            h = min(sizes)
+            core = tuple((s, c) for s, row in enumerate(rows, start=1) if len(row) == h for c in sorted(row))
+            ell = p * h + sum(1 for size in sizes if size > h)
+            labels[entries] = tables.sign_for_simplex(core), cap - p + 1 + ell
+        return labels
+    for entries in itertools.product(range(p + 1), repeat=sum(H.n for H in factors)):
+        blocks = _split_naive(factors, p, entries)
+        if any(entries) and not all(len(present) == p for _, _, present in blocks):
+            labels[entries] = lambda1_naive(blocks, p, tables, variant)
+    return labels
 
 
 # --- product and witness oracles ----------------------------------------------

@@ -2,7 +2,8 @@
 through `cli.main`, cold, then warm on one cache, then warm again with
 ``--self-check`` (every cache hit re-derived and compared), and must
 reproduce the exit code, text and JSON results recorded in
-``golden/cli.json``.
+``golden/cli.json``. A usage error (argparse's exit 2) is recorded as its
+exit code and stderr instead.
 
 ``python tests/regen_golden.py`` rewrites that file; the suite never does.
 A change to it is an intended output change of the commands that differ.
@@ -13,8 +14,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import shlex
 from pathlib import Path
+from unittest import mock
 
 from kneserlab.cli import main
 
@@ -60,16 +63,25 @@ COMMANDS = (
     # symmetric inputs the walk settles by reversal and twin swaps
     "invariants --r 3 star:9",
     "invariants --r 2 complete:8,3",
+    # usage errors: a value out of range, a missing option, an unknown choice
+    "prooflab --p 1 complete:3,2",
+    "witness complete:5,2",
+    "invariants --r 2 --mode fast complete:4,2",
 )
 
 
 def capture(command: str, cache: str, *flags: str) -> dict:
     """One command's exit code, its printed text without the timestamped
     first line, and its JSON results without ``wall_time_s`` and
-    ``traceback``; ``flags`` are added to the command line."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main([*shlex.split(command), "--cache", cache, *flags])
+    ``traceback``; or, for a usage error, its exit code and stderr lines,
+    wrapped at a fixed width. ``flags`` are added to the command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main([*shlex.split(command), "--cache", cache, *flags])
+        except SystemExit as exc:
+            return {"command": command, "exit": exc.code, "stderr": err.getvalue().splitlines()}
     lines = out.getvalue().splitlines()[1:]
     start = lines.index("[")
     results = json.loads("\n".join(lines[start:]))

@@ -22,6 +22,7 @@ from kneserlab import (
 from kneserlab.hypergraph import T_ENUM_CAP, span_table
 from conftest import (
     class_vertices,
+    contains_edge_within,
     induced,
     is_colorful_balanced_complete,
     is_proper,
@@ -69,7 +70,7 @@ class TestSpanTable:
         spans = span_table(H)
         assert len(spans) == 1 << H.n
         assert [spans[m] for m in range(1 << H.n)] == [
-            int(H.contains_edge_within(m)) for m in range(1 << H.n)
+            int(contains_edge_within(H, m)) for m in range(1 << H.n)
         ], H
 
     def test_random_hypergraphs(self):

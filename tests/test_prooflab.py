@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import replace
+from math import prod
 
 import pytest
 
@@ -30,21 +31,19 @@ from kneserlab import (
     hnka,
     index_cap,
     kneser,
-    lambda1,
-    lambda2,
-    nu,
     sigma2_scan,
     solve_chromatic,
     solve_product_chromatic,
-    split,
     star,
     witness_target,
 )
 from kneserlab.invariants import act_sign, balanced_size
 import kneserlab.prooflab
-from kneserlab.prooflab import _saturated_blocks, misses_guarantee
+from kneserlab.prooflab import _deficient_blocks, _labels, _saturated_blocks, misses_guarantee
 from conftest import (
+    contains_edge_within,
     is_colorful_balanced_complete,
+    labels_naive,
     min_element_coloring_petersen,
     product_full,
     projection_coloring,
@@ -77,144 +76,149 @@ def all_vectors(p: int, n: int):
             yield entries
 
 
+def block_row(H: Hypergraph, p: int, entries: tuple[int, ...], variant: str = "balanced") -> tuple:
+    """The row of ``entries`` in the deficient-side block table of ``H``:
+    (entries, saturated, index term, component, edge signs, first alt sign)."""
+    return next(row for row in _deficient_blocks(H, p, variant) if row[0] == entries)
+
+
+def labels(factors, p: int, coloring=None, tables=None, variant: str = "balanced") -> dict:
+    """The label dict of one side's sweep, at the sweep's own index cap."""
+    tables = tables or SignMapTables(p)
+    return _labels(factors, p, coloring, tables, variant, index_cap(factors, p, variant))
+
+
 class TestSplit:
+    """Each block's edge-spanning signs, as its block table lists them."""
+
     def test_one_edge_class(self):
-        S = split(SignVector(2, (1, 1, 0)), [CU3])
-        assert S.edge_signs == (frozenset({1}),)
-        assert not S.is_saturated
+        row = block_row(CU3, 2, (1, 1, 0))
+        assert row[4] == (1,)
+        assert not row[1]
 
     def test_singleton_classes_edge_free(self):
-        S = split(SignVector(2, (1, 2, 0)), [CU3])
-        assert S.edge_signs == (frozenset(),)
-        assert not S.is_saturated
+        row = block_row(CU3, 2, (1, 2, 0))
+        assert row[4] == ()
+        assert not row[1]
 
     def test_saturated(self):
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
-        assert S.edge_signs == (frozenset({1, 2}),)
-        assert S.is_saturated
+        row = block_row(CU5, 2, (1, 1, 1, 2, 2))
+        assert row[4] == (1, 2)
+        assert row[1]
 
     def test_length_mismatch_rejected(self):
         # the factor orders must add up to the vector length
-        with pytest.raises(ValueError):
-            split(SignVector(2, (1, 0)), [CU3])
-        with pytest.raises(ValueError):
-            split(SignVector(2, (1, 0, 2, 1)), [CU3])
+        coloring = Coloring((1,) * 3, 1)  # KG^2 of CU3 has no edge
+        with pytest.raises(ValueError, match="add up"):
+            extract_witness([CU3], SignVector(2, (1, 0)), coloring, 1)
+        with pytest.raises(ValueError, match="add up"):
+            extract_witness([CU3], SignVector(2, (1, 0, 2, 1)), coloring, 1)
 
 
 class TestNu:
+    """The index terms of the deficient-side block tables."""
+
     def test_saturated_block_counts_support(self):
-        S = split(SignVector(2, (1, 1, 2, 2)), [CU4])
-        assert nu(S) == 4
+        assert block_row(CU4, 2, (1, 1, 2, 2))[2] == 4
 
     def test_deficient_block_best_subvector(self):
         # best edge-free sub-vector of (w, w2, 0) is itself: level 2
-        S = split(SignVector(2, (1, 2, 0)), [CU3])
         oracle = 0
         for keep in itertools.product((0, 1), repeat=3):
             entries = tuple(x if k else 0 for x, k in zip((1, 2, 0), keep))
             sub = SignVector(2, entries)
-            if any(CU3.contains_edge_within(sub.class_mask(s)) for s in (1, 2)):
+            if any(contains_edge_within(CU3, sub.class_mask(s)) for s in (1, 2)):
                 continue
-            oracle = max(oracle, balanced_size(sub.class_sizes()))
+            oracle = max(oracle, balanced_size([entries.count(s) for s in (1, 2)]))
         assert oracle == 2
-        assert nu(S) == 2
+        assert block_row(CU3, 2, (1, 2, 0))[2] == 2
 
     def test_single_entry_edgeless_block(self):
         H = complete_uniform(2, 2)
-        S = split(SignVector(2, (1, 0)), [H])
-        assert nu(S) == 1
+        assert block_row(H, 2, (1, 0))[2] == 1
 
     def test_range_soundness_exhaustive(self):
         for p, factors in [(2, [CU5]), (3, [CU5]), (2, [CU3, CU3])]:
             n = sum(H.n for H in factors)
             cap = index_cap(factors, p)
-            for entries in all_vectors(p, n):
-                S = split(SignVector(p, entries), factors)
-                if not S.is_saturated:
-                    value = nu(S)
-                    assert 1 <= value <= cap
+            got = labels(factors, p)
+            saturated = prod(len(saturated_blocks_naive(H, p)) for H in factors)
+            assert len(got) == (p + 1) ** n - 1 - saturated
+            for _, index in got.values():
+                assert 1 <= index <= cap
 
 
 class TestLambda1:
+    """Deficient-side labels, read from the lemma-1 sweep's label dict."""
+
     def test_partial_sign_set_case(self):
-        tables = SignMapTables(2)
-        S = split(SignVector(2, (1, 1, 0)), [CU3])
-        sign, index = lambda1(S, tables)
+        sign, index = labels([CU3], 2)[(1, 1, 0)]
         assert index == 2  # |{w}| + best edge-free sub-vector level 1
 
     def test_block_signature_case(self):
-        tables = SignMapTables(2)
-        S = split(SignVector(2, (1, 2, 0)), [CU3])
-        sign, index = lambda1(S, tables)
+        sign, index = labels([CU3], 2)[(1, 2, 0)]
         assert index == 2
         assert sign in (1, 2)
 
     def test_equivariance_spot(self):
-        tables = SignMapTables(3)
-        S = split(SignVector(3, (1, 2, 0, 1, 0)), [CU5])
-        base = lambda1(S, tables)
+        got = labels([CU5], 3)
+        X = SignVector(3, (1, 2, 0, 1, 0))
+        base = got[X.entries]
         for g in (1, 2):
-            acted = lambda1(split(act_vector(g, S.vector), [CU5]), tables)
-            assert acted == (act_sign(g, base[0], 3), base[1])
+            assert got[act_vector(g, X).entries] == (act_sign(g, base[0], 3), base[1])
 
     def test_rejected_on_saturated(self):
-        tables = SignMapTables(2)
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
-        with pytest.raises(ValueError):
-            lambda1(S, tables)
+        # saturated vectors get no deficient-side label
+        assert (1, 1, 1, 2, 2) not in labels([CU5], 2)
 
 
 class TestTau:
     def test_petersen_example(self):
         coloring = min_element_coloring_petersen()
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
-        tau = tau_of(S, coloring)
+        tau = tau_of([CU5], 2, (1, 1, 1, 2, 2), coloring)
         assert tau == frozenset({(1, 1), (1, 2), (2, 3)})
         assert min(row_sizes(tau, 2)) == 1
         assert balanced_size(row_sizes(tau, 2)) == 3
 
     def test_every_row_nonempty(self):
         coloring = min_element_coloring_petersen()
-        for entries in all_vectors(2, 5):
-            S = split(SignVector(2, entries), [CU5])
-            if S.is_saturated:
-                sizes = row_sizes(tau_of(S, coloring), 2)
-                assert min(sizes) > 0
-                assert balanced_size(sizes) >= 2
+        blocks = _saturated_blocks(CU5, 2)
+        assert len(blocks) == 50
+        for entries, _ in blocks:
+            sizes = row_sizes(tau_of([CU5], 2, entries, coloring), 2)
+            assert min(sizes) > 0
+            assert balanced_size(sizes) >= 2
 
     def test_improper_coloring_rejected(self):
         bad = Coloring((1,) * 10, 1)
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
-        with pytest.raises(ValueError):
-            tau_of(S, bad)
+        with pytest.raises(ValueError, match="not proper"):
+            tau_of([CU5], 2, (1, 1, 1, 2, 2), bad)
 
 
 class TestLambda2:
+    """Saturated-side labels, read from the lemma-2 sweep's label dict."""
+
     def test_index_formula(self):
         coloring = min_element_coloring_petersen()
-        tables = SignMapTables(2)
         alpha = index_cap([CU5], 2)
         assert alpha == 3  # 5 - ecd + p - 1
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
-        sign, index = lambda2(S, coloring, tables, alpha)
+        sign, index = labels([CU5], 2, coloring)[(1, 1, 1, 2, 2)]
         assert index == 5  # alpha - p + 1 + balanced size 3
 
     def test_sign_read_from_the_core(self):
         # rows of sizes (2, 1): the core is the one minimum-size row, {(2, 3)}
         coloring = min_element_coloring_petersen()
         tables = SignMapTables(2)
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
-        assert row_sizes(tau_of(S, coloring), 2) == (2, 1)
-        sign, _ = lambda2(S, coloring, tables, 3)
+        assert row_sizes(tau_of([CU5], 2, (1, 1, 1, 2, 2), coloring), 2) == (2, 1)
+        sign, _ = labels([CU5], 2, coloring, tables)[(1, 1, 1, 2, 2)]
         assert sign == tables.sign_for_simplex(((2, 3),))
 
     def test_equivariance_spot(self):
         coloring = min_element_coloring_petersen()
-        tables = SignMapTables(2)
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
-        base = lambda2(S, coloring, tables, 3)
-        acted = lambda2(split(act_vector(1, S.vector), [CU5]), coloring, tables, 3)
-        assert acted == (act_sign(1, base[0], 2), base[1])
+        got = labels([CU5], 2, coloring)
+        X = SignVector(2, (1, 1, 1, 2, 2))
+        base = got[X.entries]
+        assert got[act_vector(1, X).entries] == (act_sign(1, base[0], 2), base[1])
 
 
 class TestSignTables:
@@ -366,8 +370,7 @@ def solve_product_chromatic_pair(kg):
 class TestWitness:
     def test_extract_petersen(self):
         coloring = min_element_coloring_petersen()
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
-        w = extract_witness(S, coloring, 3)
+        w = extract_witness([CU5], SignVector(2, (1, 1, 1, 2, 2)), coloring, 3)
         assert w.size == 3
         assert w.parts == (((1,), (5,)), ((10,),))  # {1,2},{2,3} | {4,5}
         assert w.colors == ((1, 2), (3,))
@@ -379,22 +382,25 @@ class TestWitness:
 
     def test_extract_single_vertex_per_sign(self):
         coloring = min_element_coloring_petersen()
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
-        w = extract_witness(S, coloring, 2)
+        w = extract_witness([CU5], SignVector(2, (1, 1, 1, 2, 2)), coloring, 2)
         assert [len(p) for p in w.parts] == [1, 1]
         assert w.problems([CU5], coloring) == []
 
     def test_extract_zero_empty(self):
         coloring = min_element_coloring_petersen()
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
-        w = extract_witness(S, coloring, 0)
+        w = extract_witness([CU5], SignVector(2, (1, 1, 1, 2, 2)), coloring, 0)
         assert w.size == 0
 
     def test_extract_too_large_rejected(self):
         coloring = min_element_coloring_petersen()
-        S = split(SignVector(2, (1, 1, 1, 2, 2)), [CU5])
         with pytest.raises(ValueError):
-            extract_witness(S, coloring, 4)
+            extract_witness([CU5], SignVector(2, (1, 1, 1, 2, 2)), coloring, 4)
+
+    def test_extract_from_deficient_rejected(self):
+        # a deficient vector has an empty tau(X) row
+        coloring = min_element_coloring_petersen()
+        with pytest.raises(ValueError, match="saturated"):
+            extract_witness([CU5], SignVector(2, (1, 1, 2, 0, 0)), coloring, 1)
 
     def test_find_witness_petersen(self, petersen_coloring):
         target = ecd(CU5, 2)
@@ -445,7 +451,7 @@ class TestWitnessNegativeControls:
     def case(self, request, petersen, petersen_coloring):
         if request.param == "petersen":
             factors, coloring, F = [CU5], min_element_coloring_petersen(), petersen
-            w = extract_witness(split(SignVector(2, (1, 1, 1, 2, 2)), [CU5]), coloring, 3)
+            w = extract_witness([CU5], SignVector(2, (1, 1, 1, 2, 2)), coloring, 3)
         else:
             factors = [CU5, CU5]
             coloring = projection_coloring([petersen, petersen], 0, petersen_coloring)
@@ -597,30 +603,33 @@ def saturated_side_instances() -> list[tuple[list[Hypergraph], int, str]]:
     return out
 
 
+def instance_coloring(factors: list[Hypergraph], p: int, kind: str) -> Coloring:
+    """A proper coloring of the product of the KG^p of the factors: an
+    optimal one, or the projection of an optimal one of the first factor."""
+    kgs = [kneser(H, p) for H in factors]
+    if kind == "solved":
+        return solve_product_chromatic(kgs)[1]
+    return projection_coloring(kgs, 0, solve_chromatic(kgs[0])[1])
+
+
 class TestSaturatedSideOracle:
     def test_scan_tau_and_witness_match_the_definitions(self):
         seen = {"saturated": 0, "none": 0, "products": 0, "p3": 0, "projection": 0}
         for factors, p, kind in saturated_side_instances():
-            kgs = [kneser(H, p) for H in factors]
-            if kind == "solved":
-                _, coloring = solve_product_chromatic(kgs)
-            else:
-                coloring = projection_coloring(kgs, 0, solve_chromatic(kgs[0])[1])
+            coloring = instance_coloring(factors, p, kind)
             scan = sigma2_scan(factors, p, coloring)
             best, best_entries, count = sigma2_scan_naive(factors, p, coloring)
             argmax = None if scan.argmax is None else scan.argmax.entries
             assert (scan.max_ell, argmax, scan.saturated_count) == (best, best_entries, count)
             best_rows = None
             for entries, rows in saturated_rows_naive(factors, p, coloring):
-                S = split(SignVector(p, entries), factors)
                 cells = {(s, c) for s, row in enumerate(rows, start=1) for c in row}
-                assert tau_of(S, coloring) == cells
+                assert tau_of(factors, p, entries, coloring) == cells
                 if entries == best_entries:
                     best_rows = rows
             if best_entries is not None:
-                S = split(SignVector(p, best_entries), factors)
                 for q in range(best + 1):
-                    w = extract_witness(S, coloring, q)
+                    w = extract_witness(factors, SignVector(p, best_entries), coloring, q)
                     assert w.size == q and w.problems(factors, coloring) == []
                     for part, cols, row in zip(w.parts, w.colors, best_rows):
                         assert list(cols) == sorted(row)[: len(cols)]
@@ -631,6 +640,73 @@ class TestSaturatedSideOracle:
             seen["projection"] += kind == "projection" and len(factors) == 2 and count > 0
         assert seen["saturated"] >= 30 and seen["none"] >= 3
         assert min(seen["products"], seen["p3"], seen["projection"]) >= 5
+
+
+def deficient_side_instances() -> list[tuple[list[Hypergraph], int]]:
+    """(factors, p) for the lemma-1 differential test: the random pool's
+    members at p = 2 (and those up to 4 vertices at p = 3), named factors,
+    and two-factor products."""
+    pool = random_pool(12, max_n=5)
+    out = [([H], 2) for H in pool] + [([H], 3) for H in pool if H.n <= 4]
+    out += [
+        ([CU5], 2),
+        ([CU5], 3),
+        ([cycle(5)], 2),
+        ([star(4)], 3),
+        ([Hypergraph(5, [(1,), (4,), (1, 2), (1, 5), (3, 5), (1, 2, 4)])], 2),
+        ([CU3, CU3], 2),
+        ([CU3, CU4], 2),
+        ([next(H for H in pool if H.n == 3), CU3], 2),
+        ([CU3, complete_uniform(2, 2)], 3),
+        ([edgeless(1), CU4], 2),
+    ]
+    return out
+
+
+class TestLabelsOracle:
+    """The sweeps' label dicts, built from per-factor block tables, against
+    the per-vector definitions of `labels_naive`: same labels, same order."""
+
+    @staticmethod
+    def assert_labels_match(factors, p, coloring, tables, variant="balanced"):
+        cap = index_cap(factors, p, variant)
+        got = _labels(factors, p, coloring, tables, variant, cap)
+        want = labels_naive(factors, p, coloring, tables, variant, cap)
+        assert list(got.items()) == list(want.items()), (factors, p, variant, sorted(tables.corrupt))
+        return got
+
+    def test_deficient_side(self):
+        changed = 0
+        for factors, p in deficient_side_instances():
+            for variant in ("balanced", "alternation"):
+                clean = self.assert_labels_match(factors, p, None, SignMapTables(p), variant)
+                for corrupt in (("blocks",), ("signsets",)):
+                    got = self.assert_labels_match(factors, p, None, SignMapTables(p, corrupt), variant)
+                    changed += got != clean
+        assert changed >= 40
+
+    def test_saturated_side(self):
+        labeled = 0
+        for factors, p, kind in saturated_side_instances()[:20]:
+            coloring = instance_coloring(factors, p, kind)
+            for corrupt in ((), ("simplex",)):
+                labeled += bool(self.assert_labels_match(factors, p, coloring, SignMapTables(p, corrupt)))
+        assert labeled >= 20
+
+    def test_mutant_nu_term_is_caught(self, monkeypatch):
+        # one block's index term off by one must show against the oracle
+        real = kneserlab.prooflab._deficient_blocks
+
+        def off_by_one(H, p, variant):
+            blocks = real(H, p, variant)
+            entries, saturated, term, *rest = blocks[5]
+            blocks[5] = (entries, saturated, term + 1, *rest)
+            return blocks
+
+        self.assert_labels_match([CU5], 2, None, SignMapTables(2))
+        monkeypatch.setattr(kneserlab.prooflab, "_deficient_blocks", off_by_one)
+        with pytest.raises(AssertionError):
+            self.assert_labels_match([CU5], 2, None, SignMapTables(2))
 
 
 class TestSaturatedBlocks:
@@ -666,12 +742,13 @@ class TestSaturatedBlocks:
         _, coloring = solve_product_chromatic([kneser(CU4, 2)] * 2)
         count = sigma2_scan(factors, 2, coloring).saturated_count
         calls = []
+        tau = kneserlab.prooflab._tau
 
-        def counted(X, hypergraphs):
-            calls.append(X)
-            return split(X, hypergraphs)
+        def counted(masks, read):
+            calls.append(masks)
+            return tau(masks, read)
 
-        monkeypatch.setattr(kneserlab.prooflab, "split", counted)
+        monkeypatch.setattr(kneserlab.prooflab, "_tau", counted)
         assert check_lemma2(factors, 2, coloring) == []
         assert len(calls) == count == 36
         # a constant simplex table breaks equivariance on every saturated
