@@ -9,8 +9,8 @@ search state fix the vertices in index order to the lex-least certificate.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from itertools import accumulate, product as iproduct
 from math import prod
 
@@ -283,21 +283,17 @@ def formula_hnka(n: int, k: int, a: int, r: int) -> int:
 # --- bound reports ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorBounds:
-    """Per-factor invariants and the single-factor lower bounds for
-    chi(KG^r(H)): cd_bound = ceil(cd/(r-1)), alt_bound = ceil((n-alt)/(r-1)),
-    ecd_bound = ceil(ecd/(r-1)); ``kg_chi`` is chi(KG^r(H)) when solved, and
-    ``kg_chi_error`` says why it could not be."""
+class FactorBounds(namedtuple(
+    "FactorBounds", "r n cd ecd n_minus_alt alt_exact kg_chi kg_chi_error", defaults=(None, None)
+)):
+    """Per-factor invariants (ints ``r``, ``n``, ``cd``, ``ecd``,
+    ``n_minus_alt``; bool ``alt_exact``) and the single-factor lower bounds
+    for chi(KG^r(H)): cd_bound = ceil(cd/(r-1)), alt_bound =
+    ceil((n-alt)/(r-1)), ecd_bound = ceil(ecd/(r-1)); ``kg_chi`` (a
+    `ChromaticValue` or None) is chi(KG^r(H)) when solved, and
+    ``kg_chi_error`` (str or None) says why it could not be."""
 
-    r: int
-    n: int
-    cd: int
-    ecd: int
-    n_minus_alt: int
-    alt_exact: bool
-    kg_chi: ChromaticValue | None = None
-    kg_chi_error: str | None = None
+    __slots__ = ()
 
     @property
     def cd_bound(self) -> int:
@@ -373,23 +369,21 @@ def factor_row(
     try:
         chi = cached_value(cache, H, "kg_chi", [r, limit], solve)
     except CapExceededError as exc:
-        return replace(f, kg_chi_error=str(exc))
-    return replace(f, kg_chi=ChromaticValue.from_json(chi))
+        return f._replace(kg_chi_error=str(exc))
+    return f._replace(kg_chi=ChromaticValue.from_json(chi))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Lower bounds for the chromatic number of KG^r(H_1) x ... x KG^r(H_t):
-    product_alt_bound uses the smallest n_i - alt_i, product_ecd_bound the
-    smallest ecd_i. zhu_status records whether the exact product chromatic
-    number equals the smallest factor chromatic number."""
+class BoundReport(namedtuple(
+    "BoundReport", "r factors product_alt_bound product_ecd_bound exact_chi zhu_status"
+)):
+    """Lower bounds for the chromatic number of KG^r(H_1) x ... x KG^r(H_t),
+    one `FactorBounds` per factor in ``factors``: the int product_alt_bound
+    uses the smallest n_i - alt_i, product_ecd_bound the smallest ecd_i.
+    ``exact_chi`` is the product's `ChromaticValue` or None. zhu_status
+    (VERIFIED | BOUND_ONLY | FAILED) records whether the exact product
+    chromatic number equals the smallest factor chromatic number."""
 
-    r: int
-    factors: tuple[FactorBounds, ...]
-    product_alt_bound: int
-    product_ecd_bound: int
-    exact_chi: ChromaticValue | None
-    zhu_status: str  # VERIFIED | BOUND_ONLY | FAILED
+    __slots__ = ()
 
     def check(self) -> list[str]:
         """Internal consistency: every recorded bound must stay at or below

@@ -6,8 +6,8 @@ reduction.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import combinations, product as iproduct
 
 from .bits import bits_of
@@ -88,17 +88,18 @@ def kneser(H: Hypergraph, r: int) -> Hypergraph:
     return Hypergraph(m, hyperedges)
 
 
-@dataclass(frozen=True)
-class ProductSpace:
-    """Row-major tuple <-> integer bijection for a product vertex space."""
+class ProductSpace(namedtuple("ProductSpace", "dims")):
+    """Row-major tuple <-> integer bijection for a product vertex space;
+    ``dims`` is the tuple of factor sizes."""
 
-    dims: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.dims:
+    def __new__(cls, dims: tuple[int, ...]) -> ProductSpace:
+        if not dims:
             raise ValueError("product needs at least one factor")
-        if any(d < 0 for d in self.dims):
+        if any(d < 0 for d in dims):
             raise ValueError("dimensions must be nonnegative")
+        return super().__new__(cls, dims)
 
     @classmethod
     def for_factors(cls, factors: Sequence[Hypergraph]) -> ProductSpace:

@@ -10,9 +10,8 @@ CLI is a thin wrapper around `run`.
 from __future__ import annotations
 
 import time
-import traceback
-from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
 from pathlib import Path
 
 from .cache import CODE_VERSION, ResultCache, cached_value
@@ -57,12 +56,17 @@ MODES = ("exact", "heuristic")
 COMPARE_LIMIT = 6  # compare's default solver limit, with or without the CLI
 
 
-@dataclass(frozen=True)
 class AtLeast:
     """``choices`` holding the integers from ``low`` on; argparse and
     `ExperimentSpec.validate` list them as the one entry ">=low"."""
 
-    low: int
+    __slots__ = ("low",)
+
+    def __init__(self, low: int) -> None:
+        object.__setattr__(self, "low", low)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("AtLeast is immutable")
 
     def __contains__(self, value) -> bool:
         return isinstance(value, int) and value >= self.low
@@ -117,25 +121,19 @@ def parse_recipe(text: str) -> Hypergraph:
 # --- experiment specs ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One task over one list of factor recipes."""
+class ExperimentSpec(namedtuple(
+    "ExperimentSpec",
+    "recipes task r p limit mode s C eta coloring_path force negative_control self_check ground cache_path",
+    defaults=(None, None, None, "exact", None, None, None, None, False, False, False, False, None),
+)):
+    """One task over one list of factor recipes: ``recipes`` is a tuple of
+    recipe strings and ``task`` a `TASKS` key. The ints ``r``, ``p``,
+    ``limit``, ``s``, ``C``, ``eta`` and the strs ``coloring_path`` and
+    ``cache_path`` are None when unset; ``mode`` is "exact" or "heuristic";
+    ``force``, ``negative_control``, ``self_check`` and ``ground`` are
+    bools, False by default."""
 
-    recipes: tuple[str, ...]
-    task: str
-    r: int | None = None
-    p: int | None = None
-    limit: int | None = None
-    mode: str = "exact"
-    s: int | None = None
-    C: int | None = None
-    eta: int | None = None
-    coloring_path: str | None = None
-    force: bool = False
-    negative_control: bool = False
-    self_check: bool = False
-    ground: bool = False
-    cache_path: str | None = None
+    __slots__ = ()
 
     def validate(self) -> None:
         task = TASKS.get(self.task)
@@ -153,12 +151,12 @@ class ExperimentSpec:
                 raise ValueError(f"task {self.task!r}: invalid {flag} {value!r} (choose from {allowed})")
 
 
-@dataclass
-class TaskResult:
-    name: str
-    status: str  # ok | exceeds | violation | failed
-    payload: dict
-    wall_time: float = 0.0
+class TaskResult(namedtuple("TaskResult", "name status payload wall_time", defaults=(0.0,))):
+    """One run's outcome: the task ``name``, its ``status`` (ok | exceeds |
+    violation | failed), the ``payload`` dict and the float ``wall_time``
+    in seconds."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -172,18 +170,13 @@ class TaskResult:
 # --- reduction and comparison reports ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(namedtuple("ReductionReport", "r s C lhs rhs ecd_t t_edge_count")):
     """Both sides of the composite-modulus defect reduction
-    ecd^{rs}(H) <= r (s-1) C + ecd^r(T) for the induced-defect hypergraph T."""
+    ecd^{rs}(H) <= r (s-1) C + ecd^r(T) for the induced-defect hypergraph T:
+    ``lhs`` and ``rhs`` with ``ecd_t`` = ecd^r(T) and ``t_edge_count`` =
+    |E(T)|, all ints."""
 
-    r: int
-    s: int
-    C: int
-    lhs: int
-    rhs: int
-    ecd_t: int
-    t_edge_count: int
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -212,17 +205,19 @@ def reduction_check(H: Hypergraph, r: int, s: int, C: int) -> ReductionReport:
     return ReductionReport(r, s, C, lhs, rhs, ecd_t, T.edge_count)
 
 
-@dataclass
-class CompareReport:
-    rows: list[dict]
-    ecd_side_wins: list[str]  # recipes where ecd_bound > alt_bound
-    alt_side_wins: list[str]  # recipes where alt_bound > ecd_bound
-    notes: list[str]
-    violations: list[str] = field(default_factory=list)  # bounds above chi
+class CompareReport(namedtuple(
+    "CompareReport", "rows ecd_side_wins alt_side_wins notes violations", defaults=((),)
+)):
+    """`compare_bounds`' table: ``rows`` (a list of dicts), the recipes where
+    ecd_bound > alt_bound (``ecd_side_wins``) and where alt_bound > ecd_bound
+    (``alt_side_wins``), ``notes``, and the bounds above chi
+    (``violations``); each a list of strs."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         """The report; ``violations`` only when there are some."""
-        return {k: v for k, v in asdict(self).items() if k != "violations" or v}
+        return {k: v for k, v in self._asdict().items() if k != "violations" or v}
 
 
 def default_compare_pool() -> list[tuple[str, int]]:
@@ -509,18 +504,14 @@ def _compare_table(payload: dict) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Task:
-    """One experiment task. ``args`` are argparse ``(flag, kwargs)`` pairs
-    whose destinations are `ExperimentSpec` fields; ``run`` maps (spec,
-    parsed factors, cache) to (status, payload); ``table`` renders a
-    payload as text."""
+class Task(namedtuple("Task", "help args run table needs_recipes", defaults=(None, True))):
+    """One experiment task. ``help`` is its help text; ``args`` are argparse
+    ``(flag, kwargs)`` pairs whose destinations are `ExperimentSpec` fields;
+    ``run`` maps (spec, parsed factors, cache) to (status, payload);
+    ``table`` (or None) renders a payload as text; ``needs_recipes`` is
+    False for a task that runs without factor recipes."""
 
-    help: str
-    args: tuple[tuple[str, dict], ...]
-    run: Callable[[ExperimentSpec, list[Hypergraph], ResultCache | None], TaskOutcome]
-    table: Callable[[dict], str] | None = None
-    needs_recipes: bool = True
+    __slots__ = ()
 
 
 def _at_least(flag: str, low: int, **kwargs) -> tuple[str, dict]:
@@ -610,6 +601,8 @@ def run(spec: ExperimentSpec) -> TaskResult:
         factors = [parse_recipe(recipe) for recipe in spec.recipes]
         status, payload = TASKS[spec.task].run(spec, factors, cache)
     except Exception as exc:  # failure is a first-class outcome
+        import traceback  # only a failed run pays for its import
+
         status = "failed"
         payload = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
     return TaskResult(spec.task, status, payload, time.perf_counter() - start)

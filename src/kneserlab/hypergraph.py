@@ -7,8 +7,8 @@ function.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .bits import bits_of, mask_of
 
@@ -106,19 +106,19 @@ def span_table(H: Hypergraph) -> bytes:
     return format(table, f"0{size}b")[::-1].encode().translate(_BIT_BYTES)
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """A total coloring: vertex i gets ``colors[i-1]``, colors within [1..C]."""
+class Coloring(namedtuple("Coloring", "colors color_count")):
+    """A total coloring: vertex i gets ``colors[i-1]`` (``colors`` a tuple of
+    ints), colors within [1..C] for C = ``color_count``."""
 
-    colors: tuple[int, ...]
-    color_count: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.color_count < 0:
+    def __new__(cls, colors: tuple[int, ...], color_count: int) -> Coloring:
+        if color_count < 0:
             raise ValueError("color_count must be nonnegative")
-        for c in self.colors:
-            if not isinstance(c, int) or not 1 <= c <= self.color_count:
-                raise ValueError(f"color {c!r} outside [1..{self.color_count}]")
+        for c in colors:
+            if not isinstance(c, int) or not 1 <= c <= color_count:
+                raise ValueError(f"color {c!r} outside [1..{color_count}]")
+        return super().__new__(cls, colors, color_count)
 
     @property
     def n(self) -> int:
@@ -131,20 +131,21 @@ class Coloring:
         return {"colors": list(self.colors), "color_count": self.color_count}
 
 
-@dataclass(frozen=True)
-class ChromaticValue:
-    """A chromatic number: finite, INFINITE, or EXCEEDS(limit)."""
+class ChromaticValue(namedtuple("ChromaticValue", "kind value")):
+    """A chromatic number: finite, INFINITE, or EXCEEDS(limit). ``kind`` is
+    "finite" | "infinite" | "exceeds"; ``value`` (int or None) is the number
+    or the limit that was hit."""
 
-    kind: str  # "finite" | "infinite" | "exceeds"
-    value: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("finite", "infinite", "exceeds"):
-            raise ValueError(f"bad kind {self.kind!r}")
-        if self.kind == "finite" and (self.value is None or self.value < 1):
+    def __new__(cls, kind: str, value: int | None = None) -> ChromaticValue:
+        if kind not in ("finite", "infinite", "exceeds"):
+            raise ValueError(f"bad kind {kind!r}")
+        if kind == "finite" and (value is None or value < 1):
             raise ValueError("finite chromatic value must be >= 1")
-        if self.kind == "exceeds" and self.value is None:
+        if kind == "exceeds" and value is None:
             raise ValueError("exceeds needs the limit that was hit")
+        return super().__new__(cls, kind, value)
 
     @classmethod
     def finite(cls, k: int) -> ChromaticValue:

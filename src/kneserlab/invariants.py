@@ -12,8 +12,8 @@ independent oracles.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .bits import bits_of
@@ -26,23 +26,20 @@ ALT_EXACT_MAX_N = 9
 MEMO_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """An element of (Z_m u {0})^n: entry 0 is "unsigned", entries 1..m
-    encode the m cyclic signs (m is the identity sign)."""
+class SignVector(namedtuple("SignVector", "modulus entries")):
+    """An element of (Z_m u {0})^n, m = ``modulus``, n = len(``entries``):
+    entry 0 is "unsigned", entries 1..m encode the m cyclic signs (m is the
+    identity sign)."""
 
-    modulus: int
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
+    def __new__(cls, modulus: int, entries: tuple[int, ...]) -> SignVector:
+        if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        for x in self.entries:
-            if not 0 <= x <= self.modulus:
-                raise ValueError(f"entry {x} outside [0..{self.modulus}]")
-
-    def __len__(self) -> int:
-        return len(self.entries)
+        for x in entries:
+            if not 0 <= x <= modulus:
+                raise ValueError(f"entry {x} outside [0..{modulus}]")
+        return super().__new__(cls, modulus, entries)
 
     def class_mask(self, sign: int) -> int:
         m = 0
@@ -65,16 +62,16 @@ def act_sign(g: int, s: int, m: int) -> int:
     return (g + s - 1) % m + 1
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of [n] given as the image tuple (position i -> sigma[i-1])."""
+class Permutation(namedtuple("Permutation", "sigma")):
+    """A bijection of [n] given as the image tuple ``sigma`` (position i ->
+    sigma[i-1])."""
 
-    sigma: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.sigma)
-        if sorted(self.sigma) != list(range(1, n + 1)):
+    def __new__(cls, sigma: tuple[int, ...]) -> Permutation:
+        if sorted(sigma) != list(range(1, len(sigma) + 1)):
             raise ValueError("not a bijection of [1..n]")
+        return super().__new__(cls, sigma)
 
 
 def alt_of(X: SignVector) -> int:
@@ -324,14 +321,11 @@ def _symmetric_prefix(order: list[int], below: dict[int, int]) -> int:
     return depth if depth < n else 0
 
 
-@dataclass(frozen=True)
-class AltResult:
-    """alt value with its certificate ordering; ``exact=False`` marks a
-    heuristic UPPER_BOUND."""
+class AltResult(namedtuple("AltResult", "value sigma exact")):
+    """alt ``value`` (int) with its certificate ordering ``sigma`` (a
+    `Permutation`); ``exact=False`` marks a heuristic UPPER_BOUND."""
 
-    value: int
-    sigma: Permutation
-    exact: bool
+    __slots__ = ()
 
     @property
     def status(self) -> str:

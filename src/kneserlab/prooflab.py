@@ -25,8 +25,8 @@ plain searches.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass, replace
 from itertools import product as iproduct
 from math import isqrt, prod
 
@@ -265,12 +265,12 @@ def _tau(
 # --- exhaustive consistency checks ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # equivariance | chain | range
-    x: tuple[int, ...]
-    y: tuple[int, ...] | None
-    detail: str
+class Violation(namedtuple("Violation", "kind x y detail")):
+    """One failed check: ``kind`` is equivariance | chain | range, ``x`` the
+    offending vector's entries, ``y`` the other vector's or None, and
+    ``detail`` a text."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -406,11 +406,12 @@ def _check_labels(
 # --- saturated-side scan and witness extraction -----------------------------------
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    max_ell: int
-    argmax: SignVector | None
-    saturated_count: int
+class ScanResult(namedtuple("ScanResult", "max_ell argmax saturated_count")):
+    """`sigma2_scan`'s outcome: the int ``max_ell``, its first maximizer
+    ``argmax`` (a `SignVector`, None with no saturated vector), and the int
+    ``saturated_count``."""
+
+    __slots__ = ()
 
 
 def sigma2_scan(
@@ -438,16 +439,13 @@ def sigma2_scan(
     return ScanResult(best, SignVector(p, best_entries), prod(len(b) for b in per_factor_blocks))
 
 
-@dataclass(frozen=True)
-class PartiteWitness:
+class PartiteWitness(namedtuple("PartiteWitness", "p parts colors experimental", defaults=(False,))):
     """A colorful balanced complete p-partite subhypergraph of a product of
-    general Kneser hypergraphs: one part per sign, vertices given as tuples
-    of 1-based factor edge indices, with their colors."""
+    general Kneser hypergraphs: ``parts`` holds one part per sign, vertices
+    given as tuples of 1-based factor edge indices, and ``colors`` one tuple
+    of their colors per part; the bool ``experimental`` flags a composite p."""
 
-    p: int
-    parts: tuple[tuple[tuple[int, ...], ...], ...]
-    colors: tuple[tuple[int, ...], ...]
-    experimental: bool = False
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -517,7 +515,7 @@ def extract_witness(
     required color. ``X`` is cut into one block per factor, as long as its
     order."""
     p = X.modulus
-    if sum(H.n for H in factors) != len(X):
+    if sum(H.n for H in factors) != len(X.entries):
         raise ValueError("factor orders do not add up to the vector length")
     if q < 0:
         raise ValueError("witness size must be nonnegative")
@@ -601,22 +599,17 @@ def find_witness(
     if scan.argmax is None or scan.max_ell < target:
         return None
     witness = extract_witness(factors, scan.argmax, coloring, target)
-    return replace(witness, experimental=True) if experimental else witness
+    return witness._replace(experimental=True) if experimental else witness
 
 
-@dataclass(frozen=True)
-class DoldReport:
+class DoldReport(namedtuple("DoldReport", "p max_ell min_ecd min_n_minus_alt saturated_count")):
     """Exhaustive check of the counting consequence behind the witness
     guarantees: with saturated vectors present, the best saturated balanced
     size must reach both defect quantities; with none, the whole labeling
     lands below the index cap and the consequence degenerates to the defect
-    quantities being at most p - 1."""
+    quantities being at most p - 1. All five fields are ints."""
 
-    p: int
-    max_ell: int
-    min_ecd: int
-    min_n_minus_alt: int
-    saturated_count: int
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -624,7 +617,7 @@ class DoldReport:
         return not misses_guarantee(self.p, target, target, self.max_ell, self.saturated_count)
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        return {**self._asdict(), "ok": self.ok}
 
 
 def dold_consequence(

@@ -82,7 +82,7 @@ class TestAlt:
     @settings(max_examples=100, deadline=None)
     def test_sign_class_views_consistent(self, X):
         sizes = [X.class_mask(s).bit_count() for s in range(1, X.modulus + 1)]
-        assert sum(sizes) == len(X) - X.entries.count(0)
+        assert sum(sizes) == len(X.entries) - X.entries.count(0)
         h = min(sizes)
         assert invariants.balanced_size(sizes) == X.modulus * h + sum(1 for s in sizes if s > h)
 

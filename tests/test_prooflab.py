@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 from math import prod
 
 import pytest
@@ -483,7 +482,7 @@ class TestWitnessNegativeControls:
         """``w`` with vertex j of part i replaced (or appended at j = len)."""
         parts, colors = [list(part) for part in w.parts], [list(cols) for cols in w.colors]
         parts[i][j:j + 1], colors[i][j:j + 1] = [vertex], [color]
-        return replace(w, parts=tuple(map(tuple, parts)), colors=tuple(map(tuple, colors)))
+        return w._replace(parts=tuple(map(tuple, parts)), colors=tuple(map(tuple, colors)))
 
     @staticmethod
     def recolor(space, coloring, vertex, color):

@@ -1,12 +1,37 @@
 """The public surface: `kneserlab.__all__` names each export once, a star
-import binds every one of them, and every one has a caller in the library."""
+import binds every one of them, and every one has a caller in the library.
+The value records are immutable and keep their validation, and importing
+the CLI loads none of the modules that only start-up would pay for."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import kneserlab
+from kneserlab import (
+    AltResult,
+    BoundReport,
+    ChromaticValue,
+    Coloring,
+    CompareReport,
+    ExperimentSpec,
+    FactorBounds,
+    PartiteWitness,
+    Permutation,
+    ProductSpace,
+    ReductionReport,
+    ScanResult,
+    SignVector,
+    Violation,
+)
+from kneserlab.experiments import TASKS, AtLeast, TaskResult
+from kneserlab.prooflab import DoldReport
 
 # exports with no caller in the library, each kept for a reason
 UNCALLED = {
@@ -47,3 +72,78 @@ def test_every_export_has_a_library_caller():
         loaded |= _loaded_names(ast.parse(path.read_text()))
     uncalled = [name for name in kneserlab.__all__ if name not in loaded]
     assert sorted(uncalled) == sorted(UNCALLED)
+
+
+def _records() -> list:
+    factor = FactorBounds(2, 3, 0, 0, 0, True)
+    return [
+        Coloring((1, 2), 2),
+        ChromaticValue.finite(2),
+        SignVector(2, (0, 1, 2)),
+        Permutation((2, 1)),
+        AltResult(1, Permutation((1,)), True),
+        ProductSpace((2, 3)),
+        factor,
+        BoundReport(2, (factor,), 0, 0, None, "BOUND_ONLY"),
+        Violation("chain", (1,), None, "detail"),
+        ScanResult(0, None, 0),
+        PartiteWitness(2, ((), ()), ((), ())),
+        DoldReport(2, 0, 0, 0, 0),
+        AtLeast(1),
+        ExperimentSpec(("star:4",), "invariants", r=2),
+        TaskResult("build", "ok", {}),
+        ReductionReport(2, 2, 0, 0, 0, 0, 0),
+        CompareReport([], [], [], []),
+        TASKS["build"],
+    ]
+
+
+def test_records_are_immutable():
+    records = _records()
+    defined = {
+        obj
+        for name, module in sys.modules.items()
+        if name.startswith("kneserlab.")
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == name
+    }
+    assert len(records) == 18
+    assert defined | {AtLeast} == {type(record) for record in records}
+    for record in records:
+        for field in getattr(record, "_fields", None) or record.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 0  # no instance dict either
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SignVector(0, ()),
+        lambda: SignVector(2, (0, 3)),
+        lambda: SignVector(2, (-1,)),
+        lambda: SignVector(modulus=1, entries=(2,)),
+        lambda: Permutation((1, 1)),
+        lambda: Permutation((0, 1)),
+        lambda: Permutation((2, 3)),
+        lambda: Permutation(sigma=(1, 3)),
+        lambda: ProductSpace(()),
+        lambda: ProductSpace((2, -1)),
+        lambda: ProductSpace(dims=(-1,)),
+    ],
+)
+def test_records_keep_their_validation(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_cli_import_skips_start_up_only_modules():
+    """Importing the CLI loads none of these; ``-S`` keeps the site hooks,
+    which may preload ``typing``, out of the count."""
+    env = dict(os.environ, PYTHONPATH=str(Path(kneserlab.__file__).parents[1]))
+    skipped = ("dataclasses", "inspect", "traceback", "typing")
+    code = f"import kneserlab.cli, sys; print(*(m for m in {skipped} if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []
