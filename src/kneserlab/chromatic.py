@@ -2,14 +2,15 @@
 comparison reports.
 
 One coloring engine serves explicit hypergraphs and implicit categorical
-products alike: a hypergraph is the one-factor product. Each level is decided
-by a most-constrained-first search; at chi, repeated decisions on the same
-search state fix the vertices in index order to the lex-least certificate.
+products alike: a hypergraph is the one-factor product. The index-order first
+fit (g colors) is the certificate at g and refutes level 1; each level 2..g-1 is
+decided by a most-constrained-first search, and at chi < g repeated decisions on
+the same search state fix the vertices in index order to the lex-least certificate.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from collections.abc import Sequence
 from itertools import accumulate, product as iproduct
 from math import prod
@@ -49,9 +50,9 @@ class _ColoringSearch:
     the cell sets the bit of its coordinate inside e_j. A color class covering
     the box's full mask contains a monochromatic product edge. An open cell
     completes a box when its position contains the bits ``miss`` that the
-    color still lacks, and then must not take that color. `lex_least(k)`
-    searches level k on one search state; it picks the open vertex v of largest
-    score n_forbidden(v) * (N + 1) + N - v, one int kept per vertex.
+    color still lacks, and then must not take that color. `first_fit` colors
+    once in index order; `lex_least(k)` searches level k on one search state,
+    picking the open vertex v of largest score n_forbidden(v) * (N + 1) + N - v.
     """
 
     def __init__(self, factors: Sequence[Hypergraph]) -> None:
@@ -99,8 +100,29 @@ class _ColoringSearch:
                 self.cells.append(cells)
                 self.completing.append(completing)
 
+    def first_fit(self) -> list[int]:
+        """Index-order first fit: v = 1..N each takes the least color completing no
+        box with the colors before it. No undo: a banned-color bitmask per vertex
+        (bit 0 set; the color is the lowest clear bit), a coverage list per color."""
+        full, cells, completing = self.full, self.cells, self.completing
+        banned = [1] * (self.N + 1)
+        covered: defaultdict[int, list[int]] = defaultdict(lambda: [0] * len(full))
+        colors: list[int] = []
+        for v in range(1, self.N + 1):
+            c = (~banned[v] & (banned[v] + 1)).bit_length() - 1
+            cov, bit = covered[c], 1 << c
+            for bid, pos in zip(self.boxes_of[v], self.pos_of[v]):
+                new = cov[bid] | pos
+                if new != cov[bid]:
+                    cov[bid] = new
+                    box = cells[bid]
+                    for i in completing[bid].get(full[bid] ^ new, ()):
+                        banned[box[i]] |= bit
+            colors.append(c)
+        return colors
+
     def lex_least(self, k: int) -> list[int] | None:
-        """The lexicographically least proper k-coloring, or None.
+        """The lexicographically least proper k-coloring, or None (k below the first fit's g).
 
         ``decide`` extends the current partial coloring most-constrained-first
         (most forbidden colors, ties to the least index: the largest score
@@ -219,9 +241,15 @@ def solve_product_chromatic(
     iterative deepening, never materializing product edges, with the
     lexicographically least optimal coloring as certificate.
 
-    Each level k is one `_ColoringSearch.lex_least`, whose first decision
-    refutes k or proves it; at chi the decisions that follow refine that
-    witness into the certificate.
+    The index-order first fit F (`_ColoringSearch.first_fit`, g colors; g = 1
+    with no cells) is the lex-least proper coloring: a lex-smaller L agrees
+    with F up to some v and gives v a color below F[v], and each such color
+    completes a box on that shared prefix. So F is the certificate at g, with
+    no search, and when g >= 2 it refutes level 1: F opens color 2 only where
+    color 1 completes a box, which the all-ones coloring covers. Each level
+    k = 2..g-1 is one `_ColoringSearch.lex_least`, whose first decision refutes
+    k or proves it; at chi < g the decisions that follow refine that witness
+    into the certificate. As chi <= g, this is iterative deepening from k = 1.
     """
     if not factors:
         raise ValueError("product needs at least one factor")
@@ -229,11 +257,13 @@ def solve_product_chromatic(
         # a box of singleton edges is a singleton product edge
         return ChromaticValue.infinite(), None
     engine = _ColoringSearch(factors)
-    k = 1
+    first = engine.first_fit()
+    g = max(first, default=1)
+    k = min(2, g)
     while True:
         if limit is not None and k > limit:
             return ChromaticValue.exceeds(limit), None
-        if (colors := engine.lex_least(k)) is not None:
+        if (colors := first if k == g else engine.lex_least(k)) is not None:
             return ChromaticValue.finite(k), Coloring(tuple(colors), k)
         k += 1
 

@@ -10,6 +10,7 @@ import pytest
 
 from kneserlab import (
     ChromaticValue,
+    Coloring,
     Hypergraph,
     OutOfProvenRangeError,
     bound_report,
@@ -337,6 +338,105 @@ class TestLexLeastCertificate:
                 edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.6]
                 factors.append(Hypergraph(n, edges))
             self.check(factors)
+
+
+class TestFirstFit:
+    """The first fit F is the lex-least proper coloring with max(F) colors,
+    and fixes which levels the solver searches."""
+
+    @staticmethod
+    def check(factors):
+        engine = _ColoringSearch(factors)
+        first = engine.first_fit()
+        g = max(first, default=1)
+        assert product_is_proper(factors, Coloring(tuple(first), g))
+        assert is_first_appearance(first)
+        assert engine.lex_least(g) == first
+        return g
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: [_kg(5, 2)] * 2, id="KG(5,2)^2"),
+            pytest.param(lambda: [_kg(7, 2, 3)] * 2, id="KG^3(7,2)^2"),
+            pytest.param(lambda: [_kg(5, 2), _kg(6, 2)], id="KG(5,2)xKG(6,2)"),
+            pytest.param(lambda: [_kg(6, 2), _kg(5, 2)], id="KG(6,2)xKG(5,2)"),
+            pytest.param(lambda: [cycle(5), cycle(7)], id="C5xC7"),
+            pytest.param(lambda: [star(5), cycle(5), hnka(6, 2, 2)], id="star5xC5xH(6,2,2)"),
+            pytest.param(lambda: [_kg(8, 2)], id="KG(8,2)"),
+            pytest.param(lambda: [_kg(9, 2, 3)], id="KG^3(9,2)"),
+            pytest.param(lambda: [complete_uniform(5, 3)], id="K(5,3)"),
+        ],
+    )
+    def test_products(self, make):
+        self.check(make())
+
+    def test_random_products(self):
+        rng = random.Random(4247)
+        checked = 0
+        while checked < 40:
+            factors = []
+            for _ in range(rng.randint(1, 3)):
+                n = rng.randint(2, 4)
+                sizes = [rng.randint(1, min(n, 3)) for _ in range(rng.randint(1, 3))]
+                factors.append(Hypergraph(n, {frozenset(rng.sample(range(1, n + 1), m)) for m in sizes}))
+            if all(H.has_singleton_edge() for H in factors):
+                continue
+            self.check(factors)
+            checked += 1
+
+    def test_random_hypergraphs(self):
+        rng = random.Random(4248)
+        for _ in range(30):
+            self.check([random_hypergraph(rng, max_n=7, max_edges=10, min_edge_size=2)])
+
+    def test_first_fit_above_chi(self):
+        # first fit uses 6 colors here, chi = 5: the walk at chi makes the certificate
+        kg = kneser(hnka(8, 2, 3), 2)
+        assert self.check([kg]) == 6
+        value, coloring = solve_chromatic(kg)
+        assert value.as_int() == 5
+        assert list(coloring.colors) == lex_least_coloring_static([kg], 5)
+
+    @staticmethod
+    def searched(monkeypatch, factors, limit=None):
+        levels = []
+        lex_least = _ColoringSearch.lex_least
+
+        def spy(self, k):
+            levels.append(k)
+            return lex_least(self, k)
+
+        monkeypatch.setattr(_ColoringSearch, "lex_least", spy)
+        return solve_product_chromatic(factors, limit), levels
+
+    @pytest.mark.parametrize(
+        "make, chi, below",
+        [
+            pytest.param(lambda: [_kg(7, 2, 3)] * 2, 2, [], id="KG^3(7,2)^2"),
+            pytest.param(lambda: [_kg(5, 2)] * 2, 3, [2], id="KG(5,2)^2"),
+        ],
+    )
+    def test_first_fit_at_chi_not_searched(self, monkeypatch, make, chi, below):
+        # only the levels 2..chi-1 are searched, each to its refutation
+        factors = make()
+        (value, coloring), levels = self.searched(monkeypatch, factors)
+        assert value.as_int() == chi and levels == below
+        assert coloring.colors == tuple(_ColoringSearch(factors).first_fit())
+
+    def test_levels_below_first_fit(self, monkeypatch):
+        (value, _), levels = self.searched(monkeypatch, [kneser(hnka(8, 2, 3), 2)])
+        assert value.as_int() == 5 and levels == [2, 3, 4, 5]
+
+    def test_edgeless_factor(self, monkeypatch):
+        (value, coloring), levels = self.searched(monkeypatch, [Hypergraph(3), complete_uniform(5, 2)])
+        assert value.as_int() == 1 and levels == []
+        assert coloring == Coloring((1,) * 15, 1)
+
+    def test_limit_below_first_fit(self, monkeypatch):
+        (value, coloring), levels = self.searched(monkeypatch, [_kg(5, 2)] * 2, limit=2)
+        assert value == ChromaticValue.exceeds(2) and coloring is None
+        assert levels == [2]
 
 
 class TestBoundReport:
