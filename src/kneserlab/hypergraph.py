@@ -215,9 +215,15 @@ def store_hypergraph(H: Hypergraph) -> str:
     return canonical_json(H.to_json_dict()) + "\n"
 
 
+def _json_int(x: object) -> int:
+    if type(x) is not int:  # not isinstance: JSON true loads as True, an int
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def load_hypergraph(text: str) -> Hypergraph:
     data = json.loads(text)
-    return Hypergraph(data["n"], data["edges"])
+    return Hypergraph(_json_int(data["n"]), [[_json_int(v) for v in e] for e in data["edges"]])
 
 
 def store_coloring(c: Coloring) -> str:
@@ -226,4 +232,4 @@ def store_coloring(c: Coloring) -> str:
 
 def load_coloring(text: str) -> Coloring:
     data = json.loads(text)
-    return Coloring(tuple(data["colors"]), data["color_count"])
+    return Coloring(tuple(map(_json_int, data["colors"])), _json_int(data["color_count"]))

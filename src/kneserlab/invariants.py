@@ -74,18 +74,6 @@ class Permutation(namedtuple("Permutation", "sigma")):
         return super().__new__(cls, sigma)
 
 
-def alt_of(X: SignVector) -> int:
-    """Length of the longest alternating subsequence, computed as the number
-    of maximal runs after dropping zeros (the all-zero vector gives 0)."""
-    runs = 0
-    last = 0
-    for x in X.entries:
-        if x and x != last:
-            runs += 1
-            last = x
-    return runs
-
-
 # --- colorability defects ----------------------------------------------------
 
 

@@ -35,7 +35,7 @@ from .cache import ResultCache
 from .chromatic import factor_bounds
 from .constructions import ProductSpace
 from .hypergraph import CapExceededError, Coloring, Hypergraph, span_table
-from .invariants import SignVector, act_sign, alt_min, alt_of, balanced_size
+from .invariants import SignVector, act_sign, balanced_size
 
 # Exhaustive labeling sweeps enumerate (p+1)^n vectors and (2p+1)^n face
 # pairs; keep them loudly bounded.
@@ -68,20 +68,16 @@ def _saturated_blocks(H: Hypergraph, p: int) -> list[tuple[tuple[int, ...], tupl
     return blocks
 
 
-def _deficient_blocks(H: Hypergraph, p: int, variant: str) -> list[tuple]:
+def _deficient_blocks(H: Hypergraph, p: int) -> list[tuple]:
     """Every block of ``H`` in lex order with its share of a deficient
     vector's label: (entries, saturated, index term, block-signature
-    component or None, edge-spanning signs, first sign in the alternation
-    order or 0).
+    component or None, edge-spanning signs).
 
     A block whose every sign spans an edge counts its support; another
-    counts its edge-spanning signs plus the best score of an edge-free
-    sub-block: the balanced class size by default, or in the "alternation"
-    variant the alternation number read in the factor's alternation-optimal
-    vertex order. Sub-blocks are enumerated outright, since the score is not
-    monotone under restriction. The edge-free test reads the factor's
-    `span_table`, so a factor above T_ENUM_CAP vertices raises
-    CapExceededError.
+    counts its edge-spanning signs plus the largest balanced class size of
+    an edge-free sub-block, every sub-block enumerated. The edge-free test
+    reads the factor's `span_table`, so a factor above T_ENUM_CAP vertices
+    raises CapExceededError.
 
     The component is the whole block when every sign spans an edge; when
     none does, it is the set of present signs if some class is empty, else
@@ -89,28 +85,19 @@ def _deficient_blocks(H: Hypergraph, p: int, variant: str) -> list[tuple]:
     all signs span an edge: the sign-set table labels such vectors.
     """
     spans = span_table(H)
-    # alternation, unlike the balanced size, depends on coordinate order:
-    # scored in another order than this one the index can overshoot its cap
-    order = alt_min(H, p, "exact").sigma.sigma if variant == "alternation" else ()
     blocks = []
     for entries in iproduct(range(p + 1), repeat=H.n):
         masks = [sum(1 << i for i, x in enumerate(entries) if x == s) for s in range(1, p + 1)]
         signs = tuple(s for s, m in enumerate(masks, start=1) if spans[m])
-        first = next((entries[v - 1] for v in order if entries[v - 1]), 0)
         if len(signs) == p:
-            blocks.append((entries, True, len(entries) - entries.count(0), ("vec", entries), signs, first))
+            blocks.append((entries, True, len(entries) - entries.count(0), ("vec", entries), signs))
             continue
         best = 0
         # the sign classes are disjoint, so their sum is the support
         for kept in submasks(sum(masks)):
             if any(spans[m & kept] for m in masks):
                 continue
-            if variant == "alternation":
-                kept_entries = tuple(entries[v - 1] if kept >> (v - 1) & 1 else 0 for v in order)
-                score = alt_of(SignVector(p, kept_entries))
-            else:
-                score = balanced_size([(m & kept).bit_count() for m in masks])
-            best = max(best, score)
+            best = max(best, balanced_size([(m & kept).bit_count() for m in masks]))
         sizes = [m.bit_count() for m in masks]
         h = min(sizes)
         if signs:
@@ -119,7 +106,7 @@ def _deficient_blocks(H: Hypergraph, p: int, variant: str) -> list[tuple]:
             component = ("set", tuple(s for s, size in enumerate(sizes, start=1) if size))
         else:
             component = ("vec", tuple(x if x and sizes[x - 1] == h else 0 for x in entries))
-        blocks.append((entries, False, len(signs) + best, component, signs, first))
+        blocks.append((entries, False, len(signs) + best, component, signs))
     return blocks
 
 
@@ -204,17 +191,10 @@ def _defect_minima(
     return min(f.ecd for f in rows), min(f.n_minus_alt for f in rows)
 
 
-def index_cap(
-    factors: Sequence[Hypergraph], p: int, variant: str = "balanced",
-    cache: ResultCache | None = None,
-) -> int:
+def index_cap(factors: Sequence[Hypergraph], p: int, cache: ResultCache | None = None) -> int:
     """Upper end of the deficient-side index range: total order minus the
-    relevant defect quantity plus p - 1."""
-    if variant not in ("balanced", "alternation"):
-        raise ValueError(f"unknown variant {variant!r}")
-    min_ecd, min_alt_side = _defect_minima(factors, p, cache)
-    quantity = min_ecd if variant == "balanced" else min_alt_side
-    return sum(H.n for H in factors) - quantity + p - 1
+    smallest equitable defect plus p - 1."""
+    return sum(H.n for H in factors) - _defect_minima(factors, p, cache)[0] + p - 1
 
 
 # --- the color reader and tau(X) ------------------------------------------------
@@ -283,13 +263,13 @@ class Violation(namedtuple("Violation", "kind x y detail")):
 
 def check_lemma1(
     factors: Sequence[Hypergraph], p: int, tables: SignMapTables | None = None,
-    variant: str = "balanced", cache: ResultCache | None = None,
+    cache: ResultCache | None = None,
 ) -> list[Violation]:
     """Exhaustively verify the deficient-side labeling: it must be
     equivariant, stay within [1..cap], and never give face-comparable
     vectors the same index with different signs. Returns all violations
     (expected empty; corrupted tables are the negative control)."""
-    return _check_labels(factors, p, None, tables, variant, cache)
+    return _check_labels(factors, p, None, tables, cache)
 
 
 def check_lemma2(
@@ -300,34 +280,30 @@ def check_lemma2(
     coloring of the product of the KG^p of the factors: equivariance, index
     above the cap, and no face-comparable pair with equal index and
     different signs."""
-    return _check_labels(factors, p, coloring, tables, "balanced", cache)
+    return _check_labels(factors, p, coloring, tables, cache)
 
 
 def _labels(
-    factors: Sequence[Hypergraph], p: int, coloring: Coloring | None, tables: SignMapTables,
-    variant: str, cap: int,
+    factors: Sequence[Hypergraph], p: int, coloring: Coloring | None, tables: SignMapTables, cap: int
 ) -> dict[tuple[int, ...], tuple[int, int]]:
     """The label (sign, index) of every nonzero vector on one side, in lex
     order, from the products of the factors' block tables.
 
-    A deficient vector's index is the sum of its blocks' terms. Its sign
-    comes from the sign-set table when some component is None; otherwise it
-    is the first nonzero entry in the alternation orders in the
-    "alternation" variant, and the block-signature table's sign by default.
+    A deficient vector's index is the sum of its blocks' terms. Its sign is
+    the sign-set table's sign when some component is None, else the
+    block-signature table's sign.
     A saturated vector's index is ``cap`` - p + 1 plus the balanced size of
     tau(X), so it is above ``cap``; its sign is the simplex table's sign of
     the core of tau(X), the sorted cells of its minimum-size rows."""
     labels = {}
     if coloring is None:
-        for combo in iproduct(*(_deficient_blocks(H, p, variant) for H in factors)):
-            entries, saturated, terms, components, signs, firsts = zip(*combo)
+        for combo in iproduct(*(_deficient_blocks(H, p) for H in factors)):
+            entries, saturated, terms, components, signs = zip(*combo)
             vector = sum(entries, ())
             if all(saturated) or not any(vector):
                 continue
             if None in components:
                 sign = tables.sign_for_signsets(signs)
-            elif variant == "alternation":
-                sign = next(s for s in firsts if s)
             else:
                 sign = tables.sign_for_blocks(components)
             labels[vector] = sign, sum(terms)
@@ -345,12 +321,12 @@ def _labels(
 
 def _check_labels(
     factors: Sequence[Hypergraph], p: int, coloring: Coloring | None, tables: SignMapTables | None,
-    variant: str, cache: ResultCache | None,
+    cache: ResultCache | None,
 ) -> list[Violation]:
     """Label every nonzero sign vector on one side (the deficient side
-    without a ``coloring``, the saturated side with one), then report range,
-    equivariance and chain violations in vector order. The sign tables
-    refuse a composite p, and ``tables`` must be built for p itself."""
+    without a ``coloring``, the saturated side with one) and check the
+    labels. The sign tables refuse a composite p, and ``tables`` must be
+    built for p itself."""
     if tables is None:
         tables = SignMapTables(p)
     elif tables.p != p:
@@ -358,13 +334,19 @@ def _check_labels(
     n = sum(H.n for H in factors)
     if (2 * p + 1) ** n > LEMMA_ENUM_CAP:
         raise CapExceededError(f"exhaustive sweep over (Z_{p} u 0)^{n} faces is beyond the cap")
-    cap = index_cap(factors, p, variant, cache)
-    labels = _labels(factors, p, coloring, tables, variant, cap)
+    cap = index_cap(factors, p, cache)
+    return _label_violations(_labels(factors, p, coloring, tables, cap), p, cap, coloring is not None)
+
+
+def _label_violations(labels: dict, p: int, cap: int, saturated: bool) -> list[Violation]:
+    """Range, equivariance and chain violations of one side's labels, in
+    vector order: a deficient index must lie in [1..cap], a ``saturated``
+    one above ``cap``."""
     violations: list[Violation] = []
     for entries, (sign, index) in labels.items():
-        if coloring is None and not 1 <= index <= cap:
+        if not saturated and not 1 <= index <= cap:
             violations.append(Violation("range", entries, None, f"index {index} outside [1..{cap}]"))
-        elif coloring is not None and index <= cap:
+        elif saturated and index <= cap:
             violations.append(Violation("range", entries, None, f"index {index} not above {cap}"))
         for g in range(1, p):
             acted = tuple(act_sign(g, x, p) if x else 0 for x in entries)

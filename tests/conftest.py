@@ -7,8 +7,11 @@ of exact ``alt_min`` and reuses its per-ordering search.
 ``lex_least_coloring_static`` checks only the certificate search of the
 coloring engine: it takes its boxes from ``compile_boxes_naive``, a plain
 compiler of the engine's box layout that a differential test holds equal
-to the engine's own. ``labels_naive`` takes the alternation orders, which
-the alternation variant of the labeling is defined by, from ``alt_min``.
+to the engine's own. ``labels_naive`` is the only definition of the
+alternation labeling (the n - alt_p labeling of Alishahi-Hajiabolhassan):
+the library sweeps only the balanced one, and the tests hand these labels
+to its checks. They take the alternation orders, which that labeling is
+defined by, from ``alt_min``.
 """
 
 from __future__ import annotations

@@ -55,6 +55,12 @@ class TestRecipes:
         path.write_text(store_hypergraph(H))
         assert parse_recipe(f"file:{path}") == H
 
+    def test_boolean_in_file_is_a_bad_recipe(self, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text('{"n": true, "edges": [[1]]}')
+        with pytest.raises(RecipeError, match="expected an integer, got True"):
+            parse_recipe(f"file:{path}")
+
     def test_bad_recipe(self):
         with pytest.raises(RecipeError):
             parse_recipe("nonsense:1")
@@ -652,6 +658,20 @@ class TestMainEntry:
         (result,) = json.loads(out[out.index("\n[\n") + 1 :])
         assert result["payload"]["error"] == f"ValueError: coloring {path} is not proper"
         assert "_coloring_for" in result["payload"]["traceback"]
+
+    def test_boolean_color_in_coloring_file_fails_the_task(self, capsys, tmp_path):
+        # a proper coloring with color 1 written as true, which used to run
+        # and print the witness colors as true
+        path = tmp_path / "c.json"
+        _, coloring = solve_chromatic(kneser(complete_uniform(4, 2), 2))
+        colors = [True if c == 1 else c for c in coloring.colors]
+        path.write_text(json.dumps({"colors": colors, "color_count": coloring.color_count}))
+        code = main(["witness", "--p", "2", "--coloring", str(path), "complete:4,2"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "[witness] status=failed" in out
+        (result,) = json.loads(out[out.index("\n[\n") + 1 :])
+        assert result["payload"]["error"] == "ValueError: expected an integer, got True"
 
     def test_proper_coloring_file_gives_the_solved_payload(self, tmp_path):
         path = tmp_path / "lex.json"

@@ -259,6 +259,24 @@ class TestJson:
     def test_round_trip_everything(self, H):
         assert load_hypergraph(store_hypergraph(H)) == H
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": true, "edges": [[1]]}',
+            '{"n": 2, "edges": [[true, 2]]}',
+            '{"colors": [1, true], "color_count": 2}',
+            '{"colors": [1, 1], "color_count": true}',
+        ],
+        ids=["n", "vertex", "color", "color_count"],
+    )
+    def test_json_booleans_are_not_integers(self, text):
+        # json loads true as True, which isinstance(True, int) accepts
+        from kneserlab import load_coloring
+
+        load = load_coloring if "colors" in text else load_hypergraph
+        with pytest.raises(ValueError, match="expected an integer, got True"):
+            load(text)
+
     def test_coloring_round_trip(self):
         from kneserlab import load_coloring, store_coloring
 

@@ -14,7 +14,6 @@ from kneserlab import (
     Permutation,
     SignVector,
     alt_min,
-    alt_of,
     cd,
     ecd,
     complete_uniform,
@@ -65,18 +64,12 @@ class TestAlt:
     def test_run_example(self):
         X = SignVector(2, (1, 0, 2, 2, 1))
         assert alt_naive(X) == 3
-        assert alt_of(X) == 3
 
     def test_zero_vector(self):
-        assert alt_of(SignVector(2, (0, 0, 0))) == 0
+        assert alt_naive(SignVector(2, (0, 0, 0))) == 0
 
     def test_constant_vector(self):
-        assert alt_of(SignVector(2, (1, 1, 1))) == 1
-
-    @given(sign_vectors())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_subsequence_oracle(self, X):
-        assert alt_of(X) == alt_naive(X)
+        assert alt_naive(SignVector(2, (1, 1, 1))) == 1
 
     @given(sign_vectors())
     @settings(max_examples=100, deadline=None)

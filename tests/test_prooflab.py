@@ -12,6 +12,7 @@ import pytest
 from kneserlab import (
     Coloring,
     Hypergraph,
+    Permutation,
     ProductSpace,
     SignMapTables,
     SignVector,
@@ -38,7 +39,15 @@ from kneserlab import (
 )
 from kneserlab.invariants import act_sign, balanced_size
 import kneserlab.prooflab
-from kneserlab.prooflab import _deficient_blocks, _labels, _saturated_blocks, misses_guarantee
+from kneserlab.prooflab import (
+    _defect_minima,
+    _deficient_blocks,
+    _label_violations,
+    _labels,
+    _saturated_blocks,
+    misses_guarantee,
+)
+import conftest
 from conftest import (
     contains_edge_within,
     is_colorful_balanced_complete,
@@ -57,6 +66,9 @@ from conftest import (
 CU3 = complete_uniform(3, 2)
 CU4 = complete_uniform(4, 2)
 CU5 = complete_uniform(5, 2)
+# scored in another vertex order than its alternation-optimal one, the
+# alternation labeling of this factor overshoots its index cap
+ASYMMETRIC = Hypergraph(5, [(1,), (4,), (1, 2), (1, 5), (3, 5), (1, 2, 4)])
 
 
 def act_vector(g: int, X: SignVector) -> SignVector:
@@ -75,16 +87,31 @@ def all_vectors(p: int, n: int):
             yield entries
 
 
-def block_row(H: Hypergraph, p: int, entries: tuple[int, ...], variant: str = "balanced") -> tuple:
+def block_row(H: Hypergraph, p: int, entries: tuple[int, ...]) -> tuple:
     """The row of ``entries`` in the deficient-side block table of ``H``:
-    (entries, saturated, index term, component, edge signs, first alt sign)."""
-    return next(row for row in _deficient_blocks(H, p, variant) if row[0] == entries)
+    (entries, saturated, index term, component, edge signs)."""
+    return next(row for row in _deficient_blocks(H, p) if row[0] == entries)
 
 
-def labels(factors, p: int, coloring=None, tables=None, variant: str = "balanced") -> dict:
+def labels(factors, p: int, coloring=None, tables=None) -> dict:
     """The label dict of one side's sweep, at the sweep's own index cap."""
     tables = tables or SignMapTables(p)
-    return _labels(factors, p, coloring, tables, variant, index_cap(factors, p, variant))
+    return _labels(factors, p, coloring, tables, index_cap(factors, p))
+
+
+def alternation_labels(factors, p: int, tables=None) -> tuple[dict, int]:
+    """The alternation labeling of `labels_naive` (the n - alt_p labeling of
+    Alishahi-Hajiabolhassan) with its index cap: total order minus the
+    smallest n - alt_p plus p - 1."""
+    cap = sum(H.n for H in factors) - _defect_minima(factors, p, None)[1] + p - 1
+    return labels_naive(factors, p, None, tables or SignMapTables(p), "alternation", cap), cap
+
+
+def alternation_violations(factors, p: int) -> list[Violation]:
+    """The library's range, equivariance and chain checks on the
+    alternation labeling, which only the tests define."""
+    got, cap = alternation_labels(factors, p)
+    return _label_violations(got, p, cap, False)
 
 
 class TestSplit:
@@ -271,11 +298,25 @@ class TestLemmaChecks:
         # regression: alternation scores depend on coordinate order, so the
         # index cap only holds when blocks are scored in their optimal
         # ordering; this asymmetric instance overshot the cap before
-        from kneserlab import Hypergraph
+        assert alternation_violations([ASYMMETRIC], 2) == []
+        assert check_lemma1([ASYMMETRIC], 2) == []
 
-        H = Hypergraph(5, [(1,), (4,), (1, 2), (1, 5), (3, 5), (1, 2, 4)])
-        assert check_lemma1([H], 2, variant="alternation") == []
-        assert check_lemma1([H], 2) == []
+    def test_alternation_scored_in_identity_order_is_caught(self, monkeypatch):
+        # the oracle scored in the identity vertex order: twelve vectors land
+        # above the cap; its memo is cleared so that no mutant entry outlives
+        # the test
+        real = conftest.alt_min
+
+        def identity_order(H, r, mode="exact", seed=0):
+            return real(H, r, mode, seed)._replace(sigma=Permutation(tuple(range(1, H.n + 1))))
+
+        monkeypatch.setattr(conftest, "alt_min", identity_order)
+        conftest.nu_naive.cache_clear()
+        try:
+            violations = alternation_violations([ASYMMETRIC], 2)
+        finally:
+            conftest.nu_naive.cache_clear()
+        assert [v.kind for v in violations] == ["range"] * 12
 
     def test_full_machinery_on_random_instances(self):
         import random
@@ -300,7 +341,7 @@ class TestLemmaChecks:
                 ]
             p = rng.choice([2, 3])
             assert check_lemma1(factors, p) == []
-            assert check_lemma1(factors, p, variant="alternation") == []
+            assert alternation_violations(factors, p) == []
             kgs = [kneser(H, p) for H in factors]
             _, coloring = solve_product_chromatic(kgs)
             if coloring is None:
@@ -316,7 +357,7 @@ class TestLemmaChecks:
                 assert witness.problems(factors, coloring) == []
 
     def test_lemma1_alternation_variant_clean(self):
-        assert check_lemma1([CU5], 2, variant="alternation") == []
+        assert alternation_violations([CU5], 2) == []
 
     def test_composite_modulus_refused(self):
         # a composite p fixes some sign orbits: the sweeps refuse it rather
@@ -667,21 +708,26 @@ class TestLabelsOracle:
     the per-vector definitions of `labels_naive`: same labels, same order."""
 
     @staticmethod
-    def assert_labels_match(factors, p, coloring, tables, variant="balanced"):
-        cap = index_cap(factors, p, variant)
-        got = _labels(factors, p, coloring, tables, variant, cap)
-        want = labels_naive(factors, p, coloring, tables, variant, cap)
-        assert list(got.items()) == list(want.items()), (factors, p, variant, sorted(tables.corrupt))
+    def assert_labels_match(factors, p, coloring, tables):
+        cap = index_cap(factors, p)
+        got = _labels(factors, p, coloring, tables, cap)
+        want = labels_naive(factors, p, coloring, tables, "balanced", cap)
+        assert list(got.items()) == list(want.items()), (factors, p, sorted(tables.corrupt))
         return got
 
     def test_deficient_side(self):
         changed = 0
         for factors, p in deficient_side_instances():
-            for variant in ("balanced", "alternation"):
-                clean = self.assert_labels_match(factors, p, None, SignMapTables(p), variant)
-                for corrupt in (("blocks",), ("signsets",)):
-                    got = self.assert_labels_match(factors, p, None, SignMapTables(p, corrupt), variant)
-                    changed += got != clean
+            clean = self.assert_labels_match(factors, p, None, SignMapTables(p))
+            for corrupt in (("blocks",), ("signsets",)):
+                got = self.assert_labels_match(factors, p, None, SignMapTables(p, corrupt))
+                changed += got != clean
+            # the alternation labeling has no library sweep: its oracle
+            # labels go through the library's checks
+            clean, cap = alternation_labels(factors, p)
+            assert _label_violations(clean, p, cap, False) == [], (factors, p)
+            for corrupt in (("blocks",), ("signsets",)):
+                changed += alternation_labels(factors, p, SignMapTables(p, corrupt))[0] != clean
         assert changed >= 40
 
     def test_saturated_side(self):
@@ -696,8 +742,8 @@ class TestLabelsOracle:
         # one block's index term off by one must show against the oracle
         real = kneserlab.prooflab._deficient_blocks
 
-        def off_by_one(H, p, variant):
-            blocks = real(H, p, variant)
+        def off_by_one(H, p):
+            blocks = real(H, p)
             entries, saturated, term, *rest = blocks[5]
             blocks[5] = (entries, saturated, term + 1, *rest)
             return blocks
@@ -787,7 +833,6 @@ class TestBoundsPath:
         f = factor_bounds(H, 2)
         assert not f.alt_exact and f.n_minus_alt > f.ecd
         assert witness_target([H], 2) == f.n_minus_alt
-        assert index_cap([H], 2, "alternation") == H.n - f.n_minus_alt + 1
         _, coloring = solve_chromatic(kneser(H, 2))
         rep = dold_consequence([H], 2, coloring)
         assert (rep.min_ecd, rep.min_n_minus_alt) == (f.ecd, f.n_minus_alt)

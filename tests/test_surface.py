@@ -39,6 +39,11 @@ UNCALLED = {
     "formula_hnka": "closed form of the paper, checked against the solver by the tests",
     "store_coloring": "writer of the documented colouring file format that --coloring reads",
     "store_hypergraph": "writer of the documented hypergraph file format that file: reads",
+    # public memos: the bounds path calls the plain searches _cd, _ecd and
+    # _alt_min under them, so that a self-checking cache re-derives values
+    "cd": "public memo; the perfbench defects workload reads it through kneserlab.invariants",
+    "ecd": "public memo; the perfbench defects workload reads it through kneserlab.invariants",
+    "alt_min": "public memo; the perfbench defects workload reads it through kneserlab.invariants",
 }
 
 
@@ -51,15 +56,14 @@ def test_star_import_binds_every_exported_name():
 
 
 def _loaded_names(node: ast.AST, enclosing: tuple[str, ...] = ()) -> set[str]:
-    """Names read as ``name`` or ``x.name`` under ``node``, leaving out the
-    reads of a function or class inside its own definition."""
+    """Names read bare under ``node``, leaving out the reads of a function or
+    class inside its own definition. An attribute read ``x.name`` does not
+    count: a record field of the same name (``f.ecd``) is not a call."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         enclosing = (*enclosing, node.name)
     found = set()
     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         found.add(node.id)
-    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-        found.add(node.attr)
     for child in ast.iter_child_nodes(node):
         found |= _loaded_names(child, enclosing)
     return found - set(enclosing)
