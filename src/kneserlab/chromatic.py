@@ -53,6 +53,11 @@ class _ColoringSearch:
     color still lacks, and then must not take that color. `first_fit` colors
     once in index order; `lex_least(k)` searches level k on one search state,
     picking the open vertex v of largest score n_forbidden(v) * (N + 1) + N - v.
+
+    Every box has at least two cells: `solve_product_chromatic` answers
+    INFINITE before it would build a one-cell box. As the forbid counts are
+    exact (every change is undone in reverse order), a color that an open
+    vertex has not forbidden then completes no box.
     """
 
     def __init__(self, factors: Sequence[Hypergraph]) -> None:
@@ -122,7 +127,8 @@ class _ColoringSearch:
         return colors
 
     def lex_least(self, k: int) -> list[int] | None:
-        """The lexicographically least proper k-coloring, or None (k below the first fit's g).
+        """The lexicographically least proper k-coloring, or None exactly when
+        there is no proper k-coloring (k < chi).
 
         ``decide`` extends the current partial coloring most-constrained-first
         (most forbidden colors, ties to the least index: the largest score
@@ -155,9 +161,9 @@ class _ColoringSearch:
                     score[u] -= N + 1
             colors[v] = 0
 
-        def assign(v: int, c: int) -> tuple[list[int], list[int]] | None:
-            """Color v with c and return the undo trail, or None (with no
-            state change) if a box would become monochromatic."""
+        def assign(v: int, c: int) -> tuple[list[int], list[int]]:
+            """Color v with c, which v has not forbidden, and return the undo
+            trail; no box becomes monochromatic (see the class docstring)."""
             cov = covered[c]
             boxes = boxes_of[v]
             forbidden: list[int] = []
@@ -170,9 +176,6 @@ class _ColoringSearch:
                     # the forbids implied by this coverage are already in place
                     continue
                 miss = full[bid] ^ new
-                if not miss:
-                    undo(v, c, trail)
-                    return None
                 cov[bid] = new
                 hits = completing[bid].get(miss)
                 if hits:
@@ -194,20 +197,18 @@ class _ColoringSearch:
                 uncolored.remove(v)
                 c = 0
                 while True:
-                    trail = None
                     cap = min(k, maxc + 1)
-                    while trail is None and c < cap:
+                    c += 1
+                    while c <= cap and forbid[v][c]:
                         c += 1
-                        if not forbid[v][c]:
-                            trail = assign(v, c)
-                    if trail is not None:
+                    if c <= cap:
                         break
                     uncolored.add(v)
                     if not stack:
                         return None
                     v, c, maxc, trail = stack.pop()
                     undo(v, c, trail)
-                stack.append((v, c, maxc, trail))
+                stack.append((v, c, maxc, assign(v, c)))
                 maxc = max(maxc, c)
             rename: dict[int, int] = {}  # colors in order of first appearance
             found = [0] + [rename.setdefault(c, len(rename) + 1) for c in colors[1:]]
@@ -222,8 +223,9 @@ class _ColoringSearch:
         for v in range(1, N + 1):
             uncolored.remove(v)
             for c in range(1, witness[v]):  # each c <= maxc + 1, by first appearance
-                if forbid[v][c] or (trail := assign(v, c)) is None:
+                if forbid[v][c]:
                     continue
+                trail = assign(v, c)
                 if (found := decide(max(maxc, c))) is not None:
                     witness = found
                     break
@@ -360,18 +362,13 @@ class FactorBounds(namedtuple(
         }
 
 
-def factor_bounds(
-    H: Hypergraph,
-    r: int,
-    mode: str = "exact",
-    cache: ResultCache | None = None,
-) -> FactorBounds:
+def factor_bounds(H: Hypergraph, r: int, cache: ResultCache | None = None) -> FactorBounds:
     """cd^r, ecd^r and n - alt_r of one factor, each read through the cache
     (ops ``cd``, ``ecd``, ``alt_min``) and derived by the plain searches, not
-    their memos. Exact alternation falls back to the heuristic upper bound
-    when n > ALT_EXACT_MAX_N."""
-    if mode == "exact" and H.n > ALT_EXACT_MAX_N:
-        mode = "heuristic"
+    their memos. This is the one place that picks the alternation mode, from
+    n alone: exact up to ALT_EXACT_MAX_N vertices, else the heuristic upper
+    bound (``alt_exact`` False)."""
+    mode = "exact" if H.n <= ALT_EXACT_MAX_N else "heuristic"
 
     def alt_json() -> dict:
         res = _alt_min(H, r, mode)
@@ -391,7 +388,7 @@ def factor_row(
     cache (op ``kg_chi``); KG^r(H) is built only on a miss. When it cannot
     be built (it is over the vertex cap) the row is kept: ``kg_chi`` stays
     None and ``kg_chi_error`` holds the reason."""
-    f = factor_bounds(H, r, "exact", cache)
+    f = factor_bounds(H, r, cache)
 
     def solve() -> int | str:
         return solve_chromatic(kneser(H, r), limit)[0].to_json()

@@ -52,7 +52,6 @@ from .prooflab import (
     witness_target,
 )
 
-MODES = ("exact", "heuristic")
 COMPARE_LIMIT = 6  # compare's default solver limit, with or without the CLI
 
 
@@ -123,15 +122,15 @@ def parse_recipe(text: str) -> Hypergraph:
 
 class ExperimentSpec(namedtuple(
     "ExperimentSpec",
-    "recipes task r p limit mode s C eta coloring_path force negative_control self_check ground cache_path",
-    defaults=(None, None, None, "exact", None, None, None, None, False, False, False, False, None),
+    "recipes task r p limit s C eta coloring_path force negative_control self_check ground cache_path",
+    defaults=(None, None, None, None, None, None, None, False, False, False, False, None),
 )):
     """One task over one list of factor recipes: ``recipes`` is a tuple of
     recipe strings and ``task`` a `TASKS` key. The ints ``r``, ``p``,
     ``limit``, ``s``, ``C``, ``eta`` and the strs ``coloring_path`` and
-    ``cache_path`` are None when unset; ``mode`` is "exact" or "heuristic";
-    ``force``, ``negative_control``, ``self_check`` and ``ground`` are
-    bools, False by default."""
+    ``cache_path`` are None when unset; ``force``, ``negative_control``,
+    ``self_check`` and ``ground`` are bools, False by default. Whether
+    alternation is exact follows from each factor's n (`factor_bounds`)."""
 
     __slots__ = ()
 
@@ -346,7 +345,7 @@ def _build(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcom
 def _invariants(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
     rows = []
     for H, recipe in zip(factors, spec.recipes):
-        f = factor_bounds(H, spec.r, spec.mode, cache)
+        f = factor_bounds(H, spec.r, cache)
         rows.append(
             {
                 "recipe": recipe,
@@ -532,12 +531,7 @@ _COLORING = (
 
 TASKS: dict[str, Task] = {
     "build": Task("construct hypergraphs and write their JSON", (), _build),
-    "invariants": Task(
-        "cd / ecd / alternation per factor",
-        (_R, ("--mode", {"choices": MODES, "default": "exact"})),
-        _invariants,
-        _invariants_table,
-    ),
+    "invariants": Task("cd / ecd / alternation per factor", (_R,), _invariants, _invariants_table),
     "chromatic": Task(
         "exact chi of the product of KG^r(factors)",
         (_R_ANY, _LIMIT, ("--ground", {"action": "store_true", "help": "color the factors themselves"})),

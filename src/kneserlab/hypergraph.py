@@ -215,15 +215,20 @@ def store_hypergraph(H: Hypergraph) -> str:
     return canonical_json(H.to_json_dict()) + "\n"
 
 
-def _json_int(x: object) -> int:
-    if type(x) is not int:  # not isinstance: JSON true loads as True, an int
-        raise ValueError(f"expected an integer, got {x!r}")
+_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _json(kind: type, x: object):
+    """``x`` if its type is exactly ``kind``, else a ValueError naming the kind."""
+    if type(x) is not kind:  # not isinstance: JSON true loads as True, an int
+        raise ValueError(f"expected {_JSON_KINDS[kind]}, got {x!r}")
     return x
 
 
 def load_hypergraph(text: str) -> Hypergraph:
-    data = json.loads(text)
-    return Hypergraph(_json_int(data["n"]), [[_json_int(v) for v in e] for e in data["edges"]])
+    data = _json(dict, json.loads(text))
+    n = _json(int, data["n"])
+    return Hypergraph(n, [[_json(int, v) for v in _json(list, e)] for e in _json(list, data["edges"])])
 
 
 def store_coloring(c: Coloring) -> str:
@@ -231,5 +236,6 @@ def store_coloring(c: Coloring) -> str:
 
 
 def load_coloring(text: str) -> Coloring:
-    data = json.loads(text)
-    return Coloring(tuple(map(_json_int, data["colors"])), _json_int(data["color_count"]))
+    data = _json(dict, json.loads(text))
+    colors = tuple(_json(int, c) for c in _json(list, data["colors"]))
+    return Coloring(colors, _json(int, data["color_count"]))

@@ -187,7 +187,7 @@ def _defect_minima(
     from the heuristic alternation upper bound, which only lowers it: the
     witness target then stays within the guarantee, and the checks built on
     it only get weaker."""
-    rows = [factor_bounds(H, p, "exact", cache) for H in factors]
+    rows = [factor_bounds(H, p, cache) for H in factors]
     return min(f.ecd for f in rows), min(f.n_minus_alt for f in rows)
 
 

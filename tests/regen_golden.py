@@ -11,7 +11,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from test_golden import COMMANDS, GOLDEN, capture, write_file_graph
+from test_golden import COMMANDS, GOLDEN, capture, write_input_files
 
 
 def main() -> None:
@@ -19,7 +19,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            write_file_graph(Path(tmp))
+            write_input_files(Path(tmp))
             golden = [capture(command, "cache.jsonl") for command in COMMANDS]
         finally:
             os.chdir(here)

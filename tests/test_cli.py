@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import shlex
 import time
 from pathlib import Path
@@ -56,10 +57,16 @@ class TestRecipes:
         assert parse_recipe(f"file:{path}") == H
 
     def test_boolean_in_file_is_a_bad_recipe(self, tmp_path):
+        # and so is a file of the wrong shape
         path = tmp_path / "h.json"
-        path.write_text('{"n": true, "edges": [[1]]}')
-        with pytest.raises(RecipeError, match="expected an integer, got True"):
-            parse_recipe(f"file:{path}")
+        for text, message in (
+            ('{"n": true, "edges": [[1]]}', "expected an integer, got True"),
+            ('{"n": 2, "edges": 5}', "expected a list, got 5"),
+            ("[]", "expected an object, got []"),
+        ):
+            path.write_text(text)
+            with pytest.raises(RecipeError, match=re.escape(f"bad recipe 'file:{path}': {message}")):
+                parse_recipe(f"file:{path}")
 
     def test_bad_recipe(self):
         with pytest.raises(RecipeError):
@@ -661,17 +668,21 @@ class TestMainEntry:
 
     def test_boolean_color_in_coloring_file_fails_the_task(self, capsys, tmp_path):
         # a proper coloring with color 1 written as true, which used to run
-        # and print the witness colors as true
+        # and print the witness colors as true; and a file of the wrong shape
         path = tmp_path / "c.json"
         _, coloring = solve_chromatic(kneser(complete_uniform(4, 2), 2))
         colors = [True if c == 1 else c for c in coloring.colors]
-        path.write_text(json.dumps({"colors": colors, "color_count": coloring.color_count}))
-        code = main(["witness", "--p", "2", "--coloring", str(path), "complete:4,2"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "[witness] status=failed" in out
-        (result,) = json.loads(out[out.index("\n[\n") + 1 :])
-        assert result["payload"]["error"] == "ValueError: expected an integer, got True"
+        for data, error in (
+            ({"colors": colors, "color_count": coloring.color_count}, "expected an integer, got True"),
+            ({"colors": 5, "color_count": 2}, "expected a list, got 5"),
+        ):
+            path.write_text(json.dumps(data))
+            code = main(["witness", "--p", "2", "--coloring", str(path), "complete:4,2"])
+            out = capsys.readouterr().out
+            assert code == 1
+            assert "[witness] status=failed" in out
+            (result,) = json.loads(out[out.index("\n[\n") + 1 :])
+            assert result["payload"]["error"] == f"ValueError: {error}"
 
     def test_proper_coloring_file_gives_the_solved_payload(self, tmp_path):
         path = tmp_path / "lex.json"
@@ -820,8 +831,8 @@ def test_self_check_bypasses_the_memos():
     memos = (invariants.cd, invariants.ecd, invariants.alt_min)
     before = [m.cache_info()[:2] for m in memos]
     cache = ResultCache(self_check=True)
-    first = factor_bounds(complete_uniform(6, 2), 2, "exact", cache)
-    assert factor_bounds(complete_uniform(6, 2), 2, "exact", cache) == first
+    first = factor_bounds(complete_uniform(6, 2), 2, cache)
+    assert factor_bounds(complete_uniform(6, 2), 2, cache) == first
     assert cache.hits == 3
     assert [m.cache_info()[:2] for m in memos] == before
 

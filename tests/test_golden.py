@@ -20,12 +20,18 @@ from pathlib import Path
 from unittest import mock
 
 from kneserlab.cli import main
+from kneserlab.experiments import TASKS
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 
-# the ``file:`` recipe's hypergraph, written to the working directory
+# the input files, written to the working directory: the ``file:`` recipe's
+# hypergraph, and a proper and an improper coloring of the Petersen graph
 FILE_NAME = "g6.json"
-FILE_GRAPH = {"n": 6, "edges": [[2, 4], [3, 6], [4, 6], [1, 4, 5], [3, 4, 6], [1, 2, 4, 6]]}
+INPUT_FILES = {
+    FILE_NAME: {"n": 6, "edges": [[2, 4], [3, 6], [4, 6], [1, 4, 5], [3, 4, 6], [1, 2, 4, 6]]},
+    "petersen.json": {"colors": [1, 1, 1, 1, 2, 2, 2, 3, 3, 3], "color_count": 3},
+    "improper.json": {"colors": [1, 1, 1, 1, 2, 2, 2, 2, 2, 2], "color_count": 2},
+}
 
 COMMANDS = (
     # the README session of the benchmark's lab_cli workload
@@ -63,7 +69,15 @@ COMMANDS = (
     # symmetric inputs the walk settles by reversal and twin swaps
     "invariants --r 3 star:9",
     "invariants --r 2 complete:8,3",
-    # usage errors: a value out of range, a missing option, an unknown choice
+    # the task options no command above sets
+    "bounds --r 2 --limit 2 complete:6,2",
+    "witness --p 2 --eta 2 complete:5,2",
+    "witness --p 2 --coloring petersen.json complete:5,2",
+    "witness --p 2 --coloring improper.json complete:5,2",
+    "witness --p 2 --limit 2 complete:6,2",
+    "prooflab --p 2 --coloring petersen.json complete:5,2",
+    "compare --limit 2 cycle:5",
+    # usage errors: a value out of range, a missing option, an option the task lacks
     "prooflab --p 1 complete:3,2",
     "witness complete:5,2",
     "invariants --r 2 --mode fast complete:4,2",
@@ -91,16 +105,30 @@ def capture(command: str, cache: str, *flags: str) -> dict:
     return {"command": command, "exit": code, "text": lines[:start], "results": results}
 
 
-def write_file_graph(directory: Path) -> None:
-    (directory / FILE_NAME).write_text(json.dumps(FILE_GRAPH) + "\n")
+def write_input_files(directory: Path) -> None:
+    for name, data in INPUT_FILES.items():
+        (directory / name).write_text(json.dumps(data) + "\n")
 
 
 def test_cli_outputs_match_golden(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    write_file_graph(tmp_path)
+    write_input_files(tmp_path)
     golden = json.loads(GOLDEN.read_text())
     assert [g["command"] for g in golden] == list(COMMANDS)
     for phase, flags in (("cold", ()), ("warm", ()), ("self-check", ("--self-check",))):
         for expected in golden:
             got = capture(expected["command"], "cache.jsonl", *flags)
             assert got == expected, (phase, expected["command"])
+
+
+def test_every_task_option_is_pinned():
+    """Each flag of each task is set by some golden command of that task
+    that runs (a usage error, exit 2, does not count)."""
+    ran = [shlex.split(g["command"]) for g in json.loads(GOLDEN.read_text()) if g["exit"] != 2]
+    unpinned = [
+        f"{name} {flag}"
+        for name, task in TASKS.items()
+        for flag, _ in task.args
+        if not any(words[0] == name and flag in words for words in ran)
+    ]
+    assert unpinned == []

@@ -4,6 +4,7 @@ and colorful-balanced-complete oracles."""
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,21 +261,27 @@ class TestJson:
         assert load_hypergraph(store_hypergraph(H)) == H
 
     @pytest.mark.parametrize(
-        "text",
+        ("text", "message"),
         [
-            '{"n": true, "edges": [[1]]}',
-            '{"n": 2, "edges": [[true, 2]]}',
-            '{"colors": [1, true], "color_count": 2}',
-            '{"colors": [1, 1], "color_count": true}',
+            ('{"n": true, "edges": [[1]]}', "expected an integer, got True"),
+            ('{"n": 2, "edges": [[true, 2]]}', "expected an integer, got True"),
+            ('{"colors": [1, true], "color_count": 2}', "expected an integer, got True"),
+            ('{"colors": [1, 1], "color_count": true}', "expected an integer, got True"),
+            ('{"n": 2, "edges": 5}', "expected a list, got 5"),
+            ('{"n": 2, "edges": [5]}', "expected a list, got 5"),
+            ('[{"n": 2, "edges": []}]', "expected an object, got [{'n': 2, 'edges': []}]"),
+            ('{"colors": 5, "color_count": 2}', "expected a list, got 5"),
+            ('[{"colors": [1], "color_count": 1}]', "expected an object, got [{'colors': [1], 'color_count': 1}]"),
         ],
-        ids=["n", "vertex", "color", "color_count"],
+        ids=["n", "vertex", "color", "color_count", "edges", "edge", "graph_list", "colors", "coloring_list"],
     )
-    def test_json_booleans_are_not_integers(self, text):
-        # json loads true as True, which isinstance(True, int) accepts
+    def test_json_booleans_are_not_integers(self, text, message):
+        # json loads true as True, which isinstance(True, int) accepts; a
+        # document of the wrong shape is refused the same way
         from kneserlab import load_coloring
 
         load = load_coloring if "colors" in text else load_hypergraph
-        with pytest.raises(ValueError, match="expected an integer, got True"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             load(text)
 
     def test_coloring_round_trip(self):
