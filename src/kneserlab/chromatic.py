@@ -3,8 +3,9 @@ comparison reports.
 
 One coloring engine serves explicit hypergraphs and implicit categorical
 products alike: a hypergraph is the one-factor product. The index-order first
-fit (g colors) is the certificate at g and refutes level 1; each level 2..g-1 is
-decided by a most-constrained-first search, and at chi < g repeated decisions on
+fit (g colors), for a product the first factor's lifted, is the certificate at g
+and refutes level 1; the product's boxes are compiled only to decide a level
+2..g-1 by a most-constrained-first search, and at chi < g repeated decisions on
 the same search state fix the vertices in index order to the lex-least certificate.
 """
 
@@ -51,7 +52,8 @@ class _ColoringSearch:
     the box's full mask contains a monochromatic product edge. An open cell
     completes a box when its position contains the bits ``miss`` that the
     color still lacks, and then must not take that color. `first_fit` colors
-    once in index order; `lex_least(k)` searches level k on one search state,
+    once in index order (on a product's first factor alone, then lifted: see
+    `solve_product_chromatic`); `lex_least(k)` searches level k on one state,
     picking the open vertex v of largest score n_forbidden(v) * (N + 1) + N - v.
 
     Every box has at least two cells: `solve_product_chromatic` answers
@@ -252,19 +254,35 @@ def solve_product_chromatic(
     k = 2..g-1 is one `_ColoringSearch.lex_least`, whose first decision refutes
     k or proves it; at chi < g the decisions that follow refine that witness
     into the certificate. As chi <= g, this is iterative deepening from k = 1.
+
+    F is H_1's first fit F_1 lifted when H_1 has no singleton edge (else the
+    product engine's own): F(u, w) = F_1(u) if each coordinate of the rest
+    tuple w lies in an edge of its factor (w is live), else 1. By induction in
+    index order: a cell with w not live lies in no box; for c < F_1(u), F_1
+    colors e - {u} with c above u for an edge e through u, so (u, w) completes
+    a box e x f with w in f; had (u, w) completed e x f in color F_1(u), every
+    row of e - {u} (nonempty, as |e| >= 2) would hold it above u, so F_1 would
+    have refused it at u. The product's engine is built only to search a level.
     """
     if not factors:
         raise ValueError("product needs at least one factor")
     if all(H.has_singleton_edge() for H in factors):
         # a box of singleton edges is a singleton product edge
         return ChromaticValue.infinite(), None
-    engine = _ColoringSearch(factors)
+    head_only = len(factors) > 1 and not factors[0].has_singleton_edge()
+    engine = _ColoringSearch(factors[:1] if head_only else factors)
     first = engine.first_fit()
+    if head_only:
+        inside = [[any(v in e for e in H.edges) for v in range(1, H.n + 1)] for H in factors[1:]]
+        live = [all(w) for w in iproduct(*inside)]
+        first = [c if w else 1 for c in first for w in live]
     g = max(first, default=1)
     k = min(2, g)
     while True:
         if limit is not None and k > limit:
             return ChromaticValue.exceeds(limit), None
+        if k < g and head_only:  # the product's own engine, built for the first searched level
+            engine, head_only = _ColoringSearch(factors), False
         if (colors := first if k == g else engine.lex_least(k)) is not None:
             return ChromaticValue.finite(k), Coloring(tuple(colors), k)
         k += 1

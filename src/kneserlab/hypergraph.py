@@ -225,10 +225,17 @@ def _json(kind: type, x: object):
     return x
 
 
+def _field(data: dict, key: str, kind: type):
+    """``data[key]`` checked by `_json`, else a ValueError naming the key."""
+    if key not in data:
+        raise ValueError(f"missing key {key!r}")
+    return _json(kind, data[key])
+
+
 def load_hypergraph(text: str) -> Hypergraph:
     data = _json(dict, json.loads(text))
-    n = _json(int, data["n"])
-    return Hypergraph(n, [[_json(int, v) for v in _json(list, e)] for e in _json(list, data["edges"])])
+    n = _field(data, "n", int)
+    return Hypergraph(n, [[_json(int, v) for v in _json(list, e)] for e in _field(data, "edges", list)])
 
 
 def store_coloring(c: Coloring) -> str:
@@ -237,5 +244,5 @@ def store_coloring(c: Coloring) -> str:
 
 def load_coloring(text: str) -> Coloring:
     data = _json(dict, json.loads(text))
-    colors = tuple(_json(int, c) for c in _json(list, data["colors"]))
-    return Coloring(colors, _json(int, data["color_count"]))
+    colors = tuple(_json(int, c) for c in _field(data, "colors", list))
+    return Coloring(colors, _field(data, "color_count", int))

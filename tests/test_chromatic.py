@@ -439,6 +439,97 @@ class TestFirstFit:
         assert levels == [2]
 
 
+class TestLiftedFirstFit:
+    """Without a singleton edge in the first factor, the solver's first fit
+    is the first factor's, lifted over the live tuples of the rest; it must
+    equal the product engine's own `first_fit`, and the product's engine is
+    built only for a searched level."""
+
+    @staticmethod
+    def solver_first_fit(monkeypatch, factors):
+        # with every searched level refuted, the solver returns g with F
+        monkeypatch.setattr(_ColoringSearch, "lex_least", lambda self, k: None)
+        value, coloring = solve_product_chromatic(factors)
+        assert value.as_int() == max(coloring.colors, default=1)
+        return list(coloring.colors)
+
+    @staticmethod
+    def random_factor(rng):
+        # up to four edges of one to four vertices, none when n = 0
+        n = rng.randint(0, 6)
+        sizes = [rng.randint(1, min(n, 4)) for _ in range(rng.randint(0, 4) if n else 0)]
+        return Hypergraph(n, {frozenset(rng.sample(range(1, n + 1), m)) for m in sizes})
+
+    def test_random_products(self, monkeypatch):
+        rng = random.Random(4249)
+        kinds = {
+            "mixed sizes": lambda H, j: len({len(e) for e in H.edges}) > 1,
+            "later singleton": lambda H, j: j > 0 and H.has_singleton_edge(),
+            "later isolated vertex": lambda H, j: j > 0 and bool(set(range(1, H.n + 1)) - set().union(*H.edges)),
+            "edgeless": lambda H, j: H.edge_count == 0,
+            "n = 0": lambda H, j: H.n == 0,
+        }
+        seen = dict.fromkeys(kinds, 0)
+        checked = 0
+        while checked < 400:
+            factors = [self.random_factor(rng) for _ in range(rng.randint(1, 3))]
+            if all(H.has_singleton_edge() for H in factors):
+                continue
+            first = _ColoringSearch(factors).first_fit()
+            assert self.solver_first_fit(monkeypatch, factors) == first, factors
+            checked += 1
+            for kind, has in kinds.items():
+                seen[kind] += any(has(H, j) for j, H in enumerate(factors))
+        assert all(count >= 20 for count in seen.values()), seen
+
+    @pytest.mark.parametrize(
+        "factors, first",
+        [
+            # a lift ignoring the singleton edge {1} gives [1, 1, 1, 1, 1, 1, 2, 2, 2]
+            pytest.param(
+                [Hypergraph(3, [[1], [2, 3]]), Hypergraph(3, [[1, 2], [2, 3]])],
+                [1, 2, 1, 1, 1, 1, 2, 2, 2],
+                id="singleton-edge-in-first-factor",
+            ),
+            # a lift without the live rule colors the cell (2, 3) with 2
+            pytest.param(
+                [Hypergraph(3, [[1, 2], [2, 3]]), Hypergraph(3, [[1, 2]])],
+                [1, 1, 1, 2, 2, 1, 1, 1, 1],
+                id="isolated-vertex-in-rest",
+            ),
+        ],
+    )
+    def test_mutant_controls(self, monkeypatch, factors, first):
+        assert _ColoringSearch(factors).first_fit() == first
+        assert self.solver_first_fit(monkeypatch, factors) == first
+
+    @staticmethod
+    def engines_built(monkeypatch, factors):
+        """The number of factors of each engine the solver builds."""
+        built = []
+        init = _ColoringSearch.__init__
+
+        def spy(self, fs):
+            built.append(len(fs))
+            init(self, fs)
+
+        monkeypatch.setattr(_ColoringSearch, "__init__", spy)
+        solve_product_chromatic(factors)
+        return built
+
+    @pytest.mark.parametrize(
+        "make, built",
+        [
+            pytest.param(lambda: [_kg(7, 2, 3)] * 2, [1], id="KG^3(7,2)^2-no-level-searched"),
+            pytest.param(lambda: [_kg(5, 2)] * 2, [1, 2], id="KG(5,2)^2-level-2-searched"),
+            pytest.param(lambda: [kneser(hnka(8, 2, 3), 2)], [1], id="one-factor-four-levels-searched"),
+            pytest.param(lambda: [complete_uniform(3, 1), complete_uniform(4, 2)], [2], id="singleton-fallback"),
+        ],
+    )
+    def test_engines_built(self, monkeypatch, make, built):
+        assert self.engines_built(monkeypatch, make()) == built
+
+
 class TestBoundReport:
     def test_single_factor_equality_chain(self):
         rep = bound_report([hnka(7, 2, 3)], 2)

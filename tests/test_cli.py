@@ -68,6 +68,12 @@ class TestRecipes:
             with pytest.raises(RecipeError, match=re.escape(f"bad recipe 'file:{path}': {message}")):
                 parse_recipe(f"file:{path}")
 
+    def test_missing_key_in_file_is_a_bad_recipe(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('{"edges": []}')
+        with pytest.raises(RecipeError, match=re.escape(f"bad recipe 'file:{path}': missing key 'n'")):
+            parse_recipe(f"file:{path}")
+
     def test_bad_recipe(self):
         with pytest.raises(RecipeError):
             parse_recipe("nonsense:1")
@@ -683,6 +689,16 @@ class TestMainEntry:
             assert "[witness] status=failed" in out
             (result,) = json.loads(out[out.index("\n[\n") + 1 :])
             assert result["payload"]["error"] == f"ValueError: {error}"
+
+    def test_missing_key_in_coloring_file_fails_the_task(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"color_count": 3}')
+        code = main(["witness", "--p", "2", "--coloring", str(path), "complete:5,2"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "[witness] status=failed" in out
+        (result,) = json.loads(out[out.index("\n[\n") + 1 :])
+        assert result["payload"]["error"] == "ValueError: missing key 'colors'"
 
     def test_proper_coloring_file_gives_the_solved_payload(self, tmp_path):
         path = tmp_path / "lex.json"

@@ -77,6 +77,11 @@ COMMANDS = (
     "witness --p 2 --limit 2 complete:6,2",
     "prooflab --p 2 --coloring petersen.json complete:5,2",
     "compare --limit 2 cycle:5",
+    # products first-fit on the first factor and lifted: chi = 2 with no box
+    # table, a factor with an isolated vertex, and the singleton-edge fallback
+    "chromatic --r 3 complete:7,2 complete:7,2",
+    "chromatic --r 2 complete:5,2 hnka:5,2,3",
+    "chromatic --r 0 --ground complete:3,1 complete:4,2",
     # usage errors: a value out of range, a missing option, an option the task lacks
     "prooflab --p 1 complete:3,2",
     "witness complete:5,2",

@@ -284,6 +284,22 @@ class TestJson:
         with pytest.raises(ValueError, match=re.escape(message)):
             load(text)
 
+    @pytest.mark.parametrize(
+        ("loader", "text", "key"),
+        [
+            ("load_hypergraph", '{"edges": []}', "n"),
+            ("load_hypergraph", '{"n": 2}', "edges"),
+            ("load_coloring", '{"color_count": 3}', "colors"),
+            ("load_coloring", '{"colors": [1]}', "color_count"),
+        ],
+        ids=["n", "edges", "colors", "color_count"],
+    )
+    def test_missing_key_is_named(self, loader, text, key):
+        import kneserlab
+
+        with pytest.raises(ValueError, match=re.escape(f"missing key {key!r}")):
+            getattr(kneserlab, loader)(text)
+
     def test_coloring_round_trip(self):
         from kneserlab import load_coloring, store_coloring
 
