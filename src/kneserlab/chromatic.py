@@ -385,17 +385,17 @@ def factor_bounds(H: Hypergraph, r: int, cache: ResultCache | None = None) -> Fa
     (ops ``cd``, ``ecd``, ``alt_min``) and derived by the plain searches, not
     their memos. This is the one place that picks the alternation mode, from
     n alone: exact up to ALT_EXACT_MAX_N vertices, else the heuristic upper
-    bound (``alt_exact`` False)."""
-    mode = "exact" if H.n <= ALT_EXACT_MAX_N else "heuristic"
+    bound (``alt_exact`` False). The mode is not a cache parameter: it
+    follows from n, and the key's code version keeps other rules apart."""
 
     def alt_json() -> dict:
-        res = _alt_min(H, r, mode)
-        return {"alt": res.value, "status": res.status, "sigma": list(res.sigma.sigma)}
+        res = _alt_min(H, r, "exact" if H.n <= ALT_EXACT_MAX_N else "heuristic")
+        return {"alt": res.value, "exact": res.exact, "sigma": list(res.sigma.sigma)}
 
     cd_v = cached_value(cache, H, "cd", [r], lambda: _cd(H, r))
     ecd_v = cached_value(cache, H, "ecd", [r], lambda: _ecd(H, r))
-    alt = cached_value(cache, H, "alt_min", [r, mode], alt_json)
-    return FactorBounds(r, H.n, cd_v, ecd_v, H.n - alt["alt"], alt["status"] == "EXACT")
+    alt = cached_value(cache, H, "alt_min", [r], alt_json)
+    return FactorBounds(r, H.n, cd_v, ecd_v, H.n - alt["alt"], alt["exact"])
 
 
 def factor_row(

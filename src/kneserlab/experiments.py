@@ -142,9 +142,12 @@ class ExperimentSpec(namedtuple(
             raise ValueError("no factor recipes given")
         for flag, kwargs in task.args:
             value = getattr(self, kwargs.get("dest", flag.lstrip("-").replace("-", "_")))
+            want = kwargs.get("type", bool if kwargs.get("action") == "store_true" else str)
             if value is None:
                 if kwargs.get("required"):
                     raise ValueError(f"task {self.task!r} needs {flag}")
+            elif type(value) is not want:
+                raise ValueError(f"task {self.task!r}: {flag} must be {want.__name__}, not {value!r}")
             elif "choices" in kwargs and value not in kwargs["choices"]:
                 allowed = ", ".join(map(str, kwargs["choices"]))
                 raise ValueError(f"task {self.task!r}: invalid {flag} {value!r} (choose from {allowed})")

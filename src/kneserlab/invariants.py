@@ -6,7 +6,8 @@ most MEMO_SIZE entries each. A search node asks whether a class mask spans
 an edge: up to T_ENUM_CAP vertices by one index into the call's own
 `span_table`, above it by scanning the edges through the vertex just
 added. Deliberately dumb reference implementations live with the tests as
-independent oracles.
+independent oracles. A sign vector is a plain tuple of entries in 0..m:
+0 is "unsigned", 1..m the m cyclic signs of `act_sign` (m the identity).
 """
 
 from __future__ import annotations
@@ -24,29 +25,6 @@ ALT_EXACT_MAX_N = 9
 
 # Entries kept by each of the cd, ecd and alt_min memos.
 MEMO_SIZE = 4096
-
-
-class SignVector(namedtuple("SignVector", "modulus entries")):
-    """An element of (Z_m u {0})^n, m = ``modulus``, n = len(``entries``):
-    entry 0 is "unsigned", entries 1..m encode the m cyclic signs (m is the
-    identity sign)."""
-
-    __slots__ = ()
-
-    def __new__(cls, modulus: int, entries: tuple[int, ...]) -> SignVector:
-        if modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        for x in entries:
-            if not 0 <= x <= modulus:
-                raise ValueError(f"entry {x} outside [0..{modulus}]")
-        return super().__new__(cls, modulus, entries)
-
-    def class_mask(self, sign: int) -> int:
-        m = 0
-        for i, x in enumerate(self.entries):
-            if x == sign:
-                m |= 1 << i
-        return m
 
 
 def balanced_size(sizes: Sequence[int]) -> int:
@@ -311,13 +289,9 @@ def _symmetric_prefix(order: list[int], below: dict[int, int]) -> int:
 
 class AltResult(namedtuple("AltResult", "value sigma exact")):
     """alt ``value`` (int) with its certificate ordering ``sigma`` (a
-    `Permutation`); ``exact=False`` marks a heuristic UPPER_BOUND."""
+    `Permutation`); ``exact=False`` marks a heuristic upper bound."""
 
     __slots__ = ()
-
-    @property
-    def status(self) -> str:
-        return "EXACT" if self.exact else "UPPER_BOUND"
 
 
 def _alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltResult:

@@ -1,12 +1,12 @@
 """Combinatorial verification lab for the colorful-witness machinery.
 
-Everything here works on sign vectors over Z_p u {0} split into per-factor
-blocks. A vector is *saturated* when every sign class of every block spans
-an edge of its factor (else *deficient*). Two cyclic-equivariant labelings
-are built, one per kind; their consistency on the face order is checked
-exhaustively, and the saturated-side search extracts colorful balanced
-complete p-partite witnesses from proper colorings of products of general
-Kneser hypergraphs.
+Everything here works on sign vectors over Z_p u {0}, plain tuples of
+entries in 0..p, split into per-factor blocks. A vector is *saturated* when
+every sign class of every block spans an edge of its factor (else
+*deficient*). Two cyclic-equivariant labelings are built, one per kind;
+their consistency on the face order is checked exhaustively, and the
+saturated-side search extracts colorful balanced complete p-partite
+witnesses from proper colorings of products of general Kneser hypergraphs.
 
 Both sweeps label from per-factor block tables and take their product, so
 that lex order of the blocks is lex vector order. On the deficient side
@@ -15,7 +15,7 @@ label: its index term, its block-signature component and its edge-spanning
 signs; a vector's label is one sum and one sign-table lookup. On the
 saturated side `_saturated_blocks` lists each factor's saturated blocks with
 their class masks, for `sigma2_scan` and the lemma-2 sweep. One reader per
-sweep, `_color_reader`, gives them and `extract_witness(factors, X,
+sweep, `_color_reader`, gives them and `extract_witness(factors, p, X,
 coloring, q)` the colors each sign class realizes and by which product
 vertex; `PartiteWitness.problems` checks on its own lookup. The color
 simplex tau(X) is kept as those rows, one per sign. The sign tables refuse a
@@ -30,12 +30,12 @@ from collections.abc import Callable, Sequence
 from itertools import product as iproduct
 from math import isqrt, prod
 
-from .bits import submasks
+from .bits import mask_of, submasks
 from .cache import ResultCache
 from .chromatic import factor_bounds
 from .constructions import ProductSpace
 from .hypergraph import CapExceededError, Coloring, Hypergraph, span_table
-from .invariants import SignVector, act_sign, balanced_size
+from .invariants import act_sign, balanced_size
 
 # Exhaustive labeling sweeps enumerate (p+1)^n vectors and (2p+1)^n face
 # pairs; keep them loudly bounded.
@@ -390,7 +390,7 @@ def _label_violations(labels: dict, p: int, cap: int, saturated: bool) -> list[V
 
 class ScanResult(namedtuple("ScanResult", "max_ell argmax saturated_count")):
     """`sigma2_scan`'s outcome: the int ``max_ell``, its first maximizer
-    ``argmax`` (a `SignVector`, None with no saturated vector), and the int
+    ``argmax`` (its entries tuple, None with no saturated vector), and the int
     ``saturated_count``."""
 
     __slots__ = ()
@@ -418,7 +418,7 @@ def sigma2_scan(
                 break
     if best_entries is None:
         return ScanResult(0, None, 0)
-    return ScanResult(best, SignVector(p, best_entries), prod(len(b) for b in per_factor_blocks))
+    return ScanResult(best, best_entries, prod(len(b) for b in per_factor_blocks))
 
 
 class PartiteWitness(namedtuple("PartiteWitness", "p parts colors experimental", defaults=(False,))):
@@ -489,25 +489,28 @@ class PartiteWitness(namedtuple("PartiteWitness", "p parts colors experimental",
 
 
 def extract_witness(
-    factors: Sequence[Hypergraph], X: SignVector, coloring: Coloring, q: int
+    factors: Sequence[Hypergraph], p: int, X: Sequence[int], coloring: Coloring, q: int
 ) -> PartiteWitness:
-    """Build a q-vertex witness from a saturated vector whose color simplex
-    has balanced size at least q: keep a balanced sub-simplex of q cells and
-    realize each cell by the first product vertex of its sign class with the
-    required color. ``X`` is cut into one block per factor, as long as its
-    order."""
-    p = X.modulus
-    if sum(H.n for H in factors) != len(X.entries):
+    """Build a q-vertex witness from a saturated vector ``X`` (entries in
+    0..p) whose color simplex has balanced size at least q: keep a balanced
+    sub-simplex of q cells and realize each cell by the first product vertex
+    of its sign class with the required color. ``X`` is cut into one block
+    per factor, as long as its order."""
+    if p < 1:
+        raise ValueError("modulus must be >= 1")
+    if any(not 0 <= x <= p for x in X):
+        raise ValueError(f"entry outside [0..{p}] in {tuple(X)}")
+    if sum(H.n for H in factors) != len(X):
         raise ValueError("factor orders do not add up to the vector length")
     if q < 0:
         raise ValueError("witness size must be nonnegative")
     if q == 0:
         return PartiteWitness(p, ((),) * p, ((),) * p)
-    blocks, rest = [], X.entries
-    for H in factors:
-        blocks.append(SignVector(p, rest[: H.n]))
-        rest = rest[H.n :]
-    masks = [tuple(blk.class_mask(s) for blk in blocks) for s in range(1, p + 1)]
+    offsets = [sum(G.n for G in factors[:j]) for j in range(len(factors))]
+    masks = [
+        tuple(mask_of(v for v in range(1, H.n + 1) if X[o + v - 1] == s) for H, o in zip(factors, offsets))
+        for s in range(1, p + 1)
+    ]
     rows = _tau(masks, _color_reader(factors, coloring))
     sizes = [len(row) for row in rows]
     ell = balanced_size(sizes)
@@ -580,7 +583,7 @@ def find_witness(
         scan = sigma2_scan(factors, p, coloring)
     if scan.argmax is None or scan.max_ell < target:
         return None
-    witness = extract_witness(factors, scan.argmax, coloring, target)
+    witness = extract_witness(factors, p, scan.argmax, coloring, target)
     return witness._replace(experimental=True) if experimental else witness
 
 

@@ -32,7 +32,6 @@ from kneserlab import (
     Hypergraph,
     Permutation,
     ProductSpace,
-    SignVector,
     alt_min,
     complete_uniform,
     hnka,
@@ -92,9 +91,14 @@ def class_vertices(coloring: Coloring, color: int) -> tuple[int, ...]:
     return tuple(v for v, c in enumerate(coloring.colors, start=1) if c == color)
 
 
-def alt_naive(X: SignVector) -> int:
+def class_mask(entries: Sequence[int], sign: int) -> int:
+    """The class of ``sign`` in a sign vector: bit i-1 set iff entry i is ``sign``."""
+    return mask_of(i for i, x in enumerate(entries, start=1) if x == sign)
+
+
+def alt_naive(entries: Sequence[int]) -> int:
     """Oracle: longest alternating subsequence by dynamic programming."""
-    vals = [x for x in X.entries if x]
+    vals = [x for x in entries if x]
     best = [0] * len(vals)
     for i, x in enumerate(vals):
         prev = max((best[j] for j in range(i) if vals[j] != x), default=0)
@@ -155,7 +159,6 @@ def alt_sigma(H: Hypergraph, r: int, sigma: Permutation) -> int:
 def alt_sigma_naive(H: Hypergraph, r: int, sigma: Permutation) -> int:
     best = 0
     for entries in itertools.product(range(r + 1), repeat=H.n):
-        X = SignVector(r, entries)
         ok = True
         for s in range(1, r + 1):
             vmask = mask_of(sigma.sigma[i] for i, x in enumerate(entries) if x == s)
@@ -163,17 +166,16 @@ def alt_sigma_naive(H: Hypergraph, r: int, sigma: Permutation) -> int:
                 ok = False
                 break
         if ok:
-            best = max(best, alt_naive(X))
+            best = max(best, alt_naive(entries))
     return best
 
 
 def alt_min_lex_naive(H: Hypergraph, r: int) -> tuple[int, tuple[int, ...]]:
     """Oracle: plain minimum over all orderings of the exhaustive per-sigma
     maximum, with the first ordering in lex order that attains it."""
-    vectors = [SignVector(r, e) for e in itertools.product(range(r + 1), repeat=H.n)]
     scored = [
-        (alt_naive(X), [[i + 1 for i, x in enumerate(X.entries) if x == s] for s in range(1, r + 1)])
-        for X in vectors
+        (alt_naive(X), [[i + 1 for i, x in enumerate(X) if x == s] for s in range(1, r + 1)])
+        for X in itertools.product(range(r + 1), repeat=H.n)
     ]
     best = None
     for perm in itertools.permutations(range(1, H.n + 1)):
@@ -448,9 +450,9 @@ def _split_naive(factors: Sequence[Hypergraph], p: int, entries: tuple[int, ...]
     whose class spans an edge of the factor)."""
     out, start = [], 0
     for H in factors:
-        blk = SignVector(p, entries[start : start + H.n])
+        blk = entries[start : start + H.n]
         start += H.n
-        signs = frozenset(s for s in range(1, p + 1) if contains_edge_within(H, blk.class_mask(s)))
+        signs = frozenset(s for s in range(1, p + 1) if contains_edge_within(H, class_mask(blk, s)))
         out.append((H, blk, signs))
     return tuple(out)
 
@@ -468,18 +470,18 @@ def nu_naive(blocks, p: int, variant: str) -> int:
     total = 0
     for H, blk, present in blocks:
         if len(present) == p:
-            total += sum(1 for x in blk.entries if x)
+            total += sum(1 for x in blk if x)
             continue
         order = alt_min(H, p, "exact").sigma.sigma if variant == "alternation" else None
         best = 0
         for keep in itertools.product((0, 1), repeat=H.n):
-            sub = SignVector(p, tuple(x if k else 0 for x, k in zip(blk.entries, keep)))
-            if any(contains_edge_within(H, sub.class_mask(s)) for s in range(1, p + 1)):
+            sub = tuple(x if k else 0 for x, k in zip(blk, keep))
+            if any(contains_edge_within(H, class_mask(sub, s)) for s in range(1, p + 1)):
                 continue
             if variant == "alternation":
-                score = alt_naive(SignVector(p, tuple(sub.entries[v - 1] for v in order)))
+                score = alt_naive(tuple(sub[v - 1] for v in order))
             else:
-                sizes = [sub.entries.count(s) for s in range(1, p + 1)]
+                sizes = [sub.count(s) for s in range(1, p + 1)]
                 score = p * min(sizes) + sum(1 for size in sizes if size > min(sizes))
             best = max(best, score)
         total += len(present) + best
@@ -493,16 +495,16 @@ def block_signature_naive(blocks, p: int) -> tuple | None:
     when some block has a proper nonempty set of edge-spanning signs."""
     comps: list[tuple] = []
     for _, blk, present in blocks:
-        sizes = [blk.entries.count(s) for s in range(1, p + 1)]
+        sizes = [blk.count(s) for s in range(1, p + 1)]
         if len(present) == p:
-            comps.append(("vec", blk.entries))
+            comps.append(("vec", blk))
         elif present:
             return None
         elif min(sizes) == 0:
             comps.append(("set", tuple(s for s in range(1, p + 1) if sizes[s - 1] > 0)))
         else:
             h = min(sizes)
-            comps.append(("vec", tuple(x if x and sizes[x - 1] == h else 0 for x in blk.entries)))
+            comps.append(("vec", tuple(x if x and sizes[x - 1] == h else 0 for x in blk)))
     return tuple(comps)
 
 
@@ -514,10 +516,10 @@ def lambda1_naive(blocks, p: int, tables, variant: str) -> tuple[int, int]:
     elif variant == "alternation":
         # the first nonzero entry, each block read in its alternation order
         sign = next(
-            blk.entries[v - 1]
+            blk[v - 1]
             for H, blk, _ in blocks
             for v in alt_min(H, p, "exact").sigma.sigma
-            if blk.entries[v - 1]
+            if blk[v - 1]
         )
     else:
         sign = tables.sign_for_blocks(sig)

@@ -466,6 +466,26 @@ class TestCache:
         }
         assert {"cd", "ecd", "alt_min", "kg_chi", "product_kg_chi"} <= ops
 
+    def test_alternation_line_keyed_by_r_alone(self, tmp_path):
+        # the mode follows from n, so the line keeps r and the bool "exact" only
+        path = tmp_path / "cache.jsonl"
+        spec = ExperimentSpec(("complete:17,2", "complete:4,2"), "bounds", r=2, cache_path=str(path))
+        assert run(spec).status == "ok"
+        lines = path.read_text().splitlines()
+        digest = hypergraph_digest(complete_uniform(17, 2))
+        (alt,) = [
+            record
+            for record in map(json.loads, lines)
+            if record["key"]["op"] == "alt_min" and record["key"]["digest"] == digest
+        ]
+        assert alt["key"]["params"] == [2]
+        assert sorted(alt["value"]) == ["alt", "exact", "sigma"] and alt["value"]["exact"] is False
+        for self_check in (False, True):
+            warm = run(spec._replace(task="invariants", self_check=self_check))
+            assert warm.status == "ok"
+            assert [f["alt_status"] for f in warm.payload["factors"]] == ["UPPER_BOUND", "EXACT"]
+        assert path.read_text().splitlines() == lines  # both warm runs were served
+
 
 class TestMainEntry:
     def test_bounds_command(self, capsys, tmp_path):
@@ -630,6 +650,24 @@ class TestMainEntry:
         spec = spec_from_args(build_parser().parse_args(argv))
         with pytest.raises(ValueError, match=f"invalid {flag}"):
             spec._replace(**{flag.lstrip("-"): value}).validate()
+
+    @pytest.mark.parametrize(
+        "task, options, flag",
+        [
+            ("chromatic", {"r": 2.5}, "--r"),
+            ("chromatic", {"r": 2, "limit": False}, "--limit"),
+            ("invariants", {"r": True}, "--r"),
+            ("witness", {"p": 2, "eta": True}, "--eta"),
+            ("reduce", {"r": 2, "s": 2, "C": True}, "--C"),
+            ("prooflab", {"p": 2, "negative_control": 1}, "--negative-control"),
+            ("witness", {"p": 2, "coloring_path": 3}, "--coloring"),
+        ],
+    )
+    def test_option_of_another_type_rejected(self, task, options, flag):
+        # a bool is an int to isinstance, and 2.5 passes no domain check;
+        # the CLI never builds these, since argparse converts each flag
+        with pytest.raises(ValueError, match=flag):
+            run(ExperimentSpec(("complete:4,2",), task, **options))
 
     @pytest.mark.parametrize(
         "argv, status",

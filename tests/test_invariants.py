@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from kneserlab import (
     Hypergraph,
     Permutation,
-    SignVector,
     alt_min,
     cd,
     ecd,
@@ -31,6 +30,7 @@ from conftest import (
     alt_sigma,
     alt_sigma_naive,
     cd_naive,
+    class_mask,
     ecd_naive,
     random_hypergraph,
     random_pool,
@@ -43,9 +43,10 @@ STAR4 = star(4)  # ([4], {{1,4},{2,4},{3,4}})
 
 @st.composite
 def sign_vectors(draw, max_modulus: int = 3, max_len: int = 6):
+    """A modulus m and the entries, each in 0..m, of a sign vector."""
     m = draw(st.integers(1, max_modulus))
     entries = draw(st.lists(st.integers(0, m), max_size=max_len))
-    return SignVector(m, tuple(entries))
+    return m, tuple(entries)
 
 
 @st.composite
@@ -62,22 +63,22 @@ def small_hypergraphs(draw, max_n: int = 5, max_edges: int = 6):
 
 class TestAlt:
     def test_run_example(self):
-        X = SignVector(2, (1, 0, 2, 2, 1))
-        assert alt_naive(X) == 3
+        assert alt_naive((1, 0, 2, 2, 1)) == 3
 
     def test_zero_vector(self):
-        assert alt_naive(SignVector(2, (0, 0, 0))) == 0
+        assert alt_naive((0, 0, 0)) == 0
 
     def test_constant_vector(self):
-        assert alt_naive(SignVector(2, (1, 1, 1))) == 1
+        assert alt_naive((1, 1, 1)) == 1
 
     @given(sign_vectors())
     @settings(max_examples=100, deadline=None)
-    def test_sign_class_views_consistent(self, X):
-        sizes = [X.class_mask(s).bit_count() for s in range(1, X.modulus + 1)]
-        assert sum(sizes) == len(X.entries) - X.entries.count(0)
+    def test_sign_class_views_consistent(self, vector):
+        m, X = vector
+        sizes = [class_mask(X, s).bit_count() for s in range(1, m + 1)]
+        assert sum(sizes) == len(X) - X.count(0)
         h = min(sizes)
-        assert invariants.balanced_size(sizes) == X.modulus * h + sum(1 for s in sizes if s > h)
+        assert invariants.balanced_size(sizes) == m * h + sum(1 for s in sizes if s > h)
 
 
 class TestCd:
@@ -214,7 +215,7 @@ class TestAltMin:
         H = complete_uniform(6, 2)
         exact = alt_min(H, 2, "exact")
         heur = alt_min(H, 2, "heuristic")
-        assert not heur.exact and heur.status == "UPPER_BOUND"
+        assert not heur.exact
         assert heur.value >= exact.value
 
     def test_certificate_is_optimal(self):

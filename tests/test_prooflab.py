@@ -15,7 +15,6 @@ from kneserlab import (
     Permutation,
     ProductSpace,
     SignMapTables,
-    SignVector,
     Violation,
     alt_min,
     check_lemma1,
@@ -49,6 +48,7 @@ from kneserlab.prooflab import (
 )
 import conftest
 from conftest import (
+    class_mask,
     contains_edge_within,
     is_colorful_balanced_complete,
     labels_naive,
@@ -71,9 +71,9 @@ CU5 = complete_uniform(5, 2)
 ASYMMETRIC = Hypergraph(5, [(1,), (4,), (1, 2), (1, 5), (3, 5), (1, 2, 4)])
 
 
-def act_vector(g: int, X: SignVector) -> SignVector:
-    """Multiply every nonzero entry of ``X`` by the group element ``g``."""
-    return SignVector(X.modulus, tuple(act_sign(g, x, X.modulus) if x else 0 for x in X.entries))
+def act_vector(g: int, X: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Multiply every nonzero entry of ``X`` (signs mod ``p``) by the group element ``g``."""
+    return tuple(act_sign(g, x, p) if x else 0 for x in X)
 
 
 def row_sizes(cells, p: int) -> tuple[int, ...]:
@@ -136,9 +136,9 @@ class TestSplit:
         # the factor orders must add up to the vector length
         coloring = Coloring((1,) * 3, 1)  # KG^2 of CU3 has no edge
         with pytest.raises(ValueError, match="add up"):
-            extract_witness([CU3], SignVector(2, (1, 0)), coloring, 1)
+            extract_witness([CU3], 2, (1, 0), coloring, 1)
         with pytest.raises(ValueError, match="add up"):
-            extract_witness([CU3], SignVector(2, (1, 0, 2, 1)), coloring, 1)
+            extract_witness([CU3], 2, (1, 0, 2, 1), coloring, 1)
 
 
 class TestNu:
@@ -152,8 +152,7 @@ class TestNu:
         oracle = 0
         for keep in itertools.product((0, 1), repeat=3):
             entries = tuple(x if k else 0 for x, k in zip((1, 2, 0), keep))
-            sub = SignVector(2, entries)
-            if any(contains_edge_within(CU3, sub.class_mask(s)) for s in (1, 2)):
+            if any(contains_edge_within(CU3, class_mask(entries, s)) for s in (1, 2)):
                 continue
             oracle = max(oracle, balanced_size([entries.count(s) for s in (1, 2)]))
         assert oracle == 2
@@ -188,10 +187,10 @@ class TestLambda1:
 
     def test_equivariance_spot(self):
         got = labels([CU5], 3)
-        X = SignVector(3, (1, 2, 0, 1, 0))
-        base = got[X.entries]
+        X = (1, 2, 0, 1, 0)
+        base = got[X]
         for g in (1, 2):
-            assert got[act_vector(g, X).entries] == (act_sign(g, base[0], 3), base[1])
+            assert got[act_vector(g, X, 3)] == (act_sign(g, base[0], 3), base[1])
 
     def test_rejected_on_saturated(self):
         # saturated vectors get no deficient-side label
@@ -242,9 +241,9 @@ class TestLambda2:
     def test_equivariance_spot(self):
         coloring = min_element_coloring_petersen()
         got = labels([CU5], 2, coloring)
-        X = SignVector(2, (1, 1, 1, 2, 2))
-        base = got[X.entries]
-        assert got[act_vector(1, X).entries] == (act_sign(1, base[0], 2), base[1])
+        X = (1, 1, 1, 2, 2)
+        base = got[X]
+        assert got[act_vector(1, X, 2)] == (act_sign(1, base[0], 2), base[1])
 
 
 class TestSignTables:
@@ -410,7 +409,7 @@ def solve_product_chromatic_pair(kg):
 class TestWitness:
     def test_extract_petersen(self):
         coloring = min_element_coloring_petersen()
-        w = extract_witness([CU5], SignVector(2, (1, 1, 1, 2, 2)), coloring, 3)
+        w = extract_witness([CU5], 2, (1, 1, 1, 2, 2), coloring, 3)
         assert w.size == 3
         assert w.parts == (((1,), (5,)), ((10,),))  # {1,2},{2,3} | {4,5}
         assert w.colors == ((1, 2), (3,))
@@ -422,25 +421,40 @@ class TestWitness:
 
     def test_extract_single_vertex_per_sign(self):
         coloring = min_element_coloring_petersen()
-        w = extract_witness([CU5], SignVector(2, (1, 1, 1, 2, 2)), coloring, 2)
+        w = extract_witness([CU5], 2, (1, 1, 1, 2, 2), coloring, 2)
         assert [len(p) for p in w.parts] == [1, 1]
         assert w.problems([CU5], coloring) == []
 
     def test_extract_zero_empty(self):
         coloring = min_element_coloring_petersen()
-        w = extract_witness([CU5], SignVector(2, (1, 1, 1, 2, 2)), coloring, 0)
+        w = extract_witness([CU5], 2, (1, 1, 1, 2, 2), coloring, 0)
         assert w.size == 0
 
     def test_extract_too_large_rejected(self):
         coloring = min_element_coloring_petersen()
         with pytest.raises(ValueError):
-            extract_witness([CU5], SignVector(2, (1, 1, 1, 2, 2)), coloring, 4)
+            extract_witness([CU5], 2, (1, 1, 1, 2, 2), coloring, 4)
+
+    @pytest.mark.parametrize(
+        "extract",
+        [
+            lambda coloring: extract_witness([CU5], 0, (), coloring, 1),
+            lambda coloring: extract_witness([CU5], 2, (0, 3, 0, 0, 0), coloring, 1),
+            lambda coloring: extract_witness([CU5], 2, (-1, 0, 0, 0, 0), coloring, 1),
+            lambda coloring: extract_witness([CU5], p=1, X=(2, 0, 0, 0, 0), coloring=coloring, q=1),
+        ],
+        ids=["modulus-0", "entry-p-plus-1", "entry-negative", "by-keyword"],
+    )
+    def test_extract_refuses_a_vector_outside_the_modulus(self, extract, petersen_coloring):
+        # the modulus is at least 1 and every entry lies in 0..p
+        with pytest.raises(ValueError, match="modulus|outside"):
+            extract(petersen_coloring)
 
     def test_extract_from_deficient_rejected(self):
         # a deficient vector has an empty tau(X) row
         coloring = min_element_coloring_petersen()
         with pytest.raises(ValueError, match="saturated"):
-            extract_witness([CU5], SignVector(2, (1, 1, 2, 0, 0)), coloring, 1)
+            extract_witness([CU5], 2, (1, 1, 2, 0, 0), coloring, 1)
 
     def test_find_witness_petersen(self, petersen_coloring):
         target = ecd(CU5, 2)
@@ -491,7 +505,7 @@ class TestWitnessNegativeControls:
     def case(self, request, petersen, petersen_coloring):
         if request.param == "petersen":
             factors, coloring, F = [CU5], min_element_coloring_petersen(), petersen
-            w = extract_witness([CU5], SignVector(2, (1, 1, 1, 2, 2)), coloring, 3)
+            w = extract_witness([CU5], 2, (1, 1, 1, 2, 2), coloring, 3)
         else:
             factors = [CU5, CU5]
             coloring = projection_coloring([petersen, petersen], 0, petersen_coloring)
@@ -659,8 +673,7 @@ class TestSaturatedSideOracle:
             coloring = instance_coloring(factors, p, kind)
             scan = sigma2_scan(factors, p, coloring)
             best, best_entries, count = sigma2_scan_naive(factors, p, coloring)
-            argmax = None if scan.argmax is None else scan.argmax.entries
-            assert (scan.max_ell, argmax, scan.saturated_count) == (best, best_entries, count)
+            assert (scan.max_ell, scan.argmax, scan.saturated_count) == (best, best_entries, count)
             best_rows = None
             for entries, rows in saturated_rows_naive(factors, p, coloring):
                 cells = {(s, c) for s, row in enumerate(rows, start=1) for c in row}
@@ -669,7 +682,7 @@ class TestSaturatedSideOracle:
                     best_rows = rows
             if best_entries is not None:
                 for q in range(best + 1):
-                    w = extract_witness(factors, SignVector(p, best_entries), coloring, q)
+                    w = extract_witness(factors, p, best_entries, coloring, q)
                     assert w.size == q and w.problems(factors, coloring) == []
                     for part, cols, row in zip(w.parts, w.colors, best_rows):
                         assert list(cols) == sorted(row)[: len(cols)]

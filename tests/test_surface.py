@@ -27,7 +27,6 @@ from kneserlab import (
     ProductSpace,
     ReductionReport,
     ScanResult,
-    SignVector,
     Violation,
 )
 from kneserlab.experiments import TASKS, AtLeast, TaskResult
@@ -83,7 +82,6 @@ def _records() -> list:
     return [
         Coloring((1, 2), 2),
         ChromaticValue.finite(2),
-        SignVector(2, (0, 1, 2)),
         Permutation((2, 1)),
         AltResult(1, Permutation((1,)), True),
         ProductSpace((2, 3)),
@@ -111,7 +109,7 @@ def test_records_are_immutable():
         for obj in vars(module).values()
         if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == name
     }
-    assert len(records) == 18
+    assert len(records) == 17
     assert defined | {AtLeast} == {type(record) for record in records}
     for record in records:
         for field in getattr(record, "_fields", None) or record.__slots__:
@@ -124,10 +122,6 @@ def test_records_are_immutable():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: SignVector(0, ()),
-        lambda: SignVector(2, (0, 3)),
-        lambda: SignVector(2, (-1,)),
-        lambda: SignVector(modulus=1, entries=(2,)),
         lambda: Permutation((1, 1)),
         lambda: Permutation((0, 1)),
         lambda: Permutation((2, 3)),
