@@ -129,6 +129,10 @@ def test_records_are_immutable():
         lambda: ProductSpace(()),
         lambda: ProductSpace((2, -1)),
         lambda: ProductSpace(dims=(-1,)),
+        lambda: Coloring((1, 3), 2),
+        lambda: Coloring(colors=(0,), color_count=1),
+        lambda: ChromaticValue("maybe"),
+        lambda: ChromaticValue.finite(0),
     ],
 )
 def test_records_keep_their_validation(build):
