@@ -5,8 +5,9 @@ One coloring engine serves explicit hypergraphs and implicit categorical
 products alike: a hypergraph is the one-factor product. The index-order first
 fit (g colors), for a product the first factor's lifted, is the certificate at g
 and refutes level 1; the product's boxes are compiled only to decide a level
-2..g-1 by a most-constrained-first search, and at chi < g repeated decisions on
-the same search state fix the vertices in index order to the lex-least certificate.
+2..g-1 by a most-constrained-first search that backjumps conflict-directed
+(Prosser 1993), and at chi < g repeated decisions on the same search state fix
+the vertices in index order to the lex-least certificate.
 """
 
 from __future__ import annotations
@@ -59,7 +60,11 @@ class _ColoringSearch:
     Every box has at least two cells: `solve_product_chromatic` answers
     INFINITE before it would build a one-cell box. As the forbid counts are
     exact (every change is undone in reverse order), a color that an open
-    vertex has not forbidden then completes no box.
+    vertex has not forbidden then completes no box. For the same reason the
+    box ``why[c][u]`` recorded when forbid[u][c] went from 0 to 1 still
+    forbids c at u while the count is above 0: the assignment that raised it
+    is undone only after every later one, and until then the box's cells of
+    color c, with u, still cover its full mask.
     """
 
     def __init__(self, factors: Sequence[Hypergraph]) -> None:
@@ -141,15 +146,33 @@ class _ColoringSearch:
         the least color below the witness's with which the prefix still
         extends, else to the witness's color: each fixed prefix is lex-least
         and still extendable, so the last witness is the lex-least coloring.
+
+        ``decide`` backjumps conflict-directed (Prosser 1993). When v has no
+        color up to cap = min(k, maxc + 1) left, its conflict set (a vertex
+        bitmask) joins the sets its failed colors left and, per forbidden
+        color d <= cap, the cells of box ``why[d][v]`` colored d. No proper
+        coloring extends the colors on that set: each d <= cap is forbidden
+        or failed, and a color above cap turns into cap by swapping two
+        colors unused on the set. The search pops to the latest stacked
+        vertex in the set, returning the vertices between to the open set
+        with their sets dropped, adds the set less that vertex to the
+        vertex's own and tries its next color; it answers None when no
+        stacked vertex is in the set (the set rests on the fixed prefix
+        alone). Each skipped subtree extends the set, so it holds no proper
+        coloring, and the pick is a function of the state: ``decide``
+        returns the coloring chronological backtracking would, after no
+        more assignments.
         """
         N = self.N
         full, cells, completing = self.full, self.cells, self.completing
         boxes_of, pos_of = self.boxes_of, self.pos_of
         colors = [0] * (N + 1)
         forbid = [[0] * (k + 1) for _ in range(N + 1)]
-        score = [N - u for u in range(N + 1)]  # n_forbidden[u] * (N + 1) + N - u
+        step = N + 1  # score[u] = n_forbidden[u] * step + N - u
+        score = [N - u for u in range(N + 1)]
         covered = [[0] * len(full) for _ in range(k + 1)]
         uncolored = set(range(1, N + 1))
+        why = [[0] * (N + 1) for _ in range(k + 1)]  # why[c][u]: the box that set forbid[u][c] to 1
 
         def undo(v: int, c: int, trail: tuple[list[int], list[int]]) -> None:
             olds, forbidden = trail
@@ -160,13 +183,13 @@ class _ColoringSearch:
                 f = forbid[u]
                 f[c] -= 1
                 if not f[c]:
-                    score[u] -= N + 1
+                    score[u] -= step
             colors[v] = 0
 
         def assign(v: int, c: int) -> tuple[list[int], list[int]]:
             """Color v with c, which v has not forbidden, and return the undo
             trail; no box becomes monochromatic (see the class docstring)."""
-            cov = covered[c]
+            cov, why_c = covered[c], why[c]
             boxes = boxes_of[v]
             forbidden: list[int] = []
             trail = ([cov[bid] for bid in boxes], forbidden)
@@ -187,13 +210,15 @@ class _ColoringSearch:
                         if not colors[u]:
                             f = forbid[u]
                             if not f[c]:
-                                score[u] += N + 1
+                                score[u] += step
+                                why_c[u] = bid
                             f[c] += 1
                             forbidden.append(u)
             return trail
 
         def decide(maxc: int) -> list[int] | None:
             stack: list[tuple[int, int, int, tuple[list[int], list[int]]]] = []
+            conflict = [0] * (N + 1)  # per stacked vertex: the vertices its failed colors rest on
             while uncolored:
                 v = max(uncolored, key=score.__getitem__)
                 uncolored.remove(v)
@@ -205,11 +230,25 @@ class _ColoringSearch:
                         c += 1
                     if c <= cap:
                         break
+                    # dead end: the vertices v's failed and forbidden colors rest on
+                    blame = conflict[v]
+                    for d in range(1, cap + 1):
+                        if forbid[v][d]:
+                            for u in cells[why[d][v]]:
+                                if colors[u] == d:
+                                    blame |= 1 << u
+                    conflict[v] = 0
                     uncolored.add(v)
+                    while stack and not blame >> stack[-1][0] & 1:
+                        u, d, _, trail = stack.pop()
+                        undo(u, d, trail)
+                        conflict[u] = 0
+                        uncolored.add(u)
                     if not stack:
                         return None
                     v, c, maxc, trail = stack.pop()
                     undo(v, c, trail)
+                    conflict[v] |= blame ^ 1 << v
                 stack.append((v, c, maxc, assign(v, c)))
                 maxc = max(maxc, c)
             rename: dict[int, int] = {}  # colors in order of first appearance

@@ -138,6 +138,12 @@ class ExperimentSpec(namedtuple(
         task = TASKS.get(self.task)
         if task is None:
             raise ValueError(f"unknown task {self.task!r}")
+        if type(self.recipes) is not tuple or not all(type(rc) is str for rc in self.recipes):
+            raise ValueError(f"recipes must be a tuple of str, not {self.recipes!r}")
+        if type(self.self_check) is not bool:
+            raise ValueError(f"self_check must be bool, not {self.self_check!r}")
+        if self.cache_path is not None and type(self.cache_path) is not str:
+            raise ValueError(f"cache_path must be None or str, not {self.cache_path!r}")
         if task.needs_recipes and not self.recipes:
             raise ValueError("no factor recipes given")
         for flag, kwargs in task.args:

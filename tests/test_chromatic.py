@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -528,6 +529,61 @@ class TestLiftedFirstFit:
     )
     def test_engines_built(self, monkeypatch, make, built):
         assert self.engines_built(monkeypatch, make()) == built
+
+
+class TestBackjump:
+    """`lex_least` backjumps over the decisions a dead end does not rest on.
+    The subtrees it skips hold no proper coloring, so at every level k up to
+    chi it must return what the index-order backtracking of
+    ``lex_least_coloring_static`` returns: None exactly below chi, and the
+    lex-least coloring at chi."""
+
+    @staticmethod
+    def check(factors):
+        engine = _ColoringSearch(factors)
+        k = 1
+        while True:
+            expected = lex_least_coloring_static(factors, k)
+            assert engine.lex_least(k) == expected, (factors, k)
+            if expected is not None:
+                return k
+            k += 1
+
+    @staticmethod
+    def random_factor(rng):
+        # one to six vertices, up to twelve edges of one to three of them, mostly pairs
+        n = rng.randint(1, 6)
+        sizes = [rng.choice((1, 2, 2, 2, 2, 2, 3)) for _ in range(rng.randint(0, 12))]
+        return Hypergraph(n, {frozenset(rng.sample(range(1, n + 1), min(m, n))) for m in sizes})
+
+    def test_random_products(self):
+        rng = random.Random(4250)
+        chis = dict.fromkeys(range(1, 5), 0)
+        checked = 0
+        while checked < 300:
+            factors = [self.random_factor(rng) for _ in range(rng.randint(1, 3))]
+            # a product of singleton edges is a singleton edge: the solver
+            # answers INFINITE before it builds an engine; the oracle's index
+            # order takes seconds to refute a level of a 48-vertex product
+            if all(H.has_singleton_edge() for H in factors) or prod(H.n for H in factors) > 36:
+                continue
+            chis[min(self.check(factors), 4)] += 1
+            checked += 1
+        # levels refuted before a coloring is found, not only chi = 1 or 2
+        assert chis[3] + chis[4] >= 30, chis
+
+    @pytest.mark.parametrize(
+        "make, chi",
+        [
+            pytest.param(lambda: [_kg(6, 2, 3)], 2, id="KG^3(6,2)"),
+            pytest.param(lambda: [kneser(hnka(6, 2, 2), 3)], 2, id="KG^3(H(6,2,2))"),
+            pytest.param(lambda: [_kg(6, 2, 3), kneser(hnka(6, 2, 2), 3)], 2, id="KG^3(6,2)xKG^3(H(6,2,2))"),
+            pytest.param(lambda: [_kg(6, 2)], 4, id="KG(6,2)"),
+            pytest.param(lambda: [kneser(hnka(6, 2, 2), 2)], 4, id="KG(H(6,2,2))"),
+        ],
+    )
+    def test_kneser_hypergraphs(self, make, chi):
+        assert self.check(make()) == chi
 
 
 class TestBoundReport:

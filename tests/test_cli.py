@@ -670,6 +670,25 @@ class TestMainEntry:
             run(ExperimentSpec(("complete:4,2",), task, **options))
 
     @pytest.mark.parametrize(
+        "fields, name",
+        [
+            # a str is read recipe by recipe, one character each
+            pytest.param({"recipes": "complete:4,2"}, "recipes", id="recipes-str"),
+            pytest.param({"recipes": ["complete:4,2"]}, "recipes", id="recipes-list"),
+            pytest.param({"recipes": (("complete:4,2",),)}, "recipes", id="recipes-nested"),
+            # a non-empty str is true
+            pytest.param({"self_check": "no"}, "self_check", id="self-check-str"),
+            pytest.param({"self_check": 1}, "self_check", id="self-check-int"),
+            # a bare TypeError from the cache, outside the task's failure handling
+            pytest.param({"cache_path": 3}, "cache_path", id="cache-path-int"),
+        ],
+    )
+    def test_spec_field_of_another_type_rejected(self, fields, name):
+        spec = ExperimentSpec(("complete:4,2",), "chromatic", r=2)._replace(**fields)
+        with pytest.raises(ValueError, match=name):
+            run(spec)
+
+    @pytest.mark.parametrize(
         "argv, status",
         [
             (["chromatic", "--r", "2", "--limit", "0", "complete:5,2"], "exceeds"),
