@@ -62,16 +62,16 @@ class ResultCache:
         self.misses = 0
         if self.path is not None and self.path.exists():
             version = _key_version()
-            for line in self.path.read_text().splitlines():
+            for line in self.path.read_bytes().splitlines():
                 if not line.strip():
                     continue
                 try:
-                    record = json.loads(line)
+                    record = json.loads(line.decode())
                     if record["key"]["version"] != version:
                         continue  # written by other code: it can never hit
                     key = canonical_json(record["key"])
                     self._entries[key] = record["value"]
-                except (json.JSONDecodeError, KeyError, TypeError):
+                except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                     continue  # corrupt line: drop it, values are re-derivable
 
     @staticmethod

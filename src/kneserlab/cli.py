@@ -3,7 +3,8 @@
 Subcommands are generated from the task table `TASKS`; every run prints a
 provenance header, a human table where one applies, and the full JSON
 payload. With --out DIR the JSON and text reports are also written there,
-before anything is printed; a closed stdout ends the output, not the run.
+before anything is printed; a DIR that cannot be made is a usage error
+before the task runs. A closed stdout ends the output, not the run.
 """
 
 from __future__ import annotations
@@ -55,14 +56,19 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        spec = spec_from_args(args)
-        spec.validate()
-    except ValueError as exc:
-        parser.error(str(exc))
+    spec = spec_from_args(args)
+    out_dir = Path(args.out_dir) if args.out_dir else None
+    if out_dir:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            parser.error(f"--out {args.out_dir}: {exc}")
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     t0 = time.perf_counter()
-    result = run(spec)
+    try:
+        result = run(spec)
+    except ValueError as exc:  # the spec is invalid: `run` started nothing
+        parser.error(str(exc))
     wall = time.perf_counter() - t0
     header = {
         "tool": "kneserlab",
@@ -77,9 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     body = [table(result.payload)] if table and result.status != "failed" else []
     body.append(f"[{result.name}] status={result.status}")
     report = {"provenance": header, "results": [result.to_json_dict()]}
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir:
         stamp = time.strftime("%Y%m%d-%H%M%S")
         path = _claim_path(out_dir, f"{args.command}-{stamp}")
         path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

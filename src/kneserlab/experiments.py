@@ -42,11 +42,12 @@ from .hypergraph import (
 from .invariants import _ecd
 from .prooflab import (
     SignMapTables,
-    _experimental,
+    _refuse_composite,
     check_lemma1,
     check_lemma2,
     dold_consequence,
     find_witness,
+    is_prime,
     misses_guarantee,
     sigma2_scan,
     witness_target,
@@ -178,54 +179,20 @@ class TaskResult(namedtuple("TaskResult", "name status payload wall_time", defau
 # --- reduction and comparison reports ----------------------------------------------
 
 
-class ReductionReport(namedtuple("ReductionReport", "r s C lhs rhs ecd_t t_edge_count")):
+def reduction_check(H: Hypergraph, r: int, s: int, C: int) -> dict:
     """Both sides of the composite-modulus defect reduction
-    ecd^{rs}(H) <= r (s-1) C + ecd^r(T) for the induced-defect hypergraph T:
-    ``lhs`` and ``rhs`` with ``ecd_t`` = ecd^r(T) and ``t_edge_count`` =
-    |E(T)|, all ints."""
-
-    __slots__ = ()
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs
-
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "s": self.s,
-            "C": self.C,
-            "lhs_ecd_rs": self.lhs,
-            "rhs": self.rhs,
-            "ecd_t": self.ecd_t,
-            "t_edge_count": self.t_edge_count,
-            "holds": self.holds,
-        }
-
-
-def reduction_check(H: Hypergraph, r: int, s: int, C: int) -> ReductionReport:
-    """Both sides derived by the plain search, not the `ecd` memo, so a
-    self-checking cache re-derives them."""
+    ecd^{rs}(H) <= r (s-1) C + ecd^r(T) for the induced-defect hypergraph T,
+    as the `reduce` report: ``lhs_ecd_rs`` and ``rhs``, with ``ecd_t`` =
+    ecd^r(T), ``t_edge_count`` = |E(T)| and ``holds``. Both sides are
+    derived by the plain search, not the `ecd` memo, so a self-checking
+    cache re-derives them."""
     lhs = _ecd(H, r * s)
     T = t_hypergraph(H, C, s)
     ecd_t = _ecd(T, r)
     rhs = r * (s - 1) * C + ecd_t
-    return ReductionReport(r, s, C, lhs, rhs, ecd_t, T.edge_count)
-
-
-class CompareReport(namedtuple(
-    "CompareReport", "rows ecd_side_wins alt_side_wins notes violations", defaults=((),)
-)):
-    """`compare_bounds`' table: ``rows`` (a list of dicts), the recipes where
-    ecd_bound > alt_bound (``ecd_side_wins``) and where alt_bound > ecd_bound
-    (``alt_side_wins``), ``notes``, and the bounds above chi
-    (``violations``); each a list of strs."""
-
-    __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        """The report; ``violations`` only when there are some."""
-        return {k: v for k, v in self._asdict().items() if k != "violations" or v}
+    return dict(
+        r=r, s=s, C=C, lhs_ecd_rs=lhs, rhs=rhs, ecd_t=ecd_t, t_edge_count=T.edge_count, holds=lhs <= rhs
+    )
 
 
 def default_compare_pool() -> list[tuple[str, int]]:
@@ -252,11 +219,14 @@ def compare_bounds(
     pool: Sequence[tuple[str, int]],
     cache: ResultCache | None = None,
     limit: int | None = COMPARE_LIMIT,
-) -> CompareReport:
-    """One row per (recipe, r) pair of the pool with every defect quantity,
-    both aggregate bounds, and exact chi of its general Kneser hypergraph
-    when the solver finishes under the limit; records in which direction
-    each bound wins strictly, and every bound above its row's chi."""
+) -> dict:
+    """The `compare` report. Its ``rows`` hold one dict per (recipe, r) pair
+    of the pool with every defect quantity, both aggregate bounds, and exact
+    chi of its general Kneser hypergraph when the solver finishes under the
+    limit. ``ecd_side_wins`` and ``alt_side_wins`` list the rows where
+    ecd_bound > alt_bound and where alt_bound > ecd_bound, beside the
+    ``notes``; ``violations``, present only when there are some, lists the
+    bounds above their row's chi."""
     if not pool:
         raise ValueError("empty comparison pool")
     rows: list[dict] = []
@@ -290,7 +260,10 @@ def compare_bounds(
         notes.append("no pool instance has ecd_bound > alt_bound")
     if not alt_side:
         notes.append("no pool instance has alt_bound > ecd_bound")
-    return CompareReport(rows, ecd_side, alt_side, notes, violations)
+    report = {"rows": rows, "ecd_side_wins": ecd_side, "alt_side_wins": alt_side, "notes": notes}
+    if violations:
+        report["violations"] = violations
+    return report
 
 
 # --- text tables ---------------------------------------------------------------------
@@ -416,7 +389,7 @@ def _bounds_table(payload: dict) -> str:
 
 def _witness(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
     p = spec.p
-    experimental = _experimental(p, spec.force)  # refuse before the solve
+    _refuse_composite(p, spec.force)  # before the solve
     coloring, chi = _coloring_for(spec.coloring_path, spec.limit, [kneser(H, p) for H in factors])
     payload = {"p": p, "chi": chi.to_json() if chi else None}
     if coloring is None:
@@ -434,7 +407,7 @@ def _witness(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutc
         # a miss within the guarantee of a prime p is a bug; with --eta the
         # guarantee is computed only now
         guarantee = target if spec.eta is None else witness_target(factors, p, cache)
-        bad = not experimental and misses_guarantee(p, target, guarantee, scan.max_ell, scan.saturated_count)
+        bad = is_prime(p) and misses_guarantee(p, target, guarantee, scan.max_ell, scan.saturated_count)
         payload["status"] = "NOT_FOUND"
         return ("violation" if bad else "ok"), payload
     problems = witness.problems(factors, coloring)
@@ -461,9 +434,9 @@ def _prooflab(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOut
         "negative_control": spec.negative_control,
         "lemma1_violations": [v.to_json_dict() for v in lemma1],
         "lemma2_violations": None if lemma2 is None else [v.to_json_dict() for v in lemma2],
-        "dold": dold.to_json_dict() if dold is not None else None,
+        "dold": dold,
     }
-    if lemma1 or lemma2 or (dold is not None and not dold.ok):
+    if lemma1 or lemma2 or (dold is not None and not dold["ok"]):
         return "violation", payload
     return ("exceeds" if coloring is None else "ok"), payload
 
@@ -477,7 +450,7 @@ def _reduce(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutco
                 H,
                 "reduce",
                 [spec.r, spec.s, spec.C],
-                lambda: reduction_check(H, spec.r, spec.s, spec.C).to_json_dict(),
+                lambda: reduction_check(H, spec.r, spec.s, spec.C),
             ),
         )
         for recipe, H in zip(spec.recipes, factors)
@@ -494,9 +467,8 @@ def _reduce_table(payload: dict) -> str:
 def _compare(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
     pool = [(recipe, 2) for recipe in spec.recipes] or default_compare_pool()
     pool = [(recipe, spec.r or r) for recipe, r in pool]
-    report = compare_bounds(pool, cache, COMPARE_LIMIT if spec.limit is None else spec.limit)
-    payload = report.to_json_dict()
-    if report.violations:
+    payload = compare_bounds(pool, cache, COMPARE_LIMIT if spec.limit is None else spec.limit)
+    if "violations" in payload:
         return "violation", payload
     return _status(row["chi"] for row in payload["rows"]), payload
 
@@ -595,12 +567,13 @@ TASKS: dict[str, Task] = {
 def run(spec: ExperimentSpec) -> TaskResult:
     """Validate the spec, then run its task against one cache (loaded from
     and appended to ``spec.cache_path`` when it is set, else in memory for
-    the run). A task that raises ends ``failed`` with its error and
-    traceback."""
+    the run). An invalid spec raises ValueError before anything runs; a
+    cache that cannot be read or a task that raises ends ``failed`` with
+    its error and traceback."""
     spec.validate()
-    cache = ResultCache(spec.cache_path, spec.self_check)
     start = time.perf_counter()
     try:
+        cache = ResultCache(spec.cache_path, spec.self_check)
         factors = [parse_recipe(recipe) for recipe in spec.recipes]
         status, payload = TASKS[spec.task].run(spec, factors, cache)
     except Exception as exc:  # failure is a first-class outcome

@@ -421,13 +421,17 @@ def sigma2_scan(
     return ScanResult(best, best_entries, prod(len(b) for b in per_factor_blocks))
 
 
-class PartiteWitness(namedtuple("PartiteWitness", "p parts colors experimental", defaults=(False,))):
+class PartiteWitness(namedtuple("PartiteWitness", "p parts colors")):
     """A colorful balanced complete p-partite subhypergraph of a product of
     general Kneser hypergraphs: ``parts`` holds one part per sign, vertices
     given as tuples of 1-based factor edge indices, and ``colors`` one tuple
-    of their colors per part; the bool ``experimental`` flags a composite p."""
+    of their colors per part; ``experimental`` flags a composite p."""
 
     __slots__ = ()
+
+    @property
+    def experimental(self) -> bool:
+        return not is_prime(self.p)
 
     @property
     def size(self) -> int:
@@ -550,11 +554,10 @@ def misses_guarantee(p: int, target: int, guarantee: int, max_ell: int, saturate
     return max_ell < target <= guarantee and not (saturated_count == 0 and target < p)
 
 
-def _experimental(p: int, force: bool) -> bool:
-    """Whether p is not prime, which a witness search refuses unless forced."""
+def _refuse_composite(p: int, force: bool) -> None:
+    """A witness search refuses a non-prime p unless forced."""
     if not (force or is_prime(p)):
         raise ValueError(f"p={p} is not prime; pass force=True to experiment")
-    return not is_prime(p)
 
 
 def find_witness(
@@ -574,41 +577,34 @@ def find_witness(
     flagged experimental. ``scan`` is the `sigma2_scan` of the same
     arguments, when the caller has it already.
     """
-    experimental = _experimental(p, force)
+    _refuse_composite(p, force)
     if target is None:
         target = witness_target(factors, p)
     if target == 0:
-        return PartiteWitness(p, ((),) * p, ((),) * p, experimental=experimental)
+        return PartiteWitness(p, ((),) * p, ((),) * p)
     if scan is None:
         scan = sigma2_scan(factors, p, coloring)
     if scan.argmax is None or scan.max_ell < target:
         return None
-    witness = extract_witness(factors, p, scan.argmax, coloring, target)
-    return witness._replace(experimental=True) if experimental else witness
-
-
-class DoldReport(namedtuple("DoldReport", "p max_ell min_ecd min_n_minus_alt saturated_count")):
-    """Exhaustive check of the counting consequence behind the witness
-    guarantees: with saturated vectors present, the best saturated balanced
-    size must reach both defect quantities; with none, the whole labeling
-    lands below the index cap and the consequence degenerates to the defect
-    quantities being at most p - 1. All five fields are ints."""
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        target = max(self.min_ecd, self.min_n_minus_alt)
-        return not misses_guarantee(self.p, target, target, self.max_ell, self.saturated_count)
-
-    def to_json_dict(self) -> dict:
-        return {**self._asdict(), "ok": self.ok}
+    return extract_witness(factors, p, scan.argmax, coloring, target)
 
 
 def dold_consequence(
     factors: Sequence[Hypergraph], p: int, coloring: Coloring,
     cache: ResultCache | None = None,
-) -> DoldReport:
+) -> dict:
+    """Exhaustive check of the counting consequence behind the witness
+    guarantees: with saturated vectors present, the best saturated balanced
+    size ``max_ell`` must reach both defect quantities ``min_ecd`` and
+    ``min_n_minus_alt``; with none (``saturated_count`` 0), the whole
+    labeling lands below the index cap and the consequence degenerates to
+    the defect quantities being at most p - 1. Returns the `prooflab`
+    report: those ints, ``p`` and the bool ``ok``."""
     scan = sigma2_scan(factors, p, coloring)
     min_ecd, min_alt_side = _defect_minima(factors, p, cache)
-    return DoldReport(p, scan.max_ell, min_ecd, min_alt_side, scan.saturated_count)
+    target = max(min_ecd, min_alt_side)
+    ok = not misses_guarantee(p, target, target, scan.max_ell, scan.saturated_count)
+    return dict(
+        p=p, max_ell=scan.max_ell, min_ecd=min_ecd, min_n_minus_alt=min_alt_side,
+        saturated_count=scan.saturated_count, ok=ok,
+    )

@@ -281,14 +281,14 @@ def test_criterion_10_reduction():
     H = complete_uniform(5, 2)
     for C in (0, 1, 2):
         rep = reduction_check(H, 2, 2, C)
-        assert rep.holds, f"C={C}: {rep.lhs} > {rep.rhs}"
+        assert rep["holds"], f"C={C}: {rep['lhs_ecd_rs']} > {rep['rhs']}"
     rng = random.Random(SEED + 1)
     for i in range(20):
         G = random_hypergraph(rng, max_n=5, max_edges=6)
         r, s = rng.choice([(2, 2), (2, 3), (3, 2)])
         C = rng.randint(0, 2)
         rep = reduction_check(G, r, s, C)
-        assert rep.holds, f"instance {i}: {rep.lhs} > {rep.rhs}"
+        assert rep["holds"], f"instance {i}: {rep['lhs_ecd_rs']} > {rep['rhs']}"
     report(10, "defect reduction on 3 + 20 instances", time.perf_counter() - start, 300)
 
 
@@ -319,18 +319,18 @@ def test_criterion_11_product_representations():
 def test_criterion_12_bound_direction_witnesses():
     start = time.perf_counter()
     rep = compare_bounds(default_compare_pool())
-    star_row = next(r for r in rep.rows if r["recipe"] == "star:4")
+    star_row = next(r for r in rep["rows"] if r["recipe"] == "star:4")
     assert (star_row["cd"], star_row["ecd"]) == (0, 1)
-    for label in rep.ecd_side_wins:
-        row = next(r for r in rep.rows if f"{r['recipe']} (r={r['r']})" == label)
+    for label in rep["ecd_side_wins"]:
+        row = next(r for r in rep["rows"] if f"{r['recipe']} (r={r['r']})" == label)
         assert row["ecd_bound"] > row["alt_bound"]
-    for label in rep.alt_side_wins:
-        row = next(r for r in rep.rows if f"{r['recipe']} (r={r['r']})" == label)
+    for label in rep["alt_side_wins"]:
+        row = next(r for r in rep["rows"] if f"{r['recipe']} (r={r['r']})" == label)
         assert row["alt_bound"] > row["ecd_bound"]
     # the shipped pool realizes both strict directions (star:6 at r=3 and
     # cycle:5 at r=2); if a future pool change loses one, the report must
     # say so in notes instead
-    assert rep.ecd_side_wins or "no pool instance has ecd_bound > alt_bound" in rep.notes
-    assert rep.alt_side_wins or "no pool instance has alt_bound > ecd_bound" in rep.notes
-    assert rep.ecd_side_wins and rep.alt_side_wins
+    assert rep["ecd_side_wins"] or "no pool instance has ecd_bound > alt_bound" in rep["notes"]
+    assert rep["alt_side_wins"] or "no pool instance has alt_bound > ecd_bound" in rep["notes"]
+    assert rep["ecd_side_wins"] and rep["alt_side_wins"]
     report(12, "both bound directions realized in the shipped pool", time.perf_counter() - start, 120)

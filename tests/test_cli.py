@@ -292,55 +292,55 @@ class TestRun:
 class TestReduction:
     def test_spec_example(self):
         rep = reduction_check(complete_uniform(5, 2), 2, 2, 1)
-        assert rep.lhs == 1
-        assert rep.ecd_t == 0 and rep.rhs == 2
-        assert rep.holds
+        assert rep["lhs_ecd_rs"] == 1
+        assert rep["ecd_t"] == 0 and rep["rhs"] == 2
+        assert rep["holds"]
 
     def test_large_budget_trivial(self):
         rep = reduction_check(complete_uniform(5, 2), 2, 2, 5)
-        assert rep.t_edge_count == 0
-        assert rep.holds
+        assert rep["t_edge_count"] == 0
+        assert rep["holds"]
 
     def test_edgeless(self):
         from kneserlab import Hypergraph
 
         rep = reduction_check(Hypergraph(4, []), 2, 2, 0)
-        assert rep.lhs == 0 and rep.holds
+        assert rep["lhs_ecd_rs"] == 0 and rep["holds"]
 
 
 class TestCompare:
     def test_star_row(self):
         pool = [("star:4", 2)]
         report = compare_bounds(pool)
-        row = report.rows[0]
+        row = report["rows"][0]
         assert (row["cd"], row["ecd"], row["n_minus_alt"]) == (0, 1, 1)
 
     def test_complete_row(self):
         pool = [("complete:5,2", 2)]
-        row = compare_bounds(pool).rows[0]
+        row = compare_bounds(pool)["rows"][0]
         assert row["cd"] == row["ecd"] == row["n_minus_alt"] == 3
 
     def test_edgeless_row_zero(self):
         pool = [("edgeless:4", 2)]
-        row = compare_bounds(pool).rows[0]
+        row = compare_bounds(pool)["rows"][0]
         assert row["cd"] == row["ecd"] == row["n_minus_alt"] == 0
 
     def test_default_pool_has_both_directions(self):
         report = compare_bounds(default_compare_pool())
-        for label in report.ecd_side_wins:
-            row = next(r for r in report.rows if f"{r['recipe']} (r={r['r']})" == label)
+        for label in report["ecd_side_wins"]:
+            row = next(r for r in report["rows"] if f"{r['recipe']} (r={r['r']})" == label)
             assert row["ecd_bound"] > row["alt_bound"]
-        for label in report.alt_side_wins:
-            row = next(r for r in report.rows if f"{r['recipe']} (r={r['r']})" == label)
+        for label in report["alt_side_wins"]:
+            row = next(r for r in report["rows"] if f"{r['recipe']} (r={r['r']})" == label)
             assert row["alt_bound"] > row["ecd_bound"]
-        assert report.ecd_side_wins, "pool should exhibit an equitable-side win"
-        assert report.alt_side_wins, "pool should exhibit an alternation-side win"
+        assert report["ecd_side_wins"], "pool should exhibit an equitable-side win"
+        assert report["alt_side_wins"], "pool should exhibit an alternation-side win"
 
     def test_row_over_vertex_cap_records_why(self):
         pool = [("complete:17,2", 2)]
         report = compare_bounds(pool)
-        assert report.rows[0]["chi"] is None
-        (note,) = [n for n in report.notes if "chi not computed" in n]
+        assert report["rows"][0]["chi"] is None
+        (note,) = [n for n in report["notes"] if "chi not computed" in n]
         assert note.startswith("complete:17,2 (r=2): chi not computed: ")
         assert "136" in note
 
@@ -366,7 +366,7 @@ class TestCompare:
     def test_bound_above_chi_is_a_violation(self, capsys, monkeypatch):
         import kneserlab.chromatic
 
-        assert "violations" not in compare_bounds([("cycle:5", 2)]).to_json_dict()
+        assert "violations" not in compare_bounds([("cycle:5", 2)])
         search = kneserlab.chromatic._ecd
         monkeypatch.setattr(kneserlab.chromatic, "_ecd", lambda H, r: search(H, r) + 5)
         assert main(["compare", "--r", "2", "cycle:5"]) == 1
@@ -415,6 +415,22 @@ class TestCache:
         path.write_text("not json\n" + json.dumps({"key": key, "value": 7}) + "\n")
         cache = ResultCache(path)
         assert cache.get(key) == 7
+
+    def test_undecodable_line_dropped(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        key = ResultCache.make_key("d", "cd", [2])
+        path.write_bytes(b"\xff\n" + json.dumps({"key": key, "value": 7}).encode() + b"\n")
+        assert ResultCache(path).get(key) == 7
+        path.write_bytes(b"\xff")
+        assert run(ExperimentSpec(("complete:4,2",), "invariants", r=2, cache_path=str(path))).status == "ok"
+
+    def test_unreadable_cache_fails_the_run(self, tmp_path, capsys):
+        assert main(["invariants", "--r", "2", "complete:4,2", "--cache", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        (result,) = json.loads(out[out.index("\n[\n") + 1 :])
+        assert result["status"] == "failed"
+        assert result["payload"]["error"].startswith("IsADirectoryError")
+        assert "IsADirectoryError" in result["payload"]["traceback"]
 
     def test_other_code_version_is_a_miss(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.jsonl"
@@ -549,7 +565,7 @@ class TestMainEntry:
         (result,) = json.loads(out[out.index("\n[\n") + 1 :])
         assert run(ExperimentSpec(recipes, "compare")).payload == result["payload"]
         pool = [(recipe, 2) for recipe in recipes] or default_compare_pool()
-        assert compare_bounds(pool).to_json_dict() == result["payload"]
+        assert compare_bounds(pool) == result["payload"]
 
     def test_compare_r_applies_to_the_pool(self, capsys):
         assert main(["compare", "--r", "3"]) == 0
@@ -608,6 +624,27 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "complete:5,2"])
         assert exc.value.code == 2
+
+    def test_out_naming_a_file_is_a_usage_error(self, capsys, monkeypatch, tmp_path):
+        ran = []
+        monkeypatch.setattr("kneserlab.cli.run", ran.append)
+        taken = tmp_path / "f"
+        taken.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", "--r", "2", "complete:4,2", "--out", str(taken)])
+        assert exc.value.code == 2
+        assert ran == [] and capsys.readouterr().out == ""
+
+    def test_spec_validated_once(self, capsys, monkeypatch):
+        calls = []
+        validate = ExperimentSpec.validate
+        monkeypatch.setattr(ExperimentSpec, "validate", lambda spec: calls.append(1) or validate(spec))
+        assert main(["invariants", "--r", "2", "complete:4,2"]) == 0
+        assert calls == [1]
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", "--r", "2"])
+        assert exc.value.code == 2 and calls == [1, 1]
+        assert "no factor recipes given" in capsys.readouterr().err
 
     @pytest.mark.parametrize("task", ["bounds", "compare"])
     def test_r_below_two_is_a_usage_error(self, task, capsys):

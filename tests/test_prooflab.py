@@ -346,7 +346,7 @@ class TestLemmaChecks:
             if coloring is None:
                 continue
             assert check_lemma2(factors, p, coloring) == []
-            assert dold_consequence(factors, p, coloring).ok
+            assert dold_consequence(factors, p, coloring)["ok"]
             target = witness_target(factors, p)
             witness = find_witness(factors, p, coloring, target)
             if witness is None:
@@ -490,6 +490,13 @@ class TestWitness:
         # the saturated side needs 8 vertices, so nothing reaches target 1
         assert find_witness([CU5], 4, coloring, 1, force=True) is None
 
+    def test_experimental_follows_p(self):
+        kg = kneser(CU5, 4)
+        coloring = Coloring((1,) * kg.n, 1)
+        assert extract_witness([CU5], 4, (0,) * 5, coloring, 0).experimental
+        assert find_witness([CU5], 4, coloring, 0, force=True).to_json_dict()["experimental"]
+        assert not extract_witness([CU5], 2, (0,) * 5, coloring, 0).experimental
+
     def test_witness_target_is_max_of_sides(self):
         assert witness_target([CU5], 2) == max(
             ecd(CU5, 2), 5 - alt_min(CU5, 2).value
@@ -604,8 +611,8 @@ class TestScanAndCounting:
 
     def test_dold_consequence_petersen(self, petersen_coloring):
         rep = dold_consequence([CU5], 2, petersen_coloring)
-        assert rep.min_ecd == 3 and rep.min_n_minus_alt == 3
-        assert rep.ok
+        assert rep["min_ecd"] == 3 and rep["min_n_minus_alt"] == 3
+        assert rep["ok"]
 
     def test_scan_empty_saturated_side(self):
         # no sign class of a 3-vertex graph can span edges for both signs
@@ -848,8 +855,8 @@ class TestBoundsPath:
         assert witness_target([H], 2) == f.n_minus_alt
         _, coloring = solve_chromatic(kneser(H, 2))
         rep = dold_consequence([H], 2, coloring)
-        assert (rep.min_ecd, rep.min_n_minus_alt) == (f.ecd, f.n_minus_alt)
-        assert rep.ok
+        assert (rep["min_ecd"], rep["min_n_minus_alt"]) == (f.ecd, f.n_minus_alt)
+        assert rep["ok"]
         witness = find_witness([H], 2, coloring)
         assert witness is not None and witness.size == f.n_minus_alt
         assert witness.problems([H], coloring) == []

@@ -19,18 +19,15 @@ from kneserlab import (
     BoundReport,
     ChromaticValue,
     Coloring,
-    CompareReport,
     ExperimentSpec,
     FactorBounds,
     PartiteWitness,
     Permutation,
     ProductSpace,
-    ReductionReport,
     ScanResult,
     Violation,
 )
 from kneserlab.experiments import TASKS, AtLeast, TaskResult
-from kneserlab.prooflab import DoldReport
 
 # exports with no caller in the library, each kept for a reason
 UNCALLED = {
@@ -90,12 +87,9 @@ def _records() -> list:
         Violation("chain", (1,), None, "detail"),
         ScanResult(0, None, 0),
         PartiteWitness(2, ((), ()), ((), ())),
-        DoldReport(2, 0, 0, 0, 0),
         AtLeast(1),
         ExperimentSpec(("star:4",), "invariants", r=2),
         TaskResult("build", "ok", {}),
-        ReductionReport(2, 2, 0, 0, 0, 0, 0),
-        CompareReport([], [], [], []),
         TASKS["build"],
     ]
 
@@ -109,7 +103,7 @@ def test_records_are_immutable():
         for obj in vars(module).values()
         if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == name
     }
-    assert len(records) == 17
+    assert len(records) == 14
     assert defined | {AtLeast} == {type(record) for record in records}
     for record in records:
         for field in getattr(record, "_fields", None) or record.__slots__:
