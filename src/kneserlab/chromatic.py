@@ -378,9 +378,10 @@ class FactorBounds(namedtuple(
     """Per-factor invariants (ints ``r``, ``n``, ``cd``, ``ecd``,
     ``n_minus_alt``; bool ``alt_exact``) and the single-factor lower bounds
     for chi(KG^r(H)): cd_bound = ceil(cd/(r-1)), alt_bound =
-    ceil((n-alt)/(r-1)), ecd_bound = ceil(ecd/(r-1)); ``kg_chi`` (a
-    `ChromaticValue` or None) is chi(KG^r(H)) when solved, and
-    ``kg_chi_error`` (str or None) says why it could not be."""
+    ceil((n-alt)/(r-1)), ecd_bound = ceil(ecd/(r-1)); ``kg_chi`` is
+    chi(KG^r(H)) in the form the cache stores (an int, "INFINITE" or
+    "EXCEEDS(k)") when solved, else None, and ``kg_chi_error`` (str or None)
+    says why it could not be."""
 
     __slots__ = ()
 
@@ -399,9 +400,8 @@ class FactorBounds(namedtuple(
     def check(self) -> list[str]:
         """Every single-factor bound must stay at or below chi(KG^r(H))
         when it is known."""
-        if self.kg_chi is None or not self.kg_chi.is_finite:
+        if type(chi := self.kg_chi) is not int:  # unsolved, INFINITE or EXCEEDS
             return []
-        chi = self.kg_chi.as_int()
         bounds = {"cd_bound": self.cd_bound, "alt_bound": self.alt_bound, "ecd_bound": self.ecd_bound}
         return [f"{name}={val} > chi={chi}" for name, val in bounds.items() if val > chi]
 
@@ -415,7 +415,7 @@ class FactorBounds(namedtuple(
             "cd_bound": self.cd_bound,
             "alt_bound": self.alt_bound,
             "ecd_bound": self.ecd_bound,
-            "kg_chi": self.kg_chi.to_json() if self.kg_chi else None,
+            "kg_chi": self.kg_chi,
         }
 
 
@@ -451,10 +451,9 @@ def factor_row(
         return solve_chromatic(kneser(H, r), limit)[0].to_json()
 
     try:
-        chi = cached_value(cache, H, "kg_chi", [r, limit], solve)
+        return f._replace(kg_chi=cached_value(cache, H, "kg_chi", [r, limit], solve))
     except CapExceededError as exc:
         return f._replace(kg_chi_error=str(exc))
-    return f._replace(kg_chi=ChromaticValue.from_json(chi))
 
 
 class BoundReport(namedtuple(
@@ -463,9 +462,9 @@ class BoundReport(namedtuple(
     """Lower bounds for the chromatic number of KG^r(H_1) x ... x KG^r(H_t),
     one `FactorBounds` per factor in ``factors``: the int product_alt_bound
     uses the smallest n_i - alt_i, product_ecd_bound the smallest ecd_i.
-    ``exact_chi`` is the product's `ChromaticValue` or None. zhu_status
-    (VERIFIED | BOUND_ONLY | FAILED) records whether the exact product
-    chromatic number equals the smallest factor chromatic number."""
+    ``exact_chi`` is the product's chi in the form of ``kg_chi``, or None.
+    zhu_status (VERIFIED | BOUND_ONLY | FAILED) records whether the exact
+    product chromatic number equals the smallest factor chromatic number."""
 
     __slots__ = ()
 
@@ -473,12 +472,9 @@ class BoundReport(namedtuple(
         """Internal consistency: every recorded bound must stay at or below
         every exact chromatic number it bounds."""
         problems = [f"factor {i}: {p}" for i, f in enumerate(self.factors, start=1) for p in f.check()]
-        if self.exact_chi is not None and self.exact_chi.is_finite:
-            chi = self.exact_chi.as_int()
-            if self.product_alt_bound > chi:
-                problems.append(f"product_alt_bound={self.product_alt_bound} > chi={chi}")
-            if self.product_ecd_bound > chi:
-                problems.append(f"product_ecd_bound={self.product_ecd_bound} > chi={chi}")
+        if type(chi := self.exact_chi) is int:
+            bounds = {"product_alt_bound": self.product_alt_bound, "product_ecd_bound": self.product_ecd_bound}
+            problems += [f"{name}={val} > chi={chi}" for name, val in bounds.items() if val > chi]
         if self.zhu_status == "FAILED":
             problems.append("zhu_status FAILED")
         return problems
@@ -489,7 +485,7 @@ class BoundReport(namedtuple(
             "factors": [f.to_json_dict() for f in self.factors],
             "product_alt_bound": self.product_alt_bound,
             "product_ecd_bound": self.product_ecd_bound,
-            "exact_chi": self.exact_chi.to_json() if self.exact_chi else None,
+            "exact_chi": self.exact_chi,
             "zhu_status": self.zhu_status,
         }
 
@@ -510,24 +506,18 @@ def bound_report(
     rows = tuple(factor_row(H, r, limit, cache) for H in factors)
     product_alt_bound = ceil_div(min(f.n_minus_alt for f in rows), r - 1)
     product_ecd_bound = ceil_div(min(f.ecd for f in rows), r - 1)
-    exact_chi: ChromaticValue | None = None
+    exact_chi = None
     # the product needs every KG^r(H), which has one vertex per edge of H
     if not any(f.kg_chi_error for f in rows) and prod(H.edge_count for H in factors) <= PRODUCT_SOLVE_CAP:
 
         def solve() -> int | str:
             if len(factors) == 1:
-                return rows[0].kg_chi.to_json()  # type: ignore[union-attr]
+                return rows[0].kg_chi
             return solve_product_chromatic([kneser(H, r) for H in factors], limit)[0].to_json()
 
-        exact_chi = ChromaticValue.from_json(
-            cached_value(cache, factors, "product_kg_chi", [r, limit], solve)
-        )
+        exact_chi = cached_value(cache, factors, "product_kg_chi", [r, limit], solve)
+    factor_chis = [f.kg_chi for f in rows]
     zhu = "BOUND_ONLY"
-    if (
-        exact_chi is not None
-        and exact_chi.is_finite
-        and all(f.kg_chi is not None and f.kg_chi.is_finite for f in rows)
-    ):
-        min_factor = min(f.kg_chi.as_int() for f in rows)  # type: ignore[union-attr]
-        zhu = "VERIFIED" if exact_chi.as_int() == min_factor else "FAILED"
+    if all(type(chi) is int for chi in [exact_chi, *factor_chis]):
+        zhu = "VERIFIED" if exact_chi == min(factor_chis) else "FAILED"
     return BoundReport(r, rows, product_alt_bound, product_ecd_bound, exact_chi, zhu)

@@ -4,12 +4,14 @@ Subcommands are generated from the task table `TASKS`; every run prints a
 provenance header, a human table where one applies, and the full JSON
 payload. With --out DIR the JSON and text reports are also written there,
 before anything is printed; a DIR that cannot be made is a usage error
-before the task runs. A closed stdout ends the output, not the run.
+before the task runs, and one made for a spec that `run` refuses is removed
+again. A closed stdout ends the output, not the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -58,7 +60,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     spec = spec_from_args(args)
     out_dir = Path(args.out_dir) if args.out_dir else None
+    made: list[Path] = []  # the directories --out creates, deepest first
     if out_dir:
+        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -68,6 +72,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = run(spec)
     except ValueError as exc:  # the spec is invalid: `run` started nothing
+        for d in made:
+            with contextlib.suppress(OSError):  # another run wrote into it meanwhile
+                d.rmdir()
         parser.error(str(exc))
     wall = time.perf_counter() - t0
     header = {

@@ -33,7 +33,6 @@ from .constructions import (
     t_hypergraph,
 )
 from .hypergraph import (
-    ChromaticValue,
     Coloring,
     Hypergraph,
     load_coloring,
@@ -245,7 +244,7 @@ def compare_bounds(
             "ecd_bound": f.ecd_bound,
             "alt_bound": f.alt_bound,
             "ecd_gap": f.ecd - f.n_minus_alt,
-            "chi": f.kg_chi.to_json() if f.kg_chi else None,
+            "chi": f.kg_chi,
         }
         rows.append(row)
         if f.kg_chi_error:
@@ -301,14 +300,14 @@ def _status(chis) -> str:
 
 def _coloring_for(
     path: str | None, limit: int | None, kgs: list[Hypergraph]
-) -> tuple[Coloring | None, ChromaticValue | None]:
+) -> tuple[Coloring | None, int | str | None]:
     if path is not None:
         coloring = load_coloring(Path(path).read_text())
         if not product_is_proper(kgs, coloring):
             raise ValueError(f"coloring {path} is not proper")
         return coloring, None
     value, coloring = solve_product_chromatic(kgs, limit)
-    return coloring, value
+    return coloring, value.to_json()
 
 
 def _build(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutcome:
@@ -391,7 +390,7 @@ def _witness(spec: ExperimentSpec, factors: list[Hypergraph], cache) -> TaskOutc
     p = spec.p
     _refuse_composite(p, spec.force)  # before the solve
     coloring, chi = _coloring_for(spec.coloring_path, spec.limit, [kneser(H, p) for H in factors])
-    payload = {"p": p, "chi": chi.to_json() if chi else None}
+    payload = {"p": p, "chi": chi}
     if coloring is None:
         return "exceeds", dict(payload, witness=None)
 

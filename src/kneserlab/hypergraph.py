@@ -159,34 +159,13 @@ class ChromaticValue(namedtuple("ChromaticValue", "kind value")):
     def exceeds(cls, limit: int) -> ChromaticValue:
         return cls("exceeds", limit)
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-    def as_int(self) -> int:
-        if not self.is_finite:
-            raise ValueError(f"chromatic value {self} is not finite")
-        assert self.value is not None
-        return self.value
-
-    def __str__(self) -> str:
+    def to_json(self) -> int | str:
+        """The form that is cached and printed: an int, "INFINITE" or "EXCEEDS(limit)"."""
         if self.kind == "finite":
-            return str(self.value)
+            return self.value
         if self.kind == "infinite":
             return "INFINITE"
         return f"EXCEEDS({self.value})"
-
-    def to_json(self) -> int | str:
-        return self.value if self.kind == "finite" else str(self)
-
-    @classmethod
-    def from_json(cls, value: int | str) -> ChromaticValue:
-        """Inverse of `to_json`."""
-        if isinstance(value, int):
-            return cls.finite(value)
-        if value == "INFINITE":
-            return cls.infinite()
-        return cls.exceeds(int(value.removeprefix("EXCEEDS(").removesuffix(")")))
 
 
 def induced_mask(H: Hypergraph, amask: int) -> Hypergraph:

@@ -233,6 +233,13 @@ def twins_naive(H: Hypergraph) -> set[tuple[int, int]]:
     return twins
 
 
+def finite_chi(value) -> int:
+    """The number of a finite `ChromaticValue`; the test fails on INFINITE
+    and EXCEEDS."""
+    assert value.kind == "finite", value
+    return value.value
+
+
 def chromatic_brute(H: Hypergraph, kmax: int | None = None) -> int | None:
     """Smallest k with a proper k-coloring, by enumerating all colorings.
     Returns None if no k up to kmax works (singleton edges)."""
@@ -754,7 +761,7 @@ def petersen():
 @pytest.fixture(scope="session")
 def petersen_coloring(petersen):
     value, coloring = solve_chromatic(petersen)
-    assert value.as_int() == 3
+    assert value.to_json() == 3
     return coloring
 
 

@@ -30,6 +30,7 @@ from kneserlab.chromatic import _ColoringSearch
 from conftest import (
     chromatic_brute,
     compile_boxes_naive,
+    finite_chi,
     is_first_appearance,
     is_proper,
     lex_least_coloring_brute,
@@ -47,26 +48,26 @@ def relabeled(H: Hypergraph, rng: random.Random) -> Hypergraph:
 
 class TestSolver:
     def test_lovasz_petersen(self):
-        assert solve_chromatic(kneser(complete_uniform(5, 2), 2))[0].as_int() == 3
+        assert solve_chromatic(kneser(complete_uniform(5, 2), 2))[0].to_json() == 3
 
     def test_singleton_edge_infinite(self):
         H = Hypergraph(3, [(1,), (2, 3)])
         assert solve_chromatic(H)[0] == ChromaticValue.infinite()
 
     def test_empty_hypergraph(self):
-        assert solve_chromatic(Hypergraph(0, []))[0].as_int() == 1
-        assert solve_chromatic(Hypergraph(4, []))[0].as_int() == 1
+        assert solve_chromatic(Hypergraph(0, []))[0].to_json() == 1
+        assert solve_chromatic(Hypergraph(4, []))[0].to_json() == 1
 
     def test_limit_exceeded(self):
         H = complete_uniform(6, 2)
         assert solve_chromatic(H, limit=3)[0] == ChromaticValue.exceeds(3)
-        assert solve_chromatic(H, limit=6)[0].as_int() == 6
+        assert solve_chromatic(H, limit=6)[0].to_json() == 6
 
     def test_certificate_is_proper_and_lex_least(self):
         H = kneser(complete_uniform(5, 2), 2)
         value, coloring = solve_chromatic(H)
         assert is_proper(H, coloring)
-        assert coloring.color_count == value.as_int()
+        assert value.to_json() == coloring.color_count
         assert coloring.colors[0] == 1
 
     def test_certificate_matches_brute_force_lex_least(self):
@@ -74,15 +75,15 @@ class TestSolver:
         for _ in range(24):
             H = random_hypergraph(rng, max_n=6, max_edges=12, min_edge_size=2)
             value, coloring = solve_chromatic(H)
-            assert value.as_int() == chromatic_brute(H)
-            assert coloring.colors == lex_least_coloring_brute(H, value.as_int())
+            assert value.to_json() == chromatic_brute(H)
+            assert coloring.colors == lex_least_coloring_brute(H, finite_chi(value))
 
     @pytest.mark.parametrize("n,k,chi", [(9, 2, 7), (8, 3, 4), (9, 3, 5)])
     def test_kneser_graphs_beyond_static_order(self, n, k, chi):
         # refuting the levels below chi in static vertex order takes minutes
         kg = kneser(complete_uniform(n, k), 2)
         value, coloring = solve_chromatic(kg)
-        assert value.as_int() == formula_kneser(n, k, 2) == chi
+        assert value.to_json() == formula_kneser(n, k, 2) == chi
         assert is_proper(kg, coloring)
 
     def test_brute_force_agreement(self):
@@ -93,12 +94,12 @@ class TestSolver:
             if H.has_singleton_edge():
                 assert solve_chromatic(H)[0] == ChromaticValue.infinite()
             else:
-                assert solve_chromatic(H)[0].as_int() == chromatic_brute(H)
+                assert solve_chromatic(H)[0].to_json() == chromatic_brute(H)
 
     def test_three_uniform(self):
         # a 2-coloring of [5] always has a class of size >= 3, i.e. an edge
         H = complete_uniform(5, 3)
-        assert solve_chromatic(H)[0].as_int() == chromatic_brute(H) == 3
+        assert solve_chromatic(H)[0].to_json() == chromatic_brute(H) == 3
 
 
 class TestFormulas:
@@ -115,7 +116,7 @@ class TestFormulas:
     def test_formula_matches_solver_small(self):
         for n, k, r in [(4, 2, 2), (5, 2, 2), (6, 2, 2), (6, 2, 3), (6, 3, 2), (7, 2, 3)]:
             kg = kneser(complete_uniform(n, k), r)
-            assert solve_chromatic(kg)[0].as_int() == formula_kneser(n, k, r)
+            assert solve_chromatic(kg)[0].to_json() == formula_kneser(n, k, r)
 
     def test_formula_full_sweep(self):
         # every (n, k, r) with n >= rk, C(n,k) <= 25, r in {2, 3}; the k=1
@@ -132,7 +133,7 @@ class TestFormulas:
                         continue
                     kg = kneser(complete_uniform(n, k), r)
                     assert (
-                        solve_chromatic(kg)[0].as_int() == formula_kneser(n, k, r)
+                        solve_chromatic(kg)[0].to_json() == formula_kneser(n, k, r)
                     ), (n, k, r)
 
     def test_hnka_formula(self):
@@ -161,14 +162,14 @@ class TestFormulas:
                         H = hnka(n, k, a)
                         if H.edge_count > 40:
                             continue
-                        chi = solve_chromatic(kneser(H, r))[0].as_int()
+                        chi = solve_chromatic(kneser(H, r))[0].to_json()
                         assert formula_hnka(n, k, a, r) == chi, (n, k, a, r)
                         checked += 1
         assert checked == 63
 
     def test_hnka_edgeless_case(self):
         # a = 7 >= rk-1: KG^3 of {pairs meeting {8,9}} has no 3 disjoint edges
-        assert solve_chromatic(kneser(hnka(9, 2, 7), 3))[0].as_int() == 1
+        assert solve_chromatic(kneser(hnka(9, 2, 7), 3))[0].to_json() == 1
         assert formula_hnka(9, 2, 7, 3) == 1
 
 
@@ -189,8 +190,8 @@ class TestProductChromatic:
     def test_projection_upper_bound(self):
         A = complete_uniform(4, 2)
         B = complete_uniform(3, 2)
-        chi = solve_product_chromatic([A, B])[0].as_int()
-        assert chi <= min(solve_chromatic(A)[0].as_int(), solve_chromatic(B)[0].as_int())
+        chi = finite_chi(solve_product_chromatic([A, B])[0])
+        assert chi <= min(finite_chi(solve_chromatic(A)[0]), finite_chi(solve_chromatic(B)[0]))
 
     def test_all_singleton_factors_infinite(self):
         S = Hypergraph(2, [(1,)])
@@ -199,7 +200,7 @@ class TestProductChromatic:
     def test_certificate_proper(self):
         A = complete_uniform(3, 2)
         value, coloring = solve_product_chromatic([A, A])
-        assert value.as_int() == 3
+        assert value.to_json() == 3
         assert product_is_proper([A, A], coloring)
 
     def test_certificate_matches_brute_force_lex_least(self):
@@ -218,18 +219,18 @@ class TestProductChromatic:
         while len(pairs) < 19:
             H1 = random_hypergraph(rng, max_n=4, max_edges=5, min_edge_size=2)
             H2 = random_hypergraph(rng, max_n=3, max_edges=3, min_edge_size=2)
-            if solve_chromatic(H1)[0].as_int() > solve_chromatic(H2)[0].as_int():
+            if finite_chi(solve_chromatic(H1)[0]) > finite_chi(solve_chromatic(H2)[0]):
                 pairs.append((H1, H2))
         for H1, H2 in pairs:
             value, coloring = solve_product_chromatic([H1, H2])
             explicit = product_minimal([H1, H2])
-            assert coloring.colors == lex_least_coloring_brute(explicit, value.as_int())
+            assert coloring.colors == lex_least_coloring_brute(explicit, finite_chi(value))
 
     def test_deep_product(self):
         # 1000 product vertices: deeper than the interpreter's recursion limit
         P = kneser(complete_uniform(5, 2), 2)
         value, coloring = solve_product_chromatic([P, P, P])
-        assert value.as_int() == 3
+        assert value.to_json() == 3
         assert product_is_proper([P, P, P], coloring)
 
     def test_limit(self):
@@ -243,7 +244,7 @@ class TestProductChromatic:
         start = time.perf_counter()
         value, coloring = solve_product_chromatic(factors)
         assert time.perf_counter() - start < 1.0
-        assert value.as_int() == 3
+        assert value.to_json() == 3
         assert product_is_proper(factors, coloring)
         assert is_first_appearance(coloring.colors)
 
@@ -307,7 +308,7 @@ class TestLexLeastCertificate:
     @staticmethod
     def check(factors):
         value, coloring = solve_product_chromatic(factors)
-        assert list(coloring.colors) == lex_least_coloring_static(factors, value.as_int())
+        assert list(coloring.colors) == lex_least_coloring_static(factors, finite_chi(value))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_relabelings_of_hnka(self, seed):
@@ -315,7 +316,7 @@ class TestLexLeastCertificate:
         start = time.perf_counter()
         value, coloring = solve_chromatic(kg)
         assert time.perf_counter() - start < 1.0
-        assert value.as_int() == 5
+        assert value.to_json() == 5
         assert list(coloring.colors) == lex_least_coloring_static([kg], 5)
 
     @pytest.mark.parametrize(
@@ -396,7 +397,7 @@ class TestFirstFit:
         kg = kneser(hnka(8, 2, 3), 2)
         assert self.check([kg]) == 6
         value, coloring = solve_chromatic(kg)
-        assert value.as_int() == 5
+        assert value.to_json() == 5
         assert list(coloring.colors) == lex_least_coloring_static([kg], 5)
 
     @staticmethod
@@ -422,16 +423,16 @@ class TestFirstFit:
         # only the levels 2..chi-1 are searched, each to its refutation
         factors = make()
         (value, coloring), levels = self.searched(monkeypatch, factors)
-        assert value.as_int() == chi and levels == below
+        assert value.to_json() == chi and levels == below
         assert coloring.colors == tuple(_ColoringSearch(factors).first_fit())
 
     def test_levels_below_first_fit(self, monkeypatch):
         (value, _), levels = self.searched(monkeypatch, [kneser(hnka(8, 2, 3), 2)])
-        assert value.as_int() == 5 and levels == [2, 3, 4, 5]
+        assert value.to_json() == 5 and levels == [2, 3, 4, 5]
 
     def test_edgeless_factor(self, monkeypatch):
         (value, coloring), levels = self.searched(monkeypatch, [Hypergraph(3), complete_uniform(5, 2)])
-        assert value.as_int() == 1 and levels == []
+        assert value.to_json() == 1 and levels == []
         assert coloring == Coloring((1,) * 15, 1)
 
     def test_limit_below_first_fit(self, monkeypatch):
@@ -451,7 +452,7 @@ class TestLiftedFirstFit:
         # with every searched level refuted, the solver returns g with F
         monkeypatch.setattr(_ColoringSearch, "lex_least", lambda self, k: None)
         value, coloring = solve_product_chromatic(factors)
-        assert value.as_int() == max(coloring.colors, default=1)
+        assert value.to_json() == max(coloring.colors, default=1)
         return list(coloring.colors)
 
     @staticmethod
@@ -592,7 +593,7 @@ class TestBoundReport:
         f = rep.factors[0]
         assert f.ecd == 4 and f.ecd_bound == 4
         assert rep.product_ecd_bound == 4
-        assert rep.exact_chi.as_int() == 4
+        assert rep.exact_chi == 4
         assert rep.zhu_status == "VERIFIED"
         assert rep.check() == []
 
@@ -608,21 +609,21 @@ class TestBoundReport:
 
         monkeypatch.setattr(kneserlab.chromatic, "solve_product_chromatic", counted)
         rep = bound_report([hnka(7, 2, 3)], 2)
-        assert rep.exact_chi == rep.factors[0].kg_chi == ChromaticValue.finite(4)
+        assert rep.exact_chi == rep.factors[0].kg_chi == 4
         assert calls == [1]
 
     def test_two_factor_tiny(self):
         H = complete_uniform(3, 2)
         rep = bound_report([H, H], 2)
         # KG(complete_uniform(3,2)) has intersecting edges only: chi = 1
-        assert rep.exact_chi.as_int() == 1
+        assert rep.exact_chi == 1
         assert rep.zhu_status == "VERIFIED"
         assert rep.check() == []
 
     def test_edgeless_factor(self):
         rep = bound_report([Hypergraph(3, []), complete_uniform(5, 2)], 2)
         assert rep.product_ecd_bound == 0
-        assert rep.exact_chi.as_int() == 1
+        assert rep.exact_chi == 1
         assert rep.zhu_status == "VERIFIED"
 
     def test_bounds_never_exceed_chi(self):

@@ -646,6 +646,17 @@ class TestMainEntry:
         assert exc.value.code == 2 and calls == [1, 1]
         assert "no factor recipes given" in capsys.readouterr().err
 
+    def test_refused_spec_removes_only_the_out_dirs_it_made(self, capsys, tmp_path):
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for out in (tmp_path / "d" / "sub", kept / "sub", kept):
+            with pytest.raises(SystemExit) as exc:
+                main(["invariants", "--r", "2", "--out", str(out)])
+            assert exc.value.code == 2
+            assert "no factor recipes given" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+        assert list(kept.iterdir()) == []
+
     @pytest.mark.parametrize("task", ["bounds", "compare"])
     def test_r_below_two_is_a_usage_error(self, task, capsys):
         with pytest.raises(SystemExit) as exc:

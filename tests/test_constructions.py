@@ -22,6 +22,7 @@ from kneserlab import (
     t_hypergraph,
 )
 from conftest import (
+    finite_chi,
     is_proper,
     minimal_covers,
     minimal_covers_brute,
@@ -170,7 +171,7 @@ class TestProductMinimal:
         B = Hypergraph(2, [(1, 2)])
         C = Hypergraph(3, [(1, 2), (2, 3)])
         chis = {
-            solve_chromatic(product_minimal(list(perm)))[0].as_int()
+            finite_chi(solve_chromatic(product_minimal(list(perm)))[0])
             for perm in itertools.permutations([A, B, C])
         }
         assert len(chis) == 1

@@ -385,7 +385,7 @@ class TestLemmaChecks:
     def test_lemma2_hnka_optimal_coloring_clean(self):
         H = hnka(7, 2, 3)
         value, coloring = solve_chromatic(kneser(H, 2))
-        assert value.as_int() == 4
+        assert value.to_json() == 4
         assert check_lemma2([H], 2, coloring) == []
 
     def test_lemma2_two_factor_nonvacuous(self):

@@ -143,3 +143,14 @@ def test_cli_import_skips_start_up_only_modules():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == []
+
+
+def test_version_stated_once():
+    """The package version, the cache keys' version and the distribution's
+    version are one value."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    from kneserlab.cache import CODE_VERSION
+
+    with (Path(__file__).parents[1] / "pyproject.toml").open("rb") as fh:
+        declared = tomllib.load(fh)["project"]["version"]
+    assert kneserlab.__version__ == CODE_VERSION == declared
