@@ -165,9 +165,8 @@ def _ecd(H: Hypergraph, r: int) -> int:
 
 
 class _Found(Exception):
-    def __init__(self, depth: int, classes: list[int]) -> None:
-        self.depth = depth  # order position of the found vector's last nonzero entry
-        self.classes = classes  # its vertex masks of signs 1..m
+    def __init__(self, classes: list[int]) -> None:
+        self.classes = classes  # the found vector's vertex masks of signs 1..m
 
 
 def _alt_search(
@@ -190,7 +189,7 @@ def _alt_search(
         if cur > best:
             best = cur
             if cutoff is not None and best >= cutoff:
-                raise _Found(i - 1, class_masks[1:])
+                raise _Found(class_masks[1:])
         if i > n or cur + (n - i + 1) <= best:
             return
         v = order[i - 1]
@@ -229,25 +228,49 @@ def _next_block(order: list[int], depth: int) -> bool:
 
 
 def _reach(kept: list[list[int]], order: list[int], best: int) -> int:
-    """The first position of ``order`` at which a vector of ``kept``, read
-    along it, has ``best`` runs, or 0 if none does. A vector is dropped at
-    the position where too few are left to reach ``best``; the one that
-    reaches it moves to the front of ``kept``."""
+    """The depth of a block of ``order`` settled by a vector of ``kept`` that
+    has ``best`` >= 2 runs along it, or 0. One that starts run ``best``
+    settles the block of order[:p], p the start of run best - j, if its last
+    j + 1 runs have distinct signs (j = 1 always; j = 2 if runs best - 2 and
+    best differ). Proof: zero its entries after p but the j run starts. The
+    classes stay edge-free, order[:p] gives best - j runs, and the j left,
+    distinct and unlike the last sign of order[:p], each open a run in any
+    order. Vectors too short are dropped early; the settling one moves first."""
     slack = len(order) - best
     for k, signs in enumerate(kept):
-        last = missed = 0
+        last = before = missed = start = prev = 0
         for d, v in enumerate(order, 1):
             s = signs[v]
             if s and s != last:
                 if d - missed >= best:
                     kept.insert(0, kept.pop(k))
-                    return d
-                last = s
+                    return prev if prev and s != before else start
+                prev, start = start, d
+                before, last = last, s
             elif missed == slack:
                 break
             else:
                 missed += 1
     return 0
+
+
+def _maximal(classes: list[int], spans: bytes, n: int) -> list[int]:
+    """The signs (index 0 unused) of ``classes`` made maximal: each unsigned
+    vertex in turn joins the least class that stays edge-free."""
+    signs = [0] * (n + 1)
+    for s, mask in enumerate(classes, 1):
+        for v in bits_of(mask):
+            signs[v] = s
+    for v in range(1, n + 1):
+        if signs[v]:
+            continue
+        bit = 1 << (v - 1)
+        for s, mask in enumerate(classes):
+            if not spans[mask | bit]:
+                classes[s] = mask | bit
+                signs[v] = s + 1
+                break
+    return signs
 
 
 def _twins_below(H: Hypergraph) -> dict[int, int]:
@@ -299,19 +322,16 @@ def _alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltRe
     sign vector whose classes, read through the ordering, are edge-free.
 
     Exact mode (n <= 9) walks the orderings in lex order and reports the
-    lexicographically smallest optimal one. When an ordering has a vector
-    reaching the incumbent, every ordering sharing its prefix up to that
-    vector's last nonzero entry has it too, and the walk jumps past them.
-    The walk keeps up to n of the vectors the search found, one sign per
-    vertex and the last one to reach the incumbent first, and reads them
-    along each ordering before it searches. Their sign classes are vertex
-    sets, edge-free under every ordering, so one that reaches the
-    incumbent at position d lets the walk jump past the block of
-    order[:d] without a search. Jumps drop only orderings that are not
-    better than the incumbent, and the certificate changes only on a
-    strict improvement, so it stays the lex-least optimal ordering. With
-    at most n vectors, an ordering that no kept vector settles costs at
-    most n*n steps before its search.
+    lexicographically smallest optimal one. It keeps up to n maximal
+    vectors from its searches, the last to settle a block first; their
+    sign classes are vertex sets, edge-free under every ordering. Read
+    along an ordering, before its search and after a search hits the
+    cutoff, one with ``best`` (the incumbent) runs settles the block of
+    order[:p], p the start of its run best - j, if its last j + 1 runs
+    have distinct signs (`_reach`). Jumps drop only orderings no better
+    than the incumbent, and the certificate changes only on a strict
+    improvement, so it stays the lex-least optimal ordering. An ordering
+    that no kept vector settles costs at most n*n steps before its search.
     Before the kept vectors, `_symmetric_prefix` settles in O(n) the
     blocks whose orderings all have a lex-earlier image under reversal or
     under a twin swap (u v), a transposition that maps E(H) onto itself
@@ -344,7 +364,7 @@ def _alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltRe
         order = list(range(1, n + 1))
         best = _alt_search(H, r, order, spans, cutoff=None)
         cert, depth = tuple(order), n
-        kept: list[list[int]] = []  # found vectors, one sign per vertex
+        kept: list[list[int]] = []  # found vectors made maximal, one sign per vertex
         below = _twins_below(H) if best > floor else {}
         while best > floor and _next_block(order, depth):
             depth = _symmetric_prefix(order, below) or _reach(kept, order, best)
@@ -353,13 +373,8 @@ def _alt_min(H: Hypergraph, r: int, mode: str = "exact", seed: int = 0) -> AltRe
             try:
                 best = _alt_search(H, r, order, spans, cutoff=best)
             except _Found as found:
-                depth = found.depth
-                signs = [0] * (n + 1)
-                for s, mask in enumerate(found.classes, 1):
-                    for v in bits_of(mask):
-                        signs[v] = s
-                kept.insert(0, signs)
-                del kept[n:]
+                kept = [_maximal(found.classes, spans, n), *kept[: n - 1]]
+                depth = _reach(kept, order, best)
                 continue
             cert, depth = tuple(order), n
         return AltResult(best, Permutation(cert), True)

@@ -69,6 +69,9 @@ COMMANDS = (
     # symmetric inputs the walk settles by reversal and twin swaps
     "invariants --r 3 star:9",
     "invariants --r 2 complete:8,3",
+    # twin-free: only reversal and the kept vectors cut the walk
+    "invariants --r 2 cycle:9",
+    "invariants --r 3 cycle:9",
     # the task options no command above sets
     "bounds --r 2 --limit 2 complete:6,2",
     "witness --p 2 --eta 2 complete:5,2",

@@ -21,7 +21,7 @@ from kneserlab import (
     star,
 )
 from kneserlab import invariants
-from kneserlab.hypergraph import T_ENUM_CAP
+from kneserlab.hypergraph import T_ENUM_CAP, span_table
 from conftest import (
     alt_min_lex_naive,
     alt_min_naive,
@@ -31,6 +31,7 @@ from conftest import (
     alt_sigma_naive,
     cd_naive,
     class_mask,
+    contains_edge_within,
     ecd_naive,
     random_hypergraph,
     random_pool,
@@ -247,6 +248,19 @@ def _star_plus(n: int) -> Hypergraph:
     return Hypergraph(n, [(i, n) for i in range(1, n)] + [(1, 2)] * (n >= 3))
 
 
+# two twin-free 9-vertex inputs, _low_symmetry(random.Random(seed), 9, sizes)
+# for seeds 1 and 2 with sizes (2, 2, 2, 3, 3, 3, 4, 4, 4) and
+# (2, 2, 3, 3, 3, 4, 4, 4, 5)
+_LOW9 = (
+    Hypergraph(9, [
+        (1, 2, 3, 4), (1, 3, 6, 8), (1, 4, 7), (1, 5, 6, 9), (2, 3), (2, 4, 9), (2, 5), (7, 8, 9), (8, 9),
+    ]),
+    Hypergraph(9, [
+        (1, 2), (1, 4, 5), (1, 5, 7, 9), (2, 3, 5, 6, 7), (2, 6), (3, 4, 6, 8), (3, 5, 9), (3, 6, 7), (4, 5, 6, 7),
+    ]),
+)
+
+
 def _has_earlier_image(order: tuple[int, ...], twins) -> bool:
     """Whether the reverse of ``order``, or its image under the swap of
     one pair of ``twins``, comes before it in lex order."""
@@ -324,26 +338,30 @@ class TestAltMinWalk:
         monkeypatch.undo()
         assert res.value > 2  # above the floor: the walk covers all 6! orderings
         twins = twins_naive(H)
+        values = {q: alt_sigma(H, 2, Permutation(q)) for q in itertools.permutations(range(1, 7))}
         # each block is sound. A symmetry block holds only orderings with a
         # lex-earlier reverse or twin-swapped image; any other block is a
-        # witness block: the ordering's first `depth` vertices alone carry a
-        # vector reaching the incumbent, the least alternation over the
-        # orderings visited so far
+        # witness block: each of its orderings reaches the incumbent, the
+        # least alternation over the orderings visited so far. Some witness
+        # blocks are shorter than any prefix that alone carries a vector
+        # reaching the incumbent: a kept vector settles them from the runs
+        # it still owes after the prefix
         incumbent = H.n
-        kinds = {"symmetry": 0, "witness": 0}
+        kinds = {"symmetry": 0, "witness": 0, "below_prefix": 0}
         for order, depth in steps:
-            incumbent = min(incumbent, alt_sigma(H, 2, Permutation(order)))
+            incumbent = min(incumbent, values[order])
             block = [order[:depth] + tail for tail in itertools.permutations(order[depth:])]
             if all(_has_earlier_image(q, twins) for q in block):
                 kinds["symmetry"] += 1
                 continue
             kinds["witness"] += 1
+            assert all(values[q] >= incumbent for q in block), (order, depth)
             pos = {v: j + 1 for j, v in enumerate(order[:depth])}
             prefix = Hypergraph(
                 depth, [[pos[v] for v in e] for e in H.edges if set(e) <= pos.keys()]
             )
-            assert alt_sigma(prefix, 2, Permutation(tuple(range(1, depth + 1)))) >= incumbent
-        assert kinds["symmetry"] > 0 and kinds["witness"] > 0, kinds
+            kinds["below_prefix"] += alt_sigma(prefix, 2, Permutation(tuple(range(1, depth + 1)))) < incumbent
+        assert kinds["symmetry"] > 0 and kinds["witness"] > kinds["below_prefix"] > 0, kinds
         # the walk leaves out exactly the orderings that share order[:depth]
         # with an earlier visited ordering
         visited = {order: i for i, (order, _) in enumerate(steps)}
@@ -393,6 +411,22 @@ class TestAltMinWalk:
             assert invariants._twins_below(H) == want, H
 
     @pytest.mark.parametrize(
+        "H, r, value, sigma",
+        [
+            (cycle(9), 2, 5, (1, 3, 5, 2, 4, 7, 9, 6, 8)),
+            (cycle(9), 3, 7, (1, 3, 5, 2, 4, 7, 9, 6, 8)),
+            (_LOW9[0], 2, 6, (1, 2, 6, 4, 8, 3, 9, 5, 7)),
+            (_LOW9[1], 2, 6, (3, 1, 6, 4, 2, 7, 5, 8, 9)),
+        ],
+    )
+    def test_certificates_at_nine_vertices(self, H, r, value, sigma):
+        # past alt_min_plain's reach, so pinned: twin-free inputs, where only
+        # reversal and the kept vectors cut the walk
+        assert invariants._twins_below(H) == {}
+        res = invariants._alt_min(H, r)
+        assert (res.value, res.sigma.sigma) == (value, sigma)
+
+    @pytest.mark.parametrize(
         "H, r, value, limit", [(star(9), 3, 9, 1000), (complete_uniform(8, 3), 2, 4, 100)]
     )
     def test_symmetric_inputs_walk_few_orderings(self, monkeypatch, H, r, value, limit):
@@ -414,6 +448,67 @@ class TestAltMinWalk:
                     assert invariants._next_block(order, depth) == bool(later), (perm, depth)
                     if later:
                         assert tuple(order) == later[0], (perm, depth)
+
+    def test_reach_matches_its_definition(self):
+        # 0 exactly when no kept vector has `best` runs along the order;
+        # otherwise the front vector has `best` runs along every ordering of
+        # the block of order[:depth]
+        rng = random.Random(31)
+        settled = 0
+        for _ in range(600):
+            n, m = rng.randint(2, 6), rng.randint(1, 3)
+            kept = [[0] + [rng.randint(0, m) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+            order, best = rng.sample(range(1, n + 1), n), rng.randint(2, n)
+            before = list(kept)
+            depth = invariants._reach(kept, order, best)
+            assert sorted(kept) == sorted(before)
+            if not any(alt_naive([signs[v] for v in order]) >= best for signs in before):
+                assert depth == 0, (kept, order, best)
+                continue
+            settled += 1
+            assert 1 <= depth <= n, (kept, order, best)
+            for tail in itertools.permutations(order[depth:]):
+                assert alt_naive([kept[0][v] for v in order[:depth] + list(tail)]) >= best
+        assert settled > 100
+
+    def test_reach_window_needs_distinct_signs(self):
+        # along 1..5 the vector (1, 2, 1, 0, 0) starts run 3 at position 3;
+        # runs 1 and 3 share a sign, so the block is that of order[:2]:
+        # order[:1] would hold (1, 3, 2, 4, 5), which has 2 runs
+        order = [1, 2, 3, 4, 5]
+        assert invariants._reach([[0, 1, 2, 1, 0, 0]], order, 3) == 2
+        assert alt_naive([1, 1, 2, 0, 0]) == 2
+        # with three distinct signs the window reaches back to run 1
+        assert invariants._reach([[0, 1, 2, 3, 0, 0]], order, 3) == 1
+        # at best = 2 the window is run 1
+        assert invariants._reach([[0, 0, 1, 1, 2, 0]], order, 2) == 2
+        # a vector that falls short settles nothing
+        assert invariants._reach([[0, 1, 1, 2, 2, 0]], order, 3) == 0
+
+    def test_maximal_vectors_match_their_definition(self):
+        # the kept vector extends the found one, every class spans no edge,
+        # and no unsigned vertex can join any class
+        rng = random.Random(32)
+        grown = 0
+        for H in random_pool(60, max_n=7):
+            n = H.n
+            for m in (1, 2, 3):
+                entries = [rng.randint(0, m) for _ in range(n)]
+                for v in range(n):
+                    if entries[v] and contains_edge_within(H, class_mask(entries, entries[v])):
+                        entries[v] = 0
+                classes = [class_mask(entries, s) for s in range(1, m + 1)]
+                signs = invariants._maximal(classes, span_table(H), n)
+                assert len(signs) == n + 1 and signs[0] == 0
+                assert all(x == y for x, y in zip(entries, signs[1:]) if x), (H, entries, signs)
+                grown += signs[1:] != entries
+                for s in range(1, m + 1):
+                    assert not contains_edge_within(H, class_mask(signs[1:], s)), (H, signs)
+                for v in range(1, n + 1):
+                    if not signs[v]:
+                        for s in range(1, m + 1):
+                            assert contains_edge_within(H, class_mask(signs[1:], s) | 1 << (v - 1))
+        assert grown > 0
 
     def test_r_one(self):
         for H, value in ((Hypergraph(3, [(1, 2)]), 1), (Hypergraph(3, [(1,), (2,), (3,)]), 0)):
