@@ -48,14 +48,15 @@ class _ColoringSearch:
 
     An explicit hypergraph is the one-factor product, whose boxes are its
     edges. Each box e_1 x ... x e_t is compiled once into its cells and, per
-    cell, one position int: factor j owns a bit field at its own offset, and
-    the cell sets the bit of its coordinate inside e_j. A color class covering
-    the box's full mask contains a monochromatic product edge. An open cell
-    completes a box when its position contains the bits ``miss`` that the
-    color still lacks, and then must not take that color. `first_fit` colors
+    cell, one position int: factor j owns a bit field at the summed widths of
+    e_1..e_{j-1}, and the cell sets the bit of its coordinate inside e_j. A
+    color class covering the box's full mask contains a monochromatic product
+    edge. An open cell completes a box when its position contains the bits
+    ``miss`` that the color still lacks, and then must not take that color. A
+    product vertex's boxes (index sum i_j * M_j, M_j the later factors' edge
+    counts multiplied) are built at its first assignment. `first_fit` colors
     once in index order (on a product's first factor alone, then lifted: see
-    `solve_product_chromatic`); `lex_least(k)` searches level k on one state,
-    picking the open vertex v of largest score n_forbidden(v) * (N + 1) + N - v.
+    `solve_product_chromatic`); `lex_least(k)` searches level k on one state.
 
     Every box has at least two cells: `solve_product_chromatic` answers
     INFINITE before it would build a one-cell box. As the forbid counts are
@@ -70,47 +71,59 @@ class _ColoringSearch:
     def __init__(self, factors: Sequence[Hypergraph]) -> None:
         space = ProductSpace.for_factors(factors)
         self.N = N = space.size
-        # per box: full mask, cell vertices, and per miss the indices of the
-        # cells completing it (masks and tables shared by all boxes of one
-        # shape); per vertex: its boxes and its position in each
-        self.full: list[int] = []
-        self.cells: list[list[int]] = []
-        self.completing: list[dict[int, list[int]]] = []
-        self.boxes_of: list[list[int]] = [[] for _ in range(N + 1)]
-        self.pos_of: list[list[int]] = [[] for _ in range(N + 1)]
         vertex = list(range(N + 1))  # one int object per vertex, however often stored
-        shapes: dict[tuple[int, ...], tuple[int, list[int], dict[int, list[int]]]] = {}
         # per factor edge, the row-major offsets (v - 1) * stride of its vertices
         strides = [prod(space.dims[j + 1 :]) for j in range(len(factors))]
         edge_offsets = [[[(v - 1) * st for v in e] for e in H.edges] for H, st in zip(factors, strides)]
-        boxes_of, pos_of = self.boxes_of, self.pos_of
-        # row-major, as iproduct(*edge_offsets): the cells over all factors but
-        # the last are summed once per prefix, then extended by each last edge
+        # per box, row-major as iproduct(*edge_offsets): the cells over all factors but the last
+        # are summed once per prefix, then extended by each last edge; the full mask and per miss
+        # the indices of the cells completing it are one table per shape (the edge widths)
         *head, last = edge_offsets
-        for prefix in iproduct(*head):
-            base = [1 + sum(offs) for offs in iproduct(*prefix)]
-            for e in last:
-                shape = (*map(len, prefix), len(e))
-                if shape not in shapes:
-                    offsets = accumulate(shape, initial=0)
-                    fields = [[1 << (off + i) for i in range(n)] for off, n in zip(offsets, shape)]
-                    positions = [sum(bits) for bits in iproduct(*fields)]
-                    completing: dict[int, list[int]] = {}
-                    for i, pos in enumerate(positions):
-                        miss = pos
-                        while miss:  # every nonempty sub-mask of pos
-                            completing.setdefault(miss, []).append(i)
-                            miss = (miss - 1) & pos
-                    shapes[shape] = ((1 << sum(shape)) - 1, positions, completing)
-                full, positions, completing = shapes[shape]
-                bid = len(self.full)
-                cells = [vertex[c + o] for c in base for o in e]
-                for v, pos in zip(cells, positions):
-                    boxes_of[v].append(bid)
-                    pos_of[v].append(pos)
-                self.full.append(full)
-                self.cells.append(cells)
-                self.completing.append(completing)
+        prefixes = list(iproduct(*head))
+        bases = [[1 + sum(offs) for offs in iproduct(*prefix)] for prefix in prefixes]
+        self.cells: list[list[int]] = [[vertex[c + o] for c in base for o in e] for base in bases for e in last]
+        widths = [tuple(map(len, prefix)) for prefix in prefixes]
+        tables: dict[tuple[int, ...], tuple[int, dict[int, list[int]]]] = {}
+        for shape in {(*pw, len(e)) for pw in set(widths) for e in last}:
+            fields = [[1 << (off + i) for i in range(n)] for off, n in zip(accumulate(shape, initial=0), shape)]
+            completing: dict[int, list[int]] = {}
+            for i, cell in enumerate(iproduct(*fields)):
+                pos = miss = sum(cell)
+                while miss:  # every nonempty sub-mask of pos
+                    completing.setdefault(miss, []).append(i)
+                    miss = (miss - 1) & pos
+            tables[shape] = ((1 << sum(shape)) - 1, completing)
+        row = {pw: [tables[(*pw, len(e))] for e in last] for pw in set(widths)}  # per prefix shape
+        self.full: list[int] = [t[0] for pw in widths for t in row[pw]]
+        self.completing: list[dict[int, list[int]]] = [t[1] for pw in widths for t in row[pw]]
+        # per factor vertex u, the edges through it: the last factor's indices and u's bit in
+        # each, an earlier factor j's (index * M_j, u's bit, width) per edge; per vertex, its
+        # boxes and its position in each, a product vertex's built at its first assignment
+        *head_factors, H = factors
+        ids, bits = [[] for _ in range(H.n + 1)], [[] for _ in range(H.n + 1)]
+        for i, e in enumerate(H.edges):
+            for p, u in enumerate(e):
+                ids[u].append(i)
+                bits[u].append(1 << p)
+        self.tail = (H.n, ids, bits)
+        steps = [prod(len(G.edges) for G in factors[j + 1 :]) for j in range(len(head_factors))]
+        self.heads = [
+            (st, F.n, [[(i * m, 1 << e.index(u), len(e)) for i, e in enumerate(F.edges) if u in e]
+                       for u in range(F.n + 1)])
+            for F, st, m in zip(head_factors, strides, steps)
+        ]
+        self.boxes_of, self.pos_of = (ids, bits) if not head_factors else ([[]] + [None] * N, [[]] + [None] * N)
+
+    def _build(self, v: int) -> list[int]:
+        """Build and return v's boxes (and positions), row-major over its coordinates' edges."""
+        rows = [(0, 0, 0)]  # per box over v's head coordinates: index, position, width
+        for stride, n, through in self.heads:
+            rows = [(b + i, pos | bit << w, w + width)
+                    for b, pos, w in rows for i, bit, width in through[(v - 1) // stride % n + 1]]
+        n, ids, bits = self.tail
+        self.pos_of[v] = [pos | bit << w for _, pos, w in rows for bit in bits[(v - 1) % n + 1]]
+        boxes = self.boxes_of[v] = [b + i for b, _, _ in rows for i in ids[(v - 1) % n + 1]]
+        return boxes
 
     def first_fit(self) -> list[int]:
         """Index-order first fit: v = 1..N each takes the least color completing no
@@ -123,7 +136,8 @@ class _ColoringSearch:
         for v in range(1, self.N + 1):
             c = (~banned[v] & (banned[v] + 1)).bit_length() - 1
             cov, bit = covered[c], 1 << c
-            for bid, pos in zip(self.boxes_of[v], self.pos_of[v]):
+            boxes = self.boxes_of[v]
+            for bid, pos in zip(self._build(v) if boxes is None else boxes, self.pos_of[v]):
                 new = cov[bid] | pos
                 if new != cov[bid]:
                     cov[bid] = new
@@ -138,14 +152,15 @@ class _ColoringSearch:
         there is no proper k-coloring (k < chi).
 
         ``decide`` extends the current partial coloring most-constrained-first
-        (most forbidden colors, ties to the least index: the largest score
-        n_forbidden(v) * (N + 1) + N - v, as N - v <= N), colors ascending and
-        at most one above those in use, on an explicit stack. It returns a
-        full coloring or None and leaves the state as it found it; its first
-        call is the level's proof. Then v = 1..N is fixed in index order to
-        the least color below the witness's with which the prefix still
-        extends, else to the witness's color: each fixed prefix is lex-least
-        and still extendable, so the last witness is the lex-least coloring.
+        (most forbidden colors, ties to the least index: the lowest ``free``
+        bit of the highest ``tier[j]``, the vertices with at least j colors
+        forbidden, holding one), colors ascending and at most one above those
+        in use, on an explicit stack. It returns a full coloring or None and
+        leaves the state as it found it; its first call is the level's proof.
+        Then v = 1..N is fixed in index order to the least color below the
+        witness's with which the prefix still extends, else to the witness's
+        color: each fixed prefix is lex-least and still extendable, so the
+        last witness is the lex-least coloring.
 
         ``decide`` backjumps conflict-directed (Prosser 1993). When v has no
         color up to cap = min(k, maxc + 1) left, its conflict set (a vertex
@@ -165,13 +180,11 @@ class _ColoringSearch:
         """
         N = self.N
         full, cells, completing = self.full, self.cells, self.completing
-        boxes_of, pos_of = self.boxes_of, self.pos_of
+        boxes_of, pos_of, build = self.boxes_of, self.pos_of, self._build
         colors = [0] * (N + 1)
-        forbid = [[0] * (k + 1) for _ in range(N + 1)]
-        step = N + 1  # score[u] = n_forbidden[u] * step + N - u
-        score = [N - u for u in range(N + 1)]
+        forbid = [[0] * (k + 1) for _ in range(N + 1)]  # forbid[u][0]: how many colors u has forbidden
+        tier = [(1 << N + 1) - 2] + [0] * k  # tier[j]: the vertices (a bitmask) with at least j forbidden
         covered = [[0] * len(full) for _ in range(k + 1)]
-        uncolored = set(range(1, N + 1))
         why = [[0] * (N + 1) for _ in range(k + 1)]  # why[c][u]: the box that set forbid[u][c] to 1
 
         def undo(v: int, c: int, trail: tuple[list[int], list[int]]) -> None:
@@ -183,7 +196,8 @@ class _ColoringSearch:
                 f = forbid[u]
                 f[c] -= 1
                 if not f[c]:
-                    score[u] -= step
+                    tier[f[0]] ^= 1 << u
+                    f[0] -= 1
             colors[v] = 0
 
         def assign(v: int, c: int) -> tuple[list[int], list[int]]:
@@ -191,6 +205,8 @@ class _ColoringSearch:
             trail; no box becomes monochromatic (see the class docstring)."""
             cov, why_c = covered[c], why[c]
             boxes = boxes_of[v]
+            if boxes is None:
+                boxes = build(v)
             forbidden: list[int] = []
             trail = ([cov[bid] for bid in boxes], forbidden)
             colors[v] = c
@@ -210,18 +226,22 @@ class _ColoringSearch:
                         if not colors[u]:
                             f = forbid[u]
                             if not f[c]:
-                                score[u] += step
+                                j = f[0] = f[0] + 1
+                                tier[j] |= 1 << u
                                 why_c[u] = bid
                             f[c] += 1
                             forbidden.append(u)
             return trail
 
-        def decide(maxc: int) -> list[int] | None:
+        def decide(maxc: int, free: int) -> list[int] | None:
             stack: list[tuple[int, int, int, tuple[list[int], list[int]]]] = []
             conflict = [0] * (N + 1)  # per stacked vertex: the vertices its failed colors rest on
-            while uncolored:
-                v = max(uncolored, key=score.__getitem__)
-                uncolored.remove(v)
+            while free:
+                j = k
+                while not (pick := tier[j] & free):
+                    j -= 1
+                v = (pick & -pick).bit_length() - 1
+                free ^= 1 << v
                 c = 0
                 while True:
                     cap = min(k, maxc + 1)
@@ -238,12 +258,12 @@ class _ColoringSearch:
                                 if colors[u] == d:
                                     blame |= 1 << u
                     conflict[v] = 0
-                    uncolored.add(v)
+                    free |= 1 << v
                     while stack and not blame >> stack[-1][0] & 1:
                         u, d, _, trail = stack.pop()
                         undo(u, d, trail)
                         conflict[u] = 0
-                        uncolored.add(u)
+                        free |= 1 << u
                     if not stack:
                         return None
                     v, c, maxc, trail = stack.pop()
@@ -255,19 +275,19 @@ class _ColoringSearch:
             found = [0] + [rename.setdefault(c, len(rename) + 1) for c in colors[1:]]
             for v, c, _, trail in reversed(stack):
                 undo(v, c, trail)
-                uncolored.add(v)
             return found
 
-        if (witness := decide(0)) is None:
+        free = tier[0]  # the open vertices
+        if (witness := decide(0, free)) is None:
             return None
         maxc = 0
         for v in range(1, N + 1):
-            uncolored.remove(v)
+            free ^= 1 << v
             for c in range(1, witness[v]):  # each c <= maxc + 1, by first appearance
                 if forbid[v][c]:
                     continue
                 trail = assign(v, c)
-                if (found := decide(max(maxc, c))) is not None:
+                if (found := decide(max(maxc, c), free)) is not None:
                     witness = found
                     break
                 undo(v, c, trail)

@@ -255,11 +255,15 @@ def _kg(n: int, k: int, r: int = 2) -> Hypergraph:
 
 class TestBoxCompiler:
     """`_ColoringSearch` compiles the same boxes as ``compile_boxes_naive``,
-    field by field, and stores one int object per vertex."""
+    field by field, and stores one int object per vertex. A product vertex's
+    lists are built at its first assignment, so every one is built first."""
 
     @staticmethod
     def check(factors):
         engine, naive = _ColoringSearch(factors), compile_boxes_naive(factors)
+        for v in range(1, engine.N + 1):
+            if engine.boxes_of[v] is None:
+                engine._build(v)
         for name in ("N", "full", "cells", "completing", "boxes_of", "pos_of"):
             assert getattr(engine, name) == getattr(naive, name), name
         stored = [v for cells in engine.cells for v in cells]
@@ -300,6 +304,30 @@ class TestBoxCompiler:
         factors.insert(where, Hypergraph(3))
         self.check(factors)
 
+    @pytest.mark.parametrize(
+        "make, built",
+        [
+            pytest.param(lambda: [_kg(5, 2)] * 2, 8, id="KG(5,2)^2"),
+            pytest.param(lambda: [kneser(hnka(6, 2, 2), 2)] * 2, 72, id="KG(H(6,2,2))^2"),
+            pytest.param(lambda: [_kg(5, 2), _kg(6, 2)], 14, id="KG(5,2)xKG(6,2)"),
+            pytest.param(lambda: [_kg(5, 2), _kg(7, 3)], 18, id="KG(5,2)xKG(7,3)"),
+            pytest.param(lambda: [_kg(6, 2)] * 2, 77, id="KG(6,2)^2"),
+            pytest.param(lambda: [cycle(5), cycle(7)], 22, id="C5xC7"),
+            pytest.param(lambda: [cycle(7)] * 3, 246, id="C7^3"),
+            pytest.param(lambda: [_kg(7, 2, 3)] * 2, 0, id="KG^3(7,2)^2"),
+        ],
+    )
+    def test_levels_below_chi_build_only_the_vertices_they_assign(self, make, built):
+        # each count is how many vertices' boxes the same levels read on an
+        # engine that compiles every vertex up front, so an equal count pins
+        # the pick order, and a vertex the search never assigns is never built
+        factors = make()
+        chi = finite_chi(solve_product_chromatic(factors)[0])
+        engine = _ColoringSearch(factors)
+        for k in range(2, chi):
+            assert engine.lex_least(k) is None
+        assert sum(boxes is not None for boxes in engine.boxes_of[1:]) == built
+
 
 class TestLexLeastCertificate:
     """The certificate against the static index-order search of
@@ -329,6 +357,18 @@ class TestLexLeastCertificate:
     def test_cube_of_petersen(self):
         P = kneser(complete_uniform(5, 2), 2)
         self.check([P, P, P])
+
+    def test_large_product_below_chi(self):
+        # 2,197 vertices, most of them assigned while level 2 is refuted: the
+        # pick's bitmask operations at large N
+        factors = [cycle(13)] * 3
+        start = time.perf_counter()
+        value, coloring = solve_product_chromatic(factors)
+        assert time.perf_counter() - start < 1.0
+        # C13 embeds on the diagonal of its cube, and a projection colors it
+        assert finite_chi(value) == chromatic_brute(cycle(13)) == 3
+        assert product_is_proper(factors, coloring)
+        assert list(coloring.colors) == lex_least_coloring_static(factors, 3)
 
     def test_random_products(self):
         # two dense graphs on at most 5 vertices: the oracle's index order
