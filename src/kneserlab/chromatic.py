@@ -6,13 +6,14 @@ products alike: a hypergraph is the one-factor product. The index-order first
 fit (g colors), for a product the first factor's lifted, is the certificate at g
 and refutes level 1; the product's boxes are compiled only to decide a level
 2..g-1 by a most-constrained-first search that backjumps conflict-directed
-(Prosser 1993), and at chi < g repeated decisions on the same search state fix
-the vertices in index order to the lex-least certificate.
+(Prosser 1993) and refutes a repeated try by the nogood a backjump left
+(Schiex-Verfaillie 1994), and at chi < g repeated decisions on the same search
+state fix the vertices in index order to the lex-least certificate.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from collections.abc import Sequence
 from itertools import accumulate, product as iproduct
 from math import prod
@@ -59,13 +60,15 @@ class _ColoringSearch:
     `solve_product_chromatic`); `lex_least(k)` searches level k on one state.
 
     Every box has at least two cells: `solve_product_chromatic` answers
-    INFINITE before it would build a one-cell box. As the forbid counts are
-    exact (every change is undone in reverse order), a color that an open
-    vertex has not forbidden then completes no box. For the same reason the
-    box ``why[c][u]`` recorded when forbid[u][c] went from 0 to 1 still
-    forbids c at u while the count is above 0: the assignment that raised it
-    is undone only after every later one, and until then the box's cells of
-    color c, with u, still cover its full mask.
+    INFINITE before it would build a one-cell box. A forbid is a flag:
+    forbid[u][c] is set by the first assignment that completes a box at the
+    open vertex u in color c (the latest of that box's cells to take c), and
+    only that change goes on its trail. Undo is last in, first out, so the
+    undo that clears the flag finds the coloring as it was before that
+    assignment, when no box forbade c at u: the flags are exact, and a color
+    that an open vertex has not forbidden completes no box. For the same
+    reason the box ``why[c][u]`` recorded with the flag forbids c at u while
+    the flag is set: its cells of color c, with u, cover its full mask.
     """
 
     def __init__(self, factors: Sequence[Hypergraph]) -> None:
@@ -113,6 +116,7 @@ class _ColoringSearch:
             for F, st, m in zip(head_factors, strides, steps)
         ]
         self.boxes_of, self.pos_of = (ids, bits) if not head_factors else ([[]] + [None] * N, [[]] + [None] * N)
+        self.counts: dict[int, Counter[str]] = {}  # per level k, what its decisions did
 
     def _build(self, v: int) -> list[int]:
         """Build and return v's boxes (and positions), row-major over its coordinates' edges."""
@@ -163,10 +167,10 @@ class _ColoringSearch:
         last witness is the lex-least coloring.
 
         ``decide`` backjumps conflict-directed (Prosser 1993). When v has no
-        color up to cap = min(k, maxc + 1) left, its conflict set (a vertex
-        bitmask) joins the sets its failed colors left and, per forbidden
-        color d <= cap, the cells of box ``why[d][v]`` colored d. No proper
-        coloring extends the colors on that set: each d <= cap is forbidden
+        color up to cap = min(k, maxc + 1) left, its conflict set (colored
+        vertices with their colors) joins the sets its failed colors left
+        and, per forbidden color d <= cap, the cells of box ``why[d][v]``
+        colored d. No proper coloring extends that set: each d <= cap is forbidden
         or failed, and a color above cap turns into cap by swapping two
         colors unused on the set. The search pops to the latest stacked
         vertex in the set, returning the vertices between to the open set
@@ -177,15 +181,36 @@ class _ColoringSearch:
         coloring, and the pick is a function of the state: ``decide``
         returns the coloring chronological backtracking would, after no
         more assignments.
+
+        A backjump's set is kept as a nogood (Schiex and Verfaillie 1994). A
+        conflict set holds (vertex, color) pairs, the pair (u, d) as bit
+        u * (k + 1) + d, and ``code`` holds the current coloring the same
+        way. When a dead end's set sends the search back to v, colored c, no
+        proper coloring extends the set, so none extends the set less (v, c)
+        with c at v. ``decide`` stores that rest under the try (v, c) for
+        the rest of its call, and before it tries c at v again it checks the
+        rests stored there: one that the current colors extend (``code &
+        nogood == nogood``) fails the try at once and joins v's set, as a
+        refuted subtree's set does. A nogood is only checked at its try,
+        never turned into a forbid, so the state and the picks stay as they
+        were, and a try it refutes is one whose subtree holds no proper
+        coloring, which chronological backtracking would search in vain. So
+        ``decide`` still returns that search's coloring. A store is bounded
+        by one call's backjumps; the last one stays on the engine as
+        ``learnt``, and each call adds its assignments, dead ends and tries
+        refuted by a nogood to ``counts[k]``.
         """
         N = self.N
         full, cells, completing = self.full, self.cells, self.completing
         boxes_of, pos_of, build = self.boxes_of, self.pos_of, self._build
         colors = [0] * (N + 1)
-        forbid = [[0] * (k + 1) for _ in range(N + 1)]  # forbid[u][0]: how many colors u has forbidden
+        forbid = [[0] * (k + 1) for _ in range(N + 1)]  # flags; forbid[u][0]: how many u has set
         tier = [(1 << N + 1) - 2] + [0] * k  # tier[j]: the vertices (a bitmask) with at least j forbidden
         covered = [[0] * len(full) for _ in range(k + 1)]
         why = [[0] * (N + 1) for _ in range(k + 1)]  # why[c][u]: the box that set forbid[u][c] to 1
+        K = k + 1  # the pair (u, d), u colored d, is bit u * K + d
+        code = 0  # the current coloring, as its pairs
+        counts = self.counts.setdefault(k, Counter())
 
         def undo(v: int, c: int, trail: tuple[list[int], list[int]]) -> None:
             olds, forbidden = trail
@@ -194,11 +219,12 @@ class _ColoringSearch:
                 cov[bid] = old
             for u in forbidden:
                 f = forbid[u]
-                f[c] -= 1
-                if not f[c]:
-                    tier[f[0]] ^= 1 << u
-                    f[0] -= 1
+                f[c] = 0
+                tier[f[0]] ^= 1 << u
+                f[0] -= 1
             colors[v] = 0
+            nonlocal code
+            code ^= 1 << (v * K + c)
 
         def assign(v: int, c: int) -> tuple[list[int], list[int]]:
             """Color v with c, which v has not forbidden, and return the undo
@@ -210,6 +236,8 @@ class _ColoringSearch:
             forbidden: list[int] = []
             trail = ([cov[bid] for bid in boxes], forbidden)
             colors[v] = c
+            nonlocal code
+            code |= 1 << (v * K + c)
             for bid, pos in zip(boxes, pos_of[v]):
                 old = cov[bid]
                 new = old | pos
@@ -226,16 +254,18 @@ class _ColoringSearch:
                         if not colors[u]:
                             f = forbid[u]
                             if not f[c]:
+                                f[c] = 1
                                 j = f[0] = f[0] + 1
                                 tier[j] |= 1 << u
                                 why_c[u] = bid
-                            f[c] += 1
-                            forbidden.append(u)
+                                forbidden.append(u)
             return trail
 
         def decide(maxc: int, free: int) -> list[int] | None:
             stack: list[tuple[int, int, int, tuple[list[int], list[int]]]] = []
-            conflict = [0] * (N + 1)  # per stacked vertex: the vertices its failed colors rest on
+            conflict = [0] * (N + 1)  # per stacked vertex: the pairs its failed colors rest on
+            assigned = dead_ends = nogood_hits = 0
+            self.learnt = learnt = {}  # per try v * K + c: the nogoods its backjumps left
             while free:
                 j = k
                 while not (pick := tier[j] & free):
@@ -249,32 +279,45 @@ class _ColoringSearch:
                     while c <= cap and forbid[v][c]:
                         c += 1
                     if c <= cap:
-                        break
-                    # dead end: the vertices v's failed and forbidden colors rest on
+                        for nogood in learnt.get(v * K + c, ()):
+                            if code & nogood == nogood:
+                                conflict[v] |= nogood
+                                nogood_hits += 1
+                                break
+                        else:
+                            break
+                        continue
+                    # dead end: the pairs v's failed and forbidden colors rest on
+                    dead_ends += 1
                     blame = conflict[v]
                     for d in range(1, cap + 1):
                         if forbid[v][d]:
                             for u in cells[why[d][v]]:
                                 if colors[u] == d:
-                                    blame |= 1 << u
+                                    blame |= 1 << (u * K + d)
                     conflict[v] = 0
                     free |= 1 << v
-                    while stack and not blame >> stack[-1][0] & 1:
+                    while stack and not blame >> (stack[-1][0] * K + stack[-1][1]) & 1:
                         u, d, _, trail = stack.pop()
                         undo(u, d, trail)
                         conflict[u] = 0
                         free |= 1 << u
                     if not stack:
+                        counts.update(assignments=assigned, dead_ends=dead_ends, nogood_hits=nogood_hits)
                         return None
                     v, c, maxc, trail = stack.pop()
                     undo(v, c, trail)
-                    conflict[v] |= blame ^ 1 << v
+                    blame ^= 1 << (v * K + c)
+                    conflict[v] |= blame
+                    learnt.setdefault(v * K + c, []).append(blame)
                 stack.append((v, c, maxc, assign(v, c)))
+                assigned += 1
                 maxc = max(maxc, c)
             rename: dict[int, int] = {}  # colors in order of first appearance
             found = [0] + [rename.setdefault(c, len(rename) + 1) for c in colors[1:]]
             for v, c, _, trail in reversed(stack):
                 undo(v, c, trail)
+            counts.update(assignments=assigned, dead_ends=dead_ends, nogood_hits=nogood_hits)
             return found
 
         free = tier[0]  # the open vertices

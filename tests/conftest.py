@@ -371,6 +371,61 @@ def lex_least_coloring_static(factors: list[Hypergraph], k: int) -> list[int] | 
     return colors[1:]
 
 
+def extends_naive(factors: Sequence[Hypergraph], k: int, partial: dict[int, int]) -> bool:
+    """Whether some proper k-coloring of the categorical product extends
+    ``partial`` (product vertex -> color), by plain backtracking in one
+    static order: those of ``partial`` first, each time the vertex that
+    shares the most boxes with the vertices already ordered (ties to the
+    least index), each color tried. A coloring clashes when the cells of
+    one color in a box e_1 x ... x e_t of factor edges project onto every
+    e_j. Reads only the factors' edges, never the engine's compiled boxes."""
+    space = ProductSpace.for_factors(factors)
+    N = space.size
+    # per vertex, the boxes through it: per box, its cells with their
+    # coordinates as one bit per factor, and those bits' union
+    boxes_at: list[list[tuple]] = [[] for _ in range(N + 1)]
+    for box in itertools.product(*(H.edges for H in factors)):
+        cells = [(space.index_of(cell), [1 << x for x in cell]) for cell in itertools.product(*box)]
+        full = [sum(1 << x for x in e) for e in box]
+        for v, _ in cells:
+            boxes_at[v].append((cells, full))
+    colors = [0] * (N + 1)
+
+    def clashes(v: int) -> bool:
+        for cells, full in boxes_at[v]:
+            seen = [0] * len(full)
+            for u, bits in cells:
+                if colors[u] == colors[v]:
+                    seen = [s | b for s, b in zip(seen, bits)]
+            if seen == full:
+                return True
+        return False
+
+    order: list[int] = []
+    ties = dict.fromkeys(range(1, N + 1), 0)  # per vertex left, the boxes it shares with those ordered
+    while ties:
+        v = max(ties, key=lambda u: (u in partial, ties[u], -u))
+        del ties[v]
+        order.append(v)
+        for cells, _ in boxes_at[v]:
+            for u, _ in cells:
+                if u in ties:
+                    ties[u] += 1
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        for c in [partial[v]] if v in partial else range(1, k + 1):
+            colors[v] = c
+            if not clashes(v) and extend(i + 1):
+                return True
+        colors[v] = 0
+        return False
+
+    return extend(0)
+
+
 def is_first_appearance(colors) -> bool:
     """Whether every color is at most one above all colors before it."""
     seen = 0

@@ -30,6 +30,7 @@ from kneserlab.chromatic import _ColoringSearch
 from conftest import (
     chromatic_brute,
     compile_boxes_naive,
+    extends_naive,
     finite_chi,
     is_first_appearance,
     is_proper,
@@ -572,22 +573,53 @@ class TestLiftedFirstFit:
         assert self.engines_built(monkeypatch, make()) == built
 
 
+class _Learning(_ColoringSearch):
+    """The engine, keeping every store of nogoods that a `decide` call leaves
+    on it as ``learnt``, in ``stores``."""
+
+    @property
+    def learnt(self):
+        return self.stores[-1]
+
+    @learnt.setter
+    def learnt(self, store):
+        self.stores.append(store)
+
+
+def learnt_nogoods(engine, k):
+    """Each nogood the engine's ``stores`` hold after level k, with the try
+    it is stored under, as a partial coloring {vertex: color}; bit
+    v * (k + 1) + c of a key or a nogood is v colored c."""
+    for store in engine.stores:
+        for key, nogoods in store.items():
+            for nogood in nogoods:
+                bits = [key] + [b for b in range(nogood.bit_length()) if nogood >> b & 1]
+                partial = {b // (k + 1): b % (k + 1) for b in bits}
+                assert len(partial) == len(bits), "a vertex with two colors"
+                yield partial
+
+
 class TestBackjump:
-    """`lex_least` backjumps over the decisions a dead end does not rest on.
-    The subtrees it skips hold no proper coloring, so at every level k up to
-    chi it must return what the index-order backtracking of
-    ``lex_least_coloring_static`` returns: None exactly below chi, and the
-    lex-least coloring at chi."""
+    """`lex_least` backjumps over the decisions a dead end does not rest on,
+    and refutes a try at once by a nogood a backjump left. The subtrees it
+    skips hold no proper coloring, so at every level k up to chi it must
+    return what the index-order backtracking of ``lex_least_coloring_static``
+    returns: None exactly below chi, and the lex-least coloring at chi. No
+    proper k-coloring may extend a stored nogood (``extends_naive``)."""
 
     @staticmethod
     def check(factors):
-        engine = _ColoringSearch(factors)
+        """chi, and how many tries the levels up to chi refuted by a nogood."""
+        engine = _Learning(factors)
         k = 1
         while True:
+            engine.stores = []
             expected = lex_least_coloring_static(factors, k)
             assert engine.lex_least(k) == expected, (factors, k)
+            for partial in learnt_nogoods(engine, k):
+                assert not extends_naive(factors, k, partial), (factors, k, partial)
             if expected is not None:
-                return k
+                return k, sum(counts["nogood_hits"] for counts in engine.counts.values())
             k += 1
 
     @staticmethod
@@ -600,7 +632,7 @@ class TestBackjump:
     def test_random_products(self):
         rng = random.Random(4250)
         chis = dict.fromkeys(range(1, 5), 0)
-        checked = 0
+        checked = hits = 0
         while checked < 300:
             factors = [self.random_factor(rng) for _ in range(rng.randint(1, 3))]
             # a product of singleton edges is a singleton edge: the solver
@@ -608,10 +640,14 @@ class TestBackjump:
             # order takes seconds to refute a level of a 48-vertex product
             if all(H.has_singleton_edge() for H in factors) or prod(H.n for H in factors) > 36:
                 continue
-            chis[min(self.check(factors), 4)] += 1
+            chi, refuted = self.check(factors)
+            chis[min(chi, 4)] += 1
+            hits += refuted
             checked += 1
         # levels refuted before a coloring is found, not only chi = 1 or 2
         assert chis[3] + chis[4] >= 30, chis
+        # some tries were refuted by a nogood, so the soundness check saw one in use
+        assert hits > 0
 
     @pytest.mark.parametrize(
         "make, chi",
@@ -621,10 +657,32 @@ class TestBackjump:
             pytest.param(lambda: [_kg(6, 2, 3), kneser(hnka(6, 2, 2), 3)], 2, id="KG^3(6,2)xKG^3(H(6,2,2))"),
             pytest.param(lambda: [_kg(6, 2)], 4, id="KG(6,2)"),
             pytest.param(lambda: [kneser(hnka(6, 2, 2), 2)], 4, id="KG(H(6,2,2))"),
+            pytest.param(lambda: [_kg(8, 2, 3)], 3, id="KG^3(8,2)"),
         ],
     )
     def test_kneser_hypergraphs(self, make, chi):
-        assert self.check(make()) == chi
+        assert self.check(make())[0] == chi
+
+    @pytest.mark.parametrize(
+        "make, k, parent, counts",
+        [
+            pytest.param(lambda: [_kg(9, 2, 3)], 2, (421, 329), (187, 123, 38), id="KG^3(9,2)"),
+            pytest.param(lambda: [_kg(8, 2, 3)], 2, (314, 256), (161, 115, 24), id="KG^3(8,2)"),
+            pytest.param(lambda: [_kg(7, 2), _kg(6, 2)], 4, (67024, 42799), (12168, 4913, 4421),
+                         id="KG(7,2)xKG(6,2)"),
+            pytest.param(lambda: [_kg(6, 2)] * 2, 3, (87, 23), (87, 23, 0), id="KG(6,2)^2"),
+        ],
+    )
+    def test_counts(self, make, k, parent, counts):
+        # parent: the assignments and dead ends of level k's decisions when a
+        # backjump's nogood was dropped, counted the same way; a level whose
+        # tries no nogood refutes makes the same search
+        engine = _ColoringSearch(make())
+        engine.lex_least(k)
+        assigned, dead_ends, hits = counts
+        assert engine.counts[k] == {"assignments": assigned, "dead_ends": dead_ends, "nogood_hits": hits}
+        assert assigned <= parent[0] and dead_ends <= parent[1]
+        assert hits or (assigned, dead_ends) == parent
 
 
 class TestBoundReport:

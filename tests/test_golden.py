@@ -87,6 +87,8 @@ COMMANDS = (
     "chromatic --r 0 --ground complete:3,1 complete:4,2",
     # a refuted level below chi that is most of the solve: KG(10,2)'s level 7
     "chromatic --r 2 complete:10,2",
+    # a SAT level whose lex refinement re-derives a nogood at most dead ends
+    "chromatic --r 2 complete:7,2 complete:6,2",
     # a product that bound_report solves: no factor is over the vertex cap
     "bounds --r 2 complete:5,2 complete:6,2",
     # usage errors: a value out of range, a missing option, an option the task lacks
