@@ -4,11 +4,12 @@ comparison reports.
 One coloring engine serves explicit hypergraphs and implicit categorical
 products alike: a hypergraph is the one-factor product. The index-order first
 fit (g colors), for a product the first factor's lifted, is the certificate at g
-and refutes level 1; the product's boxes are compiled only to decide a level
-2..g-1 by a most-constrained-first search that backjumps conflict-directed
-(Prosser 1993) and refutes a repeated try by the nogood a backjump left
-(Schiex-Verfaillie 1994), and at chi < g repeated decisions on the same search
-state fix the vertices in index order to the lex-least certificate.
+and refutes level 1; a level 2..g-1 is decided by a most-constrained-first search
+that builds a product box only when it assigns one of the box's vertices,
+backjumps conflict-directed (Prosser 1993) and refutes a repeated try by the
+nogood a backjump left (Schiex-Verfaillie 1994), and at chi < g repeated
+decisions on the same search state fix the vertices in index order to the
+lex-least certificate.
 """
 
 from __future__ import annotations
@@ -47,15 +48,16 @@ def ceil_div(a: int, b: int) -> int:
 class _ColoringSearch:
     """Backtracking coloring search over the boxes of a categorical product.
 
-    An explicit hypergraph is the one-factor product, whose boxes are its
-    edges. Each box e_1 x ... x e_t is compiled once into its cells and, per
-    cell, one position int: factor j owns a bit field at the summed widths of
-    e_1..e_{j-1}, and the cell sets the bit of its coordinate inside e_j. A
-    color class covering the box's full mask contains a monochromatic product
-    edge. An open cell completes a box when its position contains the bits
-    ``miss`` that the color still lacks, and then must not take that color. A
-    product vertex's boxes (index sum i_j * M_j, M_j the later factors' edge
-    counts multiplied) are built at its first assignment. `first_fit` colors
+    An explicit hypergraph is the one-factor product, built up front: its
+    boxes are its edges, and their cells its edge tuples. A product vertex's
+    boxes (index sum i_j * M_j, M_j the later factors' edge counts multiplied)
+    and its position int in each are built at its first assignment: factor j
+    owns a bit field at the summed widths of e_1..e_{j-1}, and the vertex sets
+    the bit of its coordinate inside e_j. So is the row-major cell list of each
+    of those boxes e_1 x ... x e_t that no earlier vertex built. A color class
+    covering a box's full mask contains a monochromatic product edge. An open
+    cell completes a box when its position contains the bits ``miss`` that the
+    color still lacks, and then must not take that color. `first_fit` colors
     once in index order (on a product's first factor alone, then lifted: see
     `solve_product_chromatic`); `lex_least(k)` searches level k on one state.
 
@@ -74,20 +76,19 @@ class _ColoringSearch:
     def __init__(self, factors: Sequence[Hypergraph]) -> None:
         space = ProductSpace.for_factors(factors)
         self.N = N = space.size
-        vertex = list(range(N + 1))  # one int object per vertex, however often stored
-        # per factor edge, the row-major offsets (v - 1) * stride of its vertices
-        strides = [prod(space.dims[j + 1 :]) for j in range(len(factors))]
-        edge_offsets = [[[(v - 1) * st for v in e] for e in H.edges] for H, st in zip(factors, strides)]
-        # per box, row-major as iproduct(*edge_offsets): the cells over all factors but the last
-        # are summed once per prefix, then extended by each last edge; the full mask and per miss
-        # the indices of the cells completing it are one table per shape (the edge widths)
-        *head, last = edge_offsets
-        prefixes = list(iproduct(*head))
-        bases = [[1 + sum(offs) for offs in iproduct(*prefix)] for prefix in prefixes]
-        self.cells: list[list[int]] = [[vertex[c + o] for c in base for o in e] for base in bases for e in last]
+        self.vertex = list(range(N + 1))  # one int object per vertex, however often stored
+        *head_factors, H = factors
+        # per earlier factor's edge, the row-major offsets (v - 1) * stride of its vertices
+        strides = [prod(space.dims[j + 1 :]) for j in range(len(head_factors))]
+        edge_offsets = [[[(v - 1) * st for v in e] for e in F.edges] for F, st in zip(head_factors, strides)]
+        # per box, row-major over a prefix (an edge of each earlier factor) and a last edge: the
+        # prefix's offsets summed once (its base), each plus a last vertex, give its cells; the
+        # full mask and per miss the indices of the cells completing it are one table per shape
+        prefixes = list(iproduct(*edge_offsets))
+        self.bases = [[sum(offs) for offs in iproduct(*prefix)] for prefix in prefixes]
         widths = [tuple(map(len, prefix)) for prefix in prefixes]
         tables: dict[tuple[int, ...], tuple[int, dict[int, list[int]]]] = {}
-        for shape in {(*pw, len(e)) for pw in set(widths) for e in last}:
+        for shape in {(*pw, len(e)) for pw in set(widths) for e in H.edges}:
             fields = [[1 << (off + i) for i in range(n)] for off, n in zip(accumulate(shape, initial=0), shape)]
             completing: dict[int, list[int]] = {}
             for i, cell in enumerate(iproduct(*fields)):
@@ -96,19 +97,20 @@ class _ColoringSearch:
                     completing.setdefault(miss, []).append(i)
                     miss = (miss - 1) & pos
             tables[shape] = ((1 << sum(shape)) - 1, completing)
-        row = {pw: [tables[(*pw, len(e))] for e in last] for pw in set(widths)}  # per prefix shape
+        row = {pw: [tables[(*pw, len(e))] for e in H.edges] for pw in set(widths)}  # per prefix shape
         self.full: list[int] = [t[0] for pw in widths for t in row[pw]]
         self.completing: list[dict[int, list[int]]] = [t[1] for pw in widths for t in row[pw]]
+        # a one-factor engine's cells are its edges, a product box's are built with its first vertex
+        self.cells: list[Sequence[int] | None] = list(H.edges) if not head_factors else [None] * len(self.full)
         # per factor vertex u, the edges through it: the last factor's indices and u's bit in
         # each, an earlier factor j's (index * M_j, u's bit, width) per edge; per vertex, its
         # boxes and its position in each, a product vertex's built at its first assignment
-        *head_factors, H = factors
         ids, bits = [[] for _ in range(H.n + 1)], [[] for _ in range(H.n + 1)]
         for i, e in enumerate(H.edges):
             for p, u in enumerate(e):
                 ids[u].append(i)
                 bits[u].append(1 << p)
-        self.tail = (H.n, ids, bits)
+        self.tail = (H.n, ids, bits, H.edges)
         steps = [prod(len(G.edges) for G in factors[j + 1 :]) for j in range(len(head_factors))]
         self.heads = [
             (st, F.n, [[(i * m, 1 << e.index(u), len(e)) for i, e in enumerate(F.edges) if u in e]
@@ -119,14 +121,20 @@ class _ColoringSearch:
         self.counts: dict[int, Counter[str]] = {}  # per level k, what its decisions did
 
     def _build(self, v: int) -> list[int]:
-        """Build and return v's boxes (and positions), row-major over its coordinates' edges."""
+        """Build and return v's boxes (and positions), row-major over its coordinates' edges,
+        and the cells of those boxes not built yet."""
         rows = [(0, 0, 0)]  # per box over v's head coordinates: index, position, width
         for stride, n, through in self.heads:
             rows = [(b + i, pos | bit << w, w + width)
                     for b, pos, w in rows for i, bit, width in through[(v - 1) // stride % n + 1]]
-        n, ids, bits = self.tail
-        self.pos_of[v] = [pos | bit << w for _, pos, w in rows for bit in bits[(v - 1) % n + 1]]
-        boxes = self.boxes_of[v] = [b + i for b, _, _ in rows for i in ids[(v - 1) % n + 1]]
+        n, ids, bits, edges = self.tail
+        u = (v - 1) % n + 1
+        self.pos_of[v] = [pos | bit << w for _, pos, w in rows for bit in bits[u]]
+        boxes = self.boxes_of[v] = [b + i for b, _, _ in rows for i in ids[u]]
+        cells, bases, vertex, m = self.cells, self.bases, self.vertex, len(edges)
+        for bid in boxes:
+            if cells[bid] is None:
+                cells[bid] = [vertex[c + x] for c in bases[bid // m] for x in edges[bid % m]]
         return boxes
 
     def first_fit(self) -> list[int]:

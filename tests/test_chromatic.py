@@ -257,7 +257,9 @@ def _kg(n: int, k: int, r: int = 2) -> Hypergraph:
 class TestBoxCompiler:
     """`_ColoringSearch` compiles the same boxes as ``compile_boxes_naive``,
     field by field, and stores one int object per vertex. A product vertex's
-    lists are built at its first assignment, so every one is built first."""
+    lists, and the cells of its boxes not built yet, are built at its first
+    assignment, so every one is built first; a one-factor engine's cells are
+    its edge tuples, compared as lists."""
 
     @staticmethod
     def check(factors):
@@ -265,8 +267,9 @@ class TestBoxCompiler:
         for v in range(1, engine.N + 1):
             if engine.boxes_of[v] is None:
                 engine._build(v)
-        for name in ("N", "full", "cells", "completing", "boxes_of", "pos_of"):
+        for name in ("N", "full", "completing", "boxes_of", "pos_of"):
             assert getattr(engine, name) == getattr(naive, name), name
+        assert [list(cells) for cells in engine.cells] == naive.cells
         stored = [v for cells in engine.cells for v in cells]
         assert len({id(v) for v in stored}) == len(set(stored))
 
@@ -328,6 +331,33 @@ class TestBoxCompiler:
         for k in range(2, chi):
             assert engine.lex_least(k) is None
         assert sum(boxes is not None for boxes in engine.boxes_of[1:]) == built
+
+    @pytest.mark.parametrize(
+        "make, built",
+        [
+            pytest.param(lambda: [_kg(5, 2)] * 2, 65, id="KG(5,2)^2"),
+            pytest.param(lambda: [kneser(hnka(6, 2, 2), 2)] * 2, 939, id="KG(H(6,2,2))^2"),
+            pytest.param(lambda: [_kg(5, 2), _kg(6, 2)], 216, id="KG(5,2)xKG(6,2)"),
+            pytest.param(lambda: [_kg(5, 2), _kg(7, 3)], 198, id="KG(5,2)xKG(7,3)"),
+            pytest.param(lambda: [_kg(6, 2)] * 2, 1128, id="KG(6,2)^2"),
+            pytest.param(lambda: [cycle(5), cycle(7)], 30, id="C5xC7"),
+            pytest.param(lambda: [cycle(7)] * 3, 298, id="C7^3"),
+            pytest.param(lambda: [_kg(7, 2, 3)] * 2, 0, id="KG^3(7,2)^2"),
+        ],
+    )
+    def test_levels_below_chi_build_only_the_boxes_they_read(self, make, built):
+        # each count is how many boxes' cells the same levels read on an engine
+        # that compiles every box up front: a box is built exactly when one of
+        # its vertices is assigned, and each built box equals the oracle's
+        factors = make()
+        chi = finite_chi(solve_product_chromatic(factors)[0])
+        engine, naive = _ColoringSearch(factors), compile_boxes_naive(factors)
+        for k in range(2, chi):
+            assert engine.lex_least(k) is None
+        built_ids = [bid for bid, cells in enumerate(engine.cells) if cells is not None]
+        assert len(built_ids) == built
+        assert all(engine.cells[bid] == naive.cells[bid] for bid in built_ids)
+        assert {bid for boxes in engine.boxes_of[1:] if boxes is not None for bid in boxes} == set(built_ids)
 
 
 class TestLexLeastCertificate:
