@@ -75,9 +75,14 @@ def _deficient_blocks(H: Hypergraph, p: int) -> list[tuple]:
 
     A block whose every sign spans an edge counts its support; another
     counts its edge-spanning signs plus the largest balanced class size of
-    an edge-free sub-block, every sub-block enumerated. The edge-free test
-    reads the factor's `span_table`, so a factor above T_ENUM_CAP vertices
-    raises CapExceededError.
+    an edge-free sub-block. The sign classes are disjoint and a subset of
+    an edge-free set is edge-free, so a sub-block keeps any edge-free subset
+    of each class apart from the others; `balanced_size` does not fall when
+    one size grows, so that largest size is ``balanced_size([free[m_s]])``,
+    where ``free[m]`` is the size of a largest edge-free subset of m: m's
+    size when m spans no edge, else the largest ``free[m - v]`` over v in
+    m. Both read the factor's `span_table`, so a factor above T_ENUM_CAP
+    vertices raises CapExceededError.
 
     The component is the whole block when every sign spans an edge; when
     none does, it is the set of present signs if some class is empty, else
@@ -85,6 +90,12 @@ def _deficient_blocks(H: Hypergraph, p: int) -> list[tuple]:
     all signs span an edge: the sign-set table labels such vectors.
     """
     spans = span_table(H)
+    free = [0] * len(spans)
+    for m in range(1, len(spans)):
+        if spans[m]:
+            free[m] = max(free[m & ~(1 << i)] for i in range(H.n) if m >> i & 1)
+        else:
+            free[m] = m.bit_count()
     blocks = []
     for entries in iproduct(range(p + 1), repeat=H.n):
         masks = [sum(1 << i for i, x in enumerate(entries) if x == s) for s in range(1, p + 1)]
@@ -92,12 +103,7 @@ def _deficient_blocks(H: Hypergraph, p: int) -> list[tuple]:
         if len(signs) == p:
             blocks.append((entries, True, len(entries) - entries.count(0), ("vec", entries), signs))
             continue
-        best = 0
-        # the sign classes are disjoint, so their sum is the support
-        for kept in submasks(sum(masks)):
-            if any(spans[m & kept] for m in masks):
-                continue
-            best = max(best, balanced_size([(m & kept).bit_count() for m in masks]))
+        best = balanced_size([free[m] for m in masks])
         sizes = [m.bit_count() for m in masks]
         h = min(sizes)
         if signs:
@@ -338,10 +344,37 @@ def _check_labels(
     return _label_violations(_labels(factors, p, coloring, tables, cap), p, cap, coloring is not None)
 
 
+def _covering_pairs_agree(labels: dict) -> bool:
+    """Whether on every covering pair x < y of labeled vectors (x is y with
+    one nonzero entry zeroed) the index does not fall and equal indices
+    carry equal signs.
+
+    Then no chain violation exists. Each side's labeled set is convex in
+    the face order: a face of a deficient vector is deficient, since a
+    class inside a class that spans no edge spans none; and between two
+    saturated vectors x < y every z has its classes between x's and y's,
+    so z is saturated. Any labeled x < y are therefore joined by a chain of
+    covering pairs through labeled vectors, along which the index does not
+    fall; equal indices at the ends make it constant, so every sign on the
+    chain is equal. A monotone index is a hypothesis of the Z_p-Tucker
+    lemma that the sweeps do not assume: a fall sends the check to the
+    full face enumeration."""
+    for y, (y_sign, y_index) in labels.items():
+        for i, entry in enumerate(y):
+            if entry:
+                below = labels.get(y[:i] + (0,) + y[i + 1 :])
+                if below is not None and (below[1] > y_index or below[1] == y_index and below[0] != y_sign):
+                    return False
+    return True
+
+
 def _label_violations(labels: dict, p: int, cap: int, saturated: bool) -> list[Violation]:
     """Range, equivariance and chain violations of one side's labels, in
     vector order: a deficient index must lie in [1..cap], a ``saturated``
-    one above ``cap``."""
+    one above ``cap``. ``labels`` must label every nonzero vector of its
+    side, as `_labels` does. The chain check enumerates every face of every
+    labeled vector only when `_covering_pairs_agree` fails; otherwise it
+    can find nothing."""
     violations: list[Violation] = []
     for entries, (sign, index) in labels.items():
         if not saturated and not 1 <= index <= cap:
@@ -361,6 +394,8 @@ def _label_violations(labels: dict, p: int, cap: int, saturated: bool) -> list[V
                         f"label{got} != expected {want} under g={g}",
                     )
                 )
+    if _covering_pairs_agree(labels):
+        return violations
     for y_entries, (y_sign, y_index) in labels.items():
         support = sum(1 << i for i, x in enumerate(y_entries) if x)
         for kept in submasks(support):
@@ -403,21 +438,43 @@ def sigma2_scan(
     of their color simplex; the reported argmax is the first maximizer in
     lexicographic vector order. ``coloring`` must be proper: then no color
     reaches all p sign rows, the balanced size is at most (p-1)*k for k
-    colors, and the scan stops at the first vector reaching that ceiling."""
+    colors, and the scan stops at the first vector reaching that ceiling.
+
+    Once the first j blocks are fixed, each sign's row in any completion
+    lies inside the row read with every later factor's whole vertex set,
+    and `balanced_size` does not fall when one row grows. So when those p
+    reads give a balanced size at most the best so far, no completion beats
+    it and the prefix is skipped; the scan keeps only a strictly larger
+    size, so the argmax is unchanged."""
     read = _color_reader(factors, coloring)
     per_factor_blocks = [_saturated_blocks(H, p) for H in factors]
+    if not all(per_factor_blocks):
+        return ScanResult(0, None, 0)
+    full = tuple((1 << H.n) - 1 for H in factors)
+    last = len(factors) - 1
     ceiling = (p - 1) * coloring.color_count
     best = -1
-    best_entries: tuple[int, ...] | None = None
-    for combo in iproduct(*per_factor_blocks):
-        ell = balanced_size([len(read(masks)) for masks in zip(*(blk[1] for blk in combo))])
-        if ell > best:
-            best = ell
-            best_entries = tuple(x for blk in combo for x in blk[0])
+    best_entries: tuple[int, ...] = ()
+
+    def scan(j: int, entries: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> bool:
+        """Scan the completions of the first j blocks, whose class masks
+        are ``rows`` (one tuple per sign); True once the ceiling is met."""
+        nonlocal best, best_entries
+        for e, m in per_factor_blocks[j]:
+            grown = tuple(row + (ms,) for row, ms in zip(rows, m))
+            ell = balanced_size([len(read(row + full[j + 1 :])) for row in grown])
+            if ell <= best:
+                continue
+            if j < last:
+                if scan(j + 1, entries + e, grown):
+                    return True
+                continue
+            best, best_entries = ell, entries + e
             if best >= ceiling:
-                break
-    if best_entries is None:
-        return ScanResult(0, None, 0)
+                return True
+        return False
+
+    scan(0, (), ((),) * p)
     return ScanResult(best, best_entries, prod(len(b) for b in per_factor_blocks))
 
 

@@ -32,6 +32,7 @@ from kneserlab import (
     Hypergraph,
     Permutation,
     ProductSpace,
+    Violation,
     alt_min,
     complete_uniform,
     hnka,
@@ -504,6 +505,40 @@ def sigma2_scan_naive(factors: list[Hypergraph], p: int, coloring: Coloring):
     return best, best_entries, count
 
 
+def sigma2_scan_lex_naive(factors: list[Hypergraph], p: int, coloring: Coloring):
+    """`sigma2_scan_naive` for products too large to enumerate whole: the
+    saturated vectors in lex order as the product of each factor's
+    `saturated_blocks_naive` (a vector is saturated exactly when each block
+    is), each row's colors read from the product vertices inside its
+    classes, stopping at the first vector reaching (p-1)*k, which a proper
+    ``coloring`` with k colors cannot exceed; the count is the product of
+    the factors' block counts."""
+    per_factor = [saturated_blocks_naive(H, p) for H in factors]
+    count = prod(len(blocks) for blocks in per_factor)
+    strides = [prod(H.edge_count for H in factors[j + 1 :]) for j in range(len(factors))]
+    colors: dict[tuple[int, ...], int] = {}
+
+    def row_size(masks: tuple[int, ...]) -> int:
+        if masks not in colors:
+            inside = [[i for i, em in enumerate(H.edge_masks) if em & ~m == 0] for H, m in zip(factors, masks)]
+            colors[masks] = len({
+                coloring.colors[sum(i * stride for i, stride in zip(vertex, strides))]
+                for vertex in itertools.product(*inside)
+            })
+        return colors[masks]
+
+    best, best_entries = 0, None
+    for combo in itertools.product(*per_factor):
+        sizes = [row_size(tuple(blk[1][s] for blk in combo)) for s in range(p)]
+        h = min(sizes)
+        ell = p * h + sum(1 for size in sizes if size > h)
+        if best_entries is None or ell > best:
+            best, best_entries = ell, sum((blk[0] for blk in combo), ())
+            if best == (p - 1) * coloring.color_count:
+                break
+    return best, best_entries, count
+
+
 # --- labeling oracles -----------------------------------------------------------
 
 
@@ -611,6 +646,24 @@ def labels_naive(
         if any(entries) and not all(len(present) == p for _, _, present in blocks):
             labels[entries] = lambda1_naive(blocks, p, tables, variant)
     return labels
+
+
+def chain_violations_naive(labels: dict) -> list[Violation]:
+    """Oracle for the chain check of a label dict: every labeled vector y in
+    the dict's order, and under it every labeled proper nonzero face x of y
+    (y with a nonempty proper subset of its nonzero entries kept) in
+    decreasing order of the kept positions read as a binary number (position
+    i is bit i), where x and y have equal indices and different signs. Every
+    face is enumerated; no covering pair is trusted."""
+    out = []
+    for y, (y_sign, y_index) in labels.items():
+        support = [i for i, v in enumerate(y) if v]
+        for kept in range((1 << len(support)) - 2, 0, -1):
+            positions = {i for b, i in enumerate(support) if kept >> b & 1}
+            x = tuple(v if i in positions else 0 for i, v in enumerate(y))
+            if x in labels and labels[x][1] == y_index and labels[x][0] != y_sign:
+                out.append(Violation("chain", x, y, f"equal index {y_index} but signs {labels[x][0]} != {y_sign}"))
+    return out
 
 
 # --- product and witness oracles ----------------------------------------------

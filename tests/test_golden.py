@@ -91,6 +91,10 @@ COMMANDS = (
     "chromatic --r 2 complete:7,2 complete:6,2",
     # a product that bound_report solves: no factor is over the vertex cap
     "bounds --r 2 complete:5,2 complete:6,2",
+    # a two-factor lemma sweep, whose chain check reads covering pairs only,
+    # and a three-sign scan whose product blocks are bounded before reading
+    "prooflab --p 2 complete:5,2 complete:4,2",
+    "witness --p 3 complete:7,2 complete:7,2",
     # usage errors: a value out of range, a missing option, an option the task lacks
     "prooflab --p 1 complete:3,2",
     "witness complete:5,2",

@@ -7,10 +7,14 @@ here by the oracles of ``conftest.py``, never by the library's checkers:
   the factors (of the factors themselves under ``--ground``), is in
   first-appearance form, and uses exactly ``chi`` colours;
 - ``invariants``, ``bounds`` and ``compare``: cd and ecd equal `cd_naive` and
-  `ecd_naive`, and every printed bound is at most its row's chi.
+  `ecd_naive`, and every printed bound is at most its row's chi;
+- ``witness`` with status FOUND: the printed parts, under their printed
+  colours, pass `is_colorful_balanced_complete` on `product_minimal` of the
+  KG^p of the factors. No colouring of the product is printed, so the
+  colours are checked for distinctness within a part, not against the
+  colouring.
 
-Witness entries print no colouring of the product and are not audited. The
-library builds the factors from their recipes; KG^r is built here.
+The library builds the factors from their recipes; KG^r is built here.
 """
 
 from __future__ import annotations
@@ -24,7 +28,14 @@ from math import prod
 import pytest
 
 from kneserlab import MAX_VERTICES, Coloring, Hypergraph, parse_recipe
-from conftest import cd_naive, ecd_naive, is_first_appearance, is_proper, product_minimal
+from conftest import (
+    cd_naive,
+    ecd_naive,
+    is_colorful_balanced_complete,
+    is_first_appearance,
+    is_proper,
+    product_minimal,
+)
 from test_golden import FILE_NAME, GOLDEN, INPUT_FILES
 
 # size bounds: `product_minimal` refuses products over MAX_VERTICES, and the
@@ -70,6 +81,32 @@ def audit_coloring(command: str, payload: dict) -> int:
     return 1
 
 
+def audit_witness(command: str, payload: dict) -> int:
+    """1 if the entry's witness was checked, 0 if its product is over the
+    size bound. A witness vertex lists 1-based factor edge indices, which
+    are KG^p vertices; the product numbers its vertices in row-major order."""
+    p, parts = payload["p"], payload["witness"]["parts"]
+    targets = [kneser_naive(factor(word), p) for word in command.split()[1:] if ":" in word]
+    if prod(H.n for H in targets) > PRODUCT_MAX_VERTICES:
+        return 0
+    F = product_minimal(targets)
+    assert sum(len(part["vertices"]) for part in parts) == payload["target"], (command, "size is not the target")
+    colors = [1] * F.n
+    index_parts = []
+    for part in parts:
+        indices = []
+        for vertex, color in zip(part["vertices"], part["colors"], strict=True):
+            index = 0
+            for H, v in zip(targets, vertex, strict=True):
+                index = index * H.n + v - 1
+            colors[index] = color
+            indices.append(index + 1)
+        index_parts.append(indices)
+    coloring = Coloring(tuple(colors), max(colors))
+    assert is_colorful_balanced_complete(F, index_parts, coloring), (command, "not a colourful witness")
+    return 1
+
+
 def audit_row(label: str, recipe: str, r: int, row: dict, chi) -> tuple[int, int]:
     """(1 if cd and ecd were checked, 1 if the bounds were checked against an
     int chi); the bound names are those every bounds and compare row prints."""
@@ -87,9 +124,9 @@ def audit_row(label: str, recipe: str, r: int, row: dict, chi) -> tuple[int, int
 
 
 def audit(golden: list[dict]) -> dict[str, int]:
-    """How many colourings, defect rows and bounded rows the audit checked;
-    an AssertionError names the first entry that fails."""
-    counts = {"colourings": 0, "defect_rows": 0, "bounded_rows": 0}
+    """How many colourings, defect rows, bounded rows and witnesses the
+    audit checked; an AssertionError names the first entry that fails."""
+    counts = {"colourings": 0, "defect_rows": 0, "bounded_rows": 0, "witnesses": 0}
 
     def row(*args) -> None:
         defects, bounded = audit_row(*args)
@@ -104,6 +141,8 @@ def audit(golden: list[dict]) -> dict[str, int]:
                 continue
             if task == "chromatic":
                 counts["colourings"] += audit_coloring(command, payload)
+            elif task == "witness" and payload.get("status") == "FOUND":
+                counts["witnesses"] += audit_witness(command, payload)
             elif task == "invariants":
                 for f in payload["factors"]:
                     row(command, f["recipe"], payload["r"], f, None)
@@ -126,7 +165,7 @@ def golden():
 
 
 def test_golden_certificates_hold(golden):
-    assert audit(golden) == {"colourings": 7, "defect_rows": 24, "bounded_rows": 14}
+    assert audit(golden) == {"colourings": 7, "defect_rows": 24, "bounded_rows": 14, "witnesses": 5}
 
 
 def _first(golden: list[dict], task: str, key: str) -> dict:
@@ -151,4 +190,14 @@ def test_a_cd_off_by_one_fails_the_audit(golden):
     broken = copy.deepcopy(golden)
     _first(broken, "invariants", "factors")["factors"][0]["cd"] += 1
     with pytest.raises(AssertionError, match="'cd'"):
+        audit(broken)
+
+
+def test_a_repeated_colour_in_a_part_fails_the_audit(golden):
+    broken = copy.deepcopy(golden)
+    part = next(
+        part for part in _first(broken, "witness", "witness")["witness"]["parts"] if len(part["colors"]) > 1
+    )
+    part["colors"][1] = part["colors"][0]
+    with pytest.raises(AssertionError, match="not a colourful witness"):
         audit(broken)

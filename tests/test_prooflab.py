@@ -41,24 +41,26 @@ import kneserlab.prooflab
 from kneserlab.prooflab import (
     _defect_minima,
     _deficient_blocks,
-    _label_violations,
     _labels,
     _saturated_blocks,
     misses_guarantee,
 )
 import conftest
 from conftest import (
+    chain_violations_naive,
     class_mask,
     contains_edge_within,
     is_colorful_balanced_complete,
     labels_naive,
     min_element_coloring_petersen,
+    nu_naive,
     product_full,
     projection_coloring,
     random_hypergraph,
     random_pool,
     saturated_blocks_naive,
     saturated_rows_naive,
+    sigma2_scan_lex_naive,
     sigma2_scan_naive,
     tau_of,
 )
@@ -69,6 +71,22 @@ CU5 = complete_uniform(5, 2)
 # scored in another vertex order than its alternation-optimal one, the
 # alternation labeling of this factor overshoots its index cap
 ASYMMETRIC = Hypergraph(5, [(1,), (4,), (1, 2), (1, 5), (3, 5), (1, 2, 4)])
+
+
+@pytest.fixture(autouse=True)
+def chain_oracle(monkeypatch):
+    """Every label check in this module, the sweeps' own and those of the
+    alternation labels, clean or corrupted, must report the chain
+    violations that the full face enumeration of `chain_violations_naive`
+    finds, whichever path the library takes."""
+    real = kneserlab.prooflab._label_violations
+
+    def checked(labels, p, cap, saturated):
+        got = real(labels, p, cap, saturated)
+        assert [v for v in got if v.kind == "chain"] == chain_violations_naive(labels)
+        return got
+
+    monkeypatch.setattr(kneserlab.prooflab, "_label_violations", checked)
 
 
 def act_vector(g: int, X: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -111,7 +129,7 @@ def alternation_violations(factors, p: int) -> list[Violation]:
     """The library's range, equivariance and chain checks on the
     alternation labeling, which only the tests define."""
     got, cap = alternation_labels(factors, p)
-    return _label_violations(got, p, cap, False)
+    return kneserlab.prooflab._label_violations(got, p, cap, False)
 
 
 class TestSplit:
@@ -745,7 +763,7 @@ class TestLabelsOracle:
             # the alternation labeling has no library sweep: its oracle
             # labels go through the library's checks
             clean, cap = alternation_labels(factors, p)
-            assert _label_violations(clean, p, cap, False) == [], (factors, p)
+            assert kneserlab.prooflab._label_violations(clean, p, cap, False) == [], (factors, p)
             for corrupt in (("blocks",), ("signsets",)):
                 changed += alternation_labels(factors, p, SignMapTables(p, corrupt))[0] != clean
         assert changed >= 40
@@ -869,3 +887,224 @@ class TestBoundsPath:
         # an empty saturated side promises nothing below p
         assert not misses_guarantee(3, 2, 2, 0, 0)
         assert misses_guarantee(3, 3, 3, 0, 0)
+
+
+class TestCoveringCheck:
+    """The chain check reads the covering pairs (y with one nonzero entry
+    zeroed) first, and enumerates every face of every labeled vector only
+    when some covering pair has a falling index or equal indices with
+    different signs. `chain_oracle` holds each list below equal to the full
+    enumeration; these tests pin which path is taken."""
+
+    @staticmethod
+    def full_checks(monkeypatch) -> list[int]:
+        """The supports the full chain check enumerates, recorded as the
+        library calls `submasks` on them."""
+        calls: list[int] = []
+        real = kneserlab.prooflab.submasks
+
+        def counted(mask):
+            calls.append(mask)
+            return real(mask)
+
+        monkeypatch.setattr(kneserlab.prooflab, "submasks", counted)
+        return calls
+
+    def test_chain_violation_without_a_covering_split(self, monkeypatch):
+        # x < z < y by covering pairs, with indices 2, 3, 2 and signs 1, 1,
+        # 2: no covering pair has equal indices, so none splits its signs;
+        # the index falls from z to y, the full check runs, and it reports
+        # the pair (x, y)
+        x, z, y = (1, 0, 0), (1, 1, 0), (1, 1, 1)
+        calls = self.full_checks(monkeypatch)
+        got = kneserlab.prooflab._label_violations({x: (1, 2), z: (1, 3), y: (2, 2)}, 2, 9, False)
+        assert [v for v in got if v.kind == "chain"] == [
+            Violation("chain", x, y, "equal index 2 but signs 1 != 2")
+        ]
+        assert calls
+
+    def test_clean_lemma1_sweeps_read_covering_pairs_only(self, monkeypatch):
+        calls = self.full_checks(monkeypatch)
+        assert check_lemma1([CU4, CU3], 2) == []
+        assert check_lemma1([star(4)], 3) == []
+        assert alternation_violations([CU5], 2) == []
+        assert calls == []
+
+    def test_lemma2_alone(self, monkeypatch):
+        # the saturated side: a clean sweep needs no full check, and a
+        # saturated label whose sign is turned against a covering face of
+        # equal index is caught by the fallback
+        factors = [CU5, CU4]
+        coloring = instance_coloring(factors, 2, "solved")
+        calls = self.full_checks(monkeypatch)
+        assert check_lemma2(factors, 2, coloring) == []
+        assert calls == []
+        clean = labels(factors, 2, coloring)
+        cap = index_cap(factors, 2)
+        x, y = next(
+            (x, y) for y in clean for i in range(9)
+            if y[i] and (x := y[:i] + (0,) + y[i + 1 :]) in clean and clean[x][1] == clean[y][1]
+        )
+        sign, index = clean[y]
+        got = kneserlab.prooflab._label_violations({**clean, y: (3 - sign, index)}, 2, cap, True)
+        assert calls
+        assert Violation("chain", x, y, f"equal index {index} but signs {sign} != {3 - sign}") in got
+
+    @pytest.mark.parametrize("side", ["deficient", "saturated"])
+    def test_corrupted_labels_fall_back_to_every_face(self, side, monkeypatch):
+        # one label changed at a time, on a vector with a labeled covering
+        # face: its sign turned, or its index moved by one; each sweep's
+        # clean labels reach the full check only then
+        if side == "deficient":
+            cases = [([CU5], 2, None), ([CU3, CU3], 2, None), ([star(4)], 3, None)]
+        else:
+            cases = [([CU5], 2, min_element_coloring_petersen())]
+            cases += [([H], 2, instance_coloring([H], 2, "solved")) for H in (complete_uniform(6, 2), cycle(6))]
+        calls = self.full_checks(monkeypatch)
+        fallbacks = chains = 0
+        for factors, p, coloring in cases:
+            clean = labels(factors, p, coloring)
+            cap = index_cap(factors, p)
+            assert kneserlab.prooflab._label_violations(clean, p, cap, coloring is not None) == []
+            assert calls == []
+            covered = [y for y in clean if any(x and y[:i] + (0,) + y[i + 1 :] in clean for i, x in enumerate(y))]
+            for y in random.Random(len(clean)).sample(covered, 4):
+                sign, index = clean[y]
+                for label in ((sign % p + 1, index), (sign, index + 1), (sign, index - 1)):
+                    corrupted = {**clean, y: label}
+                    got = kneserlab.prooflab._label_violations(corrupted, p, cap, coloring is not None)
+                    fallbacks += bool(calls)
+                    chains += any(v.kind == "chain" for v in got)
+                    calls.clear()
+        assert fallbacks >= len(cases) * 6 and chains >= len(cases) * 2, (fallbacks, chains)
+
+    @pytest.mark.parametrize(
+        "H, p", [(CU5, 2), (cycle(5), 2), (Hypergraph(5, [(1,), (2,), (3,), (4, 5), (1, 5)]), 3)]
+    )
+    def test_each_side_is_convex_in_the_face_order(self, H, p):
+        # the covering argument's premise, from the definitions: with x < y
+        # both on one side, every z between them is on that side too
+        no_colors = Coloring((1,) * H.edge_count, 1)
+        saturated = {entries for entries, _ in saturated_rows_naive([H], p, no_colors)}
+        deficient = set(all_vectors(p, H.n)) - saturated
+        pairs = 0
+        for side in (saturated, deficient):
+            for y in side:
+                support = [i for i in range(H.n) if y[i]]
+                faces = [
+                    tuple(y[i] if i in kept else 0 for i in range(H.n))
+                    for size in range(1, len(support))
+                    for kept in itertools.combinations(support, size)
+                ]
+                for x in (x for x in faces if x in side):
+                    pairs += side is saturated
+                    between = [z for z in faces if all(a in (0, b) for a, b in zip(x, z))]
+                    assert all(z in side for z in between), (x, y)
+        assert pairs >= 10
+
+
+class TestDeficientTerms:
+    """`_deficient_blocks` reads a non-saturated block's best edge-free
+    sub-block from the per-class ``free`` table; `nu_naive` tries every
+    sub-block."""
+
+    # a full table up to 5 vertices; above, a seeded sample of blocks, since
+    # the oracle tries 2^n sub-blocks of each of (p+1)^n blocks
+    FULL_N = 5
+    SAMPLE = 150
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_terms_match_every_sub_block(self, p):
+        rng = random.Random(3700 + p)
+        checked = {"full": 0, "sampled": 0, "deficient": 0}
+        for H in (*random_pool(14, max_n=7), hnka(7, 2, 3), cycle(6)):
+            blocks = _deficient_blocks(H, p)
+            assert [row[0] for row in blocks] == list(itertools.product(range(p + 1), repeat=H.n))
+            if H.n > self.FULL_N:
+                blocks = rng.sample(blocks, self.SAMPLE)
+            checked["full" if H.n <= self.FULL_N else "sampled"] += 1
+            for entries, saturated, term, _, signs in blocks:
+                want = nu_naive(((H, entries, frozenset(signs)),), p, "balanced")
+                assert term == want, (H, p, entries)
+                checked["deficient"] += not saturated and term > len(signs)
+        assert checked["full"] >= 5 and checked["sampled"] >= 4 and checked["deficient"] >= 500, checked
+
+
+class TestScanBound:
+    """`sigma2_scan` skips a prefix of blocks whose rows, read with every
+    later factor's whole vertex set, cannot beat the best size so far. It
+    must give the definition's (max_ell, argmax, saturated_count):
+    `sigma2_scan_naive` where (p+1)^N vectors can be enumerated,
+    `sigma2_scan_lex_naive` (held equal to it here) on the named products.
+    A rainbow coloring (every product vertex its own color) is proper and
+    puts the ceiling out of reach, so the scan reads every block it does
+    not skip."""
+
+    KINDS = ("solved", "projection", "rainbow")
+
+    @staticmethod
+    def coloring(factors: list[Hypergraph], p: int, kind: str) -> Coloring:
+        if kind == "rainbow":
+            size = prod(kneser(H, p).n for H in factors)
+            return Coloring(tuple(range(1, size + 1)), size)
+        return instance_coloring(factors, p, kind)
+
+    @staticmethod
+    def small_cases() -> list[tuple[list[Hypergraph], int, str]]:
+        """Pool pairs and three-factor products small enough for
+        `sigma2_scan_naive`; pool pairs seldom have p disjoint edges in
+        both factors, so pairs built to have them are added."""
+        rng = random.Random(3701)
+        pool = random_pool(40, max_n=5, max_edges=8)
+        pairs = [[H1, H2] for H1, H2 in zip(pool[::2], pool[1::2])]
+        pairs += [
+            [_disjoint_edges_hypergraph(rng, rng.randint(2, n), 2) for n in (5, 4)] for _ in range(8)
+        ]
+        pairs += [[_disjoint_edges_hypergraph(rng, 3, 3) for _ in range(2)] for _ in range(4)]
+        out = [
+            (factors, p, kind)
+            for factors in pairs
+            for p in (2, 3)
+            if (p + 1) ** sum(H.n for H in factors) <= 7_000
+            for kind in ("solved", "rainbow")
+        ]
+        for p, n in ((2, 3), (2, 3), (2, 2), (3, 3)):
+            factors = [_disjoint_edges_hypergraph(rng, rng.randint(p, n), p) for _ in range(3)]
+            if (p + 1) ** sum(H.n for H in factors) <= 20_000:
+                out.append((factors, p, rng.choice(("solved", "projection", "rainbow"))))
+        return out
+
+    def test_random_pairs_and_three_factor_products(self):
+        # "later" counts scans whose first maximizer lies past the first
+        # factor's first saturated block, where only a sound bound keeps it
+        seen = {"saturated": 0, "three": 0, "p3": 0, "later": 0}
+        for factors, p, kind in self.small_cases():
+            coloring = self.coloring(factors, p, kind)
+            want = sigma2_scan_naive(factors, p, coloring)
+            assert sigma2_scan_lex_naive(factors, p, coloring) == want, (factors, p)
+            assert tuple(sigma2_scan(factors, p, coloring)) == want, (factors, p, kind)
+            if want[2]:
+                seen["saturated"] += 1
+                seen["three"] += len(factors) == 3
+                seen["p3"] += p == 3
+                seen["later"] += want[1][: factors[0].n] != saturated_blocks_naive(factors[0], p)[0][0]
+        assert seen["saturated"] >= 30 and min(seen["three"], seen["p3"]) >= 2 and seen["later"] >= 8, seen
+
+    @pytest.mark.parametrize(
+        "factors, p, kind",
+        [
+            ([complete_uniform(6, 2)] * 2, 2, "solved"),
+            ([complete_uniform(7, 2)] * 2, 3, "solved"),
+            ([CU4] * 3, 2, "solved"),
+            ([CU5, CU4, CU4], 2, "solved"),
+            ([CU5, CU4], 2, "rainbow"),
+            ([CU4, CU4, CU4], 2, "rainbow"),
+        ],
+        ids=["KG(6,2)^2", "KG3(7,2)^2", "KG(4,2)^3", "KG(5,2)xKG(4,2)^2", "KG(5,2)xKG(4,2)-rainbow",
+             "KG(4,2)^3-rainbow"],
+    )
+    def test_named_products(self, factors, p, kind):
+        coloring = self.coloring(factors, p, kind)
+        want = sigma2_scan_lex_naive(factors, p, coloring)
+        assert want[1] is not None
+        assert tuple(sigma2_scan(factors, p, coloring)) == want
