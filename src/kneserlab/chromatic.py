@@ -118,6 +118,7 @@ class _ColoringSearch:
             for F, st, m in zip(head_factors, strides, steps)
         ]
         self.boxes_of, self.pos_of = (ids, bits) if not head_factors else ([[]] + [None] * N, [[]] + [None] * N)
+        self.near: list[int | None] = [None] * (N + 1)  # per stacked vertex, its boxes' cells (a bitmask)
         self.counts: dict[int, Counter[str]] = {}  # per level k, what its decisions did
 
     def _build(self, v: int) -> list[int]:
@@ -166,9 +167,14 @@ class _ColoringSearch:
         ``decide`` extends the current partial coloring most-constrained-first
         (most forbidden colors, ties to the least index: the lowest ``free``
         bit of the highest ``tier[j]``, the vertices with at least j colors
-        forbidden, holding one), colors ascending and at most one above those
-        in use, on an explicit stack. It returns a full coloring or None and
-        leaves the state as it found it; its first call is the level's proof.
+        forbidden, holding one; but at j = 0 under a stacked vertex, the least
+        open vertex sharing a box with the last one stacked, if there is one,
+        as DSATUR does (Brelaz 1979): with edges of r >= 3 vertices one
+        assignment forbids nothing, and the least index need not touch the
+        colored part; ``near[u]``, the cells of u's boxes, is kept per vertex),
+        colors ascending and at most one above those in use, on an explicit
+        stack. It returns a full coloring or None and leaves the state as it
+        found it; its first call is the level's proof.
         Then v = 1..N is fixed in index order to the least color below the
         witness's with which the prefix still extends, else to the witness's
         color: each fixed prefix is lex-least and still extendable, so the
@@ -186,9 +192,9 @@ class _ColoringSearch:
         vertex's own and tries its next color; it answers None when no
         stacked vertex is in the set (the set rests on the fixed prefix
         alone). Each skipped subtree extends the set, so it holds no proper
-        coloring, and the pick is a function of the state: ``decide``
-        returns the coloring chronological backtracking would, after no
-        more assignments.
+        coloring, and the pick is a function of the stacked assignments, in
+        order: ``decide`` returns the coloring chronological backtracking with
+        the same pick would, after no more assignments.
 
         A backjump's set is kept as a nogood (Schiex and Verfaillie 1994). A
         conflict set holds (vertex, color) pairs, the pair (u, d) as bit
@@ -210,7 +216,7 @@ class _ColoringSearch:
         """
         N = self.N
         full, cells, completing = self.full, self.cells, self.completing
-        boxes_of, pos_of, build = self.boxes_of, self.pos_of, self._build
+        boxes_of, pos_of, build, near = self.boxes_of, self.pos_of, self._build, self.near
         colors = [0] * (N + 1)
         forbid = [[0] * (k + 1) for _ in range(N + 1)]  # flags; forbid[u][0]: how many u has set
         tier = [(1 << N + 1) - 2] + [0] * k  # tier[j]: the vertices (a bitmask) with at least j forbidden
@@ -278,6 +284,11 @@ class _ColoringSearch:
                 j = k
                 while not (pick := tier[j] & free):
                     j -= 1
+                if not j and stack:  # nothing forbidden: stay next to the last assignment
+                    u = stack[-1][0]
+                    if (mask := near[u]) is None:
+                        mask = near[u] = sum({1 << x for bid in boxes_of[u] for x in cells[bid]})
+                    pick = mask & free or pick
                 v = (pick & -pick).bit_length() - 1
                 free ^= 1 << v
                 c = 0

@@ -144,9 +144,10 @@ class SignMapTables:
     query: block signatures, tuples of sign sets, and the core keys of color
     simplices (the sorted (sign, color) cells of their minimum-size rows).
 
-    Nothing is stored: the lexicographically least element of a key's orbit
-    has sign 1, and the key gets the sign g*1 for the least group element g
-    taking that minimum to the key. Passing table names in
+    The lexicographically least element of a key's orbit has sign 1, and the
+    key gets the sign g*1 for the least group element g taking that minimum
+    to the key; each key's sign is computed once and kept on the instance,
+    whose keys are those of one sweep's domains. Passing table names in
     ``corrupt`` replaces that table by a constant map, which is not
     equivariant; this is the negative control for the consistency checks.
     The modulus must be prime: a composite p fixes some orbits, and then no
@@ -163,14 +164,18 @@ class SignMapTables:
         unknown = self.corrupt - set(self.TABLE_NAMES)
         if unknown:
             raise ValueError(f"unknown table names: {sorted(unknown)}")
+        self.signs: dict[str, dict[tuple, int]] = {name: {} for name in self.TABLE_NAMES}
 
     def _lookup(self, name: str, key: tuple, act) -> int:
         if name in self.corrupt:
             return 1
-        p = self.p
-        rep = min(act(g, key, p) for g in range(1, p + 1))
-        g = next(g for g in range(1, p + 1) if act(g, rep, p) == key)
-        return act_sign(g, 1, p)
+        signs = self.signs[name]
+        if (sign := signs.get(key)) is None:
+            p = self.p
+            rep = min(act(g, key, p) for g in range(1, p + 1))
+            g = next(g for g in range(1, p + 1) if act(g, rep, p) == key)
+            sign = signs[key] = act_sign(g, 1, p)
+        return sign
 
     def sign_for_blocks(self, signature: tuple) -> int:
         return self._lookup("blocks", signature, _act_signature)

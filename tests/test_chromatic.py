@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 from itertools import combinations
 from math import prod
@@ -616,6 +617,73 @@ class _Learning(_ColoringSearch):
         self.stores.append(store)
 
 
+class _Reads(list):
+    """A list that calls ``hook(i)`` before each read ``self[i]``."""
+
+    def __init__(self, items, hook):
+        super().__init__(items)
+        self.hook = hook
+
+    def __getitem__(self, i):
+        self.hook(i)
+        return super().__getitem__(i)
+
+
+class _Picking(_Learning):
+    """The engine, checking each vertex a `decide` call picks when that pick
+    is assigned (``assign`` reads its positions), against the state read from
+    the call's frames and the boxes of ``compile_boxes_naive``: the least open
+    vertex with the most colors forbidden, except that when no open vertex has
+    one forbidden and a vertex is stacked, the least open vertex sharing a box
+    with the last stacked one, if any. An assignment after a dead end is a
+    backjump's next color, not a pick. ``near_picks`` counts the picks the
+    exception moved off the least open vertex."""
+
+    def __init__(self, factors):
+        super().__init__(factors)
+        naive = compile_boxes_naive(factors)
+        self.naive_full = naive.full
+        self.box_positions = [{} for _ in naive.full]  # per box, its cells' positions
+        for u in range(1, naive.N + 1):
+            for bid, pos in zip(naive.boxes_of[u], naive.pos_of[u]):
+                self.box_positions[bid][u] = pos
+        self.near_picks = 0
+        self.pos_of = _Reads(self.pos_of, self._assigning)
+
+    @_Learning.learnt.setter
+    def learnt(self, store):
+        self.stores.append(store)
+        self.dead_ends = 0  # a `decide` call begins
+
+    def _assigning(self, v):
+        frame = sys._getframe(2)  # this <- _Reads.__getitem__ <- assign
+        if frame.f_code.co_name != "assign" or frame.f_back.f_code.co_name != "decide":
+            return  # first_fit, or the refinement fixing a prefix vertex
+        call = frame.f_back.f_locals
+        if call["dead_ends"] != self.dead_ends:
+            self.dead_ends = call["dead_ends"]
+            return
+        k, colors = call["k"], frame.f_locals["colors"][:]
+        colors[v] = 0  # assign has just colored it
+        forbidden = dict.fromkeys((u for u in range(1, self.N + 1) if not colors[u]), 0)
+        for full, positions in zip(self.naive_full, self.box_positions):
+            covered = [0] * (k + 1)
+            for u, pos in positions.items():
+                covered[colors[u]] |= pos
+            for u, pos in positions.items():
+                if u in forbidden:
+                    forbidden[u] |= sum(1 << c for c in range(1, k + 1) if covered[c] | pos == full)
+        tiers = {u: bin(mask).count("1") for u, mask in forbidden.items()}
+        top = max(tiers.values())
+        expected = least = min(u for u, t in tiers.items() if t == top)
+        if not top and (stack := call["stack"]):
+            last = stack[-1][0]
+            near = [u for u in tiers if any(last in positions and u in positions for positions in self.box_positions)]
+            expected = min(near, default=least)
+        assert v == expected, (v, expected)
+        self.near_picks += expected != least
+
+
 def learnt_nogoods(engine, k):
     """Each nogood the engine's ``stores`` hold after level k, with the try
     it is stored under, as a partial coloring {vertex: color}; bit
@@ -635,12 +703,14 @@ class TestBackjump:
     skips hold no proper coloring, so at every level k up to chi it must
     return what the index-order backtracking of ``lex_least_coloring_static``
     returns: None exactly below chi, and the lex-least coloring at chi. No
-    proper k-coloring may extend a stored nogood (``extends_naive``)."""
+    proper k-coloring may extend a stored nogood (``extends_naive``), and every
+    pick must follow the rule `_Picking` checks."""
 
     @staticmethod
     def check(factors):
-        """chi, and how many tries the levels up to chi refuted by a nogood."""
-        engine = _Learning(factors)
+        """chi, how many tries the levels up to chi refuted by a nogood, and
+        how many picks went to a neighbour of the last stacked vertex."""
+        engine = _Picking(factors)
         k = 1
         while True:
             engine.stores = []
@@ -649,7 +719,7 @@ class TestBackjump:
             for partial in learnt_nogoods(engine, k):
                 assert not extends_naive(factors, k, partial), (factors, k, partial)
             if expected is not None:
-                return k, sum(counts["nogood_hits"] for counts in engine.counts.values())
+                return k, sum(counts["nogood_hits"] for counts in engine.counts.values()), engine.near_picks
             k += 1
 
     @staticmethod
@@ -662,7 +732,7 @@ class TestBackjump:
     def test_random_products(self):
         rng = random.Random(4250)
         chis = dict.fromkeys(range(1, 5), 0)
-        checked = hits = 0
+        checked = hits = near = 0
         while checked < 300:
             factors = [self.random_factor(rng) for _ in range(rng.randint(1, 3))]
             # a product of singleton edges is a singleton edge: the solver
@@ -670,49 +740,61 @@ class TestBackjump:
             # order takes seconds to refute a level of a 48-vertex product
             if all(H.has_singleton_edge() for H in factors) or prod(H.n for H in factors) > 36:
                 continue
-            chi, refuted = self.check(factors)
+            chi, refuted, moved = self.check(factors)
             chis[min(chi, 4)] += 1
             hits += refuted
+            near += moved
             checked += 1
         # levels refuted before a coloring is found, not only chi = 1 or 2
         assert chis[3] + chis[4] >= 30, chis
         # some tries were refuted by a nogood, so the soundness check saw one in use
         assert hits > 0
+        # and some picks stayed next to the last assignment
+        assert near > 0, near
 
     @pytest.mark.parametrize(
-        "make, chi",
+        "make, chi, near",
         [
-            pytest.param(lambda: [_kg(6, 2, 3)], 2, id="KG^3(6,2)"),
-            pytest.param(lambda: [kneser(hnka(6, 2, 2), 3)], 2, id="KG^3(H(6,2,2))"),
-            pytest.param(lambda: [_kg(6, 2, 3), kneser(hnka(6, 2, 2), 3)], 2, id="KG^3(6,2)xKG^3(H(6,2,2))"),
-            pytest.param(lambda: [_kg(6, 2)], 4, id="KG(6,2)"),
-            pytest.param(lambda: [kneser(hnka(6, 2, 2), 2)], 4, id="KG(H(6,2,2))"),
-            pytest.param(lambda: [_kg(8, 2, 3)], 3, id="KG^3(8,2)"),
+            pytest.param(lambda: [_kg(6, 2, 3)], 2, True, id="KG^3(6,2)"),
+            pytest.param(lambda: [kneser(hnka(6, 2, 2), 3)], 2, True, id="KG^3(H(6,2,2))"),
+            pytest.param(lambda: [_kg(6, 2, 3), kneser(hnka(6, 2, 2), 3)], 2, True, id="KG^3(6,2)xKG^3(H(6,2,2))"),
+            pytest.param(lambda: [_kg(6, 2)], 4, False, id="KG(6,2)"),
+            pytest.param(lambda: [kneser(hnka(6, 2, 2), 2)], 4, False, id="KG(H(6,2,2))"),
+            pytest.param(lambda: [_kg(8, 2, 3)], 3, True, id="KG^3(8,2)"),
         ],
     )
-    def test_kneser_hypergraphs(self, make, chi):
-        assert self.check(make())[0] == chi
+    def test_kneser_hypergraphs(self, make, chi, near):
+        # with 3-vertex edges one assignment forbids nothing, so a pick at
+        # tier 0 follows a stacked vertex; in a graph it forbids at once
+        found, _, moved = self.check(make())
+        assert (found, moved > 0) == (chi, near)
 
     @pytest.mark.parametrize(
-        "make, k, parent, counts",
+        "make, k, least_index, store_free, counts",
         [
-            pytest.param(lambda: [_kg(9, 2, 3)], 2, (421, 329), (187, 123, 38), id="KG^3(9,2)"),
-            pytest.param(lambda: [_kg(8, 2, 3)], 2, (314, 256), (161, 115, 24), id="KG^3(8,2)"),
-            pytest.param(lambda: [_kg(7, 2), _kg(6, 2)], 4, (67024, 42799), (12168, 4913, 4421),
-                         id="KG(7,2)xKG(6,2)"),
-            pytest.param(lambda: [_kg(6, 2)] * 2, 3, (87, 23), (87, 23, 0), id="KG(6,2)^2"),
+            pytest.param(lambda: [_kg(9, 2, 3)], 2, (187, 123, 38), (40, 21), (40, 21, 0), id="KG^3(9,2)"),
+            pytest.param(lambda: [_kg(8, 2, 3)], 2, (161, 115, 24), (72, 45), (72, 45, 0), id="KG^3(8,2)"),
+            pytest.param(lambda: [kneser(hnka(11, 2, 4), 3)], 3, (3228, 2517, 1066), (3002, 2363),
+                         (1723, 1256, 287), id="KG^3(H(11,2,4))"),
+            pytest.param(lambda: [_kg(7, 2), _kg(6, 2)], 4, (12168, 4913, 4421), (67024, 42799),
+                         (12168, 4913, 4421), id="KG(7,2)xKG(6,2)"),
+            pytest.param(lambda: [_kg(6, 2)] * 2, 3, (87, 23, 0), (87, 23), (87, 23, 0), id="KG(6,2)^2"),
         ],
     )
-    def test_counts(self, make, k, parent, counts):
-        # parent: the assignments and dead ends of level k's decisions when a
-        # backjump's nogood was dropped, counted the same way; a level whose
-        # tries no nogood refutes makes the same search
+    def test_counts(self, make, k, least_index, store_free, counts):
+        # the assignments, dead ends and tries refuted by a nogood of level
+        # k's decisions; least_index: the same counts when a pick at tier 0
+        # took the least open vertex even with a vertex stacked; store_free:
+        # the assignments and dead ends when a backjump's nogood was dropped,
+        # with today's pick, so a level whose tries no nogood refutes makes
+        # the same search
         engine = _ColoringSearch(make())
         engine.lex_least(k)
         assigned, dead_ends, hits = counts
         assert engine.counts[k] == {"assignments": assigned, "dead_ends": dead_ends, "nogood_hits": hits}
-        assert assigned <= parent[0] and dead_ends <= parent[1]
-        assert hits or (assigned, dead_ends) == parent
+        assert assigned <= least_index[0] and dead_ends <= least_index[1]
+        assert assigned <= store_free[0] and dead_ends <= store_free[1]
+        assert hits or (assigned, dead_ends) == store_free
 
 
 class TestBoundReport:

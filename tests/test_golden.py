@@ -95,6 +95,11 @@ COMMANDS = (
     # and a three-sign scan whose product blocks are bounded before reading
     "prooflab --p 2 complete:5,2 complete:4,2",
     "witness --p 3 complete:7,2 complete:7,2",
+    # r = 3 levels where one assignment forbids nothing: KG^3(10,2)'s refuted
+    # level 3, and an H(n,k,a) with 2k <= a <= rk-2, whose chi = 4 is above
+    # every defect bound (3)
+    "chromatic --r 3 complete:10,2",
+    "chromatic --r 3 hnka:11,2,4",
     # usage errors: a value out of range, a missing option, an option the task lacks
     "prooflab --p 1 complete:3,2",
     "witness complete:5,2",

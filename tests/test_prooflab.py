@@ -274,8 +274,8 @@ class TestSignTables:
             assert tables.sign_for_blocks(acted) == act_sign(g, base, 3)
 
     def test_signs_independent_of_query_order(self):
-        # no sign is stored, so a fresh map answers every key the same way
-        # whatever was asked before it
+        # a sign depends on its key alone, so a fresh map answers every key
+        # the same way whatever was asked before it
         keys = [
             ("blocks", (("set", (1, 2)),)),
             ("blocks", (("vec", (0, 3, 1)), ("set", (2,)))),
@@ -291,6 +291,38 @@ class TestSignTables:
         forward, backward = SignMapTables(3), SignMapTables(3)
         signs = [ask(forward, name, key) for name, key in keys]
         assert signs == [ask(backward, name, key) for name, key in reversed(keys)][::-1]
+
+    @pytest.mark.parametrize("p, factors, coloring", [
+        pytest.param(2, [CU4, CU3], None, id="lemma1-p2"),
+        pytest.param(2, [CU5], min_element_coloring_petersen(), id="lemma2-p2"),
+        pytest.param(3, [CU5], None, id="lemma1-p3"),
+    ])
+    def test_kept_signs_match_the_orbit_rule(self, p, factors, coloring):
+        # every sign a lemma sweep kept is the one its orbit gives: the
+        # orbit's least element has sign 1, and g carries it to g * 1
+        acts = {
+            "blocks": kneserlab.prooflab._act_signature,
+            "signsets": kneserlab.prooflab._act_signsets,
+            "simplex": kneserlab.prooflab._act_cells,
+        }
+        tables = SignMapTables(p)
+        if coloring is None:
+            assert check_lemma1(factors, p, tables) == []
+        else:
+            assert check_lemma2(factors, p, coloring, tables) == []
+        assert tables.signs["simplex" if coloring else "signsets"]
+        for name, kept in tables.signs.items():
+            act = acts[name]
+            for key, sign in kept.items():
+                least = min(act(g, key, p) for g in range(1, p + 1))
+                g = next(g for g in range(1, p + 1) if act(g, least, p) == key)
+                assert sign == act_sign(g, 1, p) == getattr(tables, f"sign_for_{name}")(key), (name, key)
+
+    def test_corrupt_table_stays_constant(self):
+        tables = SignMapTables(3, corrupt=("blocks",))
+        keys = [(("set", (1, 2)),), (("set", (2, 3)),), (("vec", (0, 3, 1)), ("set", (2,)))]
+        assert [tables.sign_for_blocks(key) for key in keys * 2] == [1] * 6
+        assert not tables.signs["blocks"]
 
     def test_composite_modulus_refused(self):
         # {w^2, w^4} is fixed by w^2 when the modulus is 4: no equivariant
