@@ -62,30 +62,45 @@ def edgeless(n: int) -> Hypergraph:
 
 def kneser(H: Hypergraph, r: int) -> Hypergraph:
     """General Kneser hypergraph: one vertex per edge of ``H`` (in canonical
-    edge order), hyperedges = r-sets of pairwise disjoint edges of ``H``."""
-    if r < 2:
-        raise ValueError(f"Kneser construction needs r >= 2, got {r}")
+    edge order), hyperedges = r-sets of pairwise disjoint edges of ``H``.
+
+    A depth-first walk picks vertices in ascending order, each from the
+    mask of those after it that are disjoint from every one picked so far
+    (an AND of per-vertex ``later`` masks). The hyperedges come out
+    distinct and in canonical lex order, each with its vertex mask, and go
+    to `Hypergraph._from_canonical` unchecked."""
+    if not isinstance(r, int) or r < 2:
+        raise ValueError(f"Kneser construction needs an int r >= 2, got {r!r}")
     masks = H.edge_masks
     m = len(masks)
     if m > MAX_VERTICES:
         raise CapExceededError(f"{m} edges exceed vertex cap {MAX_VERTICES}")
+    # later[i]: bit j set iff j > i and edges i + 1 and j + 1 of H are disjoint
+    later = [
+        sum(1 << j for j in range(i + 1, m) if masks[j] & mi == 0)
+        for i, mi in enumerate(masks)
+    ]
     hyperedges: list[tuple[int, ...]] = []
+    hypermasks: list[int] = []
 
-    def extend(start: int, chosen: list[int], union: int) -> None:
-        if len(chosen) == r:
-            hyperedges.append(tuple(chosen))
+    def extend(chosen: tuple[int, ...], union: int, free: int, need: int) -> None:
+        # ``free``: the vertices after ``chosen`` disjoint from all of it;
+        # ``need`` >= 1 more are to be picked from it
+        if need == 1:
+            last = list(bits_of(free))
+            hyperedges.extend([chosen + (v,) for v in last])
+            hypermasks.extend([union | 1 << (v - 1) for v in last])
             return
-        # not enough edges left to complete an r-set
-        if m - start < r - len(chosen):
-            return
-        for i in range(start, m):
-            if masks[i] & union == 0:
-                chosen.append(i + 1)
-                extend(i + 1, chosen, union | masks[i])
-                chosen.pop()
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length()
+            rest = free & later[v - 1]
+            if rest.bit_count() >= need - 1:
+                extend(chosen + (v,), union | low, rest, need - 1)
 
-    extend(0, [], 0)
-    return Hypergraph(m, hyperedges)
+    extend((), 0, (1 << m) - 1, r)
+    return Hypergraph._from_canonical(m, tuple(hyperedges), tuple(hypermasks))
 
 
 class ProductSpace(namedtuple("ProductSpace", "dims")):

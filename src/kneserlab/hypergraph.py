@@ -57,6 +57,25 @@ class Hypergraph:
         object.__setattr__(self, "edge_masks", masks)
         object.__setattr__(self, "_hash", hash((n, masks)))
 
+    @classmethod
+    def _from_canonical(
+        cls, n: int, edges: tuple[tuple[int, ...], ...], masks: tuple[int, ...]
+    ) -> Hypergraph:
+        """The hypergraph with these fields, stored as given: no edge is
+        sorted, de-duplicated or checked. Precondition: ``n`` is an int in
+        [0..MAX_VERTICES], each edge is strictly increasing inside [1..n],
+        the edges are distinct and in canonical (size, lex) order, and
+        ``masks[i] == mask_of(edges[i])``. Only builders whose output meets
+        it by construction call this (`induced_mask` and
+        `constructions.kneser`); every other input goes through
+        ``Hypergraph(n, edges)``."""
+        H = object.__new__(cls)
+        object.__setattr__(H, "n", n)
+        object.__setattr__(H, "edges", edges)
+        object.__setattr__(H, "edge_masks", masks)
+        object.__setattr__(H, "_hash", hash((n, masks)))
+        return H
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Hypergraph is immutable")
 
@@ -169,15 +188,20 @@ class ChromaticValue(namedtuple("ChromaticValue", "kind value")):
 
 
 def induced_mask(H: Hypergraph, amask: int) -> Hypergraph:
-    """Subhypergraph induced by the vertex mask, relabeled to 1..|A| in order."""
+    """Subhypergraph induced by the vertex mask (inside [1..H.n]), relabeled
+    to 1..|A| in order.
+
+    The relabeling is increasing, so the kept edges stay distinct, sorted
+    and in canonical order: they go to `Hypergraph._from_canonical` as
+    they come."""
     kept = list(bits_of(amask))
-    remap = {v: i + 1 for i, v in enumerate(kept)}
-    new_edges = [
-        tuple(remap[v] for v in e)
+    label = {v: i for i, v in enumerate(kept, start=1)}
+    edges = tuple([
+        tuple([label[v] for v in e])
         for e, em in zip(H.edges, H.edge_masks)
         if em & ~amask == 0
-    ]
-    return Hypergraph(len(kept), new_edges)
+    ])
+    return Hypergraph._from_canonical(len(kept), edges, tuple(map(mask_of, edges)))
 
 
 # --- JSON round-trips -------------------------------------------------------

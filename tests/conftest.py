@@ -40,7 +40,7 @@ from kneserlab import (
     solve_chromatic,
 )
 from kneserlab.bits import bits_of, mask_of
-from kneserlab.hypergraph import induced_mask, span_table
+from kneserlab.hypergraph import span_table
 from kneserlab.invariants import _alt_search, _edge_index, _Found
 from kneserlab.prooflab import _color_reader, _saturated_blocks, _tau
 
@@ -51,8 +51,12 @@ SEED = 20240501
 
 
 def induced(H: Hypergraph, A: Iterable[int]) -> Hypergraph:
-    """Subhypergraph induced by the vertex set ``A``, relabeled to 1..|A| in order."""
-    return induced_mask(H, mask_of(A))
+    """Subhypergraph induced by the vertex set ``A``, relabeled to 1..|A| in
+    order, built through the checking ``Hypergraph`` constructor (the oracle
+    of `induced_mask`)."""
+    kept = sorted(set(A))
+    label = {v: i for i, v in enumerate(kept, start=1)}
+    return Hypergraph(len(kept), [[label[v] for v in e] for e in H.edges if set(e) <= label.keys()])
 
 
 def projection_coloring(
@@ -80,6 +84,57 @@ def tau_of(
 
 
 # --- oracles ---------------------------------------------------------------------
+
+
+def kneser_naive(H: Hypergraph, r: int) -> Hypergraph:
+    """Oracle for `kneser`: every r-subset of edge indices whose edges are
+    pairwise disjoint, built through the checking ``Hypergraph`` constructor."""
+    edges = [set(e) for e in H.edges]
+    return Hypergraph(len(edges), [
+        idx
+        for idx in itertools.combinations(range(1, len(edges) + 1), r)
+        if all(not edges[i - 1] & edges[j - 1] for i, j in itertools.combinations(idx, 2))
+    ])
+
+
+def has_disjoint_edges(edges: Sequence[Sequence[int]], r: int) -> bool:
+    """True iff some r of ``edges`` are pairwise disjoint."""
+    if r == 0:
+        return True
+    return any(
+        has_disjoint_edges([f for f in edges[i + 1 :] if not set(e) & set(f)], r - 1)
+        for i, e in enumerate(edges)
+    )
+
+
+def prefix_block_coloring(H: Hypergraph, r: int) -> Coloring:
+    """The prefix-block coloring of KG^r(H), one color per vertex (edge of
+    H, in canonical order). Take the largest prefix [m] of [n] inside
+    which H has no r pairwise disjoint edges. An edge leaving [m] gets the
+    block of r - 1 consecutive vertices after m that holds its least vertex
+    outside [m]; the edges inside [m], if any, share one more color. So it
+    has ceil((n - m)/(r - 1)) + [H[m] has an edge] colors."""
+    m = max(
+        j for j in range(H.n + 1)
+        if not has_disjoint_edges([e for e in H.edges if e[-1] <= j], r)
+    )
+    blocks = -(-(H.n - m) // (r - 1))
+    inside = any(e[-1] <= m for e in H.edges)
+    colors = tuple(
+        blocks + 1 if e[-1] <= m else -(-(min(v for v in e if v > m) - m) // (r - 1))
+        for e in H.edges
+    )
+    return Coloring(colors, blocks + inside)
+
+
+def is_proper_kneser_coloring(H: Hypergraph, r: int, coloring: Coloring) -> bool:
+    """Properness on KG^r(H), read from H's edges alone: no color class of
+    edges of H holds r pairwise disjoint ones."""
+    assert coloring.n == H.edge_count
+    return not any(
+        has_disjoint_edges([e for e, c in zip(H.edges, coloring.colors) if c == color], r)
+        for color in range(1, coloring.color_count + 1)
+    )
 
 
 def contains_edge_within(H: Hypergraph, mask: int) -> bool:

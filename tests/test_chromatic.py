@@ -18,6 +18,7 @@ from kneserlab import (
     bound_report,
     complete_uniform,
     cycle,
+    factor_bounds,
     formula_hnka,
     formula_kneser,
     hnka,
@@ -35,8 +36,10 @@ from conftest import (
     finite_chi,
     is_first_appearance,
     is_proper,
+    is_proper_kneser_coloring,
     lex_least_coloring_brute,
     lex_least_coloring_static,
+    prefix_block_coloring,
     product_minimal,
     random_hypergraph,
 )
@@ -168,6 +171,37 @@ class TestFormulas:
                         assert formula_hnka(n, k, a, r) == chi, (n, k, a, r)
                         checked += 1
         assert checked == 63
+
+    # chi(KG^r(H(n,k,a))) on the open range 2k <= a <= rk-2, keyed by
+    # (n, k, a, r); each value was computed with the earlier `kneser`, which
+    # built through the checking constructor, and each equals U below
+    OPEN_RANGE_CHI = {
+        (8, 2, 4, 3): 2,
+        (9, 2, 4, 3): 3,
+        (10, 2, 4, 3): 3,
+        (11, 2, 4, 3): 4,
+        (10, 3, 6, 3): 2,
+        (10, 3, 7, 3): 2,
+        (11, 2, 6, 4): 2,
+    }
+
+    def test_hnka_open_range_grid(self):
+        # L <= chi <= U, with U = ceil((n - max(a, r(k-1))) / (r-1)) the
+        # prefix-block coloring's color count, checked on H's edges alone;
+        # chi = U here, so merging its last two colors must be improper
+        for (n, k, a, r), pinned in self.OPEN_RANGE_CHI.items():
+            assert 2 * k <= a <= r * k - 2
+            H = hnka(n, k, a)
+            U = -(-(n - max(a, r * (k - 1))) // (r - 1))
+            f = factor_bounds(H, r)
+            L = max(f.cd_bound, f.alt_bound, f.ecd_bound)
+            chi = finite_chi(solve_chromatic(kneser(H, r))[0])
+            assert L <= chi == pinned <= U, (n, k, a, r)
+            coloring = prefix_block_coloring(H, r)
+            assert coloring.color_count == U, (n, k, a, r)
+            assert is_proper_kneser_coloring(H, r, coloring), (n, k, a, r)
+            merged = Coloring(tuple(min(c, U - 1) for c in coloring.colors), U - 1)
+            assert not is_proper_kneser_coloring(H, r, merged), (n, k, a, r)
 
     def test_hnka_edgeless_case(self):
         # a = 7 >= rk-1: KG^3 of {pairs meeting {8,9}} has no 3 disjoint edges

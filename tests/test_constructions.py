@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -24,13 +25,18 @@ from kneserlab import (
 from conftest import (
     finite_chi,
     is_proper,
+    kneser_naive,
     minimal_covers,
     minimal_covers_brute,
     product_full,
     product_minimal,
     projection_coloring,
     random_hypergraph,
+    random_pool,
 )
+
+# the mixed-size ground of the golden ``file:g6.json`` recipe
+G6 = Hypergraph(6, [(2, 4), (3, 6), (4, 6), (1, 4, 5), (3, 4, 6), (1, 2, 4, 6)])
 
 
 class TestCompleteUniform:
@@ -99,6 +105,33 @@ class TestKneser:
     def test_r_below_two_rejected(self):
         with pytest.raises(ValueError):
             kneser(complete_uniform(4, 2), 1)
+
+    @pytest.mark.parametrize("r", [2.5, 3.0, "3", None])
+    def test_non_int_r_rejected(self, r):
+        # 2.5 once gave 21 vertices and no hyperedges, so chi = 1
+        with pytest.raises(ValueError, match=re.escape(f"got {r!r}")):
+            kneser(complete_uniform(7, 2), r)
+
+    @staticmethod
+    def assert_same(got: Hypergraph, want: Hypergraph) -> None:
+        assert (got.n, got.edges, got.edge_masks) == (want.n, want.edges, want.edge_masks)
+        assert hash(got) == hash(want) and got == want
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_matches_naive_on_random_pool(self, r):
+        # the wider pool is the one with 4 disjoint edges in some members
+        for H in (*random_pool(60), *random_pool(60, max_n=12, max_edges=16)):
+            self.assert_same(kneser(H, r), kneser_naive(H, r))
+
+    @pytest.mark.parametrize("ground,r", [
+        (complete_uniform(9, 2), 3),
+        (hnka(8, 2, 3), 2),
+        (hnka(8, 2, 3), 3),
+        (G6, 2),
+        (G6, 3),
+    ])
+    def test_matches_naive_on_named(self, ground, r):
+        self.assert_same(kneser(ground, r), kneser_naive(ground, r))
 
 
 class TestMinimalCovers:

@@ -100,6 +100,10 @@ COMMANDS = (
     # every defect bound (3)
     "chromatic --r 3 complete:10,2",
     "chromatic --r 3 hnka:11,2,4",
+    # the two builders that skip the checking constructor: an r = 3 Kneser
+    # edge order, and the induced subhypergraphs behind T's edge list
+    "build kneser:3:complete:6,2",
+    "build t:1,2:complete:6,2",
     # usage errors: a value out of range, a missing option, an option the task lacks
     "prooflab --p 1 complete:3,2",
     "witness complete:5,2",

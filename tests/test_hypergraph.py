@@ -21,7 +21,7 @@ from kneserlab import (
     store_hypergraph,
     t_hypergraph,
 )
-from kneserlab.hypergraph import T_ENUM_CAP, span_table
+from kneserlab.hypergraph import T_ENUM_CAP, induced_mask, span_table
 from conftest import (
     class_vertices,
     contains_edge_within,
@@ -30,6 +30,7 @@ from conftest import (
     is_proper,
     min_element_coloring_petersen,
     random_hypergraph,
+    random_pool,
 )
 
 
@@ -118,6 +119,16 @@ class TestInduced:
         expected = [e for e in H.edges if set(e) <= {1, 2, 3}]
         assert expected == []
         assert induced(H, {1, 2, 3}) == Hypergraph(3, [])
+
+    def test_induced_mask_matches_oracle(self):
+        # every vertex subset of the small pool members, against the
+        # checking constructor: same fields, order, masks and hash
+        for H in random_pool(40, max_n=6):
+            for amask in range(1 << H.n):
+                A = [v for v in range(1, H.n + 1) if amask >> (v - 1) & 1]
+                got, want = induced_mask(H, amask), induced(H, A)
+                assert (got.n, got.edges, got.edge_masks) == (want.n, want.edges, want.edge_masks)
+                assert hash(got) == hash(want) and got == want
 
     def test_full_induced_is_identity(self):
         H = complete_uniform(4, 2)
