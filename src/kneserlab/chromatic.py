@@ -20,7 +20,7 @@ from itertools import accumulate, product as iproduct
 from math import prod
 
 from .cache import ResultCache, cached_value
-from .constructions import ProductSpace, kneser
+from .constructions import ProductSpace, _need_int, kneser
 from .hypergraph import (
     CapExceededError,
     ChromaticValue,
@@ -389,7 +389,7 @@ def solve_product_chromatic(
         raise ValueError("product needs at least one factor")
     if all(H.has_singleton_edge() for H in factors):
         # a box of singleton edges is a singleton product edge
-        return ChromaticValue.infinite(), None
+        return ChromaticValue("INFINITE"), None
     head_only = len(factors) > 1 and not factors[0].has_singleton_edge()
     engine = _ColoringSearch(factors[:1] if head_only else factors)
     first = engine.first_fit()
@@ -401,11 +401,11 @@ def solve_product_chromatic(
     k = min(2, g)
     while True:
         if limit is not None and k > limit:
-            return ChromaticValue.exceeds(limit), None
+            return ChromaticValue(f"EXCEEDS({limit})"), None
         if k < g and head_only:  # the product's own engine, built for the first searched level
             engine, head_only = _ColoringSearch(factors), False
         if (colors := first if k == g else engine.lex_least(k)) is not None:
-            return ChromaticValue.finite(k), Coloring(tuple(colors), k)
+            return ChromaticValue(k), Coloring(tuple(colors), k)
         k += 1
 
 
@@ -422,12 +422,9 @@ def solve_chromatic(
 
 def formula_kneser(n: int, k: int, r: int) -> int:
     """ceil((n - (k-1) r) / (r-1)), valid for n >= rk, r >= 2."""
-    if r < 2:
-        raise ValueError("need r >= 2")
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if n < r * k:
-        raise ValueError(f"formula needs n >= rk (got n={n}, rk={r * k})")
+    _need_int("r", r, 2)
+    _need_int("k", k, 1)
+    _need_int("n", n, r * k)
     return ceil_div(n - (k - 1) * r, r - 1)
 
 
@@ -436,13 +433,11 @@ def formula_hnka(n: int, k: int, a: int, r: int) -> int:
     (a <= 2k-1 or a >= rk-1); the middle range raises. For a < k, H(n,k,a)
     is every k-subset and this is the Alon-Frankl-Lovasz value of
     `formula_kneser`; max(a, r(k-1)) = a once a >= rk-1."""
-    if r < 2:
-        raise ValueError("need r >= 2")
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if n < r * k:
-        raise ValueError(f"need n >= rk (got n={n}, rk={r * k})")
-    if a >= n or a < 0:
+    _need_int("r", r, 2)
+    _need_int("k", k, 1)
+    _need_int("n", n, r * k)
+    _need_int("a", a, 0)
+    if a >= n:
         raise ValueError("need 0 <= a < n")
     if 2 * k <= a <= r * k - 2:
         raise OutOfProvenRangeError(

@@ -22,6 +22,12 @@ from .hypergraph import (
 from .invariants import _ecd
 
 
+def _need_int(name: str, x: object, least: int) -> None:
+    """A ValueError naming ``name`` unless ``x`` is an int >= ``least``."""
+    if not isinstance(x, int) or x < least:
+        raise ValueError(f"need {name} >= {least} (an int), got {x!r}")
+
+
 def complete_uniform(n: int, k: int) -> Hypergraph:
     """The complete k-uniform hypergraph on [n] (all k-subsets)."""
     if k < 1:
@@ -69,8 +75,7 @@ def kneser(H: Hypergraph, r: int) -> Hypergraph:
     (an AND of per-vertex ``later`` masks). The hyperedges come out
     distinct and in canonical lex order, each with its vertex mask, and go
     to `Hypergraph._from_canonical` unchecked."""
-    if not isinstance(r, int) or r < 2:
-        raise ValueError(f"Kneser construction needs an int r >= 2, got {r!r}")
+    _need_int("r", r, 2)
     masks = H.edge_masks
     m = len(masks)
     if m > MAX_VERTICES:
@@ -170,10 +175,8 @@ def t_hypergraph(H: Hypergraph, C: int, s: int) -> Hypergraph:
     monochromatic sets are monochromatic. Each distinct induced
     subhypergraph is searched once per call, by the plain `_ecd`.
     """
-    if s < 2:
-        raise ValueError("reduction modulus s must be >= 2")
-    if C < 0:
-        raise ValueError("color budget C must be >= 0")
+    _need_int("reduction modulus s", s, 2)
+    _need_int("color budget C", C, 0)
     if H.n > T_ENUM_CAP:
         raise CapExceededError(
             f"2^{H.n} subset enumeration exceeds cap 2^{T_ENUM_CAP}"

@@ -35,7 +35,7 @@ class Hypergraph:
 
     __slots__ = ("n", "edges", "edge_masks", "_hash")
 
-    def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()) -> None:
+    def __new__(cls, n: int, edges: Iterable[Iterable[int]] = ()) -> Hypergraph:
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"vertex count must be a nonnegative int, got {n!r}")
         if n > MAX_VERTICES:
@@ -52,10 +52,7 @@ class Hypergraph:
         masks = tuple(mask_of(vs) for vs in canon)
         if len(set(masks)) != len(masks):
             raise ValueError("duplicate hyperedges")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(canon))
-        object.__setattr__(self, "edge_masks", masks)
-        object.__setattr__(self, "_hash", hash((n, masks)))
+        return cls._from_canonical(n, tuple(canon), masks)
 
     @classmethod
     def _from_canonical(
@@ -68,7 +65,7 @@ class Hypergraph:
         ``masks[i] == mask_of(edges[i])``. Only builders whose output meets
         it by construction call this (`induced_mask` and
         `constructions.kneser`); every other input goes through
-        ``Hypergraph(n, edges)``."""
+        ``Hypergraph(n, edges)``, which ends here once its checks pass."""
         H = object.__new__(cls)
         object.__setattr__(H, "n", n)
         object.__setattr__(H, "edges", edges)
@@ -150,41 +147,16 @@ class Coloring(namedtuple("Coloring", "colors color_count")):
         return {"colors": list(self.colors), "color_count": self.color_count}
 
 
-class ChromaticValue(namedtuple("ChromaticValue", "kind value")):
-    """A chromatic number: finite, INFINITE, or EXCEEDS(limit). ``kind`` is
-    "finite" | "infinite" | "exceeds"; ``value`` (int or None) is the number
-    or the limit that was hit."""
+class ChromaticValue(namedtuple("ChromaticValue", "form")):
+    """A chromatic number in the form that is cached and printed: an int,
+    "INFINITE" or "EXCEEDS(limit)". Every caller reads it as that form at
+    once; the wrapper stays only because the benchmark's ``kneser_encode``
+    and ``product_encode`` (``perfbench/workloads.py``) call ``to_json()``."""
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, value: int | None = None) -> ChromaticValue:
-        if kind not in ("finite", "infinite", "exceeds"):
-            raise ValueError(f"bad kind {kind!r}")
-        if kind == "finite" and (value is None or value < 1):
-            raise ValueError("finite chromatic value must be >= 1")
-        if kind == "exceeds" and value is None:
-            raise ValueError("exceeds needs the limit that was hit")
-        return super().__new__(cls, kind, value)
-
-    @classmethod
-    def finite(cls, k: int) -> ChromaticValue:
-        return cls("finite", k)
-
-    @classmethod
-    def infinite(cls) -> ChromaticValue:
-        return cls("infinite")
-
-    @classmethod
-    def exceeds(cls, limit: int) -> ChromaticValue:
-        return cls("exceeds", limit)
-
     def to_json(self) -> int | str:
-        """The form that is cached and printed: an int, "INFINITE" or "EXCEEDS(limit)"."""
-        if self.kind == "finite":
-            return self.value
-        if self.kind == "infinite":
-            return "INFINITE"
-        return f"EXCEEDS({self.value})"
+        return self.form
 
 
 def induced_mask(H: Hypergraph, amask: int) -> Hypergraph:

@@ -292,8 +292,9 @@ def twins_naive(H: Hypergraph) -> set[tuple[int, int]]:
 def finite_chi(value) -> int:
     """The number of a finite `ChromaticValue`; the test fails on INFINITE
     and EXCEEDS."""
-    assert value.kind == "finite", value
-    return value.value
+    form = value.to_json()
+    assert type(form) is int, value
+    return form
 
 
 def chromatic_brute(H: Hypergraph, kmax: int | None = None) -> int | None:

@@ -155,9 +155,9 @@ def test_criterion_05_lower_bound_soundness(pool):
     for H in pool:
         for r in (2, 3):
             value = solve_chromatic(kneser(H, r), limit=6)[0]
-            if value.kind != "finite":
-                continue
             chi = value.to_json()
+            if type(chi) is not int:
+                continue
             assert ceil_div(ecd(H, r), r - 1) <= chi
             assert ceil_div(H.n - alt_min(H, r, "exact").value, r - 1) <= chi
             checked += 1

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import kneserlab
 from kneserlab import (
     Coloring,
     ExperimentSpec,
@@ -619,6 +623,20 @@ class TestMainEntry:
         for stem in ("invariants", "bounds"):
             assert len(list(tmp_path.glob(f"{stem}-*.json"))) == 1
             assert len(list(tmp_path.glob(f"{stem}-*.txt"))) == 1
+
+    def test_closed_pipe_ends_the_output_quietly(self, tmp_path):
+        # a real pipe whose read end is gone before the first write: stdout
+        # is then sys.__stdout__, so its buffer is sent to the null device;
+        # it is block-buffered, as by default, so the buffer still holds the
+        # output when the interpreter exits
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(kneserlab.__file__).parents[1])
+        argv = [sys.executable, "-m", "kneserlab.cli", "chromatic", "--r", "2", "complete:6,2"]
+        proc = subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0, stderr
+        assert "BrokenPipeError" not in stderr and "Exception ignored" not in stderr
 
     def test_usage_error_on_missing_param(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -16,6 +16,8 @@ from kneserlab import (
     ProductSpace,
     complete_uniform,
     ecd,
+    formula_hnka,
+    formula_kneser,
     hnka,
     kneser,
     product_is_proper,
@@ -111,6 +113,26 @@ class TestKneser:
         # 2.5 once gave 21 vertices and no hyperedges, so chi = 1
         with pytest.raises(ValueError, match=re.escape(f"got {r!r}")):
             kneser(complete_uniform(7, 2), r)
+
+    @pytest.mark.parametrize(
+        "build, name, value",
+        [
+            # the first three once returned 3.0, 3.0 and 5.0
+            (lambda: formula_kneser(7, 2, 2.5), "r", 2.5),
+            (lambda: formula_hnka(7, 2, 3, 2.5), "r", 2.5),
+            (lambda: formula_kneser(7.0, 2, 2), "n", 7.0),
+            (lambda: formula_kneser(7, 2.0, 2), "k", 2.0),
+            (lambda: formula_hnka(7.0, 2, 3, 2), "n", 7.0),
+            (lambda: formula_hnka(7, 2, 3.0, 2), "a", 3.0),
+            # the first once built a hypergraph, the second failed inside _ecd
+            (lambda: t_hypergraph(complete_uniform(4, 2), 1.5, 2), "C", 1.5),
+            (lambda: t_hypergraph(complete_uniform(4, 2), 1, 2.5), "s", 2.5),
+            (lambda: t_hypergraph(complete_uniform(4, 2), "1", 2), "C", "1"),
+        ],
+    )
+    def test_non_int_formula_and_t_parameters_rejected(self, build, name, value):
+        with pytest.raises(ValueError, match=rf"\b{name} >= .*got {re.escape(repr(value))}$"):
+            build()
 
     @staticmethod
     def assert_same(got: Hypergraph, want: Hypergraph) -> None:

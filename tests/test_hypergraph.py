@@ -18,6 +18,8 @@ from kneserlab import (
     hnka,
     kneser,
     load_hypergraph,
+    solve_chromatic,
+    solve_product_chromatic,
     store_hypergraph,
     t_hypergraph,
 )
@@ -234,29 +236,30 @@ class TestColoringModel:
         assert c.color_count == 2
         assert class_vertices(c, 2) == (1, 3)
 
-    def test_chromatic_value_kinds(self):
-        from kneserlab import ChromaticValue
+    @staticmethod
+    def _solver_forms() -> list:
+        """The solver's value in each of its forms: a finite chi, a product
+        whose factors all have a singleton edge, a limit of 0 and a limit one
+        below chi(KG(9,2)) = 7."""
+        singleton = Hypergraph(3, [[2], [1, 3]])
+        return [
+            solve_chromatic(kneser(complete_uniform(5, 2), 2))[0].to_json(),
+            solve_product_chromatic([singleton, Hypergraph(1, [[1]])])[0].to_json(),
+            solve_chromatic(complete_uniform(3, 2), limit=0)[0].to_json(),
+            solve_chromatic(kneser(complete_uniform(9, 2), 2), limit=6)[0].to_json(),
+        ]
 
-        assert ChromaticValue.finite(3).to_json() == 3
-        assert ChromaticValue.infinite().to_json() == "INFINITE"
-        assert ChromaticValue.exceeds(6).to_json() == "EXCEEDS(6)"
-        with pytest.raises(ValueError):
-            ChromaticValue.finite(0)
+    def test_chromatic_value_kinds(self):
+        forms = self._solver_forms()
+        assert forms == [3, "INFINITE", "EXCEEDS(0)", "EXCEEDS(6)"]
+        assert [type(form) for form in forms] == [int, str, str, str]
 
     def test_chromatic_value_json_round_trip(self):
-        # each kind's JSON form is distinct and survives a JSON round trip
-        from kneserlab import ChromaticValue
-
-        values = (
-            ChromaticValue.finite(4),
-            ChromaticValue.infinite(),
-            ChromaticValue.exceeds(0),
-            ChromaticValue.exceeds(12),
-        )
-        forms = [value.to_json() for value in values]
-        assert forms == [4, "INFINITE", "EXCEEDS(0)", "EXCEEDS(12)"]
-        assert [type(form) for form in forms] == [int, str, str, str]
-        assert json.loads(json.dumps(forms)) == forms
+        # each form is distinct and survives a JSON round trip with its type
+        forms = self._solver_forms()
+        loaded = json.loads(json.dumps(forms))
+        assert loaded == forms and len(set(map(str, forms))) == len(forms)
+        assert [type(form) for form in loaded] == [int, str, str, str]
 
 
 class TestJson:
